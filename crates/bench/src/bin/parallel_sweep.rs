@@ -4,8 +4,8 @@
 //! For each worker budget in the jobs list (default `1,2,4`) the binary
 //! sweeps every AIGER benchmark of the corpus the way `rbmc --jobs N` does:
 //! files striped across `N` workers, each file's engine running with
-//! [`ParallelConfig`] (property-sharded sessions for multi-property files —
-//! single-property files simply occupy one worker). The `jobs=1`
+//! [`ParallelConfig`] once the budget exceeds the file count
+//! (property-sharded sessions). The `jobs=1`
 //! configuration is the plain sequential engine and serves as the baseline;
 //! every configuration's verdicts are cross-checked against it, so the
 //! artifact doubles as a determinism gate.
@@ -20,9 +20,7 @@
 //!
 //! ```text
 //! parallel_sweep [DIR] [--smoke] [--depth N] [--jobs-list 1,2,4]
-//!                [--shard by-property|by-depth] [--no-preprocess]
-//!                [--modes deterministic,striped,work-stealing,portfolio]
-//!                [--jobs N] [--repeat N]
+//!                [--no-preprocess]
 //!                [--json-out PATH | --no-json]
 //! ```
 //!
@@ -30,15 +28,6 @@
 //! every configuration of the sweep (the cross-checks then compare raw
 //! engines against raw engines); by default all configurations run the
 //! reduced model, like `rbmc` does.
-//!
-//! With `--modes`, the binary switches from the jobs sweep to the **relaxed
-//! mode comparison** (`BENCH_relaxed.json`): every listed dispatch mode
-//! sweeps the corpus at one worker budget (`--jobs`, default 4), each
-//! file's wall time is the minimum over `--repeat` runs (default 2, to damp
-//! scheduler noise), verdicts are cross-checked against the deterministic
-//! mode, and each relaxed/portfolio mode records its total speedup over the
-//! deterministic sweep plus its worst per-file regression ratio
-//! (`worst_file_ratio_vs_det`).
 //!
 //! Without a positional corpus directory, the gens suite is exported to
 //! `target/parallel-corpus` and swept from there.
@@ -49,8 +38,7 @@ use std::time::Instant;
 
 use rbmc_bench::{BenchCase, BenchReport};
 use rbmc_core::{
-    run_portfolio, BmcEngine, BmcOptions, BmcRun, OrderingStrategy, ParallelConfig, PortfolioMode,
-    ProblemBuilder, ShardMode, SolveResult,
+    BmcEngine, BmcOptions, BmcRun, OrderingStrategy, ParallelConfig, ProblemBuilder, SolveResult,
 };
 
 fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
@@ -83,80 +71,6 @@ fn all_verdicts(runs: &[BmcRun]) -> Vec<Vec<SolveResult>> {
         .collect()
 }
 
-/// One dispatch mode of the relaxed comparison sweep.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum SweepMode {
-    /// The deterministic commit-order baseline ([`ShardMode::ByProperty`]).
-    Deterministic,
-    /// A relaxed engine grain.
-    Relaxed(ShardMode),
-    /// Strategy-portfolio racing.
-    Portfolio,
-}
-
-impl SweepMode {
-    fn label(self) -> &'static str {
-        match self {
-            SweepMode::Deterministic => "deterministic",
-            SweepMode::Relaxed(shard) => shard.label(),
-            SweepMode::Portfolio => "portfolio",
-        }
-    }
-
-    fn parse(label: &str) -> Option<SweepMode> {
-        match label {
-            "deterministic" | "det" => Some(SweepMode::Deterministic),
-            "portfolio" => Some(SweepMode::Portfolio),
-            other => ShardMode::parse(other).map(SweepMode::Relaxed),
-        }
-    }
-}
-
-/// One mode's sweep for the relaxed comparison: every file's engine (or
-/// race) gets the full worker budget, files run sequentially (the engine
-/// grain is what is being measured), and each file's wall time is the
-/// minimum over `repeat` runs. Returns the last repeat's runs (for the
-/// verdict cross-check) and the per-file minimum walls.
-fn mode_sweep(
-    problems: &[rbmc_core::VerificationProblem],
-    base: &BmcOptions,
-    mode: SweepMode,
-    jobs: usize,
-    repeat: usize,
-) -> (Vec<BmcRun>, Vec<f64>) {
-    let options = BmcOptions {
-        parallel: match mode {
-            SweepMode::Deterministic => Some(ParallelConfig::by_property(jobs)),
-            SweepMode::Relaxed(shard) => Some(ParallelConfig { jobs, shard }),
-            SweepMode::Portfolio => None,
-        },
-        ..*base
-    };
-    let mut walls = vec![f64::INFINITY; problems.len()];
-    let mut runs = Vec::new();
-    for _ in 0..repeat.max(1) {
-        runs = problems
-            .iter()
-            .enumerate()
-            .map(|(i, problem)| {
-                let start = Instant::now();
-                let run = match mode {
-                    SweepMode::Portfolio => {
-                        run_portfolio(problem, &options, PortfolioMode::Strategies, jobs).run
-                    }
-                    _ => {
-                        let mut engine = BmcEngine::for_problem(problem.clone(), options);
-                        engine.run_collecting()
-                    }
-                };
-                walls[i] = walls[i].min(start.elapsed().as_secs_f64());
-                run
-            })
-            .collect();
-    }
-    (runs, walls)
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke" || a == "--small");
@@ -182,25 +96,9 @@ fn main() -> ExitCode {
     if jobs_list[0] != 1 {
         jobs_list.insert(0, 1);
     }
-    let shard = match flag_value(&args, "--shard") {
-        None | Some("by-property") => ShardMode::ByProperty,
-        Some("by-depth") => ShardMode::ByDepth,
-        Some(other) => {
-            eprintln!("error: --shard requires by-property|by-depth, got `{other}`");
-            return ExitCode::from(2);
-        }
-    };
 
     // Corpus: the positional directory, or a fresh export of the gens suite.
-    let value_flags = [
-        "--depth",
-        "--jobs-list",
-        "--shard",
-        "--modes",
-        "--jobs",
-        "--repeat",
-        "--json-out",
-    ];
+    let value_flags = ["--depth", "--jobs-list", "--json-out"];
     let mut positional: Option<PathBuf> = None;
     let mut skip = false;
     for arg in &args[1..] {
@@ -290,131 +188,15 @@ fn main() -> ExitCode {
         .map(rbmc_core::VerificationProblem::num_properties)
         .sum();
 
-    // --modes switches to the relaxed mode comparison (BENCH_relaxed.json).
-    if let Some(modes_arg) = flag_value(&args, "--modes") {
-        let mut modes: Vec<SweepMode> = Vec::new();
-        for label in modes_arg.split(',') {
-            match SweepMode::parse(label.trim()) {
-                Some(mode) => {
-                    if !modes.contains(&mode) {
-                        modes.push(mode);
-                    }
-                }
-                None => {
-                    eprintln!(
-                        "error: --modes accepts deterministic|by-property|by-depth|striped|\
-                         work-stealing|portfolio, got `{label}`"
-                    );
-                    return ExitCode::from(2);
-                }
-            }
-        }
-        // The deterministic sweep is the verdict reference and the wall-time
-        // denominator; it always runs, and always first.
-        modes.retain(|m| *m != SweepMode::Deterministic);
-        modes.insert(0, SweepMode::Deterministic);
-        let jobs: usize = flag_value(&args, "--jobs")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(4)
-            .max(1);
-        let repeat: usize = flag_value(&args, "--repeat")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(2)
-            .max(1);
-        let base = BmcOptions {
-            max_depth: depth,
-            strategy: OrderingStrategy::RefinedDynamic { divisor: 64 },
-            preprocess,
-            ..BmcOptions::default()
-        };
-        println!(
-            "relaxed mode comparison: {} files / {num_properties} properties to depth {depth} \
-             (jobs {jobs}, min of {repeat} runs, host cpus {host_cpus})",
-            problems.len(),
-        );
-        let mut report = BenchReport::new(format!(
-            "relaxed mode comparison ({}, depth={depth}, jobs={jobs}, repeat={repeat}, \
-             host_cpus={host_cpus})",
-            corpus_dir.display(),
-        ));
-        let mut det: Option<(Vec<Vec<SolveResult>>, Vec<f64>)> = None;
-        for &mode in &modes {
-            let (runs, walls) = mode_sweep(&problems, &base, mode, jobs, repeat);
-            let verdicts = all_verdicts(&runs);
-            let wall_s: f64 = walls.iter().sum();
-            let (speedup, worst_ratio) = match &det {
-                None => {
-                    det = Some((verdicts, walls.clone()));
-                    (1.0, 1.0)
-                }
-                Some((expected, det_walls)) => {
-                    if &verdicts != expected {
-                        eprintln!(
-                            "error: mode {} verdicts diverge from the deterministic sweep",
-                            mode.label()
-                        );
-                        return ExitCode::from(1);
-                    }
-                    let det_wall: f64 = det_walls.iter().sum();
-                    // Per-file regression guard. Walls are clamped to a noise
-                    // floor before dividing: most corpus files solve in well
-                    // under 10ms, where scheduler jitter swamps any real
-                    // difference and a raw ratio would report phantom
-                    // regressions.
-                    const NOISE_FLOOR_S: f64 = 0.01;
-                    let worst = walls
-                        .iter()
-                        .zip(det_walls)
-                        .map(|(w, d)| w.max(NOISE_FLOOR_S) / d.max(NOISE_FLOOR_S))
-                        .fold(0.0_f64, f64::max);
-                    (det_wall / wall_s, worst)
-                }
-            };
-            let conflicts: u64 = runs.iter().map(rbmc_core::BmcRun::total_conflicts).sum();
-            let decisions: u64 = runs.iter().map(rbmc_core::BmcRun::total_decisions).sum();
-            let propagations: u64 = runs.iter().map(rbmc_core::BmcRun::total_implications).sum();
-            let falsified: usize = runs.iter().map(rbmc_core::BmcRun::num_falsified).sum();
-            println!(
-                "  {}: {wall_s:.3}s wall, {falsified} falsified, speedup {speedup:.2}x vs \
-                 deterministic, worst file ratio {worst_ratio:.2}",
-                mode.label(),
-            );
-            report.push(BenchCase {
-                name: "corpus_sweep".into(),
-                strategy: mode.label().into(),
-                wall_s,
-                conflicts,
-                decisions,
-                propagations,
-                completed_depth: depth,
-                verdict_ok: true,
-                extra: vec![
-                    ("jobs".into(), jobs as f64),
-                    ("repeat".into(), repeat as f64),
-                    ("host_cpus".into(), host_cpus as f64),
-                    ("files".into(), problems.len() as f64),
-                    ("properties".into(), num_properties as f64),
-                    ("falsified".into(), falsified as f64),
-                    ("speedup_vs_det".into(), speedup),
-                    ("worst_file_ratio_vs_det".into(), worst_ratio),
-                ],
-            });
-        }
-        rbmc_bench::report::emit(&args, "relaxed", &report);
-        return ExitCode::SUCCESS;
-    }
-
     println!(
         "parallel sweep: {} files / {num_properties} properties to depth {depth} \
-         (shard {}, host cpus {host_cpus})",
+         (host cpus {host_cpus})",
         problems.len(),
-        shard.label(),
     );
 
     let mut report = BenchReport::new(format!(
-        "parallel corpus sweep ({}, depth={depth}, shard={}, host_cpus={host_cpus})",
+        "parallel corpus sweep ({}, depth={depth}, host_cpus={host_cpus})",
         corpus_dir.display(),
-        shard.label(),
     ));
     let mut baseline: Option<(Vec<Vec<SolveResult>>, f64)> = None;
     for &jobs in &jobs_list {
@@ -426,10 +208,7 @@ fn main() -> ExitCode {
             max_depth: depth,
             strategy: OrderingStrategy::RefinedDynamic { divisor: 64 },
             preprocess,
-            parallel: (engine_jobs > 1).then_some(ParallelConfig {
-                jobs: engine_jobs,
-                shard,
-            }),
+            parallel: (engine_jobs > 1).then_some(ParallelConfig::new(engine_jobs)),
             ..BmcOptions::default()
         };
         let (runs, wall_s) = sweep(&problems, &options, file_workers);

@@ -15,14 +15,10 @@
 //!
 //! ```text
 //! rbmc [DIR] [--export-corpus DIR] [--depth N] [--reuse fresh|session]
-//!      [--engine bmc|ic3|induction|portfolio]
-//!      [--strategy bmc|sta|dyn|sht] [--divisor N] [--jobs N]
-//!      [--shard by-property|by-depth|striped|work-stealing]
-//!      [--relaxed] [--deterministic] [--no-preprocess]
+//!      [--engine bmc|ic3] [--strategy bmc|sta|dyn|sht] [--divisor N]
+//!      [--jobs N] [--no-preprocess]
 //!      [--lint off|warn|deny] [--lint-json PATH]
-//!      [--proof off|log|check]
-//!      [--portfolio] [--portfolio-mode strategies|reuse|full]
-//!      [--selfcheck] [--smoke]
+//!      [--proof off|log|check] [--selfcheck] [--smoke]
 //!      [--witness-dir DIR] [--json-out PATH | --no-json]
 //! ```
 //!
@@ -34,40 +30,23 @@
 //!   first, and any remaining per-worker budget (`N / file-workers`) runs
 //!   each file's engine with [`ParallelConfig`] — so a single-file corpus
 //!   gets full engine-level parallelism while a many-file sweep never
-//!   spawns more than ~`N` solver threads. An explicit `--shard` flips the
-//!   split: the whole budget goes to each file's engine (even with
-//!   `--jobs 1`, which runs the parallel decomposition on one worker) and
-//!   the file sweep itself runs sequentially — by-property pairs with the
-//!   session regime, by-depth with fresh; the default follows `--reuse`.
+//!   spawns more than ~`N` solver threads. The engine grain follows
+//!   `--reuse`: session runs shard by property, fresh runs by depth.
 //!   Verdicts, witnesses, and rank tables are independent of `N`; the
 //!   per-file output is buffered and printed in file order, so the whole
 //!   report is byte-stable too.
-//! - `--relaxed` runs each file's engine in a relaxed parallel grain
-//!   (default [`ShardMode::Striped`]; `--shard striped|work-stealing`
-//!   picks): verdict-equivalent to the deterministic run but with
-//!   scheduling-dependent rank tables. `--deterministic` asserts the
-//!   opposite — it is an error to combine it with `--relaxed`,
-//!   `--portfolio`, or a relaxed `--shard`.
-//! - `--engine` picks the verification algorithm: `bmc` (default), `ic3`
+//! - `--engine` picks the verification algorithm: `bmc` (default) or `ic3`
 //!   (unbounded proofs — a holding property reports HWMCC status `0` with
 //!   the extracted invariant machine-checked before it is claimed, a
-//!   failing one the same depth-exact witness as BMC), `induction`
-//!   (k-induction proofs, no extracted invariant), or `portfolio` (the
-//!   full-mode race: the BMC grid plus the IC3 and induction provers, first
-//!   conclusive verdict wins).
-//! - `--portfolio` races independent engine configurations per file
-//!   (first verdict wins, losers cancelled); `--portfolio-mode` picks the
-//!   roster axis (strategies, reuse regimes, or the full product —
-//!   `full` also races the IC3 and k-induction provers).
+//!   failing one the same depth-exact witness as BMC).
 //! - `--selfcheck` is the differential harness: the main run, the
 //!   *opposite* solver-reuse regime, the *opposite* preprocessing regime,
-//!   both deterministic parallel grains,
-//!   and both relaxed grains must agree on every property's per-depth
+//!   and both parallel grains must agree on every property's per-depth
 //!   verdict sequence, and every property is additionally re-checked with
 //!   fresh-per-depth single-property runs ([`SolverReuse::Fresh`]). **All**
 //!   mismatching properties across all modes are reported before the
 //!   non-zero exit — a failure names every offender, not just the first.
-//!   Under a proving engine (`--engine ic3|induction`) the harness is
+//!   Under `--engine ic3` the harness is
 //!   differential against BMC instead: the prover's per-frontier verdict
 //!   sequence must equal the BMC oracle's per-depth sequence on their
 //!   shared prefix — falsification depths match exactly, and a proof
@@ -105,7 +84,7 @@
 //!   rejected certificate fails the file and the sweep exits non-zero (the
 //!   fail-closed CI shape, symmetric to the witness and invariant gates).
 //!   Under `--selfcheck`, the differential cross-runs inherit the proof
-//!   mode, so the relaxed/parallel grains are certified too.
+//!   mode, so the parallel grains are certified too.
 //! - `--smoke` shrinks the export to the small suite and the default depth
 //!   bound to 10 (CI mode).
 //!
@@ -123,12 +102,12 @@ use rbmc_bench::{BenchCase, BenchReport};
 use rbmc_circuit::aiger::parse_aiger;
 use rbmc_circuit::coi::registers_in_cone;
 use rbmc_circuit::lint::{lint_aiger, LintCode, LintReport};
+use rbmc_circuit::preprocess::PreprocessReport;
 use rbmc_circuit::Aig;
-use rbmc_core::induction::InductionEngine;
 use rbmc_core::{
-    check_invariant, preprocess_problem, BmcEngine, BmcOptions, BmcRun, EngineKind, Ic3Engine,
-    Model, OrderingStrategy, ParallelConfig, PortfolioMode, PreprocessedProblem, ProblemBuilder,
-    ProofMode, PropertyVerdict, ShardMode, SolveResult, SolverReuse, Trace, VerificationProblem,
+    check_invariant, BmcEngine, BmcOptions, BmcRun, Ic3Engine, Model, OrderingStrategy,
+    ParallelConfig, ProblemBuilder, ProofMode, PropertyVerdict, SolveResult, SolverReuse, Trace,
+    TraceLift, VerificationProblem,
 };
 
 fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
@@ -136,6 +115,24 @@ fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
         .position(|a| a == flag)
         .and_then(|i| args.get(i + 1))
         .map(String::as_str)
+}
+
+/// Which algorithm answers each file (`--engine`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum EngineKind {
+    /// Bounded model checking to the depth bound. The default.
+    Bmc,
+    /// IC3: unbounded proofs with machine-checked invariants.
+    Ic3,
+}
+
+impl EngineKind {
+    fn label(self) -> &'static str {
+        match self {
+            EngineKind::Bmc => "bmc",
+            EngineKind::Ic3 => "ic3",
+        }
+    }
 }
 
 /// How `--lint` diagnostics gate the sweep (`rbmc_circuit::lint`).
@@ -375,18 +372,17 @@ fn verdict_mismatches(
         .collect()
 }
 
-/// The prover differential (`--selfcheck` under `--engine ic3|induction`
-/// or a full-mode portfolio): a BMC oracle run must agree with the
-/// prover's per-frontier verdict sequence on their shared prefix, a
-/// falsification must land at the exact same depth, and a proof must stay
-/// counterexample-free for BMC's whole bound.
+/// The prover differential (`--selfcheck` under `--engine ic3`): a BMC
+/// oracle run must agree with the prover's per-frontier verdict sequence on
+/// their shared prefix, a falsification must land at the exact same depth,
+/// and a proof must stay counterexample-free for BMC's whole bound.
 fn prover_cross_check(
     stem: &str,
     problem: &VerificationProblem,
     run: &BmcRun,
     options: &BmcOptions,
-    label: &str,
 ) -> Vec<String> {
+    let label = EngineKind::Ic3.label();
     let mut engine = BmcEngine::for_problem(
         problem.clone(),
         BmcOptions {
@@ -440,8 +436,8 @@ fn prover_cross_check(
 
 /// One diagnostic when a differential cross-run's own proof check rejected
 /// a certificate (the cross-runs inherit the main run's `--proof` mode, so
-/// the relaxed and parallel grains are certified too, not just the
-/// configuration the sweep reports).
+/// the parallel grains are certified too, not just the configuration the
+/// sweep reports).
 fn proof_mismatch(stem: &str, run: &BmcRun, mode_label: &str) -> Option<String> {
     let proof = run.proof.as_ref().filter(|p| p.rejected())?;
     Some(format!(
@@ -481,6 +477,14 @@ fn cross_check(
     mismatches
 }
 
+/// An engine's preprocessing view, owned (`None` with preprocessing off).
+fn preprocess_view(
+    report: Option<&PreprocessReport>,
+    lift: Option<&TraceLift>,
+) -> Option<(PreprocessReport, TraceLift)> {
+    Some((report?.clone(), lift?.clone()))
+}
+
 /// A checked file's buffered stdout block, its report cases, and whether
 /// the check succeeded — output and cases survive a failure, so the
 /// diagnostics printed for a failing file are no poorer than an eager
@@ -497,7 +501,6 @@ fn check_file(
     path: &Path,
     options: &BmcOptions,
     engine_kind: EngineKind,
-    portfolio: Option<(PortfolioMode, usize)>,
     selfcheck: bool,
     witness_dir: Option<&Path>,
     reuse_label: &str,
@@ -568,37 +571,30 @@ fn check_file(
         ));
     }
     let problem = builder.build();
-    // The preprocessing view of the file: shape report for the log line and
-    // BENCH extras, don't-care masks for witness `x` positions. Computed
-    // here (the pass is deterministic, so this matches what the engine does
-    // internally) because the portfolio path never exposes its engines.
-    let pp: Option<PreprocessedProblem> = options.preprocess.then(|| preprocess_problem(&problem));
     let wall = Instant::now();
-    // `working` is the IC3 engine's (possibly preprocessed) model — the
-    // coordinate system its invariant clauses live in, kept around for the
-    // invariant machine-check gate below.
-    let (run, race, working): (BmcRun, _, Option<Model>) = match portfolio {
-        Some((mode, jobs)) => {
-            let race = rbmc_core::run_portfolio(&problem, options, mode, jobs);
-            (race.run.clone(), Some(race), None)
-        }
-        None => match engine_kind {
+    // Besides the run, the engine hands back its preprocessing view of the
+    // file (shape report for the log line and BENCH extras, don't-care
+    // masks for witness `x` positions) and, for IC3, its working model —
+    // the coordinate system its invariant clauses live in, kept around for
+    // the invariant machine-check gate below.
+    let (run, pp, working): (BmcRun, Option<(PreprocessReport, TraceLift)>, Option<Model>) =
+        match engine_kind {
             EngineKind::Bmc => {
                 let mut engine = BmcEngine::for_problem(problem.clone(), *options);
-                (engine.run_collecting(), None, None)
+                let run = engine.run_collecting();
+                (
+                    run,
+                    preprocess_view(engine.preprocess_report(), engine.trace_lift()),
+                    None,
+                )
             }
             EngineKind::Ic3 => {
                 let mut engine = Ic3Engine::for_problem(problem.clone(), *options);
                 let run = engine.run_collecting();
-                let working = engine.working_model().clone();
-                (run, None, Some(working))
+                let pp = preprocess_view(engine.preprocess_report(), engine.trace_lift());
+                (run, pp, Some(engine.working_model().clone()))
             }
-            EngineKind::Induction => {
-                let mut engine = InductionEngine::for_problem(problem.clone(), *options);
-                (engine.run_collecting(), None, None)
-            }
-        },
-    };
+        };
     let wall = wall.elapsed();
 
     let _ = writeln!(
@@ -616,16 +612,6 @@ fn check_file(
         aig.num_ands(),
     );
     let _ = write!(out, "{lint_lines}");
-    if let Some(race) = &race {
-        let _ = writeln!(
-            out,
-            "  portfolio: {} won in {:.3}s ({} member{} raced)",
-            race.members[race.winner].member.label(),
-            race.members[race.winner].time.as_secs_f64(),
-            race.members.len(),
-            if race.members.len() == 1 { "" } else { "s" },
-        );
-    }
     // The netlist-vs-cone shape line: how much of the file the union of the
     // property cones actually uses, and what the engine encoded after
     // sweeping/hashing when preprocessing is on.
@@ -637,18 +623,18 @@ fn check_file(
             .map(rbmc_core::Property::bad)
             .collect::<Vec<_>>(),
     );
-    if let Some(pp) = &pp {
+    if let Some((report, _)) = &pp {
         let _ = writeln!(
             out,
             "  cone: {cone_registers}/{} registers; encoded {} registers / {} gates \
              ({} swept, {} dropped, {} inputs dropped, {} gates hashed)",
             problem.netlist().num_latches(),
-            pp.report.after.latches,
-            pp.report.after.gates,
-            pp.report.swept_latches,
-            pp.report.dropped_latches,
-            pp.report.dropped_inputs,
-            pp.report.hashed_gates,
+            report.after.latches,
+            report.after.gates,
+            report.swept_latches,
+            report.dropped_latches,
+            report.dropped_inputs,
+            report.hashed_gates,
         );
     } else {
         let _ = writeln!(
@@ -699,17 +685,16 @@ fn check_file(
             PropertyVerdict::Proved {
                 depth,
                 invariant_clauses,
-            } => (
-                "0",
-                match invariant_clauses {
-                    Some(clauses) => format!(
-                        "proved at depth {depth}, {} invariant clause{}",
-                        clauses.len(),
-                        if clauses.len() == 1 { "" } else { "s" }
+            } => {
+                let clauses = invariant_clauses.as_ref().map_or(0, Vec::len);
+                (
+                    "0",
+                    format!(
+                        "proved at depth {depth}, {clauses} invariant clause{}",
+                        if clauses == 1 { "" } else { "s" }
                     ),
-                    None => format!("proved at depth {depth}"),
-                },
-            ),
+                )
+            }
             PropertyVerdict::OpenAt { depth } => ("2", format!("open at depth {depth}")),
             PropertyVerdict::Unknown => ("2", "unknown (budget exhausted)".to_string()),
         };
@@ -744,18 +729,18 @@ fn check_file(
         // Proof soundness gate, symmetric to the witness gate: an IC3
         // invariant must pass the independent inductive check (init ⊆ inv,
         // inv ∧ T ⇒ inv', inv ⇒ ¬bad) against the engine's working model
-        // before the proved status is emitted.
+        // before the proved status is emitted. A proof without an invariant
+        // fails the gate.
         if let PropertyVerdict::Proved {
-            invariant_clauses: Some(clauses),
-            ..
+            invariant_clauses, ..
         } = &prop_report.verdict
         {
-            let working = working.as_ref().ok_or_else(|| {
-                format!(
-                    "{stem}::{}: proved verdict with invariant outside the ic3 engine",
+            let (Some(working), Some(clauses)) = (working.as_ref(), invariant_clauses) else {
+                return Err(format!(
+                    "{stem}::{}: proved verdict without an invariant to check",
                     prop_report.name
-                )
-            })?;
+                ));
+            };
             let bad = working.problem().property(idx).bad();
             check_invariant(working, bad, clauses).map_err(|e| {
                 format!(
@@ -766,8 +751,8 @@ fn check_file(
         }
         let dontcare = pp
             .as_ref()
-            .filter(|pp| !pp.lift.is_identity())
-            .map(|pp| (pp.lift.dontcare_latches(), pp.lift.dontcare_inputs()));
+            .filter(|(_, lift)| !lift.is_identity())
+            .map(|(_, lift)| (lift.dontcare_latches(), lift.dontcare_inputs()));
         let text = witness_text(idx, &prop_report.verdict, trace, dontcare);
         if let Some(dir) = witness_dir {
             let wpath = dir.join(format!("{stem}.b{idx}.wit"));
@@ -840,11 +825,11 @@ fn check_file(
             ("lint_warnings".into(), lint.num_warnings() as f64),
             ("lint_errors".into(), lint.num_errors() as f64),
         ];
-        if let Some(pp) = &pp {
-            extra.push(("registers_encoded".into(), pp.report.after.latches as f64));
-            extra.push(("gates_encoded".into(), pp.report.after.gates as f64));
-            extra.push(("swept_latches".into(), pp.report.swept_latches as f64));
-            extra.push(("dropped_latches".into(), pp.report.dropped_latches as f64));
+        if let Some((report, _)) = &pp {
+            extra.push(("registers_encoded".into(), report.after.latches as f64));
+            extra.push(("gates_encoded".into(), report.after.gates as f64));
+            extra.push(("swept_latches".into(), report.swept_latches as f64));
+            extra.push(("dropped_latches".into(), report.dropped_latches as f64));
         }
         if let Some(proof) = &run.proof {
             // Certificate sizes and check cost (shared by the file's
@@ -876,10 +861,6 @@ fn check_file(
                     .fold(0.0, f64::max),
             ));
         }
-        if let Some(race) = &race {
-            extra.push(("portfolio_winner".into(), race.winner as f64));
-            extra.push(("portfolio_members".into(), race.members.len() as f64));
-        }
         cases.push(BenchCase {
             name: format!("{stem}::{}", prop_report.name),
             strategy: match engine_kind {
@@ -900,19 +881,11 @@ fn check_file(
         });
     }
 
-    if selfcheck
-        && (engine_kind != EngineKind::Bmc || matches!(portfolio, Some((PortfolioMode::Full, _))))
-    {
-        // A run that may carry prover verdicts (a proving engine, or a
-        // full-mode portfolio whose winner may be one): the differential is
-        // against a BMC oracle on the shared frontier prefix instead of
-        // the BMC-shaped regime cross-checks below.
-        let label = if portfolio.is_some() {
-            "portfolio".to_string()
-        } else {
-            engine_kind.label().to_string()
-        };
-        let mismatches = prover_cross_check(&stem, &problem, &run, options, &label);
+    if selfcheck && engine_kind == EngineKind::Ic3 {
+        // A run carrying prover verdicts: the differential is against a BMC
+        // oracle on the shared frontier prefix instead of the BMC-shaped
+        // regime cross-checks below.
+        let mismatches = prover_cross_check(&stem, &problem, &run, options);
         if !mismatches.is_empty() {
             return Err(format!(
                 "selfcheck found {} mismatch{}:\n  {}",
@@ -923,20 +896,18 @@ fn check_file(
         }
         let _ = writeln!(
             out,
-            "  selfcheck: {label} verdicts match the bmc oracle on the shared \
+            "  selfcheck: ic3 verdicts match the bmc oracle on the shared \
              frontier prefix (falsification depths exact, proofs counterexample-free)"
         );
     } else if selfcheck {
-        // The differential harness: the opposite solver-reuse regime, both
-        // deterministic parallel grains, and both relaxed grains must all
+        // The differential harness: the opposite solver-reuse regime, the
+        // opposite preprocessing regime, and both parallel grains must all
         // reproduce the main run's per-depth verdicts property for
         // property. All mismatches across all modes are collected before
         // failing, so one bad file reports its complete offender set. The
-        // cross-checks inherit the main run's engine worker budget (relaxed
-        // verdicts are worker-count-independent too — that is the contract
-        // under test) — hard-coding a larger count here would quietly break
-        // the sweep's no-more-than-~jobs-threads guarantee inside each file
-        // worker.
+        // cross-checks inherit the main run's engine worker budget —
+        // hard-coding a larger count here would quietly break the sweep's
+        // no-more-than-~jobs-threads guarantee inside each file worker.
         let cross_jobs = options.parallel.map_or(1, |c| c.jobs);
         let other_reuse = match options.reuse {
             SolverReuse::Session => SolverReuse::Fresh,
@@ -972,24 +943,17 @@ fn check_file(
                 "preprocessing on"
             },
         ));
-        for shard in [
-            ShardMode::ByProperty,
-            ShardMode::ByDepth,
-            ShardMode::Striped,
-            ShardMode::WorkStealing,
-        ] {
+        for reuse in [SolverReuse::Session, SolverReuse::Fresh] {
             mismatches.extend(cross_check(
                 &stem,
                 &problem,
                 &run,
                 &BmcOptions {
-                    parallel: Some(ParallelConfig {
-                        jobs: cross_jobs,
-                        shard,
-                    }),
+                    reuse,
+                    parallel: Some(ParallelConfig::new(cross_jobs)),
                     ..*options
                 },
-                &format!("parallel {}", shard.label()),
+                &format!("parallel {}", reuse.label()),
             ));
         }
         // The per-property differential gate: each property re-checked
@@ -1032,7 +996,7 @@ fn check_file(
         }
         let _ = writeln!(
             out,
-            "  selfcheck: verdicts match across fresh/session/parallel/relaxed runs \
+            "  selfcheck: verdicts match across fresh/session/parallel runs \
              and both preprocessing regimes"
         );
     }
@@ -1056,79 +1020,18 @@ fn main() -> ExitCode {
         .and_then(|v| v.parse().ok())
         .unwrap_or(1)
         .max(1);
-    let relaxed = args.iter().any(|a| a == "--relaxed");
-    let deterministic = args.iter().any(|a| a == "--deterministic");
     let no_preprocess = args.iter().any(|a| a == "--no-preprocess");
     let lint_mode = parse_lint_mode(&args);
     let lint_json = flag_value(&args, "--lint-json").map(PathBuf::from);
     let proof_mode = parse_proof_mode(&args);
-    // `--engine portfolio` is sugar for `--portfolio` with the full-mode
-    // roster (BMC grid + IC3 + induction racing for the first conclusive
-    // verdict); the other labels pick a single engine for every file.
-    let engine_arg = flag_value(&args, "--engine");
-    let engine_portfolio = engine_arg == Some("portfolio");
-    let engine_kind = match engine_arg {
-        None => EngineKind::Bmc,
-        Some("portfolio") => EngineKind::Bmc,
-        Some(label) => match EngineKind::parse(label) {
-            Some(kind) => kind,
-            None => {
-                eprintln!("error: --engine requires bmc|ic3|induction|portfolio, got `{label}`");
-                return ExitCode::from(2);
-            }
-        },
+    let engine_kind = match flag_value(&args, "--engine") {
+        None | Some("bmc") => EngineKind::Bmc,
+        Some("ic3") => EngineKind::Ic3,
+        Some(other) => {
+            eprintln!("error: --engine requires bmc|ic3, got `{other}`");
+            return ExitCode::from(2);
+        }
     };
-    let portfolio_flag = args.iter().any(|a| a == "--portfolio") || engine_portfolio;
-    if engine_kind != EngineKind::Bmc && portfolio_flag {
-        eprintln!(
-            "error: --engine {} cannot be combined with --portfolio \
-             (use --engine portfolio to race the engines)",
-            engine_kind.label()
-        );
-        return ExitCode::from(2);
-    }
-    let portfolio_mode = match flag_value(&args, "--portfolio-mode") {
-        None if engine_portfolio => PortfolioMode::Full,
-        None => PortfolioMode::default(),
-        Some(label) => match PortfolioMode::parse(label) {
-            Some(mode) => mode,
-            None => {
-                eprintln!("error: --portfolio-mode requires strategies|reuse|full, got `{label}`");
-                return ExitCode::from(2);
-            }
-        },
-    };
-    // The engine-level sharding grain mirrors the solver-reuse regime unless
-    // forced: sessions shard by property, the fresh regime by depth.
-    // `--relaxed` flips the default to the striped relaxed grain.
-    let shard = match flag_value(&args, "--shard") {
-        None if relaxed => ShardMode::Striped,
-        None => match reuse {
-            SolverReuse::Session => ShardMode::ByProperty,
-            SolverReuse::Fresh => ShardMode::ByDepth,
-        },
-        Some(label) => match ShardMode::parse(label) {
-            Some(mode) => mode,
-            None => {
-                eprintln!(
-                    "error: --shard requires by-property|by-depth|striped|work-stealing, \
-                     got `{label}`"
-                );
-                return ExitCode::from(2);
-            }
-        },
-    };
-    // `--deterministic` asserts the full reproducibility contract; the
-    // relaxed grains and portfolio racing guarantee only verdict
-    // equivalence, so combining them is a contradiction, not a preference.
-    if deterministic && (relaxed || portfolio_flag || !shard.is_deterministic()) {
-        eprintln!(
-            "error: --deterministic cannot be combined with --relaxed, --portfolio, \
-             or --shard {}",
-            shard.label()
-        );
-        return ExitCode::from(2);
-    }
     let witness_dir = flag_value(&args, "--witness-dir").map(PathBuf::from);
     if let Some(dir) = &witness_dir {
         if let Err(e) = std::fs::create_dir_all(dir) {
@@ -1179,8 +1082,6 @@ fn main() -> ExitCode {
         "--engine",
         "--reuse",
         "--jobs",
-        "--shard",
-        "--portfolio-mode",
         "--witness-dir",
         "--json-out",
         "--export-corpus",
@@ -1207,14 +1108,11 @@ fn main() -> ExitCode {
     }
     let Some(corpus_dir) = positional.or(export_dir) else {
         eprintln!(
-            "usage: rbmc [DIR] [--export-corpus DIR] [--depth N] \
-             [--engine bmc|ic3|induction|portfolio] \
+            "usage: rbmc [DIR] [--export-corpus DIR] [--depth N] [--engine bmc|ic3] \
              [--reuse fresh|session] [--strategy bmc|sta|dyn|sht] [--divisor N] \
-             [--jobs N] [--shard by-property|by-depth|striped|work-stealing] \
-             [--relaxed] [--deterministic] [--no-preprocess] [--lint off|warn|deny] \
-             [--lint-json PATH] [--proof off|log|check] \
-             [--portfolio] [--portfolio-mode strategies|reuse|full] \
-             [--selfcheck] [--smoke] [--witness-dir DIR] [--json-out PATH | --no-json]"
+             [--jobs N] [--no-preprocess] [--lint off|warn|deny] [--lint-json PATH] \
+             [--proof off|log|check] [--selfcheck] [--smoke] [--witness-dir DIR] \
+             [--json-out PATH | --no-json]"
         );
         return ExitCode::from(2);
     };
@@ -1271,58 +1169,24 @@ fn main() -> ExitCode {
 
     // Split the worker budget between the two grains instead of multiplying
     // them: `jobs` file workers each running a `jobs`-worker engine would
-    // oversubscribe to jobs² threads. By default file striping gets first
-    // claim (it parallelizes everything, single-property files included)
-    // and whatever budget remains per file worker goes to the engine. An
-    // explicit `--shard` flips the split: the user is asking for
-    // engine-grain sharding, so the whole budget goes to each file's engine
-    // (even `jobs = 1` — the parallel decomposition with one worker) and
-    // the file sweep runs sequentially.
-    // `--relaxed` and `--portfolio` are engine-grain requests just like an
-    // explicit `--shard`: the whole budget goes to each file's engine (or
-    // race) and the file sweep runs sequentially.
-    let engine_forced = flag_value(&args, "--shard").is_some() || relaxed || portfolio_flag;
-    let file_workers = if engine_forced {
-        1
-    } else {
-        jobs.min(files.len()).max(1)
-    };
-    let engine_jobs = if engine_forced {
-        jobs
-    } else {
-        (jobs / file_workers).max(1)
-    };
-    let portfolio = portfolio_flag.then_some((portfolio_mode, engine_jobs));
+    // oversubscribe to jobs² threads. File striping gets first claim (it
+    // parallelizes everything, single-property files included) and whatever
+    // budget remains per file worker goes to the engine.
+    let file_workers = jobs.min(files.len()).max(1);
+    let engine_jobs = (jobs / file_workers).max(1);
     let options = BmcOptions {
         max_depth: depth,
         strategy,
         reuse,
         preprocess: !no_preprocess,
         proof: proof_mode,
-        // A portfolio race runs each member sequentially — the race is the
-        // parallelism.
-        parallel: (!portfolio_flag && (engine_jobs > 1 || engine_forced)).then_some(
-            ParallelConfig {
-                jobs: engine_jobs,
-                shard,
-            },
-        ),
+        parallel: (engine_jobs > 1).then_some(ParallelConfig::new(engine_jobs)),
         ..BmcOptions::default()
     };
-    let grain_label = if portfolio_flag {
-        format!("portfolio-{}", portfolio_mode.label())
-    } else {
-        shard.label().to_string()
-    };
-    let engine_label = if portfolio_flag {
-        "portfolio"
-    } else {
-        engine_kind.label()
-    };
     let mut report = BenchReport::new(format!(
-        "rbmc corpus ({}, depth={depth}, engine={engine_label}, strategy={}, reuse={}, \
-         jobs={jobs}/{grain_label}{})",
+        "rbmc corpus ({}, depth={depth}, engine={}, strategy={}, reuse={}, jobs={jobs}{})",
         corpus_dir.display(),
+        engine_kind.label(),
         strategy.label(),
         reuse.label(),
         if selfcheck { ", selfcheck" } else { "" }
@@ -1339,7 +1203,6 @@ fn main() -> ExitCode {
             &files[i],
             &options,
             engine_kind,
-            portfolio,
             selfcheck,
             witness_dir.as_deref(),
             reuse.label(),
@@ -1457,15 +1320,10 @@ mod tests {
     fn verdict_mismatches_reports_every_offender_not_just_the_first() {
         let main = vec![vec![Unsat, Sat], vec![Unsat, Unsat], vec![Unsat]];
         let other = vec![vec![Unsat, Unsat], vec![Unsat, Unsat], vec![Sat]];
-        let found = verdict_mismatches(
-            "file",
-            &["p0", "p1", "p2"],
-            &main,
-            &other,
-            "parallel striped",
-        );
+        let found =
+            verdict_mismatches("file", &["p0", "p1", "p2"], &main, &other, "parallel fresh");
         assert_eq!(found.len(), 2, "{found:?}");
-        assert!(found[0].contains("file::p0") && found[0].contains("parallel striped"));
+        assert!(found[0].contains("file::p0") && found[0].contains("parallel fresh"));
         assert!(found[1].contains("file::p2"));
     }
 

@@ -39,7 +39,7 @@ use std::time::{Duration, Instant};
 
 use rbmc_circuit::Signal;
 use rbmc_cnf::Lit;
-use rbmc_solver::{CancelFlag, Limits, OrderMode, SolveResult, Solver, SolverOptions, SolverStats};
+use rbmc_solver::{Limits, OrderMode, SolveResult, Solver, SolverOptions, SolverStats};
 
 use crate::certify::{self, EpisodeCertifier};
 use crate::parallel::{self, ParallelConfig, WorkerReport};
@@ -157,12 +157,10 @@ pub struct BmcOptions {
     /// the solver and never prune.
     pub cdg_prune: bool,
     /// Run the sweep on a worker pool instead of inline — see
-    /// [`ParallelConfig`] for the two sharding grains. `None` (the default)
-    /// is the sequential loop. The sharding grain fixes the solver
-    /// provisioning ([`ShardMode::ByProperty`](crate::ShardMode) runs one
-    /// session per property, [`ShardMode::ByDepth`](crate::ShardMode) a
-    /// fresh solver per instance), so [`BmcOptions::reuse`] is not consulted
-    /// by parallel runs.
+    /// [`ParallelConfig`]. `None` (the default) is the sequential loop. The
+    /// grain follows [`BmcOptions::reuse`]: a session run keeps one session
+    /// solver per property, a fresh run dispatches a fresh solver per
+    /// (property, depth) instance.
     pub parallel: Option<ParallelConfig>,
     /// Clause-level proof logging of every provisioned solver, and — under
     /// [`ProofMode::Check`](crate::ProofMode) — independent re-derivation of
@@ -241,20 +239,18 @@ pub enum PropertyVerdict {
         depth: usize,
     },
     /// The property holds in **all** reachable states — an unbounded proof,
-    /// not merely a bound. Produced by the proving engines
-    /// ([`Ic3Engine`](crate::Ic3Engine), [`induction`](crate::induction));
+    /// not merely a bound. Produced by [`Ic3Engine`](crate::Ic3Engine);
     /// plain BMC never returns it.
     Proved {
-        /// The frame/induction depth at which the proof converged.
+        /// The frame depth at which the proof converged.
         depth: usize,
         /// The inductive invariant certifying the proof, as clauses over the
         /// **working model's** latches: each inner vector is a disjunction of
         /// "latch `i` has value `b`" literals, and the conjunction of all
         /// clauses contains the initial states, is closed under the
-        /// transition relation, and excludes every bad state. `None` means
-        /// the proof carries no extracted invariant (k-induction);
-        /// `Some(vec![])` is the trivial invariant *true* (the bad state is
-        /// combinationally unsatisfiable).
+        /// transition relation, and excludes every bad state. IC3 always
+        /// supplies one; `Some(vec![])` is the trivial invariant *true* (the
+        /// bad state is combinationally unsatisfiable).
         invariant_clauses: Option<Vec<Vec<(usize, bool)>>>,
     },
     /// No depth completed for this property (a resource budget ran out
@@ -265,8 +261,7 @@ pub enum PropertyVerdict {
 impl PropertyVerdict {
     /// Whether this verdict is conclusive for the *unbounded* question — a
     /// counterexample or a proof, as opposed to a bounded or truncated
-    /// answer. Portfolio racing uses this to decide whether a proving
-    /// member's run may claim the race.
+    /// answer.
     pub fn is_conclusive(&self) -> bool {
         matches!(
             self,
@@ -514,7 +509,6 @@ pub struct BmcEngine {
     options: BmcOptions,
     rank: VarRank,
     per_depth: Vec<DepthStats>,
-    cancel: Option<CancelFlag>,
 }
 
 impl fmt::Debug for BmcEngine {
@@ -532,8 +526,8 @@ impl BmcEngine {
     /// Creates an engine for a single-property `model` with the given
     /// options. With [`BmcOptions::preprocess`] on (the default) the model
     /// is structurally reduced here, once, before any encoding — the
-    /// parallel and portfolio dispatch layers all clone the engine's working
-    /// model, so they inherit the reduction.
+    /// parallel dispatch layer clones the engine's working model, so it
+    /// inherits the reduction.
     pub fn new(model: Model, options: BmcOptions) -> BmcEngine {
         let (model, original, lift, pp_report) = if options.preprocess {
             let problem = model.into_problem();
@@ -555,7 +549,6 @@ impl BmcEngine {
             options,
             rank: VarRank::new(options.weighting),
             per_depth: Vec::new(),
-            cancel: None,
         }
     }
 
@@ -603,22 +596,6 @@ impl BmcEngine {
     /// The accumulated `varRank` (inspect after a run).
     pub fn rank(&self) -> &VarRank {
         &self.rank
-    }
-
-    /// Attaches a cooperative cancellation flag. Once
-    /// [`CancelFlag::cancel`] is raised, every in-flight solve episode
-    /// returns [`SolveResult::Unknown`] at its next budget checkpoint and
-    /// the run truncates through the [`BmcOutcome::ResourceOut`] path — the
-    /// same committed-partial-run semantics a conflict budget produces.
-    /// Portfolio racing uses this to cut losers off mid-depth.
-    pub fn set_cancel(&mut self, cancel: CancelFlag) {
-        self.cancel = Some(cancel);
-    }
-
-    /// The attached cancellation flag, if any (the parallel drivers thread
-    /// it into every worker's limits).
-    pub(crate) fn cancel_flag(&self) -> Option<&CancelFlag> {
-        self.cancel.as_ref()
     }
 
     /// Runs the loop of Fig. 5 and returns only the summary outcome.
@@ -990,7 +967,7 @@ impl BmcEngine {
     }
 
     fn depth_limits(&self) -> Limits {
-        depth_limits(&self.options, self.cancel.as_ref())
+        depth_limits(&self.options)
     }
 }
 
@@ -1010,19 +987,14 @@ pub(crate) fn strategy_solver_options(options: &BmcOptions) -> SolverOptions {
     opts
 }
 
-/// The per-depth resource limits [`BmcOptions`] dictate, with the engine's
-/// cancellation flag (if any) attached so mid-depth cancellation surfaces
-/// through the same [`SolveResult::Unknown`] truncation path as a budget.
-pub(crate) fn depth_limits(options: &BmcOptions, cancel: Option<&CancelFlag>) -> Limits {
+/// The per-depth resource limits [`BmcOptions`] dictate.
+pub(crate) fn depth_limits(options: &BmcOptions) -> Limits {
     let mut limits = Limits::new();
     if let Some(n) = options.max_conflicts_per_depth {
         limits = limits.with_max_conflicts(n);
     }
     if let Some(deadline) = options.deadline {
         limits = limits.with_deadline(deadline);
-    }
-    if let Some(cancel) = cancel {
-        limits = limits.with_cancel(cancel.clone());
     }
     limits
 }

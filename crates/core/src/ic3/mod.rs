@@ -49,8 +49,7 @@
 //! at frontier `K` witnesses a counterexample of exactly `K` transitions —
 //! which a fresh BMC-style solve at depth `K` then reconstructs as a
 //! validated [`Trace`]. This is what makes the engine differentially
-//! testable against the BMC oracle, and race-compatible with it in a
-//! portfolio.
+//! testable against the BMC oracle.
 
 mod frames;
 mod generalize;
@@ -66,14 +65,13 @@ use std::time::Instant;
 use rbmc_circuit::preprocess::PreprocessReport;
 use rbmc_circuit::{LatchInit, Node, NodeId, Signal};
 use rbmc_cnf::{CnfFormula, Lit, Var};
-use rbmc_solver::{CancelFlag, Limits, SolveResult, Solver, SolverOptions, SolverStats};
+use rbmc_solver::{Limits, SolveResult, Solver, SolverOptions, SolverStats};
 
 use crate::certify::EpisodeCertifier;
 use crate::engine::{
     depth_limits, strategy_solver_options, BmcOptions, BmcOutcome, BmcRun, DepthStats,
     PropertyReport, PropertyVerdict,
 };
-use crate::engine_trait::Engine;
 use crate::preprocess::preprocess_problem;
 use crate::{Model, Trace, TraceLift, Unroller, VarRank, VerificationProblem};
 
@@ -119,7 +117,6 @@ pub struct Ic3Engine {
     /// Shape accounting of the preprocessing pass.
     pp_report: Option<PreprocessReport>,
     options: BmcOptions,
-    cancel: Option<CancelFlag>,
 }
 
 impl fmt::Debug for Ic3Engine {
@@ -156,7 +153,6 @@ impl Ic3Engine {
             lift,
             pp_report,
             options,
-            cancel: None,
         }
     }
 
@@ -193,13 +189,6 @@ impl Ic3Engine {
         self.lift.as_ref()
     }
 
-    /// Attaches a cooperative cancellation flag (portfolio racing): every
-    /// in-flight query returns [`SolveResult::Unknown`] at its next budget
-    /// checkpoint and the run truncates through the resource-out path.
-    pub fn set_cancel(&mut self, cancel: CancelFlag) {
-        self.cancel = Some(cancel);
-    }
-
     /// Runs IC3 and returns only the summary outcome.
     pub fn run(&mut self) -> BmcOutcome {
         self.run_collecting().outcome
@@ -223,7 +212,7 @@ impl Ic3Engine {
         let mut per_depth: Vec<DepthStats> = Vec::new();
         let mut proof_acc: Option<crate::ProofSummary> = None;
         for (name, bad) in props {
-            let mut runner = PropRunner::new(&self.model, bad, &self.options, self.cancel.as_ref());
+            let mut runner = PropRunner::new(&self.model, bad, &self.options);
             let (report, frontier_stats) = runner.run(name);
             aggregate.accumulate(runner.solver.stats());
             crate::certify::merge_opt(
@@ -259,29 +248,9 @@ impl Ic3Engine {
     }
 }
 
-impl Engine for Ic3Engine {
-    fn name(&self) -> &'static str {
-        "ic3"
-    }
-
-    fn problem(&self) -> &VerificationProblem {
-        Ic3Engine::problem(self)
-    }
-
-    fn set_cancel(&mut self, cancel: CancelFlag) {
-        Ic3Engine::set_cancel(self, cancel);
-    }
-
-    fn run_collecting(&mut self) -> BmcRun {
-        Ic3Engine::run_collecting(self)
-    }
-}
-
 /// The summary outcome over the per-property reports, with BMC's
 /// precedence: a counterexample outranks a truncation outranks completion.
-/// Shared with the other proving engine (k-induction), whose reports use
-/// the same verdict vocabulary.
-pub(crate) fn summarize(reports: &[PropertyReport], max_depth: usize) -> BmcOutcome {
+fn summarize(reports: &[PropertyReport], max_depth: usize) -> BmcOutcome {
     let mut best: Option<(usize, &Trace)> = None;
     for report in reports {
         if let PropertyVerdict::Falsified { depth, trace } = &report.verdict {
@@ -377,7 +346,7 @@ enum BlockResult {
     /// An obligation chain reached the initial states: counterexample of
     /// exactly the frontier's length.
     Cex,
-    /// A query budget or cancellation truncated the campaign.
+    /// A query budget or deadline truncated the campaign.
     ResourceOut,
 }
 
@@ -418,12 +387,7 @@ struct PropRunner<'a> {
 }
 
 impl<'a> PropRunner<'a> {
-    fn new(
-        model: &'a Model,
-        bad: Signal,
-        options: &'a BmcOptions,
-        cancel: Option<&CancelFlag>,
-    ) -> PropRunner<'a> {
+    fn new(model: &'a Model, bad: Signal, options: &'a BmcOptions) -> PropRunner<'a> {
         let unroller = Unroller::new(model);
         let num_nodes = model.netlist().num_nodes();
         let latches = model.netlist().latches();
@@ -487,7 +451,7 @@ impl<'a> PropRunner<'a> {
             level_acts: Vec::new(),
             frames: Frames::new(),
             ranks: Vec::new(),
-            limits: depth_limits(options, cancel),
+            limits: depth_limits(options),
             options,
             seq: 0,
             episodes: 0,
@@ -750,7 +714,7 @@ impl<'a> PropRunner<'a> {
 
     /// Reconstructs the depth-`k` counterexample as a validated trace via a
     /// fresh BMC-style solve (shares nothing with the IC3 session). `None`
-    /// only when cancellation truncated the reconstruction.
+    /// only when a budget or deadline truncated the reconstruction.
     fn extract_trace(&self, k: usize) -> Option<Trace> {
         let unroller = Unroller::new(self.model);
         let mut solver = Solver::with_options(SolverOptions::default());
@@ -1130,11 +1094,12 @@ mod tests {
     }
 
     #[test]
-    fn cancellation_truncates_the_run() {
-        let flag = CancelFlag::new();
-        flag.cancel();
-        let mut engine = Ic3Engine::new(counter_model(4, 13), BmcOptions::default());
-        engine.set_cancel(flag);
+    fn expired_deadline_truncates_the_run() {
+        let options = BmcOptions {
+            deadline: Some(std::time::Instant::now()),
+            ..BmcOptions::default()
+        };
+        let mut engine = Ic3Engine::new(counter_model(4, 13), options);
         let run = engine.run_collecting();
         assert!(matches!(run.outcome, BmcOutcome::ResourceOut { .. }));
         assert!(matches!(

@@ -48,18 +48,14 @@
 //!   frame of the unrolling.
 //! - [`oracle`]: an explicit-state BFS reachability checker used as ground
 //!   truth in tests.
-//! - [`induction`]: a k-induction prover built on the same unroller (the
-//!   "combine with other techniques" extension the paper's conclusion
-//!   anticipates).
 //! - [`ic3`]: an IC3 engine over the same session solver, with the paper's
 //!   core ranking transplanted to per-frame **assumption ordering** (see
 //!   the module docs), extracted machine-checked inductive invariants, and
-//!   [`PropertyVerdict::Proved`] verdicts.
-//! - [`Engine`] / [`EngineKind`]: the shared surface over
-//!   [`VerificationProblem`] that [`BmcEngine`], [`Ic3Engine`], and
-//!   [`induction::InductionEngine`] implement, so the portfolio
-//!   ([`run_portfolio`], [`PortfolioMode::Full`]) can race bug hunters
-//!   against provers and the CLI can switch engines with one flag.
+//!   [`PropertyVerdict::Proved`] verdicts — the "combine with other
+//!   techniques" extension the paper's conclusion anticipates.
+//! - [`ParallelConfig`]: deterministic parallel dispatch of the BMC sweep,
+//!   one grain per solver-reuse regime, with results identical for every
+//!   worker count.
 //!
 //! # Examples
 //!
@@ -93,20 +89,16 @@
 #![warn(missing_debug_implementations)]
 
 pub mod ic3;
-pub mod induction;
 pub mod oracle;
 pub mod vcd;
 
 mod certify;
 mod engine;
-mod engine_trait;
 mod model;
 mod parallel;
-mod portfolio;
 mod preprocess;
 mod problem;
 mod ranking;
-mod relaxed;
 mod shtrichman;
 mod trace;
 mod unroll;
@@ -116,19 +108,15 @@ pub use engine::{
     BmcEngine, BmcOptions, BmcOutcome, BmcRun, DepthStats, OrderingStrategy, PropertyReport,
     PropertyVerdict, SolverReuse,
 };
-pub use engine_trait::{Engine, EngineKind};
 pub use ic3::{check_invariant, Ic3Engine, InvariantClause, InvariantError};
-// Re-exported because it appears throughout the engine's public API
-// (`DepthStats::result`, per-depth verdict comparisons).
 pub use model::Model;
-pub use parallel::{striped_map, ParallelConfig, ShardMode, WorkerReport};
-pub use portfolio::{
-    run_portfolio, MemberReport, MemberState, PortfolioMember, PortfolioMode, PortfolioRun,
-};
+pub use parallel::{striped_map, ParallelConfig, WorkerReport};
 pub use preprocess::{preprocess_problem, PreprocessedProblem, TraceLift};
 pub use problem::{FromAigerError, ProblemBuilder, Property, VerificationProblem};
 pub use ranking::{VarRank, Weighting};
-pub use rbmc_solver::{CancelFlag, SolveResult};
+// Re-exported because it appears throughout the engine's public API
+// (`DepthStats::result`, per-depth verdict comparisons).
+pub use rbmc_solver::SolveResult;
 pub use shtrichman::shtrichman_rank;
 pub use trace::{Trace, TraceError};
 pub use unroll::{SharedPrefix, Unroller};

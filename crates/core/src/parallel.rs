@@ -4,23 +4,25 @@
 //! parallel run is deterministic and reproduces the sequential engine's
 //! verdicts exactly.
 //!
-//! Two sharding grains, one per axis the sweep is independent along:
+//! Two sharding grains, one per solver-reuse regime
+//! ([`BmcOptions::reuse`]), each the parallel twin of its sequential loop:
 //!
-//! - [`ShardMode::ByProperty`] — one incremental **session solver per
-//!   property**, each sweeping depths `0..=max_depth` on its own and
+//! - **By property** ([`SolverReuse::Session`](crate::SolverReuse)) — one
+//!   incremental **session solver per property**, each sweeping depths
+//!   `0..=max_depth` on its own and
 //!   consuming the one shared encoded clause prefix zero-copy (the
 //!   [`SharedPrefix`] view of the unroller cache). Workers pick properties
 //!   off a queue; `jobs` only sets the concurrency, never the decomposition,
 //!   so results are identical for every `jobs` value. A single-property
-//!   problem degenerates to exactly the sequential
-//!   [`SolverReuse::Session`](crate::SolverReuse) run — bit-identical
-//!   verdicts, cores, and rank table.
-//! - [`ShardMode::ByDepth`] — the paper's **fresh solver per (property,
-//!   depth)** instances dispatched across workers. The refined strategies
+//!   problem degenerates to exactly the sequential session run —
+//!   bit-identical verdicts, cores, and rank table.
+//! - **By depth** ([`SolverReuse::Fresh`](crate::SolverReuse)) — the
+//!   paper's **fresh solver per (property, depth)** instances dispatched
+//!   across workers. The refined strategies
 //!   chain each depth's ranking to the previous depths' cores, so instances
 //!   are launched as a per-depth wavefront: all open properties of depth `k`
 //!   solve concurrently against the same rank snapshot the sequential
-//!   [`SolverReuse::Fresh`](crate::SolverReuse) engine would install, and
+//!   fresh engine would install, and
 //!   their cores are committed in property order before depth `k+1` starts.
 //!   Core-free strategies (`Standard`, `Shtrichman`) have no such chain, so
 //!   their whole `(depth × property)` lattice is dispatched at once — the
@@ -45,29 +47,22 @@
 //! - **Conflict budgets** are honored per episode, and an exhaustion
 //!   truncates the run at the sequential loop's `(depth, property)` commit
 //!   rule — though work already done past that point (and its aggregate
-//!   solver counters) cannot be un-spent. Under [`ShardMode::ByDepth`] the
-//!   episodes themselves are bit-identical to the sequential fresh
-//!   engine's, so the truncation point matches it exactly; under
-//!   [`ShardMode::ByProperty`] each property's session lacks the clauses
-//!   the sequential *shared* session would have learned from its siblings,
-//!   so with a tight conflict budget an episode may exhaust it where the
-//!   shared session would not (or vice versa) and the cut can land at a
-//!   different point than sequential `Session` mode. Jobs-invariance holds
-//!   regardless — the decomposition never depends on `jobs`.
-//!
-//! Beside these two deterministic grains live the **relaxed** grains
-//! ([`ShardMode::Striped`], [`ShardMode::WorkStealing`]) of the `relaxed`
-//! module, which trade the commit-order barrier for throughput:
-//! verdict-equivalent to the sequential oracle (and gated by a differential
-//! harness on exactly that contract), but with scheduling-dependent rank
-//! tables and episode costs.
+//!   solver counters) cannot be un-spent. By depth, the episodes themselves
+//!   are bit-identical to the sequential fresh engine's, so the truncation
+//!   point matches it exactly; by property, each property's session lacks
+//!   the clauses the sequential *shared* session would have learned from
+//!   its siblings, so with a tight conflict budget an episode may exhaust
+//!   it where the shared session would not (or vice versa) and the cut can
+//!   land at a different point than sequential `Session` mode.
+//!   Jobs-invariance holds regardless — the decomposition never depends on
+//!   `jobs`.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use rbmc_cnf::Var;
-use rbmc_solver::{CancelFlag, SolveResult, Solver, SolverStats};
+use rbmc_solver::{SolveResult, Solver, SolverStats};
 
 use crate::certify::EpisodeCertifier;
 use crate::engine::{
@@ -75,113 +70,22 @@ use crate::engine::{
     BmcOptions, BmcOutcome, BmcRun, DepthStats, PropState,
 };
 use crate::unroll::SharedPrefix;
-use crate::{Model, Trace, Unroller, VarRank};
+use crate::{Model, SolverReuse, Trace, Unroller, VarRank};
 
-/// Which independence axis a parallel run shards along.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
-pub enum ShardMode {
-    /// One session solver per property, properties striped across workers
-    /// (the HWMCC-portfolio axis). Best when the problem has several
-    /// properties; a single-property problem runs on one worker and matches
-    /// the sequential session engine exactly.
-    #[default]
-    ByProperty,
-    /// Fresh-per-depth instances dispatched across workers (the paper's
-    /// regime, parallelized). Core-free strategies dispatch every depth at
-    /// once; the refined strategies pipeline depth-by-depth because each
-    /// depth's ranking depends on the previous cores.
-    ByDepth,
-    /// **Relaxed**: session solvers striped across depth residues — worker
-    /// `w` of `W` owns every depth `k ≡ w (mod W)`, keeping one warm
-    /// incremental solver (learned clauses persist across its depths) that
-    /// sweeps all properties of each owned depth. `varRank` core unions
-    /// commit through a shared table as depths *finish*, not in depth
-    /// order — commutative instead of commit-ordered, so verdicts,
-    /// retirement depths, and traces still match the sequential oracle
-    /// (they are semantic properties of each instance) but the final rank
-    /// table and the episode costs may vary with scheduling. See the
-    /// `relaxed` module docs for the exact contract.
-    Striped,
-    /// **Relaxed**: one session solver per property, rebalanced by work
-    /// stealing — idle workers steal whole property sessions from the
-    /// busiest deque, so a skewed property mix no longer serializes on the
-    /// worker that drew the expensive properties. Same relaxed contract as
-    /// [`ShardMode::Striped`].
-    WorkStealing,
-}
-
-impl ShardMode {
-    /// Short name used in benchmark tables and artifacts.
-    pub fn label(self) -> &'static str {
-        match self {
-            ShardMode::ByProperty => "by-property",
-            ShardMode::ByDepth => "by-depth",
-            ShardMode::Striped => "striped",
-            ShardMode::WorkStealing => "work-stealing",
-        }
-    }
-
-    /// Whether this grain honors the full determinism contract (results
-    /// independent of `jobs` and scheduling, rank table included). The
-    /// relaxed grains guarantee only verdict equivalence with the
-    /// sequential oracle.
-    pub fn is_deterministic(self) -> bool {
-        matches!(self, ShardMode::ByProperty | ShardMode::ByDepth)
-    }
-
-    /// Parses a mode label as accepted by the CLI tools (`--shard`).
-    pub fn parse(label: &str) -> Option<ShardMode> {
-        match label {
-            "by-property" | "property" => Some(ShardMode::ByProperty),
-            "by-depth" | "depth" => Some(ShardMode::ByDepth),
-            "striped" => Some(ShardMode::Striped),
-            "work-stealing" | "steal" => Some(ShardMode::WorkStealing),
-            _ => None,
-        }
-    }
-}
-
-/// Configuration of a parallel run ([`BmcOptions::parallel`]).
+/// Configuration of a parallel run ([`BmcOptions::parallel`]). The grain
+/// follows [`BmcOptions::reuse`]: session runs shard by property, fresh
+/// runs by depth.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct ParallelConfig {
     /// Worker-thread budget (clamped to at least 1). The decomposition is
     /// independent of this value — only the wall clock changes.
     pub jobs: usize,
-    /// The sharding grain.
-    pub shard: ShardMode,
 }
 
 impl ParallelConfig {
-    /// Property-sharded run with `jobs` workers.
-    pub fn by_property(jobs: usize) -> ParallelConfig {
-        ParallelConfig {
-            jobs,
-            shard: ShardMode::ByProperty,
-        }
-    }
-
-    /// Depth-sharded run with `jobs` workers.
-    pub fn by_depth(jobs: usize) -> ParallelConfig {
-        ParallelConfig {
-            jobs,
-            shard: ShardMode::ByDepth,
-        }
-    }
-
-    /// Relaxed depth-residue-striped run with `jobs` workers.
-    pub fn striped(jobs: usize) -> ParallelConfig {
-        ParallelConfig {
-            jobs,
-            shard: ShardMode::Striped,
-        }
-    }
-
-    /// Relaxed work-stealing run with `jobs` workers.
-    pub fn work_stealing(jobs: usize) -> ParallelConfig {
-        ParallelConfig {
-            jobs,
-            shard: ShardMode::WorkStealing,
-        }
+    /// A parallel run with `jobs` workers.
+    pub fn new(jobs: usize) -> ParallelConfig {
+        ParallelConfig { jobs }
     }
 }
 
@@ -190,9 +94,8 @@ impl ParallelConfig {
 pub struct WorkerReport {
     /// Worker index (`0..jobs`).
     pub worker: usize,
-    /// Work items claimed: property groups under
-    /// [`ShardMode::ByProperty`], solve instances under
-    /// [`ShardMode::ByDepth`].
+    /// Work items claimed: property sessions in session runs, solve
+    /// instances in fresh runs.
     pub items: u64,
     /// Solve episodes run by this worker.
     pub episodes: u64,
@@ -202,9 +105,6 @@ pub struct WorkerReport {
     pub conflicts: u64,
     /// Propagations over this worker's episodes.
     pub propagations: u64,
-    /// Property sessions stolen from another worker's deque
-    /// ([`ShardMode::WorkStealing`] only; 0 elsewhere).
-    pub steals: u64,
     /// Busy wall-clock time of this worker (summed over its items).
     pub time: Duration,
 }
@@ -212,76 +112,52 @@ pub struct WorkerReport {
 /// Entry point from [`BmcEngine::run_collecting`].
 pub(crate) fn run_parallel(engine: &mut BmcEngine, config: ParallelConfig) -> BmcRun {
     let jobs = config.jobs.max(1);
-    match config.shard {
-        ShardMode::ByProperty => run_by_property(engine, jobs),
-        ShardMode::ByDepth => run_by_depth(engine, jobs),
-        ShardMode::Striped => crate::relaxed::run_striped(engine, jobs),
-        ShardMode::WorkStealing => crate::relaxed::run_work_stealing(engine, jobs),
+    match engine.opts().reuse {
+        SolverReuse::Session => run_by_property(engine, jobs),
+        SolverReuse::Fresh => run_by_depth(engine, jobs),
     }
 }
 
 /// Everything one solve episode produced, buffered for commit-order merge.
-pub(crate) struct Episode {
-    pub(crate) result: SolveResult,
-    pub(crate) decisions: u64,
-    pub(crate) implications: u64,
-    pub(crate) conflicts: u64,
-    pub(crate) cdg_nodes: u64,
-    pub(crate) cdg_edges: u64,
-    pub(crate) num_clauses: usize,
-    pub(crate) switched: bool,
+struct Episode {
+    result: SolveResult,
+    decisions: u64,
+    implications: u64,
+    conflicts: u64,
+    cdg_nodes: u64,
+    cdg_edges: u64,
+    num_clauses: usize,
+    switched: bool,
     /// The frame-stable core variables of an UNSAT episode (already sorted
     /// and deduplicated), empty otherwise.
-    pub(crate) core: Vec<Var>,
+    core: Vec<Var>,
     /// The validated counterexample of a SAT episode.
-    pub(crate) trace: Option<Trace>,
-    /// Full stats of the fresh solver that ran this episode (ByDepth only;
-    /// what the sequential fresh engine accumulates per episode).
-    pub(crate) solver_stats: Option<SolverStats>,
+    trace: Option<Trace>,
+    /// Full stats of the fresh solver that ran this episode (fresh runs
+    /// only; what the sequential fresh engine accumulates per episode).
+    solver_stats: Option<SolverStats>,
     /// Proof-logging summary of a fresh episode's solver (`None` for
     /// session episodes, whose summary lives on the group).
-    pub(crate) proof: Option<crate::ProofSummary>,
-    pub(crate) time: Duration,
+    proof: Option<crate::ProofSummary>,
+    time: Duration,
 }
 
-impl Episode {
-    /// A zero-cost placeholder Unknown episode. The relaxed commit walk
-    /// synthesizes one where a cancelled run left a gap a still-open
-    /// property needed, so the truncation machinery sees the same
-    /// `Unknown`-at-the-cut shape a budget exhaustion produces.
-    pub(crate) fn synthetic_unknown() -> Episode {
-        Episode {
-            result: SolveResult::Unknown,
-            decisions: 0,
-            implications: 0,
-            conflicts: 0,
-            cdg_nodes: 0,
-            cdg_edges: 0,
-            num_clauses: 0,
-            switched: false,
-            core: Vec::new(),
-            trace: None,
-            solver_stats: None,
-            proof: None,
-            time: Duration::ZERO,
-        }
-    }
-}
-
-/// A per-property session's complete sweep (ByProperty worker output).
-pub(crate) struct GroupOutcome {
-    pub(crate) prop: PropState,
+/// One property's committed episodes: a session's complete sweep, or the
+/// fresh instances committed for it so far.
+struct GroupOutcome {
+    prop: PropState,
     /// One entry per attempted depth, in depth order.
-    pub(crate) episodes: Vec<Episode>,
-    /// The session solver's final counters.
-    pub(crate) stats: SolverStats,
-    /// The session solver's proof-logging summary (`None` with proof off).
-    pub(crate) proof: Option<crate::ProofSummary>,
+    episodes: Vec<Episode>,
+    /// The solver counters (the session's final ones, or the sum over
+    /// fresh episodes).
+    stats: SolverStats,
+    /// The proof-logging summary (`None` with proof off).
+    proof: Option<crate::ProofSummary>,
 }
 
 impl GroupOutcome {
     /// An empty group for property `p_idx` of `model` (no episodes yet).
-    pub(crate) fn fresh(model: &Model, p_idx: usize) -> GroupOutcome {
+    fn fresh(model: &Model, p_idx: usize) -> GroupOutcome {
         let property = model.problem().property(p_idx);
         GroupOutcome {
             prop: PropState::fresh(property.name().to_string(), property.bad()),
@@ -409,15 +285,14 @@ fn striped_dispatch<R: Send>(
 fn run_by_property(engine: &mut BmcEngine, jobs: usize) -> BmcRun {
     let run_start = Instant::now();
     let options = *engine.opts();
-    let cancel = engine.cancel_flag().cloned();
     let model = engine.working_model().clone();
     let num_props = model.problem().num_properties();
     let unroller = Unroller::new(&model);
 
-    let (groups, workers) = unroller.with_shared_prefix(options.max_depth, |prefix| {
+    let (mut groups, workers) = unroller.with_shared_prefix(options.max_depth, |prefix| {
         let mut workers = Vec::new();
         let results = striped_dispatch(num_props, jobs, &mut workers, |p| {
-            let group = run_property_session(&model, &options, &prefix, cancel.as_ref(), p);
+            let group = run_property_session(&model, &options, &prefix, p);
             let share = WorkerShare::of_group(&group.prop);
             Some((group, share))
         });
@@ -428,23 +303,9 @@ fn run_by_property(engine: &mut BmcEngine, jobs: usize) -> BmcRun {
         (groups, workers)
     });
 
-    cut_and_merge(engine, &options, &unroller, groups, workers, run_start)
-}
-
-/// Emulates the sequential control flow on per-property session results:
-/// the earliest (depth, property) budget exhaustion stops the whole run, so
-/// episodes past that commit point are discarded, then the committed
-/// remainder merges into a [`BmcRun`]. Shared by [`ShardMode::ByProperty`]
-/// and the relaxed grains (whose group shape is identical once their
-/// episodes are reassembled per property).
-pub(crate) fn cut_and_merge(
-    engine: &mut BmcEngine,
-    options: &BmcOptions,
-    unroller: &Unroller<'_>,
-    mut groups: Vec<GroupOutcome>,
-    workers: Vec<WorkerReport>,
-    run_start: Instant,
-) -> BmcRun {
+    // Emulate the sequential control flow: the earliest (depth, property)
+    // budget exhaustion stops the whole run, so episodes past that commit
+    // point are discarded before the committed remainder merges.
     let cut = groups
         .iter()
         .enumerate()
@@ -466,14 +327,14 @@ pub(crate) fn cut_and_merge(
         }
     }
 
-    merge_committed(engine, options, unroller, groups, workers, run_start)
+    merge_committed(engine, &options, &unroller, groups, workers, run_start)
 }
 
 /// Trims a per-property session result to its first `keep` episodes,
 /// recomputing the derived per-property counters (used when a budget
 /// exhaustion elsewhere stops the run before this property's later depths
 /// would have been reached sequentially).
-pub(crate) fn truncate_group(group: &mut GroupOutcome, keep: usize) {
+fn truncate_group(group: &mut GroupOutcome, keep: usize) {
     if group.episodes.len() <= keep {
         return;
     }
@@ -507,7 +368,6 @@ fn run_property_session(
     model: &Model,
     options: &BmcOptions,
     prefix: &SharedPrefix<'_>,
-    cancel: Option<&CancelFlag>,
     p_idx: usize,
 ) -> GroupOutcome {
     let property = model.problem().property(p_idx);
@@ -518,7 +378,7 @@ fn run_property_session(
     let mut rank = VarRank::new(options.weighting);
     let mut solver = Solver::with_options(strategy_solver_options(options));
     let mut certifier = EpisodeCertifier::attach(options.proof, &mut solver);
-    let limits = depth_limits(options, cancel);
+    let limits = depth_limits(options);
     let mut episodes = Vec::new();
 
     for k in 0..=options.max_depth {
@@ -604,13 +464,12 @@ fn run_property_session(
 }
 
 // ---------------------------------------------------------------------------
-// ByDepth: fresh solver per (property, depth) instance.
+// By depth: fresh solver per (property, depth) instance.
 // ---------------------------------------------------------------------------
 
 fn run_by_depth(engine: &mut BmcEngine, jobs: usize) -> BmcRun {
     let run_start = Instant::now();
     let options = *engine.opts();
-    let cancel = engine.cancel_flag().cloned();
     let model = engine.working_model().clone();
     let unroller = Unroller::new(&model);
     let bads: Vec<_> = model
@@ -634,7 +493,6 @@ fn run_by_depth(engine: &mut BmcEngine, jobs: usize) -> BmcRun {
                 &model,
                 &options,
                 &prefix,
-                cancel.as_ref(),
                 &bads,
                 &mut rank,
                 &mut workers,
@@ -643,15 +501,7 @@ fn run_by_depth(engine: &mut BmcEngine, jobs: usize) -> BmcRun {
         } else {
             // No rank chaining: the whole (depth × property) lattice is
             // independent. Dispatch everything; commit order sorts it out.
-            run_depth_lattice(
-                &model,
-                &options,
-                &prefix,
-                cancel.as_ref(),
-                &bads,
-                &mut workers,
-                jobs,
-            )
+            run_depth_lattice(&model, &options, &prefix, &bads, &mut workers, jobs)
         }
     });
     *engine.rank_mut() = rank;
@@ -667,7 +517,6 @@ fn run_fresh_episode(
     model: &Model,
     options: &BmcOptions,
     prefix: &SharedPrefix<'_>,
-    cancel: Option<&CancelFlag>,
     rank: &[u64],
     bad: rbmc_circuit::Signal,
     k: usize,
@@ -682,7 +531,7 @@ fn run_fresh_episode(
     }
     solver.add_clause(&[unroller.lit_of(bad, k)]);
     install_strategy_ranking(options.strategy, rank, &mut solver, &unroller, k);
-    let result = solver.solve_limited(&depth_limits(options, cancel));
+    let result = solver.solve_limited(&depth_limits(options));
     let stats = solver.stats().clone();
     let mut episode = Episode {
         result,
@@ -720,12 +569,10 @@ fn run_fresh_episode(
 /// Depth-synchronized dispatch for the core-chained strategies: solve all
 /// open properties of each depth concurrently, then commit their cores (in
 /// property order) into the rank table before the next depth launches.
-#[allow(clippy::too_many_arguments)]
 fn run_depth_wavefront(
     model: &Model,
     options: &BmcOptions,
     prefix: &SharedPrefix<'_>,
-    cancel: Option<&CancelFlag>,
     bads: &[rbmc_circuit::Signal],
     rank: &mut VarRank,
     workers: &mut Vec<WorkerReport>,
@@ -733,12 +580,7 @@ fn run_depth_wavefront(
 ) -> Vec<GroupOutcome> {
     let num_props = bads.len();
     let mut groups: Vec<GroupOutcome> = (0..num_props)
-        .map(|p| GroupOutcome {
-            prop: PropState::fresh(model.problem().property(p).name().to_string(), bads[p]),
-            episodes: Vec::new(),
-            stats: SolverStats::new(),
-            proof: None,
-        })
+        .map(|p| GroupOutcome::fresh(model, p))
         .collect();
 
     for k in 0..=options.max_depth {
@@ -748,15 +590,8 @@ fn run_depth_wavefront(
         }
         let rank_snapshot = rank.snapshot();
         let mut episodes = striped_dispatch(open.len(), jobs, workers, |i| {
-            let episode = run_fresh_episode(
-                model,
-                options,
-                prefix,
-                cancel,
-                &rank_snapshot,
-                bads[open[i]],
-                k,
-            );
+            let episode =
+                run_fresh_episode(model, options, prefix, &rank_snapshot, bads[open[i]], k);
             let share = WorkerShare::of_episode(&episode);
             Some((episode, share))
         });
@@ -790,7 +625,6 @@ fn run_depth_lattice(
     model: &Model,
     options: &BmcOptions,
     prefix: &SharedPrefix<'_>,
-    cancel: Option<&CancelFlag>,
     bads: &[rbmc_circuit::Signal],
     workers: &mut Vec<WorkerReport>,
     jobs: usize,
@@ -808,7 +642,7 @@ fn run_depth_lattice(
         if k > sat_seen[p].load(Ordering::Relaxed) {
             return None;
         }
-        let episode = run_fresh_episode(model, options, prefix, cancel, &[], bads[p], k);
+        let episode = run_fresh_episode(model, options, prefix, &[], bads[p], k);
         if episode.result == SolveResult::Sat {
             sat_seen[p].fetch_min(k, Ordering::Relaxed);
         }
@@ -819,12 +653,7 @@ fn run_depth_lattice(
     // Commit in (depth, property) order, reproducing the sequential loop's
     // retirement and stop rules; uncommitted episodes are speculative waste.
     let mut groups: Vec<GroupOutcome> = (0..num_props)
-        .map(|p| GroupOutcome {
-            prop: PropState::fresh(model.problem().property(p).name().to_string(), bads[p]),
-            episodes: Vec::new(),
-            stats: SolverStats::new(),
-            proof: None,
-        })
+        .map(|p| GroupOutcome::fresh(model, p))
         .collect();
     'depths: for k in 0..num_depths {
         if groups.iter().all(|g| !g.prop.open) {
@@ -853,13 +682,12 @@ fn absorb_worker_share(report: &mut WorkerReport, share: &WorkerReport) {
     report.decisions += share.decisions;
     report.conflicts += share.conflicts;
     report.propagations += share.propagations;
-    report.steals += share.steals;
     report.time += share.time;
 }
 
 /// Folds one committed fresh episode into its property's running state
 /// (mirrors the sequential fresh path's per-episode bookkeeping).
-pub(crate) fn commit_episode(group: &mut GroupOutcome, mut episode: Episode, k: usize) {
+fn commit_episode(group: &mut GroupOutcome, mut episode: Episode, k: usize) {
     let prop = &mut group.prop;
     prop.episodes += 1;
     prop.decisions += episode.decisions;
@@ -910,7 +738,7 @@ fn commit_depth_rank(options: &BmcOptions, rank: &mut VarRank, groups: &[GroupOu
 /// depth's episodes, the commit-order rank merge for property-sharded runs,
 /// and the sequential outcome precedence (shallowest counterexample first,
 /// then budget exhaustion, then bound reached).
-pub(crate) fn merge_committed(
+fn merge_committed(
     engine: &mut BmcEngine,
     options: &BmcOptions,
     unroller: &Unroller<'_>,
@@ -922,10 +750,7 @@ pub(crate) fn merge_committed(
     let mut per_depth = Vec::with_capacity(max_attempted);
     let mut resource_out: Option<usize> = None;
     let mut depth_completed = 0usize;
-    let by_property = matches!(
-        options.parallel.map(|c| c.shard),
-        Some(ShardMode::ByProperty)
-    );
+    let by_property = options.reuse == SolverReuse::Session;
     for k in 0..max_attempted {
         let mut depth = DepthStats {
             depth: k,
@@ -966,7 +791,7 @@ pub(crate) fn merge_committed(
         core_union.sort_unstable();
         core_union.dedup();
         depth.core_vars = core_union.len();
-        // ByDepth already committed the rank per wavefront round; the
+        // Fresh runs already committed the rank per wavefront round; the
         // property-sharded merge commits it here, lowest depth first.
         if by_property && options.strategy.needs_cores() && !core_union.is_empty() {
             engine.rank_mut().update(&core_union, k);
@@ -1097,7 +922,7 @@ mod tests {
                     counter_problem(4, &[11]),
                     strategy,
                     SolverReuse::Session,
-                    Some(ParallelConfig::by_property(jobs)),
+                    Some(ParallelConfig::new(jobs)),
                 );
                 assert_eq!(
                     prop_verdicts(&par),
@@ -1126,7 +951,7 @@ mod tests {
                     counter_problem(4, &[9]),
                     strategy,
                     SolverReuse::Fresh,
-                    Some(ParallelConfig::by_depth(jobs)),
+                    Some(ParallelConfig::new(jobs)),
                 );
                 assert_eq!(
                     prop_verdicts(&par),
@@ -1155,29 +980,29 @@ mod tests {
                 SolverReuse::Session,
                 None,
             );
-            for shard in [ShardMode::ByProperty, ShardMode::ByDepth] {
+            for reuse in [SolverReuse::Session, SolverReuse::Fresh] {
                 let mut baseline: Option<(Signature, Vec<u64>)> = None;
                 for jobs in [1, 2, 4] {
                     let (par, par_rank) = run(
                         counter_problem(4, targets),
                         strategy,
-                        SolverReuse::Session,
-                        Some(ParallelConfig { jobs, shard }),
+                        reuse,
+                        Some(ParallelConfig::new(jobs)),
                     );
                     assert_eq!(
                         prop_verdicts(&par),
                         prop_verdicts(&seq),
-                        "{strategy:?} {shard:?} j{jobs}"
+                        "{strategy:?} {reuse:?} j{jobs}"
                     );
                     assert!(
                         matches!(par.outcome, BmcOutcome::Counterexample { depth: 3, .. }),
-                        "{strategy:?} {shard:?} j{jobs}"
+                        "{strategy:?} {reuse:?} j{jobs}"
                     );
                     match &baseline {
                         None => baseline = Some((prop_verdicts(&par), par_rank)),
                         Some((v, r)) => {
-                            assert_eq!(&prop_verdicts(&par), v, "{strategy:?} {shard:?} j{jobs}");
-                            assert_eq!(&par_rank, r, "{strategy:?} {shard:?} j{jobs} rank");
+                            assert_eq!(&prop_verdicts(&par), v, "{strategy:?} {reuse:?} j{jobs}");
+                            assert_eq!(&par_rank, r, "{strategy:?} {reuse:?} j{jobs} rank");
                         }
                     }
                 }
@@ -1202,7 +1027,7 @@ mod tests {
                 counter_problem(4, targets),
                 strategy,
                 SolverReuse::Fresh,
-                Some(ParallelConfig::by_depth(3)),
+                Some(ParallelConfig::new(3)),
             );
             assert_eq!(prop_verdicts(&par), prop_verdicts(&seq), "{strategy:?}");
             assert_eq!(par_rank, seq_rank, "{strategy:?}");
@@ -1215,7 +1040,7 @@ mod tests {
             counter_problem(4, &[3, 14, 9]),
             OrderingStrategy::RefinedStatic,
             SolverReuse::Session,
-            Some(ParallelConfig::by_property(2)),
+            Some(ParallelConfig::new(2)),
         );
         assert_eq!(par.workers.len(), 2);
         assert_eq!(par.workers.iter().map(|w| w.items).sum::<u64>(), 3);
@@ -1252,7 +1077,7 @@ mod tests {
             );
             engine.run_collecting()
         };
-        let par = mk(SolverReuse::Session, Some(ParallelConfig::by_property(2)));
+        let par = mk(SolverReuse::Session, Some(ParallelConfig::new(2)));
         assert!(matches!(
             par.outcome,
             BmcOutcome::ResourceOut { at_depth: 0 }
@@ -1262,7 +1087,7 @@ mod tests {
             PropertyVerdict::Unknown
         ));
         let seq = mk(SolverReuse::Fresh, None);
-        let par = mk(SolverReuse::Fresh, Some(ParallelConfig::by_depth(4)));
+        let par = mk(SolverReuse::Fresh, Some(ParallelConfig::new(4)));
         match (&seq.outcome, &par.outcome) {
             (BmcOutcome::ResourceOut { at_depth: a }, BmcOutcome::ResourceOut { at_depth: b }) => {
                 assert_eq!(a, b);

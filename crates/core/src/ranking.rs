@@ -28,23 +28,6 @@ pub enum Weighting {
     LastOnly,
 }
 
-impl Weighting {
-    /// Whether [`VarRank::update`] applications commute under this scheme.
-    ///
-    /// [`Weighting::Linear`] and [`Weighting::Uniform`] add a weight that
-    /// depends only on the update's own depth, so applying a fixed multiset
-    /// of `(core, depth)` updates in **any order** yields the same score
-    /// table — the property the relaxed parallel modes rely on when workers
-    /// commit core unions as they finish instead of in depth order.
-    /// [`Weighting::LastOnly`] clears the table on every update, so its
-    /// result depends on which update came last; relaxed runs still produce
-    /// sound verdicts under it (the ranking is only a decision heuristic),
-    /// but the final table is scheduling-dependent.
-    pub fn is_commutative(self) -> bool {
-        !matches!(self, Weighting::LastOnly)
-    }
-}
-
 /// How [`VarRank`] physically stores scores.
 ///
 /// Cores cite a small fraction of a deep unrolling's variables, so a dense
@@ -439,8 +422,7 @@ mod tests {
         assert_eq!(rank.num_ranked(), 0);
     }
 
-    /// The update multiset the commutativity tests permute: per-depth core
-    /// unions with overlapping variables, as a relaxed run would commit them.
+    /// Per-depth core unions with overlapping variables.
     fn update_batch() -> Vec<(Vec<Var>, usize)> {
         vec![
             (vars(&[0, 2, 5]), 0),
@@ -449,92 +431,5 @@ mod tests {
             (vars(&[0, 4]), 3),
             (vars(&[5]), 4),
         ]
-    }
-
-    /// Every permutation of a 5-update batch (120 orders — the exhaustive
-    /// version of what thread scheduling samples).
-    fn permutations<T: Clone>(items: &[T]) -> Vec<Vec<T>> {
-        if items.len() <= 1 {
-            return vec![items.to_vec()];
-        }
-        let mut out = Vec::new();
-        for i in 0..items.len() {
-            let mut rest = items.to_vec();
-            let head = rest.remove(i);
-            for mut tail in permutations(&rest) {
-                tail.insert(0, head.clone());
-                out.push(tail);
-            }
-        }
-        out
-    }
-
-    #[test]
-    fn commutative_weightings_are_order_invariant() {
-        // The soundness lemma the relaxed parallel grains lean on: for the
-        // Linear and Uniform schemes, applying a fixed multiset of
-        // (core, depth) updates in any order yields the same score table.
-        let batch = update_batch();
-        for weighting in [Weighting::Linear, Weighting::Uniform] {
-            assert!(weighting.is_commutative());
-            let mut reference = VarRank::new(weighting);
-            for (core, depth) in &batch {
-                reference.update(core, *depth);
-            }
-            for order in permutations(&batch) {
-                let mut rank = VarRank::new(weighting);
-                for (core, depth) in &order {
-                    rank.update(core, *depth);
-                }
-                assert_eq!(
-                    rank.snapshot(),
-                    reference.snapshot(),
-                    "{weighting:?} diverged under order {order:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn permuted_updates_induce_identical_decision_sequences() {
-        // Stronger than table equality: the full decision sequence the
-        // refined ordering derives from the table (bmc_score primary,
-        // deterministic tiebreak) is identical under every update order —
-        // so a relaxed run's *next* episode sees the same ordering
-        // regardless of which schedule produced its rank snapshot.
-        let batch = update_batch();
-        let num_vars = 6;
-        let mut reference = VarRank::new(Weighting::Linear);
-        for (core, depth) in &batch {
-            reference.update(core, *depth);
-        }
-        let reference_seq = rbmc_solver::ranking_decision_order(&reference.snapshot(), num_vars);
-        assert_eq!(reference_seq.len(), 2 * num_vars);
-        for order in permutations(&batch) {
-            let mut rank = VarRank::new(Weighting::Linear);
-            for (core, depth) in &order {
-                rank.update(core, *depth);
-            }
-            assert_eq!(
-                rbmc_solver::ranking_decision_order(&rank.snapshot(), num_vars),
-                reference_seq,
-                "decision sequence diverged under order {order:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn last_only_is_order_dependent_and_says_so() {
-        // The counterexample that justifies gating the relaxed grains'
-        // table-reproducibility claim on `is_commutative`: LastOnly keeps
-        // only the final update, so two orders of the same batch disagree.
-        assert!(!Weighting::LastOnly.is_commutative());
-        let mut ab = VarRank::new(Weighting::LastOnly);
-        ab.update(&vars(&[0]), 0);
-        ab.update(&vars(&[1]), 1);
-        let mut ba = VarRank::new(Weighting::LastOnly);
-        ba.update(&vars(&[1]), 1);
-        ba.update(&vars(&[0]), 0);
-        assert_ne!(ab.snapshot(), ba.snapshot());
     }
 }

@@ -434,7 +434,8 @@ impl<'a> Unroller<'a> {
     }
 
     /// Emits the Tseitin clauses of a single gate at `frame` (used by the
-    /// induction prover to assemble uninitialized unrollings).
+    /// IC3 engine and its invariant checker to assemble uninitialized
+    /// one-step encodings).
     pub(crate) fn emit_gate_for(&self, id: NodeId, frame: usize, formula: &mut CnfFormula) {
         if let Node::Gate { op, fanins } = self.model.netlist().node(id) {
             self.emit_gate(id, *op, fanins, frame, formula);

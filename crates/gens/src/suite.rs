@@ -218,9 +218,9 @@ pub fn suite_table1() -> Vec<BenchInstance> {
     v
 }
 
-/// UNSAT-heavy specimens for the proving engines: every instance **holds**,
+/// UNSAT-heavy specimens for the proving engine: every instance **holds**,
 /// with a counterexample-free frontier at every depth, so BMC alone can
-/// never close them — they exist to exercise IC3 / k-induction proofs (and
+/// never close them — they exist to exercise IC3 proofs (and
 /// the core-ordered assumption ranking) rather than bug hunting. Exported
 /// into the corpus alongside [`suite_table1`] / [`small_suite`].
 pub fn proof_suite() -> Vec<BenchInstance> {

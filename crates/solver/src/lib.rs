@@ -52,8 +52,8 @@ mod solver;
 mod stats;
 
 pub use lbool::LBool;
-pub use limits::{CancelFlag, Limits};
-pub use order::{ranking_decision_order, OrderMode};
+pub use limits::Limits;
+pub use order::OrderMode;
 pub use proof::{ProofAuditSnapshot, ProofLog};
 pub use reference::{brute_force_sat, reference_dpll};
 pub use solver::{SolveResult, Solver, SolverOptions};

@@ -1,57 +1,12 @@
-//! Resource limits and cooperative cancellation for a solve call.
+//! Resource limits for a solve call.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
-
-/// A shared cooperative cancellation token.
-///
-/// Cloning the flag shares the underlying state: one side (a portfolio
-/// driver, a signal handler, a test harness) calls [`CancelFlag::cancel`],
-/// and every solve episode whose [`Limits`] carry a clone of the flag
-/// returns [`SolveResult::Unknown`](crate::SolveResult::Unknown) at its next
-/// budget checkpoint — the same resumable truncation path a conflict budget
-/// takes, so a cancelled solver (and the engine above it) is left in a
-/// consistent, reusable state.
-///
-/// # Examples
-///
-/// ```
-/// use rbmc_solver::CancelFlag;
-///
-/// let flag = CancelFlag::new();
-/// let shared = flag.clone();
-/// assert!(!shared.is_cancelled());
-/// flag.cancel();
-/// assert!(shared.is_cancelled());
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct CancelFlag(Arc<AtomicBool>);
-
-impl CancelFlag {
-    /// Creates a fresh, uncancelled flag.
-    pub fn new() -> CancelFlag {
-        CancelFlag::default()
-    }
-
-    /// Requests cancellation. Idempotent; visible to every clone.
-    pub fn cancel(&self) {
-        self.0.store(true, Ordering::Release);
-    }
-
-    /// Whether cancellation has been requested.
-    pub fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::Acquire)
-    }
-}
 
 /// Resource limits applied to [`Solver::solve_limited`](crate::Solver::solve_limited).
 ///
 /// Any limit left as `None` is unbounded. The paper's experiments use a
 /// wall-clock timeout (2 hours per instance); deterministic replication is
-/// easier with `max_decisions` or `max_conflicts`, so all are offered, plus
-/// a cooperative [`CancelFlag`] for portfolio racing (first verdict wins,
-/// losers cancelled).
+/// easier with `max_decisions` or `max_conflicts`, so all are offered.
 ///
 /// # Examples
 ///
@@ -74,9 +29,6 @@ pub struct Limits {
     pub max_propagations: Option<u64>,
     /// Stop when the wall clock passes this instant.
     pub deadline: Option<Instant>,
-    /// Stop as soon as this shared flag is raised (checked at the same
-    /// checkpoints as the counter budgets).
-    pub cancel: Option<CancelFlag>,
 }
 
 impl Limits {
@@ -109,19 +61,12 @@ impl Limits {
         self
     }
 
-    /// Attaches a cooperative cancellation flag.
-    pub fn with_cancel(mut self, cancel: CancelFlag) -> Limits {
-        self.cancel = Some(cancel);
-        self
-    }
-
     /// Returns true if no limit is set at all.
     pub fn is_unbounded(&self) -> bool {
         self.max_conflicts.is_none()
             && self.max_decisions.is_none()
             && self.max_propagations.is_none()
             && self.deadline.is_none()
-            && self.cancel.is_none()
     }
 }
 
@@ -141,15 +86,5 @@ mod tests {
     #[test]
     fn default_is_unbounded() {
         assert!(Limits::new().is_unbounded());
-    }
-
-    #[test]
-    fn cancel_flag_is_shared_across_clones() {
-        let flag = CancelFlag::new();
-        let limits = Limits::new().with_cancel(flag.clone());
-        assert!(!limits.is_unbounded());
-        assert!(!limits.cancel.as_ref().unwrap().is_cancelled());
-        flag.cancel();
-        assert!(limits.cancel.as_ref().unwrap().is_cancelled());
     }
 }

@@ -48,47 +48,6 @@ pub enum OrderMode {
     },
 }
 
-/// The full decision sequence a per-variable BMC ranking induces under the
-/// static configuration, on a fresh solver with no VSIDS activity: every
-/// literal of the first `num_vars` variables, best key first
-/// (`bmc_score` primary, literal code tiebreak).
-///
-/// This is the observable the ranking ultimately exists to shape — two rank
-/// tables are interchangeable for the paper's heuristic exactly when they
-/// induce the same sequence. Differential tests use it to show that
-/// commutative (relaxed-parallel) core-merge orders leave the decision
-/// ordering untouched.
-///
-/// # Examples
-///
-/// ```
-/// use rbmc_solver::ranking_decision_order;
-///
-/// // Variable 1 outranks variable 0; within a variable the positive
-/// // literal's code is lower, so it comes first.
-/// let order = ranking_decision_order(&[1, 7], 2);
-/// assert_eq!(order.len(), 4);
-/// assert_eq!(order[0].var().index(), 1);
-/// ```
-///
-/// # Panics
-///
-/// Panics if `scores.len() > num_vars`.
-pub fn ranking_decision_order(scores: &[u64], num_vars: usize) -> Vec<Lit> {
-    let mut order = LitOrder::new(num_vars);
-    for i in 0..num_vars {
-        order.mark_active(Var::new(i));
-    }
-    order.set_bmc_scores(scores, true);
-    let free = vec![LBool::Undef; num_vars];
-    order.rebuild(&free);
-    let mut sequence = Vec::with_capacity(2 * num_vars);
-    while let Some(lit) = order.pop_best(&free) {
-        sequence.push(lit);
-    }
-    sequence
-}
-
 /// The decision key of a literal: primary score, secondary score, and a
 /// deterministic tiebreaker (lower literal code wins).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

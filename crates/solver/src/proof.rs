@@ -41,8 +41,7 @@ use rbmc_cnf::Lit;
 /// the event vocabulary and ordering guarantees.
 ///
 /// The `Send` supertrait keeps a [`Solver`](crate::Solver) with an attached
-/// log transferable across threads, which the relaxed parallel BMC modes
-/// rely on.
+/// log transferable across threads.
 pub trait ProofLog: Send {
     /// An original clause entered the database. `id` is the clause's proof
     /// line number (one shared sequence with derived clauses, strictly

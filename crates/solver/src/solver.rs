@@ -1349,11 +1349,6 @@ impl Solver {
                 return true;
             }
         }
-        if let Some(cancel) = &limits.cancel {
-            if cancel.is_cancelled() {
-                return true;
-            }
-        }
         false
     }
 

@@ -98,9 +98,13 @@ fn ordering_comparison_reports_all_strategies() {
 }
 
 #[test]
-fn induction_prove_proves_the_guarded_fifo() {
-    let out = run_example("induction_prove");
-    assert!(out.contains("PROVED"), "unexpected output:\n{out}");
+fn ic3_prove_proves_the_guarded_fifo() {
+    let out = run_example("ic3_prove");
+    assert!(
+        out.contains("PROVED") && out.contains("independently checked"),
+        "unexpected output:\n{out}"
+    );
+    assert!(out.contains("FALSIFIED"), "unexpected output:\n{out}");
 }
 
 #[test]

@@ -1,5 +1,6 @@
 //! Differential testing of the parallel dispatch layer: on random
-//! multi-property sequential circuits, both sharding grains at every worker
+//! multi-property sequential circuits, both sharding grains (by property
+//! under the session regime, by depth under the fresh one) at every worker
 //! budget must reproduce the sequential engine's per-depth verdicts and
 //! retirement depths, be bit-identical across `jobs` values (the
 //! commit-order merge makes scheduling invisible), and — where the
@@ -8,8 +9,8 @@
 
 use proptest::prelude::*;
 use refined_bmc::bmc::{
-    BmcEngine, BmcOptions, BmcRun, OrderingStrategy, ParallelConfig, ProblemBuilder, ShardMode,
-    SolveResult, SolverReuse, VerificationProblem,
+    BmcEngine, BmcOptions, BmcRun, OrderingStrategy, ParallelConfig, ProblemBuilder, SolveResult,
+    SolverReuse, VerificationProblem,
 };
 use refined_bmc::circuit::{LatchInit, Netlist, Signal};
 
@@ -124,8 +125,8 @@ fn run(
             strategy,
             reuse,
             parallel,
-            // Certify every UNSAT along the way: a relaxed or parallel mode
-            // that merely *agrees* with the oracle but derives its verdicts
+            // Certify every UNSAT along the way: a parallel grain that
+            // merely *agrees* with the oracle but derives its verdicts
             // unsoundly is caught here, not just a verdict divergence.
             proof: refined_bmc::bmc::ProofMode::Check,
             ..BmcOptions::default()
@@ -176,14 +177,14 @@ proptest! {
                         .is_ok());
                 }
             }
-            for shard in [ShardMode::ByProperty, ShardMode::ByDepth] {
+            for reuse in [SolverReuse::Session, SolverReuse::Fresh] {
                 let mut jobs_baseline: Option<(Signature, Vec<u64>)> = None;
                 for jobs in [1usize, 2, 4] {
                     let (par, par_rank) = run(
                         &problem,
                         strategy,
-                        SolverReuse::Session,
-                        Some(ParallelConfig { jobs, shard }),
+                        reuse,
+                        Some(ParallelConfig::new(jobs)),
                         DEPTH,
                     );
                     // Verdicts and retirement depths are semantic: identical
@@ -193,7 +194,7 @@ proptest! {
                         signature(&session),
                         "{:?} {:?} jobs={}",
                         strategy,
-                        shard,
+                        reuse,
                         jobs
                     );
                     // The whole result — rank table included — is invariant
@@ -202,7 +203,7 @@ proptest! {
                         None => jobs_baseline = Some((signature(&par), par_rank.clone())),
                         Some((sig, rank)) => {
                             prop_assert_eq!(&signature(&par), sig);
-                            prop_assert_eq!(&par_rank, rank, "{:?} {:?} jobs={}", strategy, shard, jobs);
+                            prop_assert_eq!(&par_rank, rank, "{:?} {:?} jobs={}", strategy, reuse, jobs);
                         }
                     }
                     // Where the decomposition coincides with a sequential
@@ -210,26 +211,59 @@ proptest! {
                     // depth-sharding is the fresh regime (any property
                     // count), property-sharding is the session regime for
                     // single-property problems.
-                    match shard {
-                        ShardMode::ByDepth => {
+                    match reuse {
+                        SolverReuse::Fresh => {
                             prop_assert_eq!(&par_rank, &fresh_rank, "{:?} jobs={}", strategy, jobs);
                         }
-                        ShardMode::ByProperty if problem.num_properties() == 1 => {
+                        SolverReuse::Session if problem.num_properties() == 1 => {
                             prop_assert_eq!(&par_rank, &session_rank, "{:?} jobs={}", strategy, jobs);
                         }
-                        ShardMode::ByProperty => {}
-                        // Relaxed grains are covered by
-                        // tests/relaxed_vs_deterministic.rs; this harness
-                        // only sweeps the deterministic ones.
-                        ShardMode::Striped | ShardMode::WorkStealing => {
-                            unreachable!("deterministic harness swept a relaxed shard")
-                        }
+                        SolverReuse::Session => {}
                     }
                 }
             }
             // The two sequential regimes agree on verdicts too (the PR 3/4
             // gate, re-checked here on multi-property problems).
             prop_assert_eq!(signature(&fresh), signature(&session), "{:?}", strategy);
+        }
+    }
+}
+
+/// Far more workers than work items: the pool clamps to the item count, and
+/// the result is still the sequential one, rank table included.
+#[test]
+fn oversubscribed_parallel_runs_match_sequential() {
+    let mut n = Netlist::new();
+    let bits: Vec<Signal> = (0..4)
+        .map(|i| n.add_latch(&format!("b{i}"), LatchInit::Zero))
+        .collect();
+    let next = n.bus_increment(&bits);
+    for (&b, &nx) in bits.iter().zip(&next) {
+        n.set_next(b, nx);
+    }
+    let targets = [3u64, 14, 9, 6];
+    let props: Vec<Signal> = targets.iter().map(|&t| n.bus_eq_const(&bits, t)).collect();
+    let mut builder = ProblemBuilder::new("counter", n);
+    for (t, bad) in targets.iter().zip(props) {
+        builder = builder.property(&format!("reach_{t}"), bad);
+    }
+    let problem = builder.build();
+    let strategy = OrderingStrategy::RefinedDynamic { divisor: 64 };
+    for reuse in [SolverReuse::Session, SolverReuse::Fresh] {
+        let (seq, _) = run(&problem, strategy, reuse, None, 12);
+        let (base, base_rank) = run(&problem, strategy, reuse, Some(ParallelConfig::new(1)), 12);
+        assert_eq!(signature(&base), signature(&seq), "{reuse:?}");
+        for jobs in [64, 256] {
+            let (par, par_rank) = run(
+                &problem,
+                strategy,
+                reuse,
+                Some(ParallelConfig::new(jobs)),
+                12,
+            );
+            assert_eq!(signature(&par), signature(&seq), "{reuse:?} jobs={jobs}");
+            assert_eq!(par_rank, base_rank, "{reuse:?} jobs={jobs}");
+            assert!(par.workers.len() <= targets.len(), "{reuse:?} jobs={jobs}");
         }
     }
 }

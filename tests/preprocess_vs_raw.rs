@@ -1,14 +1,14 @@
 //! Differential gate of the structural preprocessing pass: on random
 //! multi-property sequential circuits, the preprocessed engine must
 //! reproduce the raw engine's per-depth verdicts and retirement depths in
-//! every reuse regime and shard mode, and every counterexample it returns —
+//! every reuse regime and sharding grain, and every counterexample it returns —
 //! lifted back to original coordinates — must replay on the *original*
 //! netlist.
 
 use proptest::prelude::*;
 use refined_bmc::bmc::{
     BmcEngine, BmcOptions, BmcRun, OrderingStrategy, ParallelConfig, ProblemBuilder,
-    PropertyVerdict, ShardMode, SolveResult, SolverReuse, VerificationProblem,
+    PropertyVerdict, SolveResult, SolverReuse, VerificationProblem,
 };
 use refined_bmc::circuit::{LatchInit, Netlist, Signal};
 
@@ -204,17 +204,11 @@ proptest! {
             prop_assert_eq!(signature(&pp), signature(&raw), "{:?}", reuse);
         }
         // The dispatch layers inherit the reduction through the engine's
-        // working model: same contract under both deterministic shards.
+        // working model: same contract under both sharding grains.
         let raw = run(&problem, false, SolverReuse::Session, None, DEPTH);
-        for shard in [ShardMode::ByProperty, ShardMode::ByDepth] {
-            let par = run(
-                &problem,
-                true,
-                SolverReuse::Session,
-                Some(ParallelConfig { jobs: 2, shard }),
-                DEPTH,
-            );
-            prop_assert_eq!(signature(&par), signature(&raw), "{:?}", shard);
+        for reuse in [SolverReuse::Session, SolverReuse::Fresh] {
+            let par = run(&problem, true, reuse, Some(ParallelConfig::new(2)), DEPTH);
+            prop_assert_eq!(signature(&par), signature(&raw), "{:?}", reuse);
         }
     }
 }
@@ -226,20 +220,15 @@ fn preprocessing_agrees_across_all_shard_modes_on_disjoint_cones() {
     let baseline = run(&problem, false, SolverReuse::Session, None, DEPTH);
     // reach_3 and reach_9 falsified, reach_14 falsified at 14.
     assert_eq!(baseline.num_falsified(), 3);
-    for shard in [
-        None,
-        Some(ShardMode::ByProperty),
-        Some(ShardMode::ByDepth),
-        Some(ShardMode::Striped),
-        Some(ShardMode::WorkStealing),
-    ] {
-        let parallel = shard.map(|shard| ParallelConfig { jobs: 3, shard });
-        let pp = run(&problem, true, SolverReuse::Session, parallel, DEPTH);
-        assert_eq!(
-            signature(&pp),
-            signature(&baseline),
-            "shard {shard:?} diverged from the raw sequential engine"
-        );
+    for reuse in [SolverReuse::Session, SolverReuse::Fresh] {
+        for parallel in [None, Some(ParallelConfig::new(3))] {
+            let pp = run(&problem, true, reuse, parallel, DEPTH);
+            assert_eq!(
+                signature(&pp),
+                signature(&baseline),
+                "{reuse:?} parallel={parallel:?} diverged from the raw sequential engine"
+            );
+        }
     }
 }
 
