@@ -12,6 +12,7 @@
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+use std::io::Write as _;
 
 use crate::{Aig, AigLit, LatchInit};
 
@@ -260,23 +261,20 @@ fn parse_header(line: &str, magic: &str) -> Result<Header, ParseAigerError> {
 
 /// Renumbering shared by both writers: inputs first, then latches, then ANDs
 /// in index order (which is topological, so AND fanins always get smaller
-/// variables — the invariant the binary delta encoding requires).
-fn writer_numbering(aig: &Aig) -> (HashMap<usize, usize>, Vec<usize>) {
-    let mut var_of: HashMap<usize, usize> = HashMap::new();
-    var_of.insert(0, 0); // constant
+/// variables — the invariant the binary delta encoding requires). Returns
+/// each node's AIGER variable, indexed by node (the constant keeps 0), and
+/// the AND nodes in order.
+fn writer_numbering(aig: &Aig) -> (Vec<usize>, Vec<usize>) {
+    let mut var_of = vec![0; aig.num_nodes()];
     let mut next_var = 1;
-    for &id in aig.inputs() {
-        var_of.insert(id, next_var);
-        next_var += 1;
-    }
-    for &id in aig.latches() {
-        var_of.insert(id, next_var);
+    for &id in aig.inputs().iter().chain(aig.latches()) {
+        var_of[id] = next_var;
         next_var += 1;
     }
     let mut and_nodes: Vec<usize> = Vec::new();
-    for node in 0..aig.num_nodes() {
+    for (node, var) in var_of.iter_mut().enumerate() {
         if aig.and_fanins(node).is_some() {
-            var_of.insert(node, next_var);
+            *var = next_var;
             and_nodes.push(node);
             next_var += 1;
         }
@@ -284,16 +282,76 @@ fn writer_numbering(aig: &Aig) -> (HashMap<usize, usize>, Vec<usize>) {
     (var_of, and_nodes)
 }
 
-/// Symbol-table lines for named outputs and bad-state properties (shared by
-/// both writers). Every entry is written, including default `o<i>`/`b<i>`
-/// names, so re-serialization is position-independent and byte-stable.
-fn symbol_table(aig: &Aig) -> String {
-    let mut out = String::new();
+/// Both encodings, into one buffer. They differ only in the magic, in the
+/// ASCII encoding's input lines and latch literals, and in how AND gates
+/// are written.
+fn write_aiger(aig: &Aig, binary: bool) -> Vec<u8> {
+    let (var_of, and_nodes) = writer_numbering(aig);
+    let lit_of = |lit: AigLit| -> usize { var_of[lit.node()] * 2 + lit.is_inverted() as usize };
+    let (inputs, latches, ands) = (aig.inputs().len(), aig.latches().len(), and_nodes.len());
+
+    // Writing into a `Vec<u8>` cannot fail.
+    let mut out: Vec<u8> = Vec::new();
+    let magic = if binary { "aig" } else { "aag" };
+    let m = inputs + latches + ands;
+    let _ = write!(
+        out,
+        "{magic} {m} {inputs} {latches} {} {ands}",
+        aig.outputs().len()
+    );
+    if !aig.bads().is_empty() {
+        let _ = write!(out, " {}", aig.bads().len());
+    }
+    out.push(b'\n');
+    if !binary {
+        for &id in aig.inputs() {
+            let _ = writeln!(out, "{}", var_of[id] * 2);
+        }
+    }
+    for &id in aig.latches() {
+        let next = aig.next_of(id).expect("latch connected");
+        let own = var_of[id] * 2;
+        let reset = match aig.init_of(id).unwrap_or(LatchInit::Zero) {
+            LatchInit::Zero => 0,
+            LatchInit::One => 1,
+            LatchInit::Free => own,
+        };
+        if !binary {
+            let _ = write!(out, "{own} ");
+        }
+        let _ = write!(out, "{}", lit_of(next));
+        if reset != 0 {
+            let _ = write!(out, " {reset}");
+        }
+        out.push(b'\n');
+    }
+    for (_, lit) in aig.outputs().iter().chain(aig.bads()) {
+        let _ = writeln!(out, "{}", lit_of(*lit));
+    }
+    for &node in &and_nodes {
+        let (a, b) = aig.and_fanins(node).expect("node is an AND");
+        let lhs = var_of[node] * 2;
+        // AIGER convention: lhs > rhs0 >= rhs1.
+        let (mut r0, mut r1) = (lit_of(a), lit_of(b));
+        if r0 < r1 {
+            std::mem::swap(&mut r0, &mut r1);
+        }
+        if binary {
+            debug_assert!(lhs > r0 && r0 >= r1, "writer numbering is topological");
+            push_delta(&mut out, lhs - r0);
+            push_delta(&mut out, r0 - r1);
+        } else {
+            let _ = writeln!(out, "{lhs} {r0} {r1}");
+        }
+    }
+    // The symbol table names every output and bad-state property, default
+    // `o<i>`/`b<i>` names included, so re-serialization is
+    // position-independent and byte-stable.
     for (i, (name, _)) in aig.outputs().iter().enumerate() {
-        out.push_str(&format!("o{i} {name}\n"));
+        let _ = writeln!(out, "o{i} {name}");
     }
     for (i, (name, _)) in aig.bads().iter().enumerate() {
-        out.push_str(&format!("b{i} {name}\n"));
+        let _ = writeln!(out, "b{i} {name}");
     }
     out
 }
@@ -310,55 +368,7 @@ fn symbol_table(aig: &Aig) -> String {
 ///
 /// Panics if some latch has no next-state function.
 pub fn write_aag(aig: &Aig) -> String {
-    let (var_of, and_nodes) = writer_numbering(aig);
-    let lit_of = |lit: AigLit| -> usize { var_of[&lit.node()] * 2 + lit.is_inverted() as usize };
-
-    let m = var_of.len() - 1;
-    let mut out = format!(
-        "aag {m} {} {} {} {}",
-        aig.inputs().len(),
-        aig.latches().len(),
-        aig.outputs().len(),
-        and_nodes.len()
-    );
-    if !aig.bads().is_empty() {
-        out.push_str(&format!(" {}", aig.bads().len()));
-    }
-    out.push('\n');
-    for &id in aig.inputs() {
-        out.push_str(&format!("{}\n", var_of[&id] * 2));
-    }
-    for &id in aig.latches() {
-        let next = aig.next_of(id).expect("latch connected");
-        let own = var_of[&id] * 2;
-        let reset = match aig.init_of(id).unwrap_or(LatchInit::Zero) {
-            LatchInit::Zero => 0,
-            LatchInit::One => 1,
-            LatchInit::Free => own,
-        };
-        if reset == 0 {
-            out.push_str(&format!("{own} {}\n", lit_of(next)));
-        } else {
-            out.push_str(&format!("{own} {} {reset}\n", lit_of(next)));
-        }
-    }
-    for (_, lit) in aig.outputs() {
-        out.push_str(&format!("{}\n", lit_of(*lit)));
-    }
-    for (_, lit) in aig.bads() {
-        out.push_str(&format!("{}\n", lit_of(*lit)));
-    }
-    for &node in &and_nodes {
-        let (a, b) = aig.and_fanins(node).expect("node is an AND");
-        // AIGER convention: lhs > rhs0 >= rhs1.
-        let (mut r0, mut r1) = (lit_of(a), lit_of(b));
-        if r0 < r1 {
-            std::mem::swap(&mut r0, &mut r1);
-        }
-        out.push_str(&format!("{} {r0} {r1}\n", var_of[&node] * 2));
-    }
-    out.push_str(&symbol_table(aig));
-    out
+    String::from_utf8(write_aiger(aig, false)).expect("ASCII AIGER is UTF-8")
 }
 
 /// Parses an ASCII AIGER (`aag`) string into an [`Aig`].
@@ -532,55 +542,7 @@ fn push_delta(out: &mut Vec<u8>, mut delta: usize) {
 ///
 /// Panics if some latch has no next-state function.
 pub fn write_aig(aig: &Aig) -> Vec<u8> {
-    let (var_of, and_nodes) = writer_numbering(aig);
-    let lit_of = |lit: AigLit| -> usize { var_of[&lit.node()] * 2 + lit.is_inverted() as usize };
-
-    let m = var_of.len() - 1;
-    let mut header = format!(
-        "aig {m} {} {} {} {}",
-        aig.inputs().len(),
-        aig.latches().len(),
-        aig.outputs().len(),
-        and_nodes.len()
-    );
-    if !aig.bads().is_empty() {
-        header.push_str(&format!(" {}", aig.bads().len()));
-    }
-    header.push('\n');
-    let mut out = header.into_bytes();
-    for &id in aig.latches() {
-        let next = aig.next_of(id).expect("latch connected");
-        let own = var_of[&id] * 2;
-        let reset = match aig.init_of(id).unwrap_or(LatchInit::Zero) {
-            LatchInit::Zero => 0,
-            LatchInit::One => 1,
-            LatchInit::Free => own,
-        };
-        if reset == 0 {
-            out.extend_from_slice(format!("{}\n", lit_of(next)).as_bytes());
-        } else {
-            out.extend_from_slice(format!("{} {reset}\n", lit_of(next)).as_bytes());
-        }
-    }
-    for (_, lit) in aig.outputs() {
-        out.extend_from_slice(format!("{}\n", lit_of(*lit)).as_bytes());
-    }
-    for (_, lit) in aig.bads() {
-        out.extend_from_slice(format!("{}\n", lit_of(*lit)).as_bytes());
-    }
-    for &node in &and_nodes {
-        let (a, b) = aig.and_fanins(node).expect("node is an AND");
-        let lhs = var_of[&node] * 2;
-        let (mut r0, mut r1) = (lit_of(a), lit_of(b));
-        if r0 < r1 {
-            std::mem::swap(&mut r0, &mut r1);
-        }
-        debug_assert!(lhs > r0 && r0 >= r1, "writer numbering is topological");
-        push_delta(&mut out, lhs - r0);
-        push_delta(&mut out, r0 - r1);
-    }
-    out.extend_from_slice(symbol_table(aig).as_bytes());
-    out
+    write_aiger(aig, true)
 }
 
 /// Byte cursor over a binary AIGER file, tracking offset and line for error

@@ -104,6 +104,12 @@ impl SharedRecorder {
     pub fn with<R>(&self, f: impl FnOnce(&ProofRecorder) -> R) -> R {
         f(&self.0.lock().expect("proof recorder lock"))
     }
+
+    /// Runs `f` with the locked recorder, mutably (checking advances the
+    /// recorder's cursor).
+    pub fn with_mut<R>(&self, f: impl FnOnce(&mut ProofRecorder) -> R) -> R {
+        f(&mut self.0.lock().expect("proof recorder lock"))
+    }
 }
 
 impl ProofLog for SharedRecorder {
@@ -166,15 +172,16 @@ impl EpisodeCertifier {
     }
 
     /// Certifies the UNSAT episode that just ended: under
-    /// [`ProofMode::Check`], re-derives the episode's final clause through
-    /// the checker and books the verdict; under [`ProofMode::Log`] this is
-    /// a no-op (the log keeps growing either way).
+    /// [`ProofMode::Check`], verifies the lines logged since the previous
+    /// UNSAT episode and the episode's final clause through the checker and
+    /// books the verdict; under [`ProofMode::Log`] this is a no-op (the log
+    /// keeps growing either way).
     pub(crate) fn observe_unsat(&mut self) {
         if !self.mode.checks() {
             return;
         }
         let start = Instant::now();
-        let verdict = self.recorder.with(rbmc_proof::ProofRecorder::check_current);
+        let verdict = self.recorder.with_mut(ProofRecorder::check_current);
         self.summary.check_time += start.elapsed();
         match verdict {
             Ok(_) => self.summary.episodes_certified += 1,

@@ -1,7 +1,8 @@
-//! Backward RUP/LRAT certificate checking. See the crate docs for the
-//! acceptance rules; this module is the enforcement.
+//! Backward RUP/LRAT certificate checking, the checker behind
+//! [`CertificateBundle::check`](crate::CertificateBundle::check). See the
+//! crate docs for the acceptance rules; this module is the enforcement.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 
 use rbmc_cnf::Lit;
@@ -113,14 +114,20 @@ impl std::error::Error for ProofError {}
 pub struct CheckStats {
     /// Total proof lines in the log.
     pub steps_total: usize,
-    /// Lines propagation-verified: the final clause plus every derived line
-    /// in its backward dependency cone (the rest get structural checks
-    /// only).
+    /// Lines propagation-verified by this check, the final clause included.
+    /// For [`ProofRecorder::check_current`] these are the derived lines
+    /// logged since the previous call, so the counts of a session sum to
+    /// its derived lines plus one per call. For [`CertificateBundle::check`]
+    /// they are the derived lines in the final clause's backward dependency
+    /// cone; the rest get structural checks only.
+    ///
+    /// [`ProofRecorder::check_current`]: crate::ProofRecorder::check_current
+    /// [`CertificateBundle::check`]: crate::CertificateBundle::check
     pub steps_verified: usize,
 }
 
 /// In the strict hint walk, processing one clause yields one of these.
-enum HintState {
+pub(crate) enum HintState {
     /// All literals false: the propagation reached its conflict.
     Conflict,
     /// Exactly one literal unassigned: propagate it.
@@ -177,6 +184,10 @@ fn negate_into_assignment(clause: &[Lit]) -> Option<Assignment> {
     Some(assignment)
 }
 
+/// The active clauses by id. Ordered, so that a full-database sweep does
+/// the same work in every process.
+type Database<'a> = BTreeMap<u64, &'a [Lit]>;
+
 /// Strict LRAT verification of one clause under its hints: sequential
 /// processing, every cited clause unit until a conflict. `step` is the
 /// citing line id for error reporting (0 = final clause).
@@ -184,7 +195,7 @@ fn verify_hinted(
     step: u64,
     clause: &[Lit],
     hints: &[u64],
-    db: &HashMap<u64, &[Lit]>,
+    db: &Database<'_>,
 ) -> Result<(), ProofError> {
     let Some(mut assignment) = negate_into_assignment(clause) else {
         return Ok(());
@@ -206,8 +217,8 @@ fn verify_hinted(
 }
 
 /// Full-database RUP for hintless clauses: saturate unit propagation over
-/// every active clause until a conflict or a fixpoint.
-fn verify_full_db(step: u64, clause: &[Lit], db: &HashMap<u64, &[Lit]>) -> Result<(), ProofError> {
+/// every active clause, in id order, until a conflict or a fixpoint.
+fn verify_full_db(step: u64, clause: &[Lit], db: &Database<'_>) -> Result<(), ProofError> {
     let Some(mut assignment) = negate_into_assignment(clause) else {
         return Ok(());
     };
@@ -319,7 +330,7 @@ pub(crate) fn check_certificate(
     }
 
     // --- forward verification over the marked cone -----------------------
-    let mut db: HashMap<u64, &[Lit]> = HashMap::new();
+    let mut db = Database::new();
     let mut verified = 0usize;
     for step in steps {
         match step {
@@ -456,6 +467,21 @@ mod tests {
         ];
         let f = fin(&[], &[1, 2]);
         assert!(check_certificate(None, &steps, &f).is_ok());
+    }
+
+    #[test]
+    fn full_db_rup_propagates_through_the_live_lines() {
+        // ¬3 ∧ (3 ∨ ¬2) ∧ (2 ∨ ¬1) ⊢ ¬1 needs two propagations; in id order
+        // the first sweep finds both, and the third clause conflicts.
+        let steps = vec![axiom(1, &[-3]), axiom(2, &[3, -2]), axiom(3, &[2, -1])];
+        let stats = check_certificate(None, &steps, &fin(&[-1], &[])).unwrap();
+        assert_eq!(stats.steps_verified, 1);
+        // Without the middle link ¬1 is not RUP.
+        let steps = vec![axiom(1, &[-3]), axiom(3, &[2, -1])];
+        assert!(matches!(
+            check_certificate(None, &steps, &fin(&[-1], &[])),
+            Err(ProofError::NoConflict { step: 0 })
+        ));
     }
 
     #[test]

@@ -7,24 +7,33 @@
 //! accepts a certificate only if every step it depends on is a genuine
 //! reverse-unit-propagation (RUP) consequence of the clauses before it:
 //!
-//! - A [`ProofRecorder`] accumulates the step log (one per solver) and can
-//!   check the current episode in place, or snapshot it into an owned
-//!   [`CertificateBundle`].
+//! - A [`ProofRecorder`] accumulates the step log (one per solver) in a
+//!   line table indexed by proof id, and can check the current episode in
+//!   place or snapshot it into an owned [`CertificateBundle`].
 //! - A [`CertificateBundle`] is the self-contained, file-backable form: the
 //!   axiom/derived/delete step list, the episode's final clause, and a
 //!   formula hash binding the certificate to the exact input clause sequence
 //!   — a certificate replayed against a different formula fails the hash
 //!   check before any propagation runs.
-//! - Checking is **backward**: only the steps reachable from the final
-//!   clause's hints are propagation-verified (the rest get structural checks
-//!   only), which keeps repeated per-episode checks cheap in an incremental
-//!   session.
-//! - Hint verification is **strict LRAT**: hints are processed in order and
-//!   each cited clause must be unit (propagating one literal) until a
-//!   conflict closes the step. A satisfied or non-unit hint rejects the
-//!   certificate — the checker is deliberately intolerant, so corrupted or
-//!   reordered hint lists cannot slip through. Steps with no hints fall
-//!   back to full-database RUP.
+//! - The recorder checks **forward and incrementally**:
+//!   [`ProofRecorder::check_current`] verifies only the lines logged since
+//!   its previous call, then the episode's final clause in time linear in
+//!   its hints. Each derived line is verified exactly once per session, so
+//!   checking a session costs time linear in its proof however many
+//!   episodes it has. Every derived line is verified, whether or not a
+//!   final clause depends on it, and the first rejection is latched for the
+//!   rest of the session.
+//! - A bundle checks **backward**: [`CertificateBundle::check`] marks the
+//!   steps reachable from the final clause's hints and propagation-verifies
+//!   only those (the rest get structural checks only). It shares no state
+//!   with the recorder's checker and is the oracle the forward checker is
+//!   tested against.
+//! - Hint verification is **strict LRAT** in both: hints are processed in
+//!   order and each cited clause must be unit (propagating one literal)
+//!   until a conflict closes the step. A satisfied or non-unit hint rejects
+//!   the certificate — the checkers are deliberately intolerant, so
+//!   corrupted or reordered hint lists cannot slip through. Steps with no
+//!   hints fall back to full-database RUP over the live lines, in id order.
 //!
 //! # Examples
 //!
@@ -50,9 +59,12 @@
 #![warn(missing_debug_implementations)]
 
 mod check;
+mod forward;
 mod text;
 
 use rbmc_cnf::Lit;
+
+use forward::Forward;
 
 pub use check::{CheckStats, ProofError};
 pub use text::ParseLratError;
@@ -152,7 +164,9 @@ const HASH_SEP: u32 = u32::MAX;
 ///
 /// One recorder serves one solver for its whole incremental session; each
 /// UNSAT episode overwrites the final clause, and checking or bundling
-/// always refers to the most recent one. See the crate docs for an example.
+/// always refers to the most recent one. Checking is forward and
+/// incremental (see [`ProofRecorder::check_current`]). See the crate docs
+/// for an example.
 #[derive(Clone, Debug)]
 pub struct ProofRecorder {
     steps: Vec<ProofStep>,
@@ -160,9 +174,8 @@ pub struct ProofRecorder {
     /// Running FNV-1a over the axiom lines.
     hash: u64,
     num_axioms: u64,
-    /// Derived line ids without a deletion record, in emission order (the
-    /// audit snapshot sorts; deletions are rare enough for a linear sweep).
-    live_derived: Vec<u64>,
+    /// The line table by proof id, and the checker's cursor into `steps`.
+    forward: Forward,
 }
 
 // Not derived: the derived impl would zero-initialise `hash`, silently
@@ -182,7 +195,7 @@ impl ProofRecorder {
             final_clause: None,
             hash: FNV_OFFSET,
             num_axioms: 0,
-            live_derived: Vec::new(),
+            forward: Forward::default(),
         }
     }
 
@@ -193,6 +206,7 @@ impl ProofRecorder {
         }
         self.hash = fnv_word(self.hash, HASH_SEP);
         self.num_axioms += 1;
+        self.forward.declare(id, self.steps.len());
         self.steps.push(ProofStep::Axiom {
             id,
             lits: lits.to_vec(),
@@ -201,7 +215,7 @@ impl ProofRecorder {
 
     /// Records a derived line (learned clause or root-level unit fact).
     pub fn derived(&mut self, id: u64, lits: &[Lit], hints: &[u64]) {
-        self.live_derived.push(id);
+        self.forward.declare(id, self.steps.len());
         self.steps.push(ProofStep::Derived {
             id,
             lits: lits.to_vec(),
@@ -211,9 +225,7 @@ impl ProofRecorder {
 
     /// Records the deletion of a derived line.
     pub fn delete(&mut self, id: u64) {
-        if let Some(pos) = self.live_derived.iter().position(|&l| l == id) {
-            self.live_derived.swap_remove(pos);
-        }
+        self.forward.retract(id, self.steps.len(), &self.steps);
         self.steps.push(ProofStep::Delete { id });
     }
 
@@ -249,19 +261,27 @@ impl ProofRecorder {
     /// Derived line ids without a deletion record, sorted ascending — the
     /// recorder's half of the `debug-invariants` coherence audit.
     pub fn live_derived_sorted(&self) -> Vec<u64> {
-        let mut live = self.live_derived.clone();
-        live.sort_unstable();
-        live
+        self.forward.live_derived(&self.steps)
     }
 
-    /// Checks the current episode in place (no copy of the log): the most
-    /// recent final clause against the steps recorded so far. The hash is
-    /// the recorder's own, so only structure and propagation are verified.
+    /// Checks the current episode in place (no copy of the log), forward
+    /// and incrementally: verifies every derived line recorded since the
+    /// previous call, then the most recent final clause against the whole
+    /// log. Over a session each derived line is verified exactly once, so
+    /// the total cost is linear in the proof, however many episodes it
+    /// spans. [`CheckStats::steps_verified`] counts this call's lines.
+    ///
+    /// Every derived line is checked, not just those the final clause
+    /// depends on. The first rejection is latched: it rejects this episode
+    /// and every later one, since a later final clause may rest on the bad
+    /// line. The hash is the recorder's own, so only structure and
+    /// propagation are verified; ids out of order and bad deletions are
+    /// caught as they are recorded.
     ///
     /// Returns [`ProofError::NoFinal`] if no episode has ended UNSAT yet.
-    pub fn check_current(&self) -> Result<CheckStats, ProofError> {
+    pub fn check_current(&mut self) -> Result<CheckStats, ProofError> {
         let final_clause = self.final_clause.as_ref().ok_or(ProofError::NoFinal)?;
-        check::check_certificate(None, &self.steps, final_clause)
+        self.forward.check(&self.steps, final_clause)
     }
 
     /// Snapshots the log into an owned [`CertificateBundle`] for the most
@@ -306,11 +326,102 @@ mod tests {
 
     #[test]
     fn valid_chain_checks() {
-        let rec = chain_recorder();
+        let mut rec = chain_recorder();
         let stats = rec.check_current().unwrap();
         assert_eq!(stats.steps_total, 5);
-        assert!(stats.steps_verified >= 3);
+        assert_eq!(stats.steps_verified, 3); // both derived lines + final
         assert!(rec.bundle().check().is_ok());
+    }
+
+    #[test]
+    fn each_line_is_checked_once_across_episodes() {
+        let mut rec = chain_recorder();
+        assert_eq!(rec.check_current().unwrap().steps_verified, 3);
+        // A second episode on the same log: only its new line is checked,
+        // and its final clause cites a line the first episode verified.
+        rec.derived(6, &[lit(-1), lit(2)], &[2]);
+        rec.finalize(&[lit(-1)], &[6, 3]);
+        let stats = rec.check_current().unwrap();
+        assert_eq!((stats.steps_total, stats.steps_verified), (6, 2));
+        // Nothing new: the final clause alone.
+        assert_eq!(rec.check_current().unwrap().steps_verified, 1);
+        assert!(rec.bundle().check().is_ok());
+    }
+
+    #[test]
+    fn the_first_rejection_is_latched() {
+        let mut rec = ProofRecorder::new();
+        rec.axiom(1, &[lit(1), lit(2)]);
+        rec.axiom(2, &[lit(-1)]);
+        rec.derived(3, &[lit(3)], &[1]); // not unit: 1 and 2 are open
+        rec.finalize(&[lit(-1)], &[2]);
+        let first = rec.check_current().unwrap_err();
+        assert_eq!(first, ProofError::HintNotUnit { step: 3, hint: 1 });
+        // A later episode with a valid final clause is still rejected.
+        rec.axiom(4, &[lit(-2)]);
+        rec.finalize(&[], &[2, 1, 4]);
+        assert!(rec.bundle().check().is_ok());
+        assert_eq!(rec.check_current(), Err(first));
+
+        // So is every episode after a rejected final clause.
+        let mut rec = ProofRecorder::new();
+        rec.axiom(1, &[lit(1)]);
+        rec.axiom(2, &[lit(-1)]);
+        rec.finalize(&[], &[2]);
+        let first = rec.check_current().unwrap_err();
+        assert_eq!(first, ProofError::NoConflict { step: 0 });
+        rec.finalize(&[], &[1, 2]);
+        assert!(rec.bundle().check().is_ok());
+        assert_eq!(rec.check_current(), Err(first));
+    }
+
+    #[test]
+    fn structural_errors_are_caught_as_recorded() {
+        let mut rec = ProofRecorder::new();
+        rec.axiom(2, &[lit(1)]);
+        rec.axiom(2, &[lit(-1)]);
+        rec.finalize(&[], &[2]);
+        assert_eq!(rec.check_current(), Err(ProofError::IdOrder { id: 2 }));
+
+        let mut rec = ProofRecorder::new();
+        rec.axiom(1, &[lit(1)]);
+        rec.delete(1); // an axiom cannot be deleted
+        rec.derived(2, &[lit(1)], &[1]);
+        rec.delete(2);
+        rec.delete(2); // nor a line twice
+        rec.finalize(&[lit(1)], &[1]);
+        assert_eq!(rec.check_current(), Err(ProofError::BadDelete { id: 1 }));
+        assert_eq!(rec.live_derived_sorted(), Vec::<u64>::new());
+    }
+
+    #[test]
+    fn hintless_lines_use_the_lines_live_at_their_position() {
+        let mut rec = ProofRecorder::new();
+        rec.axiom(1, &[lit(-3)]);
+        rec.derived(2, &[lit(-2)], &[]);
+        rec.finalize(&[lit(-1)], &[]);
+        // ¬2 is not RUP over {¬3}.
+        assert_eq!(rec.check_current(), Err(ProofError::NoConflict { step: 2 }));
+
+        // x1 follows from the four clauses over x1..x3 below, but not by
+        // unit propagation alone: it needs the two derived lemmas.
+        let mut rec = ProofRecorder::new();
+        for (id, (b, c)) in [(2, 3), (2, -3), (-2, 3), (-2, -3)].into_iter().enumerate() {
+            rec.axiom(id as u64 + 1, &[lit(1), lit(b), lit(c)]);
+        }
+        rec.derived(5, &[lit(1), lit(2)], &[]);
+        rec.derived(6, &[lit(1), lit(-2)], &[]);
+        rec.finalize(&[lit(1)], &[]);
+        assert_eq!(rec.check_current().unwrap().steps_verified, 3);
+        // Deleted, the lemmas no longer support the same final clause.
+        rec.delete(5);
+        rec.delete(6);
+        rec.finalize(&[lit(1)], &[]);
+        assert_eq!(rec.check_current(), Err(ProofError::NoConflict { step: 0 }));
+        assert_eq!(
+            rec.bundle().check(),
+            Err(ProofError::NoConflict { step: 0 })
+        );
     }
 
     #[test]

@@ -1,9 +1,17 @@
-//! Mutation testing of UNSAT certificates.
+//! Mutation and differential testing of UNSAT certificates.
 //!
 //! Real certificates — produced by the CDCL solver's proof log on randomly
-//! generated unsatisfiable formulas — must pass the independent checker of
-//! `rbmc-proof`, and corrupted ones must not. Each corruption class the
-//! checker claims to catch is exercised:
+//! generated unsatisfiable formulas — must pass both independent checkers
+//! of `rbmc-proof`, and corrupted ones must not:
+//!
+//! - the **backward** checker, [`CertificateBundle::check`], which verifies
+//!   the final clause's dependency cone of an owned bundle;
+//! - the **forward** checker, [`ProofRecorder::check_current`], which
+//!   verifies every line once as a session's episodes end. Mutations reach
+//!   it by replaying the corrupted bundle line by line into a fresh
+//!   recorder.
+//!
+//! Each corruption class the checkers claim to catch is exercised:
 //!
 //! - **dropped line**: removing a step the final clause's hints cite breaks
 //!   structural coherence;
@@ -14,20 +22,31 @@
 //!   is rejected;
 //! - **swapped formula hash**: a certificate is bound to the axiom sequence
 //!   it was produced from and cannot be replayed against another formula.
+//!   The recorder has no stored hash to compare; replayed, it computes the
+//!   true one, which differs from the swapped value.
 //!
 //! Not every mutation of a class is invalid — a flipped literal can weaken
 //! a clause that stays RUP, and reversing a symmetric two-hint chain can
 //! yield another valid propagation order. The flip sweep therefore asserts
-//! over all positions (*some* flip must be rejected), while the reorder
+//! over all positions (*some* flip must be rejected, and the forward
+//! checker rejects every flip the backward one does), while the reorder
 //! sweep only applies mutations that are invalid by construction: citing a
 //! clause first when the negated target leaves two or more of its literals
 //! unfalsified, which can neither conflict nor propagate. Deterministic
 //! fixtures pin one concrete rejected mutation for each class besides.
+//!
+//! Multi-episode sessions with assumptions and frequent clause-database
+//! reductions check that both checkers accept every UNSAT episode, and that
+//! the forward checker verifies each derived line exactly once.
+//!
+//! [`ProofRecorder::check_current`]: rbmc_proof::ProofRecorder::check_current
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
+use rbmc_proof::ProofRecorder;
 use refined_bmc::bmc::SharedRecorder;
 use refined_bmc::cnf::Lit;
-use refined_bmc::proof::{CertificateBundle, ProofError, ProofStep};
+use refined_bmc::proof::{CertificateBundle, CheckStats, ProofError, ProofStep};
 use refined_bmc::solver::{SolveResult, Solver, SolverOptions};
 
 fn lit(n: i64) -> Lit {
@@ -48,7 +67,32 @@ fn certify(num_vars: usize, clauses: &[Vec<i64>]) -> Option<CertificateBundle> {
     if solver.solve() != SolveResult::Unsat {
         return None;
     }
-    Some(recorder.with(rbmc_proof::ProofRecorder::bundle))
+    Some(recorder.with(ProofRecorder::bundle))
+}
+
+/// Feeds a bundle's lines, then its final clause, into a fresh recorder:
+/// the certificate as the forward checker sees it during a session.
+fn replay(bundle: &CertificateBundle) -> ProofRecorder {
+    let mut rec = ProofRecorder::new();
+    for step in &bundle.steps {
+        match step {
+            ProofStep::Axiom { id, lits } => rec.axiom(*id, lits),
+            ProofStep::Derived { id, lits, hints } => rec.derived(*id, lits, hints),
+            ProofStep::Delete { id } => rec.delete(*id),
+        }
+    }
+    rec.finalize(&bundle.final_clause.lits, &bundle.final_clause.hints);
+    rec
+}
+
+/// The forward checker's verdict on a bundle.
+fn check_forward(bundle: &CertificateBundle) -> Result<CheckStats, ProofError> {
+    replay(bundle).check_current()
+}
+
+/// Both checkers must reject `corrupt`.
+fn rejected_by_both(corrupt: &CertificateBundle) -> bool {
+    corrupt.check().is_err() && check_forward(corrupt).is_err()
 }
 
 /// Dense random 1-to-3-literal clauses over a handful of variables: at this
@@ -88,6 +132,16 @@ proptest! {
         };
         let stats = bundle.check().expect("genuine certificate must check");
         prop_assert!(stats.steps_verified <= stats.steps_total);
+        // The forward checker accepts it too, and sees every derived line.
+        let mut rec = replay(&bundle);
+        let forward = rec.check_current().expect("forward checker must accept");
+        let derived = bundle
+            .steps
+            .iter()
+            .filter(|s| matches!(s, ProofStep::Derived { .. }))
+            .count();
+        prop_assert_eq!(forward.steps_verified, derived + 1);
+        prop_assert_eq!(&rec.bundle(), &bundle);
         // And it survives a text round-trip unchanged.
         let text = bundle.to_lrat_text();
         let back = CertificateBundle::from_lrat_text(&text).expect("round-trip parse");
@@ -106,6 +160,7 @@ proptest! {
             bundle.check(),
             Err(ProofError::FormulaHashMismatch { .. })
         ));
+        prop_assert!(replay(&bundle).formula_hash() != bundle.formula_hash);
     }
 
     #[test]
@@ -123,7 +178,7 @@ proptest! {
             let mut corrupt = bundle.clone();
             corrupt.steps.retain(|s| s.id() != cited);
             prop_assert!(
-                corrupt.check().is_err(),
+                rejected_by_both(&corrupt),
                 "dropping cited line {cited} must invalidate the certificate"
             );
         }
@@ -138,9 +193,20 @@ proptest! {
         // Flip each literal of each derived step (and of the final clause)
         // in turn; at least one flip must be rejected. (Not every single
         // flip is invalid — a weakened clause can still be RUP — but a
-        // checker that accepts *every* flip checks nothing.)
+        // checker that accepts *every* flip checks nothing.) The forward
+        // checker verifies every line the backward one does, so it must
+        // reject whatever the backward one rejects.
         let mut rejected = 0usize;
         let mut attempted = 0usize;
+        let mut judge = |corrupt: &CertificateBundle| -> Result<(), TestCaseError> {
+            let backward = corrupt.check().is_err();
+            prop_assert!(
+                !backward || check_forward(corrupt).is_err(),
+                "the forward checker accepts a flip the backward one rejects"
+            );
+            rejected += usize::from(backward);
+            Ok(())
+        };
         for (si, step) in bundle.steps.iter().enumerate() {
             let ProofStep::Derived { lits, .. } = step else {
                 continue;
@@ -151,14 +217,14 @@ proptest! {
                 if let ProofStep::Derived { lits, .. } = &mut corrupt.steps[si] {
                     lits[li] = !lits[li];
                 }
-                rejected += usize::from(corrupt.check().is_err());
+                judge(&corrupt)?;
             }
         }
         for li in 0..bundle.final_clause.lits.len() {
             attempted += 1;
             let mut corrupt = bundle.clone();
             corrupt.final_clause.lits[li] = !corrupt.final_clause.lits[li];
-            rejected += usize::from(corrupt.check().is_err());
+            judge(&corrupt)?;
         }
         prop_assert!(
             attempted == 0 || rejected > 0,
@@ -232,7 +298,7 @@ proptest! {
                     }
                 }
                 prop_assert!(
-                    corrupt.check().is_err(),
+                    rejected_by_both(&corrupt),
                     "front-loading blocked hint {hint} must be rejected"
                 );
             }
@@ -285,6 +351,10 @@ fn flipping_one_specific_literal_is_rejected() {
         corrupt.check(),
         Err(ProofError::NoConflict { .. } | ProofError::SatisfiedHint { .. })
     ));
+    assert!(matches!(
+        check_forward(&corrupt),
+        Err(ProofError::NoConflict { .. } | ProofError::SatisfiedHint { .. })
+    ));
 }
 
 /// Deterministic fixture for the reorder class: a propagation chain through
@@ -310,4 +380,176 @@ fn one_specific_hint_reorder_is_rejected() {
         corrupt.check(),
         Err(ProofError::HintNotUnit { hint: 3, .. })
     ));
+    assert_eq!(
+        check_forward(&corrupt),
+        Err(ProofError::HintNotUnit { step: 0, hint: 3 })
+    );
+}
+
+/// The forward twin of the backward checker's
+/// `unmarked_garbage_is_structurally_checked_only`: a bogus derived line
+/// that no final clause depends on passes the backward checker, which only
+/// verifies the final clause's cone, but the forward checker verifies every
+/// line and rejects it.
+#[test]
+fn garbage_outside_every_cone_is_rejected_forward() {
+    let mut rec = ProofRecorder::new();
+    rec.axiom(1, &[lit(1)]);
+    rec.axiom(2, &[lit(-1)]);
+    rec.derived(3, &[lit(2)], &[1]); // not RUP, and cited by nothing
+    rec.finalize(&[], &[1, 2]);
+    assert!(rec.bundle().check().is_ok());
+    assert_eq!(rec.check_current(), Err(ProofError::NoConflict { step: 3 }));
+}
+
+/// One incremental session: a base formula, then episodes that each add a
+/// few clauses and solve under assumptions.
+#[derive(Debug)]
+struct Session {
+    num_vars: usize,
+    base: Vec<Vec<i64>>,
+    episodes: Vec<(Vec<Vec<i64>>, Vec<i64>)>,
+}
+
+/// What certifying a session amounted to.
+#[derive(Debug, Default)]
+struct Tally {
+    unsat_episodes: usize,
+    /// Sum of the forward checker's `steps_verified` over the session.
+    verified: usize,
+    /// Derived lines logged up to the last UNSAT episode.
+    derived: usize,
+    deletions: usize,
+}
+
+/// Runs `session` on one solver with a proof log and a reduction base of
+/// two learned clauses, so that deletions are frequent. After every UNSAT
+/// episode, both the forward checker (in place, on the live recorder) and
+/// the backward checker (on a bundle of the log so far) must accept.
+fn certify_session(session: &Session) -> Tally {
+    let recorder = SharedRecorder::new();
+    let mut solver = Solver::with_options(SolverOptions {
+        reduce_base: 2,
+        reduce_inc: 1,
+        ..SolverOptions::default()
+    });
+    solver.set_proof_log(Box::new(recorder.clone()));
+    solver.reserve_vars(session.num_vars);
+    let add = |solver: &mut Solver, clauses: &[Vec<i64>]| {
+        for clause in clauses {
+            let lits: Vec<Lit> = clause.iter().map(|&d| lit(d)).collect();
+            solver.add_clause(&lits);
+        }
+    };
+    add(&mut solver, &session.base);
+    let mut tally = Tally::default();
+    for (clauses, assumptions) in &session.episodes {
+        add(&mut solver, clauses);
+        let assumptions: Vec<Lit> = assumptions.iter().map(|&d| lit(d)).collect();
+        if solver.solve_under(&assumptions) != SolveResult::Unsat {
+            continue;
+        }
+        tally.unsat_episodes += 1;
+        let stats = recorder
+            .with_mut(ProofRecorder::check_current)
+            .unwrap_or_else(|e| panic!("forward checker rejects episode: {e}"));
+        tally.verified += stats.steps_verified;
+        let bundle = recorder.with(ProofRecorder::bundle);
+        bundle
+            .check()
+            .unwrap_or_else(|e| panic!("backward checker rejects episode: {e}"));
+        let count = |f: fn(&ProofStep) -> bool| bundle.steps.iter().filter(|s| f(s)).count();
+        tally.derived = count(|s| matches!(s, ProofStep::Derived { .. }));
+        tally.deletions = count(|s| matches!(s, ProofStep::Delete { .. }));
+    }
+    tally
+}
+
+/// Sessions of 3-literal clauses over 8–14 variables, starting at about
+/// three clauses per variable and growing by a few clauses per episode, so
+/// that answers mix SAT and UNSAT, with 1–6 random assumptions each.
+fn arb_session() -> impl Strategy<Value = Session> {
+    (8usize..=14).prop_flat_map(|num_vars| {
+        let literal = move || {
+            (1..=num_vars, 0u8..=1)
+                .prop_map(|(var, neg)| if neg == 1 { -(var as i64) } else { var as i64 })
+        };
+        let clause = move || {
+            prop::collection::vec(literal(), 3..=3).prop_map(|mut c| {
+                c.sort_unstable();
+                c.dedup();
+                c
+            })
+        };
+        let episode = (
+            prop::collection::vec(clause(), 0..=3),
+            prop::collection::vec(literal(), 1..=6),
+        );
+        (
+            Just(num_vars),
+            prop::collection::vec(clause(), 3 * num_vars..4 * num_vars),
+            prop::collection::vec(episode, 4..=12),
+        )
+            .prop_map(|(num_vars, base, episodes)| Session {
+                num_vars,
+                base,
+                episodes,
+            })
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn session_episodes_pass_both_checkers(session in arb_session()) {
+        let tally = certify_session(&session);
+        // Linearity: over the session each derived line is verified exactly
+        // once, and each UNSAT episode adds its final clause.
+        prop_assert_eq!(tally.verified, tally.derived + tally.unsat_episodes);
+    }
+}
+
+/// A fixed, larger session from a deterministic generator: it must reach
+/// many UNSAT episodes with deletions in the log, so the random sessions
+/// above are known to exercise the reduction path, and the linearity count
+/// must hold there too.
+#[test]
+fn long_session_with_deletions_checks_each_line_once() {
+    let mut state = 0x2545_f491_4f6c_dd1d_u64;
+    let mut next = |bound: u64| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state % bound
+    };
+    let num_vars = 40;
+    let mut literal = || {
+        let var = 1 + next(num_vars as u64) as i64;
+        if next(2) == 1 {
+            -var
+        } else {
+            var
+        }
+    };
+    let base: Vec<Vec<i64>> = (0..150)
+        .map(|_| (0..3).map(|_| literal()).collect())
+        .collect();
+    let episodes = (0..40)
+        .map(|_| {
+            let clauses = (0..2)
+                .map(|_| (0..3).map(|_| literal()).collect())
+                .collect();
+            let assumptions = (0..4).map(|_| literal()).collect();
+            (clauses, assumptions)
+        })
+        .collect();
+    let tally = certify_session(&Session {
+        num_vars,
+        base,
+        episodes,
+    });
+    assert!(tally.unsat_episodes >= 10, "{tally:?}");
+    assert!(tally.deletions > 0, "{tally:?}");
+    assert_eq!(tally.verified, tally.derived + tally.unsat_episodes);
 }
