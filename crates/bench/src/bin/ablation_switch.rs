@@ -6,7 +6,7 @@
 //!
 //! Also prints the two fixed references (standard, static) so the sweep can
 //! be read as an interpolation — and shows where the paper's 64 lands at
-//! this formula scale (see EXPERIMENTS.md for the scale discussion).
+//! this formula scale (10³–10⁴ literals here, 10⁵–10⁶ in the paper).
 //!
 //! Usage: `cargo run -p rbmc-bench --release --bin ablation_switch`
 

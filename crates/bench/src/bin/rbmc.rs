@@ -19,30 +19,28 @@
 //!      [--jobs N] [--no-preprocess]
 //!      [--lint off|warn|deny] [--lint-json PATH]
 //!      [--proof off|log|check] [--selfcheck] [--smoke]
-//!      [--witness-dir DIR] [--json-out PATH | --no-json]
+//!      [--witness-dir DIR] [--quiet-witnesses] [--json-out PATH | --no-json]
 //! ```
+//!
+//! Any other `--flag` is rejected with the usage line and exit code 2, so a
+//! misspelt gate (say `--proff check`) cannot silently sweep without it.
 //!
 //! - `--export-corpus DIR` first writes the gens suite as a fallback corpus
 //!   (`rbmc_gens::corpus`) into DIR; when no positional corpus directory is
 //!   given, the exported directory is then swept.
-//! - `--jobs N` parallelizes the sweep. The worker budget is *split*, not
-//!   multiplied: benchmark files are striped across up to `N` workers
-//!   first, and any remaining per-worker budget (`N / file-workers`) runs
-//!   each file's engine with [`ParallelConfig`] — so a single-file corpus
-//!   gets full engine-level parallelism while a many-file sweep never
-//!   spawns more than ~`N` solver threads. The engine grain follows
-//!   `--reuse`: session runs shard by property, fresh runs by depth.
-//!   Verdicts, witnesses, and rank tables are independent of `N`; the
-//!   per-file output is buffered and printed in file order, so the whole
-//!   report is byte-stable too.
+//! - `--jobs N` stripes benchmark files across `min(N, files)` workers
+//!   ([`rbmc_bench::striped_map`]); each file's engine runs its one
+//!   sequential loop. Verdicts and witnesses are independent of `N`, and
+//!   the per-file output is buffered and printed in file order, so the
+//!   whole report is byte-stable apart from the timed summary line.
 //! - `--engine` picks the verification algorithm: `bmc` (default) or `ic3`
 //!   (unbounded proofs — a holding property reports HWMCC status `0` with
 //!   the extracted invariant machine-checked before it is claimed, a
 //!   failing one the same depth-exact witness as BMC).
 //! - `--selfcheck` is the differential harness: the main run, the
-//!   *opposite* solver-reuse regime, the *opposite* preprocessing regime,
-//!   and both parallel grains must agree on every property's per-depth
-//!   verdict sequence, and every property is additionally re-checked with
+//!   *opposite* solver-reuse regime, and the *opposite* preprocessing
+//!   regime must agree on every property's per-depth verdict sequence, and
+//!   every property is additionally re-checked with
 //!   fresh-per-depth single-property runs ([`SolverReuse::Fresh`]). **All**
 //!   mismatching properties across all modes are reported before the
 //!   non-zero exit — a failure names every offender, not just the first.
@@ -84,14 +82,15 @@
 //!   rejected certificate fails the file and the sweep exits non-zero (the
 //!   fail-closed CI shape, symmetric to the witness and invariant gates).
 //!   Under `--selfcheck`, the differential cross-runs inherit the proof
-//!   mode, so the parallel grains are certified too.
-//! - `--smoke` shrinks the export to the small suite and the default depth
-//!   bound to 10 (CI mode).
+//!   mode, so every cross-run is certified too.
+//! - `--smoke` (alias `--small`) shrinks the export to the small suite and
+//!   the default depth bound to 10 (CI mode).
+//! - `--quiet-witnesses` leaves the status/witness blocks out of stdout
+//!   (the gates still run; `--witness-dir` still writes them).
 //!
 //! The run is recorded as a machine-readable `BENCH_corpus.json` artifact
 //! with one case per (file, property), carrying the per-property session
-//! counters (episodes, assumption conflicts, retirement depth) and, for
-//! parallel runs, the per-worker dispatch stats.
+//! counters (episodes, assumption conflicts, retirement depth).
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -106,9 +105,60 @@ use rbmc_circuit::preprocess::PreprocessReport;
 use rbmc_circuit::Aig;
 use rbmc_core::{
     check_invariant, BmcEngine, BmcOptions, BmcRun, Ic3Engine, Model, OrderingStrategy,
-    ParallelConfig, ProblemBuilder, ProofMode, PropertyVerdict, SolveResult, SolverReuse, Trace,
-    TraceLift, VerificationProblem,
+    ProblemBuilder, ProofMode, PropertyVerdict, SolveResult, SolverReuse, Trace, TraceLift,
+    VerificationProblem,
 };
+
+const USAGE: &str = "usage: rbmc [DIR] [--export-corpus DIR] [--depth N] [--engine bmc|ic3] \
+     [--reuse fresh|session] [--strategy bmc|sta|dyn|sht] [--divisor N] \
+     [--jobs N] [--no-preprocess] [--lint off|warn|deny] [--lint-json PATH] \
+     [--proof off|log|check] [--selfcheck] [--smoke] [--witness-dir DIR] \
+     [--quiet-witnesses] [--json-out PATH | --no-json]";
+
+/// Flags that take a value (the next argument).
+const VALUE_FLAGS: [&str; 12] = [
+    "--depth",
+    "--divisor",
+    "--strategy",
+    "--engine",
+    "--reuse",
+    "--jobs",
+    "--witness-dir",
+    "--json-out",
+    "--export-corpus",
+    "--lint",
+    "--lint-json",
+    "--proof",
+];
+
+/// Flags that stand alone.
+const SWITCH_FLAGS: [&str; 6] = [
+    "--smoke",
+    "--small",
+    "--selfcheck",
+    "--quiet-witnesses",
+    "--no-preprocess",
+    "--no-json",
+];
+
+/// Checks every `--flag` against the known set and returns the first
+/// positional argument (the corpus directory), or the unknown flag.
+fn scan_args(args: &[String]) -> Result<Option<PathBuf>, String> {
+    let mut positional = None;
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if VALUE_FLAGS.contains(&arg.as_str()) {
+            rest.next();
+        } else if arg.starts_with("--") {
+            if !SWITCH_FLAGS.contains(&arg.as_str()) {
+                return Err(arg.clone());
+            }
+        } else if positional.is_none() {
+            positional = Some(PathBuf::from(arg));
+        }
+    }
+    Ok(positional)
+}
 
 fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
     args.iter()
@@ -383,13 +433,7 @@ fn prover_cross_check(
     options: &BmcOptions,
 ) -> Vec<String> {
     let label = EngineKind::Ic3.label();
-    let mut engine = BmcEngine::for_problem(
-        problem.clone(),
-        BmcOptions {
-            parallel: None,
-            ..*options
-        },
-    );
+    let mut engine = BmcEngine::for_problem(problem.clone(), *options);
     let oracle = engine.run_collecting();
     let mut mismatches = Vec::new();
     for (p, o) in run.properties.iter().zip(&oracle.properties) {
@@ -436,8 +480,7 @@ fn prover_cross_check(
 
 /// One diagnostic when a differential cross-run's own proof check rejected
 /// a certificate (the cross-runs inherit the main run's `--proof` mode, so
-/// the parallel grains are certified too, not just the configuration the
-/// sweep reports).
+/// every configuration is certified, not just the one the sweep reports).
 fn proof_mismatch(stem: &str, run: &BmcRun, mode_label: &str) -> Option<String> {
     let proof = run.proof.as_ref().filter(|p| p.rejected())?;
     Some(format!(
@@ -491,11 +534,10 @@ fn preprocess_view(
 /// sequential sweep's.
 type FileOutcome = (String, Vec<BenchCase>, Result<FileDisposition, String>);
 
-/// The per-file check: one run over all properties (sequential or parallel
-/// per `options.parallel`), witness gates, optional differential
-/// cross-checks, report cases. Output is written to `out` so a parallel
-/// sweep can print per-file blocks in deterministic file order; whatever
-/// was produced before an error is kept by the caller.
+/// The per-file check: one run over all properties, witness gates, optional
+/// differential cross-checks, report cases. Output is written to `out` so a
+/// file-striped sweep can print per-file blocks in deterministic file order;
+/// whatever was produced before an error is kept by the caller.
 #[allow(clippy::too_many_arguments)]
 fn check_file(
     path: &Path,
@@ -842,25 +884,6 @@ fn check_file(
                 proof.check_time.as_secs_f64() * 1e3,
             ));
         }
-        if !run.workers.is_empty() {
-            // Per-worker dispatch stats of the engine-level parallel run.
-            extra.push(("par_workers".into(), run.workers.len() as f64));
-            extra.push((
-                "par_items".into(),
-                run.workers.iter().map(|w| w.items).sum::<u64>() as f64,
-            ));
-            extra.push((
-                "par_episodes_max".into(),
-                run.workers.iter().map(|w| w.episodes).max().unwrap_or(0) as f64,
-            ));
-            extra.push((
-                "par_busy_max_s".into(),
-                run.workers
-                    .iter()
-                    .map(|w| w.time.as_secs_f64())
-                    .fold(0.0, f64::max),
-            ));
-        }
         cases.push(BenchCase {
             name: format!("{stem}::{}", prop_report.name),
             strategy: match engine_kind {
@@ -900,15 +923,11 @@ fn check_file(
              frontier prefix (falsification depths exact, proofs counterexample-free)"
         );
     } else if selfcheck {
-        // The differential harness: the opposite solver-reuse regime, the
-        // opposite preprocessing regime, and both parallel grains must all
-        // reproduce the main run's per-depth verdicts property for
-        // property. All mismatches across all modes are collected before
-        // failing, so one bad file reports its complete offender set. The
-        // cross-checks inherit the main run's engine worker budget —
-        // hard-coding a larger count here would quietly break the sweep's
-        // no-more-than-~jobs-threads guarantee inside each file worker.
-        let cross_jobs = options.parallel.map_or(1, |c| c.jobs);
+        // The differential harness: the opposite solver-reuse regime and
+        // the opposite preprocessing regime must both reproduce the main
+        // run's per-depth verdicts property for property. All mismatches
+        // across all modes are collected before failing, so one bad file
+        // reports its complete offender set.
         let other_reuse = match options.reuse {
             SolverReuse::Session => SolverReuse::Fresh,
             SolverReuse::Fresh => SolverReuse::Session,
@@ -919,7 +938,6 @@ fn check_file(
             &run,
             &BmcOptions {
                 reuse: other_reuse,
-                parallel: None,
                 ..*options
             },
             other_reuse.label(),
@@ -934,7 +952,6 @@ fn check_file(
             &run,
             &BmcOptions {
                 preprocess: !options.preprocess,
-                parallel: None,
                 ..*options
             },
             if options.preprocess {
@@ -943,19 +960,6 @@ fn check_file(
                 "preprocessing on"
             },
         ));
-        for reuse in [SolverReuse::Session, SolverReuse::Fresh] {
-            mismatches.extend(cross_check(
-                &stem,
-                &problem,
-                &run,
-                &BmcOptions {
-                    reuse,
-                    parallel: Some(ParallelConfig::new(cross_jobs)),
-                    ..*options
-                },
-                &format!("parallel {}", reuse.label()),
-            ));
-        }
         // The per-property differential gate: each property re-checked
         // alone, with a fresh solver per depth; per-depth verdicts must be
         // identical.
@@ -967,7 +971,6 @@ fn check_file(
                 single,
                 BmcOptions {
                     reuse: SolverReuse::Fresh,
-                    parallel: None,
                     ..*options
                 },
             );
@@ -996,7 +999,7 @@ fn check_file(
         }
         let _ = writeln!(
             out,
-            "  selfcheck: verdicts match across fresh/session/parallel runs \
+            "  selfcheck: verdicts match across fresh/session runs \
              and both preprocessing regimes"
         );
     }
@@ -1005,6 +1008,13 @@ fn check_file(
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().collect();
+    let positional = match scan_args(&args[1..]) {
+        Ok(positional) => positional,
+        Err(flag) => {
+            eprintln!("error: unknown flag `{flag}`\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
     let smoke = args.iter().any(|a| a == "--smoke" || a == "--small");
     let selfcheck = args.iter().any(|a| a == "--selfcheck");
     let quiet_witnesses = args.iter().any(|a| a == "--quiet-witnesses");
@@ -1075,45 +1085,8 @@ fn main() -> ExitCode {
 
     // The corpus directory: first positional (non-flag) argument, falling
     // back to a directory just exported.
-    let value_flags = [
-        "--depth",
-        "--divisor",
-        "--strategy",
-        "--engine",
-        "--reuse",
-        "--jobs",
-        "--witness-dir",
-        "--json-out",
-        "--export-corpus",
-        "--lint",
-        "--lint-json",
-        "--proof",
-    ];
-    let mut positional: Option<PathBuf> = None;
-    let mut skip = false;
-    for arg in &args[1..] {
-        if skip {
-            skip = false;
-            continue;
-        }
-        if value_flags.contains(&arg.as_str()) {
-            skip = true;
-            continue;
-        }
-        if arg.starts_with("--") {
-            continue;
-        }
-        positional = Some(PathBuf::from(arg));
-        break;
-    }
     let Some(corpus_dir) = positional.or(export_dir) else {
-        eprintln!(
-            "usage: rbmc [DIR] [--export-corpus DIR] [--depth N] [--engine bmc|ic3] \
-             [--reuse fresh|session] [--strategy bmc|sta|dyn|sht] [--divisor N] \
-             [--jobs N] [--no-preprocess] [--lint off|warn|deny] [--lint-json PATH] \
-             [--proof off|log|check] [--selfcheck] [--smoke] [--witness-dir DIR] \
-             [--json-out PATH | --no-json]"
-        );
+        eprintln!("{USAGE}");
         return ExitCode::from(2);
     };
 
@@ -1167,20 +1140,12 @@ fn main() -> ExitCode {
         eprintln!("wrote {}", path.display());
     }
 
-    // Split the worker budget between the two grains instead of multiplying
-    // them: `jobs` file workers each running a `jobs`-worker engine would
-    // oversubscribe to jobs² threads. File striping gets first claim (it
-    // parallelizes everything, single-property files included) and whatever
-    // budget remains per file worker goes to the engine.
-    let file_workers = jobs.min(files.len()).max(1);
-    let engine_jobs = (jobs / file_workers).max(1);
     let options = BmcOptions {
         max_depth: depth,
         strategy,
         reuse,
         preprocess: !no_preprocess,
         proof: proof_mode,
-        parallel: (engine_jobs > 1).then_some(ParallelConfig::new(engine_jobs)),
         ..BmcOptions::default()
     };
     let mut report = BenchReport::new(format!(
@@ -1193,10 +1158,9 @@ fn main() -> ExitCode {
     ));
     let start = Instant::now();
     let mut failures = 0usize;
-    // The sweep itself is striped across the worker budget too: files are
-    // claimed off a shared queue, and each file's output block is buffered
-    // so stdout comes out in file order no matter who solved what.
-    let outcomes: Vec<FileOutcome> = rbmc_core::striped_map(files.len(), file_workers, |_w, i| {
+    // Files are claimed off a shared queue, and each file's output block is
+    // buffered so stdout comes out in file order no matter who solved what.
+    let outcomes: Vec<FileOutcome> = rbmc_bench::striped_map(files.len(), jobs, |i| {
         let mut out = String::new();
         let mut cases = Vec::new();
         let result = check_file(
@@ -1320,10 +1284,9 @@ mod tests {
     fn verdict_mismatches_reports_every_offender_not_just_the_first() {
         let main = vec![vec![Unsat, Sat], vec![Unsat, Unsat], vec![Unsat]];
         let other = vec![vec![Unsat, Unsat], vec![Unsat, Unsat], vec![Sat]];
-        let found =
-            verdict_mismatches("file", &["p0", "p1", "p2"], &main, &other, "parallel fresh");
+        let found = verdict_mismatches("file", &["p0", "p1", "p2"], &main, &other, "fresh");
         assert_eq!(found.len(), 2, "{found:?}");
-        assert!(found[0].contains("file::p0") && found[0].contains("parallel fresh"));
+        assert!(found[0].contains("file::p0") && found[0].contains("fresh"));
         assert!(found[1].contains("file::p2"));
     }
 

@@ -13,9 +13,10 @@
 //!
 //! `--divisor N` sets the dynamic switch denominator (`#decisions >
 //! #literals / N` falls back to VSIDS). The paper's value is 64, tuned for
-//! industrial formulas of 10⁵–10⁶ literals; at this suite's scale the
-//! matching threshold needs a smaller divisor (see EXPERIMENTS.md and the
-//! `ablation_switch` bench). `--reuse` selects the solver regime: `fresh`
+//! industrial formulas of 10⁵–10⁶ literals; at this suite's scale (10³–10⁴
+//! literals) `#literals / 64` switches to VSIDS almost at once, so the
+//! matching threshold needs a smaller divisor (see the `ablation_switch`
+//! bench). `--reuse` selects the solver regime: `fresh`
 //! (default — the paper's fresh-solver-per-depth setup, comparable with
 //! `BENCH_baseline.json`) or `session` (one incremental solver across all
 //! depths; the ground-truth assertion inside `run_instance_with` guarantees

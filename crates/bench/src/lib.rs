@@ -1,12 +1,14 @@
 //! Shared harness code for the experiment binaries (`table1`, `fig6`,
-//! `fig7`, `overhead`, and the ablations).
+//! `fig7`, `overhead`, and the ablations) and the `rbmc` corpus runner.
 //!
-//! Every binary regenerates one table or figure of the paper; see
-//! `DESIGN.md` §4 for the experiment index and `EXPERIMENTS.md` for recorded
-//! results.
+//! Every experiment binary regenerates one table or figure of the paper; the
+//! README's *Reproducing the paper's tables and figures* section lists them,
+//! and PAPER.md (*§4 — experiments*) maps them to the paper.
 
 #![warn(missing_docs)]
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use rbmc_core::{
@@ -177,5 +179,67 @@ pub fn ratio_percent(part: f64, whole: f64) -> f64 {
         100.0
     } else {
         part / whole * 100.0
+    }
+}
+
+/// Maps `f` over `0..len` on up to `workers` scoped threads that claim
+/// indices off one atomic queue, and returns the results in **index order**
+/// regardless of which thread ran what. With one effective worker the items
+/// run inline on the calling thread. This is how `rbmc --jobs N` stripes
+/// files across workers.
+pub fn striped_map<R: Send>(len: usize, workers: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
+    let worker_count = workers.min(len).max(1);
+    if worker_count == 1 {
+        return (0..len).map(f).collect();
+    }
+    let slots: Vec<Mutex<Option<R>>> = (0..len).map(|_| Mutex::new(None)).collect();
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|s| {
+        for _ in 0..worker_count {
+            let (next, slots, f) = (&next, &slots, &f);
+            s.spawn(move || loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= len {
+                    break;
+                }
+                *slots[i].lock().expect("slot lock") = Some(f(i));
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .expect("slot lock")
+                .expect("every index mapped")
+        })
+        .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::striped_map;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    #[test]
+    fn striped_map_returns_results_in_index_order_and_runs_each_index_once() {
+        for len in [0usize, 1, 37] {
+            for workers in [1usize, 2, 8, 64] {
+                let runs: Vec<AtomicUsize> = (0..len).map(|_| AtomicUsize::new(0)).collect();
+                let out = striped_map(len, workers, |i| {
+                    runs[i].fetch_add(1, Ordering::Relaxed);
+                    i * i
+                });
+                let expect: Vec<usize> = (0..len).map(|i| i * i).collect();
+                assert_eq!(out, expect, "len {len}, workers {workers}");
+                for (i, n) in runs.iter().enumerate() {
+                    assert_eq!(
+                        n.load(Ordering::Relaxed),
+                        1,
+                        "index {i} (len {len}, workers {workers})"
+                    );
+                }
+            }
+        }
     }
 }

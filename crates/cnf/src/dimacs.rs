@@ -8,7 +8,11 @@ use std::error::Error;
 use std::fmt;
 use std::io::{self, Write};
 
-use crate::{CnfFormula, Lit};
+use crate::{CnfFormula, Lit, Var};
+
+/// The largest variable a DIMACS file may name or declare (`Var::MAX_INDEX`
+/// is 0-based, DIMACS variables are 1-based).
+const MAX_DIMACS_VAR: u64 = Var::MAX_INDEX as u64 + 1;
 
 /// Error produced when parsing DIMACS text fails.
 ///
@@ -30,6 +34,8 @@ pub struct ParseDimacsError {
 enum ErrorKind {
     BadHeader,
     BadToken(String),
+    /// A literal or header count beyond [`MAX_DIMACS_VAR`].
+    OutOfRange(String),
     UnterminatedClause,
 }
 
@@ -49,6 +55,11 @@ impl fmt::Display for ParseDimacsError {
             ErrorKind::BadToken(tok) => {
                 write!(f, "unexpected token `{tok}` on line {}", self.line)
             }
+            ErrorKind::OutOfRange(tok) => write!(
+                f,
+                "`{tok}` on line {} exceeds the largest supported variable {MAX_DIMACS_VAR}",
+                self.line
+            ),
             ErrorKind::UnterminatedClause => {
                 write!(
                     f,
@@ -71,7 +82,9 @@ impl Error for ParseDimacsError {}
 /// # Errors
 ///
 /// Returns [`ParseDimacsError`] on a malformed header, a non-integer token,
-/// or a final clause missing its `0` terminator.
+/// a literal or header count beyond the largest supported variable
+/// ([`Var::MAX_INDEX`]` + 1`), or a final clause missing its `0`
+/// terminator.
 ///
 /// # Examples
 ///
@@ -99,10 +112,20 @@ pub fn parse_dimacs(text: &str) -> Result<CnfFormula, ParseDimacsError> {
         if let Some(rest) = trimmed.strip_prefix('p') {
             let fields: Vec<&str> = rest.split_whitespace().collect();
             let ok = fields.len() == 3 && fields[0] == "cnf";
-            let vars = ok.then(|| fields[1].parse::<usize>().ok()).flatten();
-            let clauses = ok.then(|| fields[2].parse::<usize>().ok()).flatten();
+            let vars = ok.then(|| fields[1].parse::<u64>().ok()).flatten();
+            let clauses = ok.then(|| fields[2].parse::<u64>().ok()).flatten();
             match (vars, clauses) {
-                (Some(v), Some(_)) => header_vars = v,
+                (Some(v), Some(c)) => {
+                    for (count, tok) in [(v, fields[1]), (c, fields[2])] {
+                        if count > MAX_DIMACS_VAR {
+                            return Err(ParseDimacsError {
+                                line: lineno,
+                                kind: ErrorKind::OutOfRange(tok.to_string()),
+                            });
+                        }
+                    }
+                    header_vars = v as usize;
+                }
                 _ => {
                     return Err(ParseDimacsError {
                         line: lineno,
@@ -117,6 +140,12 @@ pub fn parse_dimacs(text: &str) -> Result<CnfFormula, ParseDimacsError> {
                 line: lineno,
                 kind: ErrorKind::BadToken(tok.to_string()),
             })?;
+            if n.unsigned_abs() > MAX_DIMACS_VAR {
+                return Err(ParseDimacsError {
+                    line: lineno,
+                    kind: ErrorKind::OutOfRange(tok.to_string()),
+                });
+            }
             if n == 0 {
                 formula.add_clause(std::mem::take(&mut current));
             } else {
@@ -230,6 +259,31 @@ mod tests {
         let err = parse_dimacs("p cnf 2 1\n1 x 0\n").unwrap_err();
         assert_eq!(err.line(), 2);
         assert!(err.to_string().contains('x'));
+    }
+
+    #[test]
+    fn rejects_a_literal_beyond_the_largest_variable() {
+        // An error, not a panic in `Var::new`.
+        let err = parse_dimacs("p cnf 1 1\n3000000000 0\n").unwrap_err();
+        assert_eq!(err.line(), 2);
+        assert!(err.to_string().contains("3000000000"), "{err}");
+        let err = parse_dimacs("-3000000000 0\n").unwrap_err();
+        assert_eq!(err.line(), 1);
+        // The largest variable itself is fine.
+        let max = MAX_DIMACS_VAR;
+        let f = parse_dimacs(&format!("-{max} 0\n")).unwrap();
+        assert_eq!(f.num_vars(), Var::MAX_INDEX + 1);
+    }
+
+    #[test]
+    fn rejects_a_header_count_beyond_the_largest_variable() {
+        // An error, not a formula whose solver would allocate for three
+        // billion variables.
+        let err = parse_dimacs("p cnf 3000000000 1\n1 0\n").unwrap_err();
+        assert_eq!(err.line(), 1);
+        assert!(err.to_string().contains("3000000000"), "{err}");
+        let err = parse_dimacs("p cnf 1 3000000000\n1 0\n").unwrap_err();
+        assert_eq!(err.line(), 1);
     }
 
     #[test]

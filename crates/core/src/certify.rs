@@ -52,7 +52,7 @@ impl ProofMode {
 }
 
 /// What a run's proof logging amounted to, aggregated over every solver the
-/// run provisioned (session, fresh-per-depth, parallel workers).
+/// run provisioned (the session solver or the fresh-per-depth ones).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ProofSummary {
     /// UNSAT episodes whose certificate the checker accepted.

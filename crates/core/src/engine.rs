@@ -38,11 +38,9 @@ use std::fmt;
 use std::time::{Duration, Instant};
 
 use rbmc_circuit::Signal;
-use rbmc_cnf::Lit;
 use rbmc_solver::{Limits, OrderMode, SolveResult, Solver, SolverOptions, SolverStats};
 
 use crate::certify::{self, EpisodeCertifier};
-use crate::parallel::{self, ParallelConfig, WorkerReport};
 use crate::preprocess::preprocess_problem;
 use crate::{
     shtrichman_rank, Model, Trace, TraceLift, Unroller, VarRank, VerificationProblem, Weighting,
@@ -156,12 +154,6 @@ pub struct BmcOptions {
     /// the unpruned growth. Fresh-per-depth solvers discard their CDG with
     /// the solver and never prune.
     pub cdg_prune: bool,
-    /// Run the sweep on a worker pool instead of inline — see
-    /// [`ParallelConfig`]. `None` (the default) is the sequential loop. The
-    /// grain follows [`BmcOptions::reuse`]: a session run keeps one session
-    /// solver per property, a fresh run dispatches a fresh solver per
-    /// (property, depth) instance.
-    pub parallel: Option<ParallelConfig>,
     /// Clause-level proof logging of every provisioned solver, and — under
     /// [`ProofMode::Check`](crate::ProofMode) — independent re-derivation of
     /// every UNSAT episode's certificate. Forces `record_cdg` (the proof
@@ -183,7 +175,6 @@ impl Default for BmcOptions {
             force_record_cdg: false,
             preprocess: true,
             cdg_prune: true,
-            parallel: None,
             proof: crate::ProofMode::Off,
         }
     }
@@ -379,12 +370,8 @@ pub struct BmcRun {
     /// final counters under [`SolverReuse::Session`], the per-episode
     /// solvers' counters summed under [`SolverReuse::Fresh`]. Carries the
     /// incremental-session counters (`solve_calls`, `assumption_conflicts`,
-    /// `learned_retained`) the per-depth deltas cannot express. Parallel
-    /// runs sum the counters of every worker's solvers.
+    /// `learned_retained`) the per-depth deltas cannot express.
     pub solver_stats: SolverStats,
-    /// Per-worker breakdown of a parallel run ([`BmcOptions::parallel`]), in
-    /// worker order. Empty for sequential runs.
-    pub workers: Vec<WorkerReport>,
     /// Total wall-clock time.
     pub total_time: Duration,
     /// Proof-logging summary, aggregated over every solver the run
@@ -432,23 +419,23 @@ impl BmcRun {
     }
 }
 
-/// Per-property live state during a run (shared with the parallel drivers).
-pub(crate) struct PropState {
-    pub(crate) name: String,
-    pub(crate) bad: Signal,
-    pub(crate) open: bool,
-    pub(crate) episodes: u64,
-    pub(crate) assumption_conflicts: u64,
-    pub(crate) decisions: u64,
-    pub(crate) conflicts: u64,
-    pub(crate) propagations: u64,
-    pub(crate) completed: Option<usize>,
-    pub(crate) falsified: Option<(usize, Trace)>,
-    pub(crate) depth_results: Vec<SolveResult>,
+/// Per-property live state during a run.
+struct PropState {
+    name: String,
+    bad: Signal,
+    open: bool,
+    episodes: u64,
+    assumption_conflicts: u64,
+    decisions: u64,
+    conflicts: u64,
+    propagations: u64,
+    completed: Option<usize>,
+    falsified: Option<(usize, Trace)>,
+    depth_results: Vec<SolveResult>,
 }
 
 impl PropState {
-    pub(crate) fn fresh(name: String, bad: Signal) -> PropState {
+    fn fresh(name: String, bad: Signal) -> PropState {
         PropState {
             name,
             bad,
@@ -464,7 +451,7 @@ impl PropState {
         }
     }
 
-    pub(crate) fn into_report(self) -> PropertyReport {
+    fn into_report(self) -> PropertyReport {
         let verdict = match (self.falsified, self.completed) {
             (Some((depth, trace)), _) => PropertyVerdict::Falsified { depth, trace },
             (None, Some(depth)) => PropertyVerdict::OpenAt { depth },
@@ -525,9 +512,7 @@ impl fmt::Debug for BmcEngine {
 impl BmcEngine {
     /// Creates an engine for a single-property `model` with the given
     /// options. With [`BmcOptions::preprocess`] on (the default) the model
-    /// is structurally reduced here, once, before any encoding — the
-    /// parallel dispatch layer clones the engine's working model, so it
-    /// inherits the reduction.
+    /// is structurally reduced here, once, before any encoding.
     pub fn new(model: Model, options: BmcOptions) -> BmcEngine {
         let (model, original, lift, pp_report) = if options.preprocess {
             let problem = model.into_problem();
@@ -604,15 +589,9 @@ impl BmcEngine {
     }
 
     /// Runs the loop of Fig. 5 over every property, collecting per-depth and
-    /// per-property statistics. With [`BmcOptions::parallel`] set, the sweep
-    /// is dispatched onto a scoped worker pool instead (see
-    /// [`ParallelConfig`] for the determinism contract).
+    /// per-property statistics.
     pub fn run_collecting(&mut self) -> BmcRun {
-        let mut run = if let Some(config) = self.options.parallel {
-            parallel::run_parallel(self, config)
-        } else {
-            self.run_sequential()
-        };
+        let mut run = self.refine_order_bmc();
         // Peak varRank storage. The table only ever shrinks on a
         // LastOnly-weighting reset, whose next update immediately refills it
         // with the newest core, so the post-run size is the high-water mark.
@@ -634,9 +613,9 @@ impl BmcEngine {
         run
     }
 
-    /// The inline (non-parallel) loop of Fig. 5, in working-model
-    /// coordinates — [`BmcEngine::run_collecting`] lifts its traces.
-    fn run_sequential(&mut self) -> BmcRun {
+    /// The loop of Fig. 5, in working-model coordinates —
+    /// [`BmcEngine::run_collecting`] lifts its traces.
+    fn refine_order_bmc(&mut self) -> BmcRun {
         let run_start = Instant::now();
         let unroller = Unroller::new(&self.model);
         let mut props: Vec<PropState> = self
@@ -647,9 +626,21 @@ impl BmcEngine {
             .map(|p| PropState::fresh(p.name().to_string(), p.bad()))
             .collect();
         let num_props = props.len();
+        // The activation literal a_{p,k} of property `p_idx` at depth `k` in
+        // a session run. Activation variables live **above** the whole
+        // unrolling's variable range (`num_vars_at(max_depth)`), so they can
+        // never collide with the frame-stable model variables of any depth
+        // the run will reach; each depth owns one consecutive block of
+        // `num_props` of them.
+        let activation_base = unroller.num_vars_at(self.options.max_depth);
+        let activation = |k: usize, p_idx: usize| {
+            rbmc_cnf::Var::new(activation_base + k * num_props + p_idx).positive()
+        };
         // The persistent solver of a session run (frames appended per depth).
         let mut session: Option<Solver> = match self.options.reuse {
-            SolverReuse::Session => Some(Solver::with_options(self.solver_options())),
+            SolverReuse::Session => {
+                Some(Solver::with_options(strategy_solver_options(&self.options)))
+            }
             SolverReuse::Fresh => None,
         };
         // Proof sink of the session solver (attached before any clause), and
@@ -664,7 +655,7 @@ impl BmcEngine {
         let mut depth_completed = 0usize;
         'depths: for k in 0..=self.options.max_depth {
             let depth_start = Instant::now();
-            let limits = self.depth_limits();
+            let limits = depth_limits(&self.options);
             // gen_cnf_formula(M, P, k): the unroller only ever encodes the
             // one new frame; the session solver consumes exactly that delta
             // once per depth, fresh solvers replay the cached prefix per
@@ -717,8 +708,7 @@ impl BmcEngine {
                         let base = solver.stats().clone();
                         // a_{p,k} → bad_p^k; a_{p,k} is assumed for this
                         // episode only.
-                        let act =
-                            Self::activation_lit(&unroller, &self.options, num_props, k, p_idx);
+                        let act = activation(k, p_idx);
                         solver.add_clause(&[!act, unroller.lit_of(bad, k)]);
                         if !ranking_installed {
                             self.install_ranking(solver, &unroller, k);
@@ -766,25 +756,30 @@ impl BmcEngine {
                             // Retire the activation literal: the property
                             // leaves the sweep, so its bad-state clause must
                             // never constrain later episodes.
-                            let act =
-                                Self::activation_lit(&unroller, &self.options, num_props, k, p_idx);
-                            solver.add_clause(&[!act]);
+                            solver.add_clause(&[!activation(k, p_idx)]);
                         }
                     }
                     SolveResult::Unsat => {
                         // This property's share of the paper's unsatVars,
-                        // filtered to the frame-stable model variables (a
-                        // session core may also cite activation literals).
-                        core_union.extend(self.core_model_vars(solver, &unroller, k));
+                        // filtered to the frame-stable model variables
+                        // (`< num_vars_at(k)`): a session core may also cite
+                        // activation literals, which are bookkeeping of the
+                        // session encoding, not part of the paper's unsatVars.
+                        let bound = unroller.num_vars_at(k);
+                        core_union.extend(
+                            solver
+                                .core_vars()
+                                .unwrap_or_default()
+                                .into_iter()
+                                .filter(|v| v.index() < bound),
+                        );
                         props[p_idx].completed = Some(k);
                         if let Some(solver) = session.as_mut() {
                             // Retire this depth's activation literal for
                             // good: the a_{p,k} → bad_p^k clause is satisfied
                             // forever, and clause-database reduction reclaims
                             // everything learned against a_{p,k}.
-                            let act =
-                                Self::activation_lit(&unroller, &self.options, num_props, k, p_idx);
-                            solver.add_clause(&[!act]);
+                            solver.add_clause(&[!activation(k, p_idx)]);
                             props[p_idx].assumption_conflicts += 1;
                         }
                         // Certify the episode's UNSAT verdict against its
@@ -876,56 +871,23 @@ impl BmcEngine {
             properties: props.into_iter().map(PropState::into_report).collect(),
             per_depth: std::mem::take(&mut self.per_depth),
             solver_stats: aggregate,
-            workers: Vec::new(),
             total_time: run_start.elapsed(),
             proof: proof_acc,
         }
     }
 
-    /// The engine's run configuration (the parallel drivers read it).
-    pub(crate) fn opts(&self) -> &BmcOptions {
-        &self.options
-    }
-
-    /// Mutable access to the accumulated `varRank` (the parallel drivers
-    /// install the commit-order merged table through this).
-    pub(crate) fn rank_mut(&mut self) -> &mut VarRank {
-        &mut self.rank
-    }
-
-    /// The solver configuration the strategy dictates: `order_mode` and
-    /// `record_cdg` are derived, the rest is taken from
-    /// [`BmcOptions::solver`].
-    fn solver_options(&self) -> SolverOptions {
-        strategy_solver_options(&self.options)
-    }
-
-    /// The activation literal of property `p_idx` at depth `k` in a session
-    /// run. Activation variables live **above** the whole unrolling's
-    /// variable range (`num_vars_at(max_depth)`), so they can never collide
-    /// with the frame-stable model variables of any depth the run will
-    /// reach; each depth owns one consecutive block of `num_props` of them.
-    pub(crate) fn activation_lit(
-        unroller: &Unroller<'_>,
-        options: &BmcOptions,
-        num_props: usize,
-        k: usize,
-        p_idx: usize,
-    ) -> Lit {
-        rbmc_cnf::Var::new(unroller.num_vars_at(options.max_depth) + k * num_props + p_idx)
-            .positive()
-    }
-
     /// Installs the strategy's ranking for the depth-`k` episodes (the
-    /// paper's per-depth `varRank` refresh; re-seedable on a live solver).
+    /// paper's per-depth `varRank` refresh; re-seedable on a live solver):
+    /// nothing for Chaff's baseline, the time-axis table for Shtrichman, and
+    /// the accumulated `varRank` for the refined modes.
     fn install_ranking(&self, solver: &mut Solver, unroller: &Unroller<'_>, k: usize) {
-        install_strategy_ranking(
-            self.options.strategy,
-            &self.rank.snapshot(),
-            solver,
-            unroller,
-            k,
-        );
+        match self.options.strategy {
+            OrderingStrategy::Standard => {}
+            OrderingStrategy::Shtrichman => {
+                solver.set_var_ranking(&shtrichman_rank(unroller, k));
+            }
+            _ => solver.set_var_ranking(&self.rank.snapshot()),
+        }
     }
 
     /// Builds the paper's per-depth solver (the [`SolverReuse::Fresh`]
@@ -940,7 +902,7 @@ impl BmcEngine {
         k: usize,
         bad: Signal,
     ) -> (Solver, Option<EpisodeCertifier>) {
-        let mut solver = Solver::with_options(self.solver_options());
+        let mut solver = Solver::with_options(strategy_solver_options(&self.options));
         let certifier = EpisodeCertifier::attach(self.options.proof, &mut solver);
         solver.reserve_vars(unroller.num_vars_at(k));
         unroller.with_prefix(k, |clauses| {
@@ -952,29 +914,12 @@ impl BmcEngine {
         self.install_ranking(&mut solver, unroller, k);
         (solver, certifier)
     }
-
-    /// The model variables (frame-stable, `< num_vars_at(k)`) of the last
-    /// UNSAT verdict's core. Activation variables are filtered out: they are
-    /// bookkeeping of the session encoding, not part of the paper's
-    /// `unsatVars`.
-    fn core_model_vars(
-        &self,
-        solver: &Solver,
-        unroller: &Unroller<'_>,
-        k: usize,
-    ) -> Vec<rbmc_cnf::Var> {
-        core_model_vars(solver, unroller.num_vars_at(k))
-    }
-
-    fn depth_limits(&self) -> Limits {
-        depth_limits(&self.options)
-    }
 }
 
 /// The solver configuration [`BmcOptions`] dictate: `order_mode` and
 /// `record_cdg` are derived from the strategy, the rest is taken from
-/// [`BmcOptions::solver`] (shared by the sequential engine and the parallel
-/// workers, so every provisioned solver is configured identically).
+/// [`BmcOptions::solver`] (shared by the BMC and IC3 engines, so every
+/// provisioned solver is configured identically).
 pub(crate) fn strategy_solver_options(options: &BmcOptions) -> SolverOptions {
     let mut opts = options.solver;
     opts.order_mode = match options.strategy {
@@ -997,39 +942,6 @@ pub(crate) fn depth_limits(options: &BmcOptions) -> Limits {
         limits = limits.with_deadline(deadline);
     }
     limits
-}
-
-/// Installs the ranking `strategy` dictates for a depth-`k` episode on
-/// `solver`: nothing for Chaff's baseline, the time-axis table for
-/// Shtrichman, and the supplied `varRank` slice for the refined modes. The
-/// sequential engine and the parallel workers share this so a worker's
-/// episode sees exactly the ranking its sequential twin would.
-pub(crate) fn install_strategy_ranking(
-    strategy: OrderingStrategy,
-    rank: &[u64],
-    solver: &mut Solver,
-    unroller: &Unroller<'_>,
-    k: usize,
-) {
-    match strategy {
-        OrderingStrategy::Standard => {}
-        OrderingStrategy::Shtrichman => {
-            solver.set_var_ranking(&shtrichman_rank(unroller, k));
-        }
-        _ => solver.set_var_ranking(rank),
-    }
-}
-
-/// The model variables (frame-stable, `< bound`) of the solver's last UNSAT
-/// core — the paper's `unsatVars`, with session bookkeeping (activation
-/// variables, which live above the unrolling's range) filtered out.
-pub(crate) fn core_model_vars(solver: &Solver, bound: usize) -> Vec<rbmc_cnf::Var> {
-    solver
-        .core_vars()
-        .unwrap_or_default()
-        .into_iter()
-        .filter(|v| v.index() < bound)
-        .collect()
 }
 
 #[cfg(test)]

@@ -229,7 +229,6 @@ impl Ic3Engine {
             properties: reports,
             per_depth,
             solver_stats: aggregate,
-            workers: Vec::new(),
             total_time: run_start.elapsed(),
             proof: proof_acc,
         };

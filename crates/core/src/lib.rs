@@ -53,9 +53,6 @@
 //!   the module docs), extracted machine-checked inductive invariants, and
 //!   [`PropertyVerdict::Proved`] verdicts — the "combine with other
 //!   techniques" extension the paper's conclusion anticipates.
-//! - [`ParallelConfig`]: deterministic parallel dispatch of the BMC sweep,
-//!   one grain per solver-reuse regime, with results identical for every
-//!   worker count.
 //!
 //! # Examples
 //!
@@ -95,7 +92,6 @@ pub mod vcd;
 mod certify;
 mod engine;
 mod model;
-mod parallel;
 mod preprocess;
 mod problem;
 mod ranking;
@@ -110,7 +106,6 @@ pub use engine::{
 };
 pub use ic3::{check_invariant, Ic3Engine, InvariantClause, InvariantError};
 pub use model::Model;
-pub use parallel::{striped_map, ParallelConfig, WorkerReport};
 pub use preprocess::{preprocess_problem, PreprocessedProblem, TraceLift};
 pub use problem::{FromAigerError, ProblemBuilder, Property, VerificationProblem};
 pub use ranking::{VarRank, Weighting};
@@ -119,4 +114,4 @@ pub use ranking::{VarRank, Weighting};
 pub use rbmc_solver::SolveResult;
 pub use shtrichman::shtrichman_rank;
 pub use trace::{Trace, TraceError};
-pub use unroll::{SharedPrefix, Unroller};
+pub use unroll::Unroller;

@@ -146,27 +146,6 @@ impl VarRank {
         self.updates += 1;
     }
 
-    /// Commit-order variant of [`VarRank::update`] for parallel runs: takes
-    /// the per-property cores of **one depth** (each already sorted), forms
-    /// their deduplicated union, and applies a single depth-`k` update —
-    /// exactly the `unsatVars` the sequential engine would have passed. The
-    /// parallel dispatch layer calls this once per depth, lowest depth
-    /// first, so the final table is independent of worker scheduling.
-    /// Returns the union size (0 means no update was applied).
-    pub fn update_union<'a>(
-        &mut self,
-        cores: impl IntoIterator<Item = &'a [Var]>,
-        depth: usize,
-    ) -> usize {
-        let mut union: Vec<Var> = cores.into_iter().flatten().copied().collect();
-        union.sort_unstable();
-        union.dedup();
-        if !union.is_empty() {
-            self.update(&union, depth);
-        }
-        union.len()
-    }
-
     /// The accumulated `bmc_score` of a variable.
     pub fn score(&self, var: Var) -> u64 {
         match &self.store {
@@ -343,23 +322,6 @@ mod tests {
         rank.update(&vars(&[1]), 1);
         assert_eq!(rank.score(Var::new(0)), 0);
         assert_eq!(rank.score(Var::new(1)), 1);
-    }
-
-    #[test]
-    fn update_union_is_one_deduplicated_update() {
-        let mut merged = VarRank::new(Weighting::Linear);
-        let a = vars(&[0, 2]);
-        let b = vars(&[2, 3]);
-        let n = merged.update_union([a.as_slice(), b.as_slice()], 1);
-        assert_eq!(n, 3);
-        // One update, each variable credited once, with the depth-1 weight.
-        let mut reference = VarRank::new(Weighting::Linear);
-        reference.update(&vars(&[0, 2, 3]), 1);
-        assert_eq!(merged.snapshot(), reference.snapshot());
-        assert_eq!(merged.num_updates(), 1);
-        // An empty union applies no update at all.
-        assert_eq!(merged.update_union([], 2), 0);
-        assert_eq!(merged.num_updates(), 1);
     }
 
     #[test]

@@ -237,41 +237,6 @@ impl<'a> Unroller<'a> {
         )
     }
 
-    /// Encodes frames `0..=k` and runs `consume` with a [`SharedPrefix`] —
-    /// a plain-reference view of the cached clauses that, unlike the
-    /// unroller itself (whose lazily filled cache lives in a `RefCell`), is
-    /// `Sync` and can be lent to **worker threads**. This is how the
-    /// parallel dispatch layer shares one encoding across all workers
-    /// zero-copy: the cache is filled once here, on the calling thread, and
-    /// the workers only ever read borrowed clause slices.
-    ///
-    /// Filling through `k` is **eager**, unlike the sequential engine's
-    /// frame-at-a-time encoding — a run that retires every property at a
-    /// shallow depth pays for frames it never solves. That trade is
-    /// deliberate: encoding is linear and orders of magnitude cheaper than
-    /// solving, and a lazily extended shared cache would need cross-thread
-    /// synchronization on the hot clause-read path.
-    ///
-    /// The same borrow rule as [`Unroller::with_prefix`] applies to
-    /// `consume` — on *this* unroller. Workers typically pair the view with
-    /// a thread-local `Unroller::new(model)` for the pure index arithmetic
-    /// (`lit_of`, `num_vars_at`, trace extraction), which never touches the
-    /// cache.
-    pub fn with_shared_prefix<R>(
-        &self,
-        k: usize,
-        consume: impl FnOnce(SharedPrefix<'_>) -> R,
-    ) -> R {
-        self.ensure_frames(k);
-        let cache = self.prefix.borrow();
-        consume(SharedPrefix {
-            formula: &cache.formula,
-            frame_end: &cache.frame_end,
-            retired_frames: cache.retired_frames,
-            retired_clauses: cache.retired_clauses,
-        })
-    }
-
     /// **Bounded prefix mode**: drops the cached clauses of frames `0..=k`.
     ///
     /// A persistent session solver holds every frame it was fed for the rest
@@ -465,68 +430,6 @@ impl<'a> Unroller<'a> {
     }
 }
 
-/// A thread-shareable view of an [`Unroller`]'s encoded clause prefix (see
-/// [`Unroller::with_shared_prefix`]). Holds plain shared references, so it
-/// is `Copy` + `Sync`: the parallel dispatch layer hands one to every worker
-/// and each reads the frames it needs without re-encoding or copying.
-#[derive(Clone, Copy)]
-pub struct SharedPrefix<'a> {
-    formula: &'a CnfFormula,
-    frame_end: &'a [usize],
-    retired_frames: usize,
-    retired_clauses: usize,
-}
-
-impl fmt::Debug for SharedPrefix<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SharedPrefix")
-            .field("frames", &self.frame_end.len())
-            .field("clauses", &self.formula.num_clauses())
-            .finish()
-    }
-}
-
-impl SharedPrefix<'_> {
-    /// The clauses of frames `0..=k` — what [`Unroller::with_prefix`] lends.
-    ///
-    /// # Panics
-    ///
-    /// Panics if frame `k` was not encoded when the view was taken, or if
-    /// any covered frame was retired
-    /// ([`Unroller::retire_frames_through`]) — the parallel consumers that
-    /// share prefixes never run in bounded prefix mode.
-    pub fn prefix(&self, k: usize) -> Clauses<'_> {
-        assert_eq!(
-            self.retired_frames, 0,
-            "shared prefix reads are incompatible with bounded prefix mode"
-        );
-        self.formula.clauses_in(0..self.frame_end[k])
-    }
-
-    /// The clauses of frame `k` alone — what [`Unroller::with_frame_delta`]
-    /// lends.
-    ///
-    /// # Panics
-    ///
-    /// Panics if frame `k` was not encoded when the view was taken, or was
-    /// retired ([`Unroller::retire_frames_through`]).
-    pub fn frame_delta(&self, k: usize) -> Clauses<'_> {
-        assert!(
-            k >= self.retired_frames,
-            "frame {k} was retired from the shared prefix"
-        );
-        let base = self.retired_clauses;
-        let start = if k == 0 { 0 } else { self.frame_end[k - 1] };
-        self.formula
-            .clauses_in(start - base..self.frame_end[k] - base)
-    }
-
-    /// Number of frames the view covers (frames `0..frames()` are readable).
-    pub fn frames(&self) -> usize {
-        self.frame_end.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -651,38 +554,6 @@ mod tests {
                 }
             });
         }
-    }
-
-    #[test]
-    fn shared_prefix_matches_per_thread_reads() {
-        // The Sync view lends the same clauses with_prefix/with_frame_delta
-        // would, and actually works from worker threads.
-        let model = counter_model(4, 9);
-        let unroller = Unroller::new(&model);
-        unroller.with_shared_prefix(6, |shared| {
-            assert_eq!(shared.frames(), 7);
-            for k in 0..=6usize {
-                let expect: Vec<Vec<rbmc_cnf::Lit>> = Unroller::new(&model)
-                    .with_prefix(k, |c| c.iter().map(|cl| cl.lits().to_vec()).collect());
-                let got: Vec<Vec<rbmc_cnf::Lit>> = std::thread::scope(|s| {
-                    s.spawn(move || {
-                        shared
-                            .prefix(k)
-                            .iter()
-                            .map(|cl| cl.lits().to_vec())
-                            .collect()
-                    })
-                    .join()
-                    .unwrap()
-                });
-                assert_eq!(got, expect, "depth {k}");
-                let mut concat: Vec<Vec<rbmc_cnf::Lit>> = Vec::new();
-                for f in 0..=k {
-                    concat.extend(shared.frame_delta(f).iter().map(|cl| cl.lits().to_vec()));
-                }
-                assert_eq!(concat, expect, "delta concat at depth {k}");
-            }
-        });
     }
 
     #[test]

@@ -50,9 +50,9 @@ impl BenchInstance {
 }
 
 /// The full 37-instance suite standing in for the IBM benchmark set used in
-/// §4 (see DESIGN.md for the substitution rationale). Instances mix failing
-/// (`F`) and passing (`T`) properties across ten circuit families, with
-/// search-heavy inputs so decision ordering matters.
+/// §4 (PAPER.md, *§4 — experiments*, gives the substitution rationale).
+/// Instances mix failing (`F`) and passing (`T`) properties across ten
+/// circuit families, with search-heavy inputs so decision ordering matters.
 pub fn suite_table1() -> Vec<BenchInstance> {
     use Expectation::{FailsAt, Holds};
     let mut v: Vec<BenchInstance> = Vec::with_capacity(37);

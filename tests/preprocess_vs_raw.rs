@@ -1,21 +1,20 @@
 //! Differential gate of the structural preprocessing pass: on random
 //! multi-property sequential circuits, the preprocessed engine must
 //! reproduce the raw engine's per-depth verdicts and retirement depths in
-//! every reuse regime and sharding grain, and every counterexample it returns —
-//! lifted back to original coordinates — must replay on the *original*
-//! netlist.
+//! both reuse regimes, and every counterexample it returns — lifted back to
+//! original coordinates — must replay on the *original* netlist.
 
 use proptest::prelude::*;
 use refined_bmc::bmc::{
-    BmcEngine, BmcOptions, BmcRun, OrderingStrategy, ParallelConfig, ProblemBuilder,
-    PropertyVerdict, SolveResult, SolverReuse, VerificationProblem,
+    BmcEngine, BmcOptions, BmcRun, OrderingStrategy, ProblemBuilder, PropertyVerdict, SolveResult,
+    SolverReuse, VerificationProblem,
 };
 use refined_bmc::circuit::{LatchInit, Netlist, Signal};
 
 /// Construction steps over a signal pool (inputs, latches, then gates) —
-/// the `parallel_vs_sequential` recipe shape. Random `nexts` routinely
-/// produce self-looping (stuck) latches and out-of-cone logic, so the pass
-/// has real work on most cases.
+/// the multi-property recipe shape of `session_vs_fresh`. Random `nexts`
+/// routinely produce self-looping (stuck) latches and out-of-cone logic, so
+/// the pass has real work on most cases.
 #[derive(Debug, Clone)]
 enum Step {
     And(usize, usize),
@@ -148,7 +147,6 @@ fn run(
     problem: &VerificationProblem,
     preprocess: bool,
     reuse: SolverReuse,
-    parallel: Option<ParallelConfig>,
     depth: usize,
 ) -> BmcRun {
     let mut engine = BmcEngine::for_problem(
@@ -157,7 +155,6 @@ fn run(
             max_depth: depth,
             strategy: OrderingStrategy::RefinedStatic,
             reuse,
-            parallel,
             preprocess,
             ..BmcOptions::default()
         },
@@ -172,7 +169,7 @@ fn run(
                 .unwrap_or_else(|e| {
                     panic!(
                         "property {idx} trace invalid (preprocess={preprocess}, \
-                         reuse={reuse:?}, parallel={parallel:?}): {e}"
+                         reuse={reuse:?}): {e}"
                     )
                 });
         }
@@ -199,36 +196,27 @@ proptest! {
         const DEPTH: usize = 6;
         let problem = build(&recipe);
         for reuse in [SolverReuse::Session, SolverReuse::Fresh] {
-            let raw = run(&problem, false, reuse, None, DEPTH);
-            let pp = run(&problem, true, reuse, None, DEPTH);
+            let raw = run(&problem, false, reuse, DEPTH);
+            let pp = run(&problem, true, reuse, DEPTH);
             prop_assert_eq!(signature(&pp), signature(&raw), "{:?}", reuse);
-        }
-        // The dispatch layers inherit the reduction through the engine's
-        // working model: same contract under both sharding grains.
-        let raw = run(&problem, false, SolverReuse::Session, None, DEPTH);
-        for reuse in [SolverReuse::Session, SolverReuse::Fresh] {
-            let par = run(&problem, true, reuse, Some(ParallelConfig::new(2)), DEPTH);
-            prop_assert_eq!(signature(&par), signature(&raw), "{:?}", reuse);
         }
     }
 }
 
 #[test]
-fn preprocessing_agrees_across_all_shard_modes_on_disjoint_cones() {
+fn preprocessing_agrees_across_reuse_regimes_on_disjoint_cones() {
     const DEPTH: usize = 15;
     let problem = disjoint_cones_problem();
-    let baseline = run(&problem, false, SolverReuse::Session, None, DEPTH);
+    let baseline = run(&problem, false, SolverReuse::Session, DEPTH);
     // reach_3 and reach_9 falsified, reach_14 falsified at 14.
     assert_eq!(baseline.num_falsified(), 3);
     for reuse in [SolverReuse::Session, SolverReuse::Fresh] {
-        for parallel in [None, Some(ParallelConfig::new(3))] {
-            let pp = run(&problem, true, reuse, parallel, DEPTH);
-            assert_eq!(
-                signature(&pp),
-                signature(&baseline),
-                "{reuse:?} parallel={parallel:?} diverged from the raw sequential engine"
-            );
-        }
+        let pp = run(&problem, true, reuse, DEPTH);
+        assert_eq!(
+            signature(&pp),
+            signature(&baseline),
+            "{reuse:?} diverged from the raw session engine"
+        );
     }
 }
 
