@@ -23,7 +23,9 @@
 //! ```
 //!
 //! Any other `--flag` is rejected with the usage line and exit code 2, so a
-//! misspelt gate (say `--proff check`) cannot silently sweep without it.
+//! misspelt gate (say `--proff check`) cannot silently sweep without it. A
+//! malformed or missing number after `--depth`, `--divisor` or `--jobs`
+//! exits 2 as well, instead of sweeping at the default.
 //!
 //! - `--export-corpus DIR` first writes the gens suite as a fallback corpus
 //!   (`rbmc_gens::corpus`) into DIR; when no positional corpus directory is
@@ -165,6 +167,27 @@ fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
         .position(|a| a == flag)
         .and_then(|i| args.get(i + 1))
         .map(String::as_str)
+}
+
+/// The value of the numeric flag `flag`, or `default` when the flag is
+/// absent. A malformed or missing value exits 2 naming the flag and the
+/// value, so `--depth 2O` cannot sweep at the default depth.
+fn numeric_flag<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
+    if !args.iter().any(|a| a == flag) {
+        return default;
+    }
+    // A following flag is not a value: `--jobs --no-json` is missing one.
+    let value = flag_value(args, flag).filter(|v| !v.starts_with("--"));
+    match value.map(str::parse) {
+        Some(Ok(n)) => n,
+        _ => {
+            eprintln!(
+                "error: {flag} requires a non-negative integer, got {:?}",
+                value.unwrap_or("<missing>")
+            );
+            std::process::exit(2);
+        }
+    }
 }
 
 /// Which algorithm answers each file (`--engine`).
@@ -1018,18 +1041,11 @@ fn main() -> ExitCode {
     let smoke = args.iter().any(|a| a == "--smoke" || a == "--small");
     let selfcheck = args.iter().any(|a| a == "--selfcheck");
     let quiet_witnesses = args.iter().any(|a| a == "--quiet-witnesses");
-    let depth: usize = flag_value(&args, "--depth")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if smoke { 10 } else { 20 });
-    let divisor: u32 = flag_value(&args, "--divisor")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(64);
+    let depth: usize = numeric_flag(&args, "--depth", if smoke { 10 } else { 20 });
+    let divisor: u32 = numeric_flag(&args, "--divisor", 64);
     let strategy = parse_strategy(&args, divisor);
     let reuse = rbmc_bench::cli_reuse(&args, SolverReuse::Session);
-    let jobs: usize = flag_value(&args, "--jobs")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
-        .max(1);
+    let jobs: usize = numeric_flag(&args, "--jobs", 1).max(1);
     let no_preprocess = args.iter().any(|a| a == "--no-preprocess");
     let lint_mode = parse_lint_mode(&args);
     let lint_json = flag_value(&args, "--lint-json").map(PathBuf::from);

@@ -87,6 +87,26 @@ fn unknown_flags_exit_2_before_sweeping() {
         assert!(err.contains(typo[0]), "{typo:?}: {err}");
         assert!(err.contains("usage: rbmc"), "{typo:?}: {err}");
     }
+    // A malformed or missing number must not sweep at the default either.
+    for bad in [
+        &["--depth", "2O"][..],
+        &["--divisor", "x"],
+        &["--jobs", "x"],
+        &["--depth", "-1"],
+        &["--jobs"],
+    ] {
+        let mut args = vec![dir, "--smoke"];
+        args.extend_from_slice(bad);
+        let out = rbmc(&args);
+        assert_eq!(out.status.code(), Some(2), "{bad:?}: {}", stderr(&out));
+        assert!(out.stdout.is_empty(), "{bad:?} swept:\n{}", stdout(&out));
+        let err = stderr(&out);
+        let value = bad.get(1).copied().unwrap_or("<missing>");
+        assert!(
+            err.contains(bad[0]) && err.contains(value),
+            "{bad:?}: {err}"
+        );
+    }
     let out = rbmc(&[dir, "--smoke", "--proof", "check"]);
     assert!(out.status.success(), "{}", stderr(&out));
     assert!(stdout(&out).contains("UNSAT episodes certified"));

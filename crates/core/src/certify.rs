@@ -216,8 +216,8 @@ pub(crate) fn merge_opt(into: &mut Option<ProofSummary>, from: Option<ProofSumma
 /// `debug-invariants` coherence audit between a solver and its proof log:
 /// the recorder's live derived lines must be exactly the proof ids the
 /// solver still holds (live learned clauses and root-level unit facts), and
-/// the axiom count must match the originals added. Run from the engines'
-/// depth-boundary audit hook.
+/// the axiom count must match the originals added. Run from BMC's
+/// depth-boundary and IC3's frontier-boundary audit hooks.
 #[cfg(feature = "debug-invariants")]
 pub(crate) fn audit_proof_coherence(solver: &Solver) -> Result<(), ProofAuditError> {
     let Some(log) = solver.proof_log() else {

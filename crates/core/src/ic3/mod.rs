@@ -847,6 +847,17 @@ impl<'a> PropRunner<'a> {
                 cdg_edges: 0,
                 time: frontier_start.elapsed(),
             });
+            // Frontier boundary, `debug-invariants` builds: full structural
+            // audit of the session solver (watches, trail, arena, CDG,
+            // decision heap) and of its proof log's coherence.
+            #[cfg(feature = "debug-invariants")]
+            {
+                self.solver
+                    .audit()
+                    .expect("solver invariants at frontier boundary");
+                crate::certify::audit_proof_coherence(&self.solver)
+                    .expect("proof-log coherence at frontier boundary");
+            }
             if outcome.is_some() {
                 break 'frontiers;
             }

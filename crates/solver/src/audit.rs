@@ -3,8 +3,9 @@
 //! [`Solver::audit`] cross-checks the redundant data structures of the
 //! solver against each other: the watch lists against the clause arena, the
 //! trail against values/levels/reasons, the arena record chain against its
-//! own headers, and the CDG against the live-clause roots that
-//! [`Solver::prune_cdg`] keeps. The checks are O(database) and allocate, so
+//! own headers, the CDG against the live-clause roots that
+//! [`Solver::prune_cdg`] keeps, and the decision heap against its scores and
+//! the assignment. The checks are O(database) and allocate, so
 //! they live behind a cargo feature and are invoked from the differential
 //! test suites (and internally after compaction and CDG pruning) rather
 //! than from production runs.
@@ -33,9 +34,9 @@ impl Solver {
     /// Checks every internal invariant of the solver state, returning a
     /// description of the first violation found.
     ///
-    /// Intended for tests and the `debug-invariants` builds of the BMC
-    /// engine; with the feature enabled the solver also calls it after each
-    /// learned-database compaction and each CDG prune, turning every
+    /// Intended for tests and the `debug-invariants` builds of the BMC and
+    /// IC3 engines; with the feature enabled the solver also calls it after
+    /// each learned-database compaction and each CDG prune, turning every
     /// differential test into a structural one.
     ///
     /// # Errors
@@ -46,6 +47,9 @@ impl Solver {
         self.audit_watches(&headers)?;
         self.audit_trail(&headers)?;
         self.audit_cdg()?;
+        self.order
+            .audit(&self.values)
+            .map_err(|e| format!("order: {e}"))?;
         Ok(())
     }
 

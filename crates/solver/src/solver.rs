@@ -441,9 +441,10 @@ impl Solver {
     /// to zero for variables beyond the end of `scores`. The ranking matters
     /// only when [`SolverOptions::order_mode`] is static or dynamic.
     ///
-    /// May be called **between solve episodes**: each episode re-seeds the
-    /// decision ordering from the ranking installed last, which is how the
-    /// paper's per-depth `varRank` refresh reaches a live session solver.
+    /// May be called **between solve episodes**: the next episode installs
+    /// the ranking passed last, refreshing in place the decision keys of the
+    /// variables whose score changed. This is how the paper's per-depth
+    /// `varRank` refresh reaches a live session solver.
     pub fn set_var_ranking(&mut self, scores: &[u64]) {
         self.bmc_scores = scores.to_vec();
     }
@@ -628,14 +629,12 @@ impl Solver {
         } else {
             self.stats.learned_retained += self.live_learned;
         }
-        // Re-seed the decision ordering: the ranking may have been replaced
-        // between episodes (the per-depth varRank refresh), and the dynamic
-        // configuration starts every episode in refined mode.
+        // Install the ranking: it may have been replaced between episodes
+        // (the per-depth varRank refresh), and the dynamic configuration
+        // starts every episode in refined mode. Only the keys that change
+        // are refreshed; the heap itself carries over.
         let use_bmc = !matches!(self.opts.order_mode, OrderMode::Standard);
-        let scores = std::mem::take(&mut self.bmc_scores);
-        self.order.set_bmc_scores(&scores, use_bmc);
-        self.bmc_scores = scores;
-        self.order.rebuild(&self.values);
+        self.order.set_bmc_scores(&self.bmc_scores, use_bmc);
 
         loop {
             if let Some(conflict) = self.propagate() {
@@ -679,6 +678,7 @@ impl Solver {
                             self.trail_lim.push(self.trail.len());
                             self.enqueue(lit, None);
                         }
+                        // Every active variable is assigned: a model.
                         None => {
                             self.finish_sat();
                             return SolveResult::Sat;
@@ -865,6 +865,7 @@ impl Solver {
         self.levels[v] = self.decision_level();
         self.reasons[v] = reason;
         self.trail.push(lit);
+        self.order.note_assigned(lit.var());
         if reason.is_some() {
             self.stats.propagations += 1;
         }
@@ -1313,7 +1314,6 @@ impl Solver {
                 self.switched = true;
                 self.stats.switched_to_vsids = true;
                 self.order.disable_bmc();
-                self.order.rebuild(&self.values);
             }
         }
     }

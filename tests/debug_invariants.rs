@@ -1,9 +1,10 @@
 //! Structural-audit runs (the `debug-invariants` feature).
 //!
 //! With the feature enabled, the solver audits its watch lists, trail,
-//! arena, and CDG after every learned-database compaction and CDG prune,
-//! and the engine re-audits the session solver plus the rank table at every
-//! depth boundary — any violation panics. These tests drive search-heavy
+//! arena, CDG and decision heap after every learned-database compaction and
+//! CDG prune, the BMC engine re-audits the session solver plus the rank
+//! table at every depth boundary, and IC3 re-audits its session solver at
+//! every frontier boundary — any violation panics. These tests drive search-heavy
 //! session sweeps with compaction-aggressive settings so the hooks fire
 //! many times; they pass exactly when every audit along the way does.
 //!
@@ -13,7 +14,8 @@
 
 use refined_bmc::bmc::Model;
 use refined_bmc::bmc::{
-    BmcEngine, BmcOptions, BmcOutcome, OrderingStrategy, ProofMode, SolverReuse,
+    BmcEngine, BmcOptions, BmcOutcome, Ic3Engine, OrderingStrategy, ProofMode, PropertyVerdict,
+    SolverReuse,
 };
 use refined_bmc::gens::families;
 use refined_bmc::solver::SolverOptions;
@@ -88,6 +90,42 @@ fn dynamic_ordering_sweep_passes_every_audit() {
         OrderingStrategy::RefinedDynamic { divisor: 64 },
     );
     assert!(matches!(outcome, BmcOutcome::BoundReached { .. }));
+}
+
+/// IC3 under the same audited options: its session solver serves one
+/// query after another, and the engine audits it at every frontier
+/// boundary.
+fn run_ic3(model: Model, max_depth: usize) -> PropertyVerdict {
+    let options = audited_options(max_depth, OrderingStrategy::RefinedDynamic { divisor: 64 });
+    let mut engine = Ic3Engine::new(model, options);
+    let run = engine.run_collecting();
+    assert!(
+        run.solver_stats.solve_calls > 20,
+        "too few queries to audit"
+    );
+    run.properties
+        .into_iter()
+        .next()
+        .expect("one property")
+        .verdict
+}
+
+#[test]
+fn ic3_proof_passes_every_audit() {
+    let verdict = run_ic3(families::mutex_arbiter(4), 12);
+    assert!(
+        matches!(verdict, PropertyVerdict::Proved { .. }),
+        "the mutex holds, got {verdict}"
+    );
+}
+
+#[test]
+fn ic3_falsification_passes_every_audit() {
+    let verdict = run_ic3(families::token_ring_buggy(3, 6), 12);
+    assert!(
+        matches!(verdict, PropertyVerdict::Falsified { .. }),
+        "the buggy token ring fails, got {verdict}"
+    );
 }
 
 #[test]

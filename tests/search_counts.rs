@@ -1,0 +1,103 @@
+//! Exact search counts on the small suite.
+//!
+//! Decisions, propagations, conflicts and solve calls repeat exactly from
+//! run to run, so any change to them is a change to the search. This test
+//! pins them for every `small_suite()` instance under the paper's dynamic
+//! ordering (`RefinedDynamic { divisor: 64 }`), once for the BMC session
+//! engine and once for IC3.
+//!
+//! A change that is meant to leave the search alone must pass unchanged.
+//! A change that alters the search replaces the tables below with the ones
+//! the failure message prints, so the new counts show up in review.
+
+use refined_bmc::bmc::{BmcEngine, BmcOptions, BmcRun, Ic3Engine, OrderingStrategy, SolverReuse};
+use refined_bmc::gens::small_suite;
+
+/// `(instance, [decisions, propagations, conflicts, solve_calls])`.
+type CountTable = [(&'static str, [u64; 4])];
+
+/// BMC, one session solver per instance, to the instance's depth bound.
+const BMC_SESSION: &CountTable = &[
+    ("s1_lock4", [4, 198, 1, 5]),
+    ("s2_lock3_imp", [7, 310, 7, 9]),
+    ("s3_ring5", [0, 198, 0, 9]),
+    ("s4_ring4_bug2", [13, 88, 0, 4]),
+    ("s5_shift5", [1, 53, 0, 6]),
+    ("s6_twin4", [126, 965, 52, 9]),
+    ("s7_fifo4_over", [31, 715, 15, 6]),
+    ("s8_fifo4_guard", [127, 5344, 97, 9]),
+    ("s9_tmr2_f1", [85, 772, 17, 7]),
+    ("s10_pipe4", [6, 55, 0, 5]),
+];
+
+/// IC3 to the instance's frame bound.
+const IC3: &CountTable = &[
+    ("s1_lock4", [100, 580, 3, 23]),
+    ("s2_lock3_imp", [43, 229, 2, 12]),
+    ("s3_ring5", [632, 2811, 21, 97]),
+    ("s4_ring4_bug2", [333, 1235, 8, 50]),
+    ("s5_shift5", [119, 248, 0, 25]),
+    ("s6_twin4", [702, 2119, 28, 104]),
+    ("s7_fifo4_over", [328, 1445, 24, 49]),
+    ("s8_fifo4_guard", [188, 1074, 24, 32]),
+    ("s9_tmr2_f1", [279, 886, 8, 32]),
+    ("s10_pipe4", [127, 260, 0, 25]),
+];
+
+fn options(max_depth: usize) -> BmcOptions {
+    BmcOptions {
+        max_depth,
+        strategy: OrderingStrategy::RefinedDynamic { divisor: 64 },
+        reuse: SolverReuse::Session,
+        ..BmcOptions::default()
+    }
+}
+
+fn counts(run: &BmcRun) -> [u64; 4] {
+    let s = &run.solver_stats;
+    [s.decisions, s.propagations, s.conflicts, s.solve_calls]
+}
+
+/// Compares the measured rows with `expected`; on a mismatch the panic
+/// message carries the whole measured table in source form.
+fn assert_pinned(table: &str, expected: &CountTable, measured: &[(String, [u64; 4])]) {
+    let matches = expected.len() == measured.len()
+        && expected
+            .iter()
+            .zip(measured)
+            .all(|((name, want), (got_name, got))| name == got_name && want == got);
+    if !matches {
+        let mut listing = String::new();
+        for (name, c) in measured {
+            listing.push_str(&format!(
+                "    (\"{name}\", [{}, {}, {}, {}]),\n",
+                c[0], c[1], c[2], c[3]
+            ));
+        }
+        panic!("{table}: search counts changed; measured table:\n{listing}");
+    }
+}
+
+#[test]
+fn bmc_session_counts_are_pinned() {
+    let measured: Vec<(String, [u64; 4])> = small_suite()
+        .into_iter()
+        .map(|instance| {
+            let mut engine = BmcEngine::new(instance.model, options(instance.max_depth));
+            (instance.name, counts(&engine.run_collecting()))
+        })
+        .collect();
+    assert_pinned("BMC_SESSION", BMC_SESSION, &measured);
+}
+
+#[test]
+fn ic3_counts_are_pinned() {
+    let measured: Vec<(String, [u64; 4])> = small_suite()
+        .into_iter()
+        .map(|instance| {
+            let mut engine = Ic3Engine::new(instance.model, options(instance.max_depth));
+            (instance.name, counts(&engine.run_collecting()))
+        })
+        .collect();
+    assert_pinned("IC3", IC3, &measured);
+}
