@@ -34,7 +34,10 @@
 //!   ([`rbmc_bench::striped_map`]); each file's engine runs its one
 //!   sequential loop. Verdicts and witnesses are independent of `N`, and
 //!   the per-file output is buffered and printed in file order, so the
-//!   whole report is byte-stable apart from the timed summary line.
+//!   whole report is byte-stable apart from the timed summary line. A file
+//!   whose check panics, at any `N`, becomes a `FAIL` line naming the file
+//!   and the panic message; the other files are still checked and
+//!   reported, and the run exits 1.
 //! - `--engine` picks the verification algorithm: `bmc` (default) or `ic3`
 //!   (unbounded proofs — a holding property reports HWMCC status `0` with
 //!   the extracted invariant machine-checked before it is claimed, a
@@ -1176,7 +1179,9 @@ fn main() -> ExitCode {
     let mut failures = 0usize;
     // Files are claimed off a shared queue, and each file's output block is
     // buffered so stdout comes out in file order no matter who solved what.
-    let outcomes: Vec<FileOutcome> = rbmc_bench::striped_map(files.len(), jobs, |i| {
+    // A file whose check panics fails on its own: the panic becomes that
+    // file's `FAIL` line, and the sweep goes on.
+    let outcomes = rbmc_bench::striped_map(files.len(), jobs, |i| {
         let mut out = String::new();
         let mut cases = Vec::new();
         let result = check_file(
@@ -1195,7 +1200,11 @@ fn main() -> ExitCode {
         (out, cases, result)
     });
     let mut skipped = 0usize;
-    for (out, cases, result) in outcomes {
+    for (outcome, path) in outcomes.into_iter().zip(&files) {
+        let (out, cases, result): FileOutcome = outcome.unwrap_or_else(|panic| {
+            let failure = format!("{}: panicked: {panic}", path.display());
+            (String::new(), Vec::new(), Err(failure))
+        });
         print!("{out}");
         for case in cases {
             report.push(case);

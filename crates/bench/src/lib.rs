@@ -7,6 +7,7 @@
 
 #![warn(missing_docs)]
 
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -187,22 +188,44 @@ pub fn ratio_percent(part: f64, whole: f64) -> f64 {
 /// regardless of which thread ran what. With one effective worker the items
 /// run inline on the calling thread. This is how `rbmc --jobs N` stripes
 /// files across workers.
-pub fn striped_map<R: Send>(len: usize, workers: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
+///
+/// Every call is isolated: a panic inside `f(i)` is caught where it happens
+/// and becomes `Err` holding the panic's message at index `i`, while every
+/// other index still runs and returns in order. One file whose check panics
+/// thus fails on its own, instead of unwinding through the thread scope and
+/// losing the whole sweep.
+pub fn striped_map<R: Send>(
+    len: usize,
+    workers: usize,
+    f: impl Fn(usize) -> R + Sync,
+) -> Vec<Result<R, String>> {
+    let run = |i: usize| {
+        std::panic::catch_unwind(AssertUnwindSafe(|| f(i))).map_err(|payload| {
+            payload
+                .downcast_ref::<&str>()
+                .map(|s| (*s).to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "panic with a non-string payload".to_string())
+        })
+    };
     let worker_count = workers.min(len).max(1);
     if worker_count == 1 {
-        return (0..len).map(f).collect();
+        return (0..len).map(run).collect();
     }
-    let slots: Vec<Mutex<Option<R>>> = (0..len).map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<Result<R, String>>>> = (0..len).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
     std::thread::scope(|s| {
         for _ in 0..worker_count {
-            let (next, slots, f) = (&next, &slots, &f);
+            let (next, slots, run) = (&next, &slots, &run);
             s.spawn(move || loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 if i >= len {
                     break;
                 }
-                *slots[i].lock().expect("slot lock") = Some(f(i));
+                let result = run(i);
+                *slots[i]
+                    .lock()
+                    .expect("no worker panics while holding a slot") = Some(result);
             });
         }
     });
@@ -210,7 +233,7 @@ pub fn striped_map<R: Send>(len: usize, workers: usize, f: impl Fn(usize) -> R +
         .into_iter()
         .map(|slot| {
             slot.into_inner()
-                .expect("slot lock")
+                .expect("no worker panics while holding a slot")
                 .expect("every index mapped")
         })
         .collect()
@@ -222,6 +245,29 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
+    fn a_panicking_index_fails_alone_and_the_rest_return_in_order() {
+        for workers in [1usize, 2] {
+            let out = striped_map(7, workers, |i| {
+                if i == 3 {
+                    panic!("index {i} is broken");
+                }
+                i * 10
+            });
+            assert_eq!(out.len(), 7, "workers {workers}");
+            for (i, result) in out.iter().enumerate() {
+                if i == 3 {
+                    assert_eq!(result, &Err("index 3 is broken".to_string()));
+                } else {
+                    assert_eq!(result, &Ok(i * 10), "workers {workers}");
+                }
+            }
+        }
+        // A `&str` payload carries its message too.
+        let out = striped_map(1, 1, |_| -> usize { panic!("static message") });
+        assert_eq!(out, vec![Err("static message".to_string())]);
+    }
+
+    #[test]
     fn striped_map_returns_results_in_index_order_and_runs_each_index_once() {
         for len in [0usize, 1, 37] {
             for workers in [1usize, 2, 8, 64] {
@@ -230,7 +276,7 @@ mod tests {
                     runs[i].fetch_add(1, Ordering::Relaxed);
                     i * i
                 });
-                let expect: Vec<usize> = (0..len).map(|i| i * i).collect();
+                let expect: Vec<Result<usize, String>> = (0..len).map(|i| Ok(i * i)).collect();
                 assert_eq!(out, expect, "len {len}, workers {workers}");
                 for (i, n) in runs.iter().enumerate() {
                     assert_eq!(

@@ -5,6 +5,7 @@
 //! identical nodes, which keeps unrolled BMC formulas small. The AIGER
 //! reader/writer ([`crate::aiger`]) works on this form.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::Not;
@@ -77,7 +78,12 @@ impl fmt::Debug for AigLit {
 pub(crate) enum AigNodeKind {
     Const,
     Input,
-    Latch,
+    /// A latch carries its reset value and, once connected, its next-state
+    /// function.
+    Latch {
+        init: LatchInit,
+        next: Option<AigLit>,
+    },
     And(AigLit, AigLit),
 }
 
@@ -103,8 +109,6 @@ pub struct Aig {
     strash: HashMap<(AigLit, AigLit), usize>,
     inputs: Vec<usize>,
     latches: Vec<usize>,
-    latch_next: HashMap<usize, AigLit>,
-    latch_init: HashMap<usize, LatchInit>,
     outputs: Vec<(String, AigLit)>,
     bads: Vec<(String, AigLit)>,
 }
@@ -129,9 +133,8 @@ impl Aig {
     /// Adds a latch with the given reset value.
     pub fn add_latch(&mut self, init: LatchInit) -> AigLit {
         let id = self.nodes.len();
-        self.nodes.push(AigNodeKind::Latch);
+        self.nodes.push(AigNodeKind::Latch { init, next: None });
         self.latches.push(id);
-        self.latch_init.insert(id, init);
         AigLit::new(id, false)
     }
 
@@ -143,12 +146,10 @@ impl Aig {
     /// connected.
     pub fn set_next(&mut self, latch: AigLit, next: AigLit) {
         assert!(!latch.is_inverted(), "latch reference must be plain");
-        assert!(
-            matches!(self.nodes[latch.node()], AigNodeKind::Latch),
-            "set_next on a non-latch"
-        );
-        let prev = self.latch_next.insert(latch.node(), next);
-        assert!(prev.is_none(), "latch already connected");
+        let AigNodeKind::Latch { next: slot, .. } = &mut self.nodes[latch.node()] else {
+            panic!("set_next on a non-latch");
+        };
+        assert!(slot.replace(next).is_none(), "latch already connected");
     }
 
     /// Two-input AND with constant folding and structural hashing.
@@ -163,15 +164,25 @@ impl Aig {
         if b == AigLit::TRUE {
             return a;
         }
-        // Normalize operand order for hashing.
+        // Normalize operand order for hashing; one hash per lookup.
         let key = if a.code() <= b.code() { (a, b) } else { (b, a) };
-        if let Some(&id) = self.strash.get(&key) {
-            return AigLit::new(id, false);
-        }
-        let id = self.nodes.len();
-        self.nodes.push(AigNodeKind::And(key.0, key.1));
-        self.strash.insert(key, id);
+        let id = match self.strash.entry(key) {
+            Entry::Occupied(known) => *known.get(),
+            Entry::Vacant(slot) => {
+                let id = self.nodes.len();
+                self.nodes.push(AigNodeKind::And(key.0, key.1));
+                *slot.insert(id)
+            }
+        };
         AigLit::new(id, false)
+    }
+
+    /// Makes room for `nodes` more nodes, `ands` of them AND nodes, so a
+    /// reader that has counted its gates builds the graph without regrowing
+    /// the node list or rehashing the structural-hash table.
+    pub(crate) fn reserve(&mut self, nodes: usize, ands: usize) {
+        self.nodes.reserve(nodes);
+        self.strash.reserve(ands);
     }
 
     /// Two-input OR (`¬(¬a ∧ ¬b)`).
@@ -223,12 +234,18 @@ impl Aig {
 
     /// Next-state function of a latch node.
     pub fn next_of(&self, latch_node: usize) -> Option<AigLit> {
-        self.latch_next.get(&latch_node).copied()
+        match self.nodes[latch_node] {
+            AigNodeKind::Latch { next, .. } => next,
+            _ => None,
+        }
     }
 
     /// Reset value of a latch node.
     pub fn init_of(&self, latch_node: usize) -> Option<LatchInit> {
-        self.latch_init.get(&latch_node).copied()
+        match self.nodes[latch_node] {
+            AigNodeKind::Latch { init, .. } => Some(init),
+            _ => None,
+        }
     }
 
     /// The fanins of an AND node (`None` for other nodes).
@@ -406,9 +423,8 @@ impl Aig {
                     next_input += 1;
                     s
                 }
-                AigNodeKind::Latch => {
-                    let init = self.init_of(id).unwrap_or(LatchInit::Zero);
-                    let s = netlist.add_latch(&format!("l{next_latch}"), init);
+                AigNodeKind::Latch { init, .. } => {
+                    let s = netlist.add_latch(&format!("l{next_latch}"), *init);
                     next_latch += 1;
                     s
                 }

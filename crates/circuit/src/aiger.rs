@@ -116,7 +116,11 @@ struct Sections {
 /// and `aig` readers). AND definitions may arrive in any order in ASCII
 /// files, so resolution iterates to a fixed point; well-formed binary files
 /// resolve in one pass.
-fn assemble(sections: Sections) -> Result<Aig, ParseAigerError> {
+///
+/// `num_vars` sizes the dense variable table: every variable the sections
+/// name must be below it. Callers derive it only from counts they have
+/// checked against the input, so an inflated header cannot size it.
+fn assemble(sections: Sections, num_vars: usize) -> Result<Aig, ParseAigerError> {
     let Sections {
         input_vars,
         latches,
@@ -126,11 +130,12 @@ fn assemble(sections: Sections) -> Result<Aig, ParseAigerError> {
         symbols,
     } = sections;
     let mut aig = Aig::new();
-    let mut lit_of_var: HashMap<usize, AigLit> = HashMap::new();
-    lit_of_var.insert(0, AigLit::FALSE);
+    aig.reserve(input_vars.len() + latches.len() + ands.len(), ands.len());
+    let mut lit_of_var: Vec<Option<AigLit>> = vec![None; num_vars];
+    lit_of_var[0] = Some(AigLit::FALSE);
     for &(v, pos) in &input_vars {
         let lit = aig.add_input();
-        if lit_of_var.insert(v, lit).is_some() {
+        if lit_of_var[v].replace(lit).is_some() {
             return Err(pos.err(format!("variable {v} redefined")));
         }
     }
@@ -144,42 +149,44 @@ fn assemble(sections: Sections) -> Result<Aig, ParseAigerError> {
             }
         };
         let lit = aig.add_latch(init);
-        if lit_of_var.insert(line.own_var, lit).is_some() {
+        if lit_of_var[line.own_var].replace(lit).is_some() {
             return Err(line.pos.err(format!("variable {} redefined", line.own_var)));
         }
     }
+    let read = |table: &[Option<AigLit>], code: usize| -> Option<AigLit> {
+        table[code / 2].map(|lit| if code % 2 == 1 { !lit } else { lit })
+    };
     // Resolve AND gates; AIGER guarantees rhs < lhs in well-formed files, but
     // be liberal: iterate until a fixed point, then fail on leftovers.
     let mut remaining: Vec<&AndLine> = ands.iter().collect();
     while !remaining.is_empty() {
         let before = remaining.len();
-        remaining.retain(|line| {
-            let r0 = lit_of_var.get(&(line.rhs0 / 2)).copied();
-            let r1 = lit_of_var.get(&(line.rhs1 / 2)).copied();
-            match (r0, r1) {
+        let mut kept = 0;
+        for idx in 0..before {
+            let line = remaining[idx];
+            match (read(&lit_of_var, line.rhs0), read(&lit_of_var, line.rhs1)) {
                 (Some(a), Some(b)) => {
-                    let a = if line.rhs0 % 2 == 1 { !a } else { a };
-                    let b = if line.rhs1 % 2 == 1 { !b } else { b };
                     let lit = aig.and2(a, b);
-                    lit_of_var.insert(line.lhs_var, lit);
-                    false
+                    if lit_of_var[line.lhs_var].replace(lit).is_some() {
+                        return Err(line.pos.err(format!("variable {} redefined", line.lhs_var)));
+                    }
                 }
-                _ => true,
+                _ => {
+                    remaining[kept] = line;
+                    kept += 1;
+                }
             }
-        });
-        if remaining.len() == before {
+        }
+        remaining.truncate(kept);
+        if kept == before {
             return Err(remaining[0].pos.err("cyclic or dangling AND definitions"));
         }
     }
     let resolve = |code: usize, pos: Pos| -> Result<AigLit, ParseAigerError> {
-        let base = lit_of_var
-            .get(&(code / 2))
-            .copied()
-            .ok_or_else(|| pos.err(format!("undefined literal {code}")))?;
-        Ok(if code % 2 == 1 { !base } else { base })
+        read(&lit_of_var, code).ok_or_else(|| pos.err(format!("undefined literal {code}")))
     };
     for line in &latches {
-        let own = lit_of_var[&line.own_var];
+        let own = lit_of_var[line.own_var].expect("latch variables are defined");
         aig.set_next(own, resolve(line.next_code, line.pos)?);
     }
     for (idx, &(code, pos)) in output_codes.iter().enumerate() {
@@ -376,7 +383,11 @@ pub fn write_aag(aig: &Aig) -> String {
 /// # Errors
 ///
 /// Returns [`ParseAigerError`] on malformed headers, out-of-range literals,
-/// counts that do not match the header, or AND definitions that form a cycle.
+/// counts that do not match the header, variables defined twice, or AND
+/// definitions that form a cycle. A literal is out of range when its
+/// variable exceeds `M` or the file's length in bytes: the reader keeps one
+/// table entry per variable, and a gapless file spends at least two bytes
+/// per variable, so only gapped numbering can name a variable that far out.
 pub fn parse_aag(text: &str) -> Result<Aig, ParseAigerError> {
     // Line iterator that tracks the byte offset of every line start, so each
     // diagnostic can point into the raw input.
@@ -396,6 +407,22 @@ pub fn parse_aag(text: &str) -> Result<Aig, ParseAigerError> {
     let Header { m, i, l, o, a, b } = header;
     let parse_num = |s: &str, pos: Pos| -> Result<usize, ParseAigerError> {
         s.parse().map_err(|_| pos.err(format!("bad number `{s}`")))
+    };
+    // Every variable sizes the dense table in `assemble`, so besides `M` it
+    // is bounded by the file's length. Only gapped numbering can exceed
+    // that bound: a gapless file spends at least two bytes per variable.
+    let max_var = m.min(text.len());
+    let check_lit = |code: usize, pos: Pos| -> Result<usize, ParseAigerError> {
+        if code / 2 > m {
+            Err(pos.err(format!("literal {code} exceeds M")))
+        } else if code / 2 > max_var {
+            Err(pos.err(format!(
+                "literal {code} names a variable beyond the file's {} bytes",
+                text.len()
+            )))
+        } else {
+            Ok(code)
+        }
     };
 
     // Cap pre-allocation: the header is untrusted, so a declared count buys
@@ -440,23 +467,20 @@ pub fn parse_aag(text: &str) -> Result<Aig, ParseAigerError> {
             return Err(pos.err("unexpected extra line"));
         }
         section_counts[section] -= 1;
-        let nums: Vec<usize> = {
-            let mut v = Vec::new();
-            for tok in line.split_whitespace() {
-                v.push(parse_num(tok, pos)?);
+        // No line of any section holds more than three numbers; the rest
+        // are still parsed so a bad token is reported as such.
+        let mut nums = [0usize; 3];
+        let mut len = 0usize;
+        for tok in line.split_whitespace() {
+            let n = parse_num(tok, pos)?;
+            if let Some(slot) = nums.get_mut(len) {
+                *slot = n;
             }
-            v
-        };
-        let check_lit = |code: usize, pos: Pos| -> Result<usize, ParseAigerError> {
-            if code / 2 > m {
-                Err(pos.err(format!("literal {code} exceeds M")))
-            } else {
-                Ok(code)
-            }
-        };
+            len += 1;
+        }
         match section {
             0 => {
-                if nums.len() != 1 || !nums[0].is_multiple_of(2) || nums[0] == 0 {
+                if len != 1 || !nums[0].is_multiple_of(2) || nums[0] == 0 {
                     return Err(pos.err("malformed input line"));
                 }
                 sections
@@ -464,21 +488,18 @@ pub fn parse_aag(text: &str) -> Result<Aig, ParseAigerError> {
                     .push((check_lit(nums[0], pos)? / 2, pos));
             }
             1 => {
-                if !(nums.len() == 2 || nums.len() == 3)
-                    || !nums[0].is_multiple_of(2)
-                    || nums[0] == 0
-                {
+                if !(len == 2 || len == 3) || !nums[0].is_multiple_of(2) || nums[0] == 0 {
                     return Err(pos.err("malformed latch line"));
                 }
                 sections.latches.push(LatchLine {
                     own_var: check_lit(nums[0], pos)? / 2,
                     next_code: check_lit(nums[1], pos)?,
-                    reset: if nums.len() == 3 { nums[2] } else { 0 },
+                    reset: nums[2],
                     pos,
                 });
             }
             2 | 3 => {
-                if nums.len() != 1 {
+                if len != 1 {
                     return Err(pos.err(if section == 2 {
                         "malformed output line"
                     } else {
@@ -493,7 +514,7 @@ pub fn parse_aag(text: &str) -> Result<Aig, ParseAigerError> {
                 }
             }
             4 => {
-                if nums.len() != 3 || !nums[0].is_multiple_of(2) || nums[0] == 0 {
+                if len != 3 || !nums[0].is_multiple_of(2) || nums[0] == 0 {
                     return Err(pos.err("malformed and line"));
                 }
                 sections.ands.push(AndLine {
@@ -513,7 +534,7 @@ pub fn parse_aag(text: &str) -> Result<Aig, ParseAigerError> {
             "fewer lines than the header declares",
         ));
     }
-    assemble(sections)
+    assemble(sections, max_var + 1)
 }
 
 // ---------------------------------------------------------------------------
@@ -617,10 +638,12 @@ impl<'a> Cursor<'a> {
 /// # Errors
 ///
 /// Returns [`ParseAigerError`] on malformed headers, inconsistent counts
-/// (`M ≠ I + L + A`), out-of-range literals, truncated varints, or deltas
-/// that break the `lhs > rhs0 ≥ rhs1` ordering the format guarantees.
-/// Errors inside the binary AND section report the byte offset of the
-/// offending varint.
+/// (`M ≠ I + L + A`), an input count above the file's length in bytes,
+/// out-of-range literals, truncated varints, or deltas that break the
+/// `lhs > rhs0 ≥ rhs1` ordering the format guarantees. Inputs are the one
+/// section the binary encoding stores no bytes for, so the length bound is
+/// what keeps a short file from declaring a billion of them. Errors inside
+/// the binary AND section report the byte offset of the offending varint.
 pub fn parse_aig(bytes: &[u8]) -> Result<Aig, ParseAigerError> {
     let mut cur = Cursor::new(bytes);
     if bytes.is_empty() {
@@ -633,6 +656,19 @@ pub fn parse_aig(bytes: &[u8]) -> Result<Aig, ParseAigerError> {
             0,
             1,
             format!("binary header requires M = I + L + A, got {m} != {i} + {l} + {a}"),
+        ));
+    }
+    // Inputs are the one implicit section: they take no bytes, so nothing
+    // below would bound their count. Every other variable is backed by a
+    // line or a varint pair that has been read by the time it is used.
+    if i > bytes.len() {
+        return Err(ParseAigerError::at_byte(
+            0,
+            1,
+            format!(
+                "header declares {i} inputs, more than the file's {} bytes",
+                bytes.len()
+            ),
         ));
     }
     let parse_num = |cur: &Cursor<'_>, s: &str| -> Result<usize, ParseAigerError> {
@@ -668,17 +704,16 @@ pub fn parse_aig(bytes: &[u8]) -> Result<Aig, ParseAigerError> {
         let own_var = i + 1 + j;
         let pos = cur.mark();
         let line = cur.ascii_line()?;
-        let toks: Vec<&str> = line.split_whitespace().collect();
-        if toks.is_empty() || toks.len() > 2 {
+        let mut toks = line.split_whitespace();
+        let (Some(next), reset, None) = (toks.next(), toks.next(), toks.next()) else {
             return Err(cur.error("malformed latch line"));
-        }
+        };
         sections.latches.push(LatchLine {
             own_var,
-            next_code: check_lit(&cur, parse_num(&cur, toks[0])?)?,
-            reset: if toks.len() == 2 {
-                parse_num(&cur, toks[1])?
-            } else {
-                0
+            next_code: check_lit(&cur, parse_num(&cur, next)?)?,
+            reset: match reset {
+                Some(tok) => parse_num(&cur, tok)?,
+                None => 0,
             },
             pos,
         });
@@ -735,16 +770,22 @@ pub fn parse_aig(bytes: &[u8]) -> Result<Aig, ParseAigerError> {
             _ => return Err(cur.error("unexpected line after the binary AND section")),
         }
     }
-    assemble(sections)
+    assemble(sections, m + 1)
 }
 
 /// Parses an AIGER file in either encoding, auto-detected from the header
 /// magic (`aag` → ASCII, `aig` → binary).
 ///
+/// Memory is bounded by the input, not by the header: every table the
+/// reader allocates is sized from counts checked against the file's length.
+///
 /// # Errors
 ///
 /// Returns [`ParseAigerError`] if the magic is neither, or from the
-/// underlying parser.
+/// underlying parser ([`parse_aag`], [`parse_aig`]). Beyond malformed
+/// syntax, that includes a header or literal that outgrows the file: a
+/// binary header declaring more inputs than the file has bytes, and an
+/// ASCII literal naming a variable above the file's length in bytes.
 pub fn parse_aiger(bytes: &[u8]) -> Result<Aig, ParseAigerError> {
     if bytes.starts_with(b"aig ") {
         parse_aig(bytes)
@@ -1042,6 +1083,70 @@ mod tests {
         let text = format!("aag {0} {0} 0 0 0\n", usize::MAX / 2);
         let err = parse_aag(&text).unwrap_err();
         assert!(err.to_string().contains("too large"));
+    }
+
+    #[test]
+    fn binary_input_count_beyond_the_file_is_rejected() {
+        // 32 bytes declaring 10^9 inputs: the implicit input section would
+        // take no bytes at all, so only the file's length bounds it.
+        let bytes = b"aig 1000000000 1000000000 0 0 0\n";
+        assert_eq!(bytes.len(), 32);
+        let err = parse_aiger(bytes).unwrap_err();
+        assert!(err.to_string().contains("inputs"), "{err}");
+        assert_eq!((err.offset(), err.line()), (0, 1));
+        // As many inputs as bytes is still fine.
+        let aig = parse_aiger(b"aig 3 3 0 0 0\n").unwrap();
+        assert_eq!(aig.inputs().len(), 3);
+    }
+
+    #[test]
+    fn ascii_variable_beyond_the_file_is_rejected() {
+        // Gapped numbering names variable 10^9 in 33 bytes; the error
+        // points at the input line that names it.
+        let text = "aag 1000000000 1 0 0 0\n2000000000\n";
+        assert_eq!(text.len(), 34);
+        let err = parse_aiger(text.as_bytes()).unwrap_err();
+        assert!(err.to_string().contains("beyond the file"), "{err}");
+        assert_eq!((err.offset(), err.line()), (23, 2));
+        // A huge `M` alone sizes nothing.
+        let aig = parse_aag("aag 1000000000 1 0 1 0\n2\n3\n").unwrap();
+        assert_eq!(aig.outputs()[0].1, !AigLit::new(aig.inputs()[0], false));
+    }
+
+    #[test]
+    fn gapped_ascii_numbering_resolves() {
+        // Variables 2, 5 and 9 of M = 12; the AND is variable 9.
+        let aig = parse_aag("aag 12 2 0 1 1\n4\n10\n18\n18 10 5\n").unwrap();
+        assert_eq!(aig.inputs().len(), 2);
+        assert_eq!(aig.num_ands(), 1);
+        let (_, out) = aig.outputs()[0];
+        for (a, b) in [(false, false), (false, true), (true, false), (true, true)] {
+            let values = aig.eval_frame(&[], &[a, b]);
+            assert_eq!(out.apply(values[out.node()]), !a && b, "inputs {a} {b}");
+        }
+    }
+
+    #[test]
+    fn and_defined_before_its_fanin_resolves() {
+        // Gate 8 reads gate 6, whose line comes after it.
+        let aig = parse_aag("aag 4 2 0 1 2\n2\n4\n8\n8 6 2\n6 4 2\n").unwrap();
+        assert_eq!(aig.num_ands(), 2);
+        let (_, out) = aig.outputs()[0];
+        for (a, b) in [(false, false), (false, true), (true, false), (true, true)] {
+            let values = aig.eval_frame(&[], &[a, b]);
+            assert_eq!(out.apply(values[out.node()]), a && b, "inputs {a} {b}");
+        }
+    }
+
+    #[test]
+    fn and_redefining_a_variable_is_rejected() {
+        // The AND line reuses the latch's variable 1: an error at that
+        // line, not a latch that silently becomes a gate.
+        let err = parse_aag("aag 2 0 1 0 1\n2 3\n2 3 3\n").unwrap_err();
+        assert!(err.to_string().contains("variable 1 redefined"), "{err}");
+        assert_eq!(err.line(), 3);
+        let err = parse_aag("aag 2 1 0 0 1\n2\n2 1 1\n").unwrap_err();
+        assert!(err.to_string().contains("variable 1 redefined"), "{err}");
     }
 
     #[test]

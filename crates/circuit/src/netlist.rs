@@ -479,12 +479,18 @@ impl Netlist {
 
     /// Number of latches (the model's registers).
     pub fn num_latches(&self) -> usize {
-        self.latches().len()
+        self.nodes
+            .iter()
+            .filter(|node| matches!(node, Node::Latch { .. }))
+            .count()
     }
 
     /// Number of primary inputs.
     pub fn num_inputs(&self) -> usize {
-        self.inputs().len()
+        self.nodes
+            .iter()
+            .filter(|node| matches!(node, Node::Input))
+            .count()
     }
 
     /// Checks well-formedness: every latch connected, gate arities valid, and
@@ -517,12 +523,14 @@ impl Netlist {
         const GRAY: u8 = 1;
         const BLACK: u8 = 2;
         let mut color = vec![WHITE; self.nodes.len()];
+        // Iterative DFS with an explicit stack of (node, fanin position),
+        // emptied by every search and reused by the next.
+        let mut stack: Vec<(NodeId, usize)> = Vec::new();
         for start in self.node_ids() {
             if color[start.index()] != WHITE {
                 continue;
             }
-            // Iterative DFS with an explicit stack of (node, fanin position).
-            let mut stack: Vec<(NodeId, usize)> = vec![(start, 0)];
+            stack.push((start, 0));
             color[start.index()] = GRAY;
             while let Some(&mut (id, ref mut pos)) = stack.last_mut() {
                 let fanins: &[Signal] = match self.node(id) {
@@ -558,18 +566,27 @@ impl Netlist {
     /// every gate appears after all of its fanins. Inputs, latches, and the
     /// constant come first.
     ///
+    /// Each call is a fresh depth-first search over the whole netlist: it
+    /// takes time linear in nodes plus fanin edges, and allocates the order
+    /// and one byte of state per node. Callers that evaluate the netlist
+    /// repeatedly compute it once and keep it, as
+    /// [`Simulator`](crate::sim::Simulator) does.
+    ///
     /// # Panics
     ///
     /// Panics if the netlist has combinational cycles (call
     /// [`Netlist::validate`] first).
     pub fn topo_order(&self) -> Vec<NodeId> {
         let mut order = Vec::with_capacity(self.nodes.len());
+        // One DFS stack of (node, fanin position), emptied by every search
+        // and reused by the next.
+        let mut stack: Vec<(NodeId, usize)> = Vec::new();
         let mut state = vec![0u8; self.nodes.len()]; // 0 new, 1 open, 2 done
         for start in self.node_ids() {
             if state[start.index()] != 0 {
                 continue;
             }
-            let mut stack = vec![(start, 0usize)];
+            stack.push((start, 0));
             state[start.index()] = 1;
             while let Some(&mut (id, ref mut pos)) = stack.last_mut() {
                 let fanins: &[Signal] = match self.node(id) {

@@ -25,7 +25,7 @@ use std::collections::HashMap;
 
 use crate::coi::init_value;
 use crate::stats::NetlistStats;
-use crate::{GateOp, Netlist, Node, NodeId, Signal};
+use crate::{GateOp, LatchInit, Netlist, Node, NodeId, Signal};
 
 /// Shape delta of a [`preprocess`] run, for logs and BENCH extras.
 #[derive(Clone, Debug)]
@@ -88,31 +88,25 @@ struct Round {
     hashed: usize,
 }
 
-/// Latches of `n` that are stuck at their initial value, with that value.
-fn stuck_latches(n: &Netlist) -> HashMap<NodeId, bool> {
-    let mut stuck = HashMap::new();
-    for id in n.latches() {
-        if let Node::Latch {
-            init,
-            next: Some(next),
-        } = n.node(id)
-        {
-            let Some(value) = (match init {
-                crate::LatchInit::Free => None,
-                other => Some(init_value(*other)),
-            }) else {
-                continue;
-            };
-            // next = self (same polarity): holds its initial value forever.
-            let holds = *next == id.signal();
-            // next = constant equal to the initial value.
-            let const_same = next.is_const() && next.apply(false) == value;
-            if holds || const_same {
-                stuck.insert(id, value);
-            }
-        }
+/// The constant a latch is stuck at: its next-state function can never
+/// change its (binary) initial value. `None` for every other node.
+fn stuck_value(id: NodeId, node: &Node) -> Option<bool> {
+    let Node::Latch {
+        init,
+        next: Some(next),
+    } = node
+    else {
+        return None;
+    };
+    if *init == LatchInit::Free {
+        return None;
     }
-    stuck
+    let value = init_value(*init);
+    // next = self (same polarity): holds its initial value forever.
+    let holds = *next == id.signal();
+    // next = constant equal to the initial value.
+    let const_same = next.is_const() && next.apply(false) == value;
+    (holds || const_same).then_some(value)
 }
 
 fn canonical_key(op: GateOp, fanins: &[Signal]) -> (GateOp, Vec<usize>) {
@@ -125,8 +119,6 @@ fn canonical_key(op: GateOp, fanins: &[Signal]) -> (GateOp, Vec<usize>) {
 }
 
 fn rebuild_round(current: &Netlist, seeds: &[Signal]) -> Round {
-    let stuck = stuck_latches(current);
-
     // Cone traversal from the seeds; stuck latches are visited (their
     // constant matters) but not traversed (nothing upstream matters).
     let mut visited = vec![false; current.num_nodes()];
@@ -137,21 +129,19 @@ fn rebuild_round(current: &Netlist, seeds: &[Signal]) -> Round {
             continue;
         }
         visited[id.index()] = true;
-        if stuck.contains_key(&id) {
-            continue;
-        }
         match current.node(id) {
             Node::Gate { fanins, .. } => stack.extend(fanins.iter().map(|s| s.node())),
-            Node::Latch {
+            node @ Node::Latch {
                 next: Some(next), ..
-            } => stack.push(next.node()),
+            } if stuck_value(id, node).is_none() => stack.push(next.node()),
             _ => {}
         }
     }
 
     let mut reduced = Netlist::new();
-    let mut map: HashMap<NodeId, Signal> = HashMap::new();
-    map.insert(NodeId::CONST, Signal::FALSE);
+    // Per `current` node, its signal in `reduced` (read only for nodes the
+    // traversal visited, and for stuck latches).
+    let mut map: Vec<Signal> = vec![Signal::FALSE; current.num_nodes()];
     let mut kept_latches = Vec::new();
     let mut kept_inputs = Vec::new();
     let mut visited_latches = Vec::new();
@@ -167,21 +157,21 @@ fn rebuild_round(current: &Netlist, seeds: &[Signal]) -> Round {
                 if keep {
                     kept_inputs.push(visited_inputs.len());
                     let name = current.name(id).unwrap_or("in");
-                    map.insert(id, reduced.add_input(name));
+                    map[id.index()] = reduced.add_input(name);
                 }
                 visited_inputs.push(keep);
             }
-            Node::Latch { init, .. } => {
+            node @ Node::Latch { init, .. } => {
                 let in_cone = visited[id.index()];
-                if let Some(&value) = stuck.get(&id) {
+                if let Some(value) = stuck_value(id, node) {
                     if in_cone {
                         swept += 1;
                     }
-                    map.insert(id, if value { Signal::TRUE } else { Signal::FALSE });
+                    map[id.index()] = if value { Signal::TRUE } else { Signal::FALSE };
                 } else if in_cone {
                     kept_latches.push(visited_latches.len());
                     let name = current.name(id).unwrap_or("latch");
-                    map.insert(id, reduced.add_latch(name, *init));
+                    map[id.index()] = reduced.add_latch(name, *init);
                 }
                 visited_latches.push(in_cone);
             }
@@ -189,8 +179,8 @@ fn rebuild_round(current: &Netlist, seeds: &[Signal]) -> Round {
         }
     }
 
-    let translate = |map: &HashMap<NodeId, Signal>, s: Signal| -> Signal {
-        let base = map[&s.node()];
+    let translate = |map: &[Signal], s: Signal| -> Signal {
+        let base = map[s.node().index()];
         if s.is_inverted() {
             !base
         } else {
@@ -226,19 +216,19 @@ fn rebuild_round(current: &Netlist, seeds: &[Signal]) -> Round {
                     sig
                 }
             };
-            map.insert(id, new_sig);
+            map[id.index()] = new_sig;
         }
     }
 
     // Pass 3: connect surviving latches.
     for id in current.node_ids() {
+        let node = current.node(id);
         if let Node::Latch {
             next: Some(next), ..
-        } = current.node(id)
+        } = node
         {
-            if visited[id.index()] && !stuck.contains_key(&id) {
-                let latch_sig = map[&id];
-                reduced.set_next(latch_sig, translate(&map, *next));
+            if visited[id.index()] && stuck_value(id, node).is_none() {
+                reduced.set_next(map[id.index()], translate(&map, *next));
             }
         }
     }
@@ -284,20 +274,23 @@ pub fn preprocess(netlist: &Netlist, seeds: &[Signal]) -> Preprocessed {
     netlist.validate().expect("netlist must be well-formed");
     let before = NetlistStats::of(netlist);
 
-    let mut current = netlist.clone();
+    // The netlist of the latest round; round 1 reads the caller's netlist
+    // in place.
+    let mut current: Option<Netlist> = None;
     let mut cur_seeds = seeds.to_vec();
     // Composition of the per-round kept maps, in original indices.
-    let mut latch_back: Vec<usize> = (0..netlist.num_latches()).collect();
-    let mut input_back: Vec<usize> = (0..netlist.num_inputs()).collect();
-    let mut dontcare_latches = vec![false; netlist.num_latches()];
-    let mut dontcare_inputs = vec![false; netlist.num_inputs()];
+    let mut latch_back: Vec<usize> = (0..before.latches).collect();
+    let mut input_back: Vec<usize> = (0..before.inputs).collect();
+    let mut dontcare_latches = vec![false; before.latches];
+    let mut dontcare_inputs = vec![false; before.inputs];
     let mut swept = 0usize;
     let mut hashed = 0usize;
     let mut rounds = 0usize;
 
     loop {
         rounds += 1;
-        let round = rebuild_round(&current, &cur_seeds);
+        let input = current.as_ref().unwrap_or(netlist);
+        let round = rebuild_round(input, &cur_seeds);
         if rounds == 1 {
             // Round 1 traverses the *original* netlist, so its visited sets
             // are the exact structural cones: anything unvisited can take
@@ -313,8 +306,8 @@ pub fn preprocess(netlist: &Netlist, seeds: &[Signal]) -> Preprocessed {
         hashed += round.hashed;
         latch_back = round.kept_latches.iter().map(|&i| latch_back[i]).collect();
         input_back = round.kept_inputs.iter().map(|&i| input_back[i]).collect();
-        let changed = round.swept > 0 || round.netlist.num_nodes() != current.num_nodes();
-        current = round.netlist;
+        let changed = round.swept > 0 || round.netlist.num_nodes() != input.num_nodes();
+        current = Some(round.netlist);
         cur_seeds = round.seed_signals;
         // Each shrinking round removes at least one node, so this always
         // terminates; the cap is a belt-and-braces guard.
@@ -322,6 +315,7 @@ pub fn preprocess(netlist: &Netlist, seeds: &[Signal]) -> Preprocessed {
             break;
         }
     }
+    let mut current = current.expect("the loop runs at least one round");
 
     for (i, &s) in cur_seeds.iter().enumerate() {
         current.add_output(&format!("pp{i}"), s);

@@ -4,7 +4,72 @@
 //! counterexamples are replayed on it, and the explicit-state reachability
 //! oracle in `rbmc-core` steps it exhaustively.
 
-use crate::{GateOp, LatchInit, Netlist, Node, Signal};
+use crate::{GateOp, LatchInit, Netlist, Node, NodeId, Signal};
+
+/// Everything a frame evaluation derives from the netlist alone: the latches
+/// and inputs in creation order, and the gates in topological order.
+#[derive(Debug, Clone)]
+struct Plan<'a> {
+    netlist: &'a Netlist,
+    latches: Vec<NodeId>,
+    inputs: Vec<NodeId>,
+    gates: Vec<NodeId>,
+}
+
+impl<'a> Plan<'a> {
+    fn new(netlist: &'a Netlist) -> Plan<'a> {
+        let (mut latches, mut inputs) = (Vec::new(), Vec::new());
+        for id in netlist.node_ids() {
+            match netlist.node(id) {
+                Node::Latch { .. } => latches.push(id),
+                Node::Input => inputs.push(id),
+                _ => {}
+            }
+        }
+        let gates = netlist
+            .topo_order()
+            .into_iter()
+            .filter(|&id| matches!(netlist.node(id), Node::Gate { .. }))
+            .collect();
+        Plan {
+            netlist,
+            latches,
+            inputs,
+            gates,
+        }
+    }
+
+    /// The frame-evaluation loop behind [`eval_frame`] and [`Simulator`].
+    fn eval(&self, latch_values: &[bool], input_values: &[bool]) -> Vec<bool> {
+        assert_eq!(latch_values.len(), self.latches.len(), "latch value count");
+        assert_eq!(input_values.len(), self.inputs.len(), "input value count");
+        let mut values = vec![false; self.netlist.num_nodes()];
+        for (id, &v) in self.latches.iter().zip(latch_values) {
+            values[id.index()] = v;
+        }
+        for (id, &v) in self.inputs.iter().zip(input_values) {
+            values[id.index()] = v;
+        }
+        for &id in &self.gates {
+            if let Node::Gate { op, fanins } = self.netlist.node(id) {
+                let read = |s: Signal| s.apply(values[s.node().index()]);
+                values[id.index()] = match op {
+                    GateOp::And => fanins.iter().all(|&s| read(s)),
+                    GateOp::Or => fanins.iter().any(|&s| read(s)),
+                    GateOp::Xor => fanins.iter().filter(|&&s| read(s)).count() % 2 == 1,
+                    GateOp::Mux => {
+                        if read(fanins[0]) {
+                            read(fanins[1])
+                        } else {
+                            read(fanins[2])
+                        }
+                    }
+                };
+            }
+        }
+        values
+    }
+}
 
 /// Evaluates all node values for one time frame, given current latch values
 /// and input values.
@@ -13,40 +78,15 @@ use crate::{GateOp, LatchInit, Netlist, Node, Signal};
 /// [`Netlist::latches`] / [`Netlist::inputs`]. The result is indexed by
 /// [`NodeId::index`](crate::NodeId::index).
 ///
+/// Every call derives the netlist's gate order afresh; to evaluate many
+/// frames of one netlist, step a [`Simulator`], which derives it once.
+///
 /// # Panics
 ///
 /// Panics if a value vector is shorter than the corresponding node list, or
 /// if the netlist has combinational cycles.
 pub fn eval_frame(netlist: &Netlist, latch_values: &[bool], input_values: &[bool]) -> Vec<bool> {
-    let latches = netlist.latches();
-    let inputs = netlist.inputs();
-    assert_eq!(latch_values.len(), latches.len(), "latch value count");
-    assert_eq!(input_values.len(), inputs.len(), "input value count");
-    let mut values = vec![false; netlist.num_nodes()];
-    for (id, &v) in latches.iter().zip(latch_values) {
-        values[id.index()] = v;
-    }
-    for (id, &v) in inputs.iter().zip(input_values) {
-        values[id.index()] = v;
-    }
-    for id in netlist.topo_order() {
-        if let Node::Gate { op, fanins } = netlist.node(id) {
-            let read = |s: Signal| s.apply(values[s.node().index()]);
-            values[id.index()] = match op {
-                GateOp::And => fanins.iter().all(|&s| read(s)),
-                GateOp::Or => fanins.iter().any(|&s| read(s)),
-                GateOp::Xor => fanins.iter().filter(|&&s| read(s)).count() % 2 == 1,
-                GateOp::Mux => {
-                    if read(fanins[0]) {
-                        read(fanins[1])
-                    } else {
-                        read(fanins[2])
-                    }
-                }
-            };
-        }
-    }
-    values
+    Plan::new(netlist).eval(latch_values, input_values)
 }
 
 /// Reads a signal out of a node-value vector produced by [`eval_frame`].
@@ -55,6 +95,10 @@ pub fn read_signal(values: &[bool], signal: Signal) -> bool {
 }
 
 /// A stepping simulator holding the current register state.
+///
+/// The simulator builds its evaluation plan — the latch and input lists and
+/// the gates' topological order — once, when it is created; every frame it
+/// evaluates afterwards only reads that plan.
 ///
 /// # Examples
 ///
@@ -78,7 +122,7 @@ pub fn read_signal(values: &[bool], signal: Signal) -> bool {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Simulator<'a> {
-    netlist: &'a Netlist,
+    plan: Plan<'a>,
     state: Vec<bool>,
 }
 
@@ -86,22 +130,24 @@ impl<'a> Simulator<'a> {
     /// Creates a simulator with every latch at its initial value
     /// ([`LatchInit::Free`] latches start at 0).
     pub fn new(netlist: &'a Netlist) -> Simulator<'a> {
-        let state = netlist
-            .latches()
+        let plan = Plan::new(netlist);
+        let state = plan
+            .latches
             .iter()
             .map(|&id| match netlist.node(id) {
                 Node::Latch { init, .. } => matches!(init, LatchInit::One),
-                _ => unreachable!("latches() returns latches"),
+                _ => unreachable!("the plan lists latches"),
             })
             .collect();
-        Simulator { netlist, state }
+        Simulator { plan, state }
     }
 
     /// Creates a simulator starting from an explicit register state (in
     /// [`Netlist::latches`] order).
     pub fn with_state(netlist: &'a Netlist, state: Vec<bool>) -> Simulator<'a> {
-        assert_eq!(state.len(), netlist.num_latches(), "state width");
-        Simulator { netlist, state }
+        let plan = Plan::new(netlist);
+        assert_eq!(state.len(), plan.latches.len(), "state width");
+        Simulator { plan, state }
     }
 
     /// Current register state (in [`Netlist::latches`] order).
@@ -111,13 +157,14 @@ impl<'a> Simulator<'a> {
 
     /// Evaluates the whole frame under `inputs` without advancing time.
     pub fn frame_values(&self, inputs: &[bool]) -> Vec<bool> {
-        eval_frame(self.netlist, &self.state, inputs)
+        self.plan.eval(&self.state, inputs)
     }
 
     /// Values of the declared outputs under `inputs` (current frame).
     pub fn output_values(&self, inputs: &[bool]) -> Vec<bool> {
         let values = self.frame_values(inputs);
-        self.netlist
+        self.plan
+            .netlist
             .outputs()
             .iter()
             .map(|&(_, s)| read_signal(&values, s))
@@ -125,19 +172,19 @@ impl<'a> Simulator<'a> {
     }
 
     /// Advances one clock cycle under `inputs`, returning the frame values
-    /// that were latched from.
+    /// that were latched from — the same values [`Simulator::frame_values`]
+    /// returns before the step, so a caller that needs both evaluates the
+    /// frame once.
     pub fn step(&mut self, inputs: &[bool]) -> Vec<bool> {
         let values = self.frame_values(inputs);
-        let mut next_state = Vec::with_capacity(self.state.len());
-        for &id in &self.netlist.latches() {
-            match self.netlist.node(id) {
+        for (bit, &id) in self.state.iter_mut().zip(&self.plan.latches) {
+            match self.plan.netlist.node(id) {
                 Node::Latch {
                     next: Some(next), ..
-                } => next_state.push(read_signal(&values, *next)),
+                } => *bit = read_signal(&values, *next),
                 _ => panic!("latch {id:?} not connected (validate the netlist)"),
             }
         }
-        self.state = next_state;
         values
     }
 }

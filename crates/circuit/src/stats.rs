@@ -4,7 +4,6 @@
 //! (gate counts by type, logic depth, fanout); `to_dot` renders the netlist
 //! for inspection.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use crate::{GateOp, Netlist, Node, NodeId};
@@ -36,8 +35,9 @@ pub struct NetlistStats {
     pub latches: usize,
     /// Logic gates (all operators).
     pub gates: usize,
-    /// Gate count per operator.
-    pub gates_by_op: HashMap<&'static str, usize>,
+    /// Gate count per operator, indexed by `op as usize` (`And`, `Or`,
+    /// `Xor`, `Mux`).
+    pub gates_by_op: [usize; 4],
     /// Longest combinational path, in gates.
     pub logic_depth: usize,
     /// Maximum fanout of any node.
@@ -53,40 +53,41 @@ impl NetlistStats {
     ///
     /// Panics if the netlist has combinational cycles.
     pub fn of(netlist: &Netlist) -> NetlistStats {
-        let mut gates_by_op: HashMap<&'static str, usize> = HashMap::new();
+        let (mut inputs, mut latches) = (0usize, 0usize);
+        let mut gates_by_op = [0usize; 4];
         let mut fanout = vec![0usize; netlist.num_nodes()];
         let mut edges = 0usize;
         let mut depth = vec![0usize; netlist.num_nodes()];
         let mut logic_depth = 0usize;
+        // The order holds every node once, so one walk counts them all.
         for id in netlist.topo_order() {
-            if let Node::Gate { op, fanins } = netlist.node(id) {
-                let name = match op {
-                    GateOp::And => "and",
-                    GateOp::Or => "or",
-                    GateOp::Xor => "xor",
-                    GateOp::Mux => "mux",
-                };
-                *gates_by_op.entry(name).or_insert(0) += 1;
-                let mut d = 0;
-                for s in fanins {
-                    fanout[s.node().index()] += 1;
-                    edges += 1;
-                    d = d.max(depth[s.node().index()]);
+            match netlist.node(id) {
+                Node::Gate { op, fanins } => {
+                    gates_by_op[*op as usize] += 1;
+                    let mut d = 0;
+                    for s in fanins {
+                        fanout[s.node().index()] += 1;
+                        edges += 1;
+                        d = d.max(depth[s.node().index()]);
+                    }
+                    depth[id.index()] = d + 1;
+                    logic_depth = logic_depth.max(d + 1);
                 }
-                depth[id.index()] = d + 1;
-                logic_depth = logic_depth.max(d + 1);
-            } else if let Node::Latch {
-                next: Some(next), ..
-            } = netlist.node(id)
-            {
-                fanout[next.node().index()] += 1;
-                edges += 1;
+                Node::Latch { next, .. } => {
+                    latches += 1;
+                    if let Some(next) = next {
+                        fanout[next.node().index()] += 1;
+                        edges += 1;
+                    }
+                }
+                Node::Input => inputs += 1,
+                Node::Const => {}
             }
         }
         NetlistStats {
-            inputs: netlist.num_inputs(),
-            latches: netlist.num_latches(),
-            gates: gates_by_op.values().sum(),
+            inputs,
+            latches,
+            gates: gates_by_op.iter().sum(),
             gates_by_op,
             logic_depth,
             max_fanout: fanout.into_iter().max().unwrap_or(0),
@@ -102,10 +103,17 @@ impl fmt::Display for NetlistStats {
             "inputs={} latches={} gates={} depth={} max_fanout={} edges={}",
             self.inputs, self.latches, self.gates, self.logic_depth, self.max_fanout, self.edges
         )?;
-        let mut ops: Vec<_> = self.gates_by_op.iter().collect();
-        ops.sort();
-        for (op, count) in ops {
-            writeln!(f, "  {op}: {count}")?;
+        // Operators in name order; absent ones are not listed.
+        for (op, name) in [
+            (GateOp::And, "and"),
+            (GateOp::Mux, "mux"),
+            (GateOp::Or, "or"),
+            (GateOp::Xor, "xor"),
+        ] {
+            let count = self.gates_by_op[op as usize];
+            if count > 0 {
+                writeln!(f, "  {name}: {count}")?;
+            }
         }
         Ok(())
     }
@@ -206,9 +214,10 @@ mod tests {
         assert_eq!(stats.inputs, 2);
         assert_eq!(stats.latches, 1);
         assert_eq!(stats.gates, 3);
-        assert_eq!(stats.gates_by_op["and"], 1);
-        assert_eq!(stats.gates_by_op["xor"], 1);
-        assert_eq!(stats.gates_by_op["mux"], 1);
+        assert_eq!(stats.gates_by_op[GateOp::And as usize], 1);
+        assert_eq!(stats.gates_by_op[GateOp::Or as usize], 0);
+        assert_eq!(stats.gates_by_op[GateOp::Xor as usize], 1);
+        assert_eq!(stats.gates_by_op[GateOp::Mux as usize], 1);
         // g1 depth 1, g2 depth 2, g3 depth 3.
         assert_eq!(stats.logic_depth, 3);
     }

@@ -151,15 +151,17 @@ impl Trace {
                 }
             }
         }
+        // One simulator, so the gate order is derived once for the whole
+        // trace, and one evaluation per frame: stepping returns the values
+        // of the frame it leaves, and only the final frame reads `bad`.
+        let num_inputs = netlist.num_inputs();
         let mut sim = Simulator::with_state(netlist, self.initial_state.clone());
         for (frame, inputs) in self.inputs.iter().enumerate() {
-            if inputs.len() != netlist.num_inputs() {
+            if inputs.len() != num_inputs {
                 return Err(TraceError::ShapeMismatch);
             }
-            let values = sim.frame_values(inputs);
-            let bad_holds = read_signal(&values, bad);
             if frame == self.depth() {
-                if !bad_holds {
+                if !read_signal(&sim.frame_values(inputs), bad) {
                     return Err(TraceError::BadNotReached);
                 }
             } else {
@@ -182,13 +184,12 @@ impl Trace {
                 .map(|&b| if b { '1' } else { '0' })
                 .collect();
             let ins: String = inputs.iter().map(|&b| if b { '1' } else { '0' }).collect();
-            let values = sim.frame_values(inputs);
+            let values = sim.step(inputs);
             let bad = read_signal(&values, model.bad());
             out.push_str(&format!(
                 "frame {frame:>3}: state={state} inputs={ins}{}\n",
                 if bad { "  <- bad" } else { "" }
             ));
-            sim.step(inputs);
         }
         out
     }

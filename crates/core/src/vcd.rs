@@ -103,13 +103,12 @@ pub fn render_vcd(model: &Model, trace: &Trace) -> String {
                 *last = Some(value);
             }
         }
-        let values = sim.frame_values(frame_inputs);
+        let values = sim.step(frame_inputs);
         let bad = read_signal(&values, model.bad());
         if last_bad != Some(bad) {
             let _ = writeln!(out, "{}{bad_code}", bad as u8);
             last_bad = Some(bad);
         }
-        sim.step(frame_inputs);
     }
     let _ = writeln!(out, "#{}", trace.inputs().len());
     out

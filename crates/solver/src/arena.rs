@@ -16,11 +16,14 @@
 //! word 3…  literal codes (Lit::code), len of them
 //! ```
 //!
-//! Original clauses are allocated first and are never deleted, so the
-//! original region is offset-stable for the whole solve; only learned
-//! records move during [`ClauseArena::compact_learned`], which reports the
-//! relocation map so the solver can patch its `reasons` (watch lists are
-//! rebuilt wholesale — cheaper and tombstone-free).
+//! The clauses present before the first learned record are never deleted
+//! and never move. Every record from the first learned one on may move
+//! during [`ClauseArena::compact_learned`]: learned records, and original
+//! clauses added mid-session, which live interleaved with them (they are
+//! never deleted, but they shift down with the survivors). The compaction
+//! reports the relocation map, and the solver patches its `reasons`, its
+//! original-clause references, and exactly the two watch entries of each
+//! relocated clause in place.
 
 use rbmc_cnf::Lit;
 
@@ -171,7 +174,8 @@ impl ClauseArena {
     /// `(old offset, new offset)` of the moved survivors in increasing old
     /// order (suitable for binary search).
     ///
-    /// Records below `first_learned` (the original clauses) never move.
+    /// Records below `first_learned` never move; records from it on may,
+    /// including original clauses added after the first learned one.
     pub(crate) fn compact_learned(&mut self, first_learned: u32) -> Vec<(u32, u32)> {
         let mut remap = Vec::new();
         let mut read = first_learned as usize;

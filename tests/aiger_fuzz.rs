@@ -6,7 +6,11 @@
 //! corrupted input, and every rejection is a [`ParseAigerError`] whose byte
 //! offset points into (or just past the end of) the input, so a damaged
 //! benchmark file surfaces as a positioned per-file diagnostic in the
-//! corpus runner instead of a crash. Valid BLIF netlists and DIMACS
+//! corpus runner instead of a crash. A header-inflation class rewrites one
+//! header count of every seed to a huge value: a count the reader trusted
+//! for an allocation would abort the process, which no caller can catch,
+//! so the reader (and the linter `rbmc` runs before it) must answer with a
+//! value or a positioned error here too. Valid BLIF netlists and DIMACS
 //! formulas get the same truncations and byte flips, and [`parse_blif`] and
 //! [`parse_dimacs`] must likewise return, with any error naming a line of
 //! the input.
@@ -23,6 +27,7 @@ use proptest::test_runner::TestCaseError;
 use refined_bmc::bmc::{ProblemBuilder, Unroller};
 use refined_bmc::circuit::aiger::{parse_aiger, write_aag, write_aig};
 use refined_bmc::circuit::blif::{parse_blif, write_blif};
+use refined_bmc::circuit::lint::lint_aiger;
 use refined_bmc::cnf::{parse_dimacs, to_dimacs_string};
 use refined_bmc::gens::corpus::{multi_even_counter, problem_to_aig};
 use refined_bmc::gens::families;
@@ -128,6 +133,53 @@ fn parses_or_positions_error(bytes: &[u8]) -> Result<(), TestCaseError> {
         }
     }
     Ok(())
+}
+
+/// Header counts the inflation class writes: a million, a billion, a
+/// trillion, and the largest count the header accepts.
+const INFLATED: [usize; 4] = [1 << 20, 1_000_000_000, 1 << 40, usize::MAX / 8];
+
+/// Rewrites header count `field` (0 = `M`, 1 = `I`, 2 = `L`, 3 = `O`,
+/// 4 = `A`, 5 = `B`) of an AIGER file to `value` and leaves every other
+/// byte alone. A binary header must keep `M = I + L + A`, or every
+/// inflation would stop at that check, so inflating `I`, `L` or `A` there
+/// re-derives `M` as well.
+fn inflate_header(bytes: &[u8], field: usize, value: usize) -> Vec<u8> {
+    let end = bytes.iter().position(|&b| b == b'\n').expect("header line");
+    let header = std::str::from_utf8(&bytes[..end]).expect("ASCII header");
+    let mut tokens = header.split(' ');
+    let magic = tokens.next().expect("magic");
+    let mut counts: Vec<usize> = tokens.map(|t| t.parse().expect("count")).collect();
+    counts[field] = value;
+    if magic == "aig" && matches!(field, 1 | 2 | 4) {
+        counts[0] = counts[1] + counts[2] + counts[4];
+    }
+    let mut out = magic.as_bytes().to_vec();
+    for count in counts {
+        out.extend_from_slice(format!(" {count}").as_bytes());
+    }
+    out.extend_from_slice(&bytes[end..]);
+    out
+}
+
+#[test]
+fn header_inflation_never_aborts() {
+    for bytes in seeds() {
+        let fields = bytes
+            .iter()
+            .take_while(|&&b| b != b'\n')
+            .filter(|&&b| b == b' ')
+            .count();
+        for field in 0..fields {
+            for value in INFLATED {
+                let mutant = inflate_header(bytes, field, value);
+                let header = String::from_utf8_lossy(&mutant[..mutant.len().min(60)]).into_owned();
+                lint_aiger(&mutant);
+                parses_or_positions_error(&mutant)
+                    .unwrap_or_else(|e| panic!("header `{header}`…: {e}"));
+            }
+        }
+    }
 }
 
 proptest! {

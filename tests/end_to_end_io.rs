@@ -1,12 +1,14 @@
 //! Integration across the I/O formats: a generated model written to BLIF or
 //! AIGER, read back, and model-checked must give the same verdict at the
-//! same depth.
+//! same depth; and the AIGER writers reproduce, byte for byte, what the
+//! reader read from them.
 
 use refined_bmc::bmc::{BmcEngine, BmcOptions, BmcOutcome, Model};
-use refined_bmc::circuit::aiger::{parse_aag, write_aag};
+use refined_bmc::circuit::aiger::{parse_aag, parse_aiger, write_aag, write_aig};
 use refined_bmc::circuit::blif::{parse_blif, write_blif};
 use refined_bmc::circuit::{Aig, LatchInit, Netlist, Signal};
-use refined_bmc::gens::families;
+use refined_bmc::gens::corpus::export_corpus;
+use refined_bmc::gens::{families, proof_suite, suite_table1};
 
 /// Runs BMC and summarizes the outcome as `Some(depth)` / `None`.
 fn bmc_verdict(model: Model, max_depth: usize) -> Option<usize> {
@@ -129,4 +131,42 @@ fn dimacs_export_of_bmc_instance_is_solvable_by_reference() {
         let sat = reference_dpll(&reparsed).is_some();
         assert_eq!(sat, k >= 5, "depth {k}");
     }
+}
+
+/// Every file of the exported corpus (the set `rbmc --export-corpus`
+/// writes) is a fixed point of reader and writer: it equals the writer's
+/// rendering of what the reader makes of it, apart from the ground-truth
+/// comment section the reader skips, and reading then writing again changes
+/// no byte, in either encoding.
+#[test]
+fn exported_corpus_rewrites_to_identical_bytes() {
+    let dir = std::env::temp_dir().join(format!("rbmc_rewrite_test_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut suite = suite_table1();
+    suite.extend(proof_suite());
+    let written = export_corpus(&dir, &suite).unwrap();
+    assert_eq!(written.len(), suite.len() + 2);
+    for file in &written {
+        let name = file.path.display().to_string();
+        let bytes = std::fs::read(&file.path).unwrap();
+        let aig = parse_aiger(&bytes).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let ascii = name.ends_with(".aag");
+        let own = if ascii {
+            write_aag(&aig).into_bytes()
+        } else {
+            write_aig(&aig)
+        };
+        let body = match bytes.windows(3).position(|w| w == b"\nc\n") {
+            Some(at) if ascii => &bytes[..=at],
+            _ => &bytes[..],
+        };
+        assert_eq!(own, body, "{name}: the writer changed the file");
+        let aag = write_aag(&aig);
+        let aag_again = write_aag(&parse_aiger(aag.as_bytes()).unwrap());
+        assert_eq!(aag_again, aag, "{name}: write_aag is not stable");
+        let aig_bytes = write_aig(&aig);
+        let aig_again = write_aig(&parse_aiger(&aig_bytes).unwrap());
+        assert_eq!(aig_again, aig_bytes, "{name}: write_aig is not stable");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }

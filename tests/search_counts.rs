@@ -4,13 +4,21 @@
 //! run to run, so any change to them is a change to the search. This test
 //! pins them for every `small_suite()` instance under the paper's dynamic
 //! ordering (`RefinedDynamic { divisor: 64 }`), once for the BMC session
-//! engine and once for IC3.
+//! engine and once for IC3. A third table runs the BMC session engine on the
+//! same instances after a trip through the AIGER front end — written in both
+//! encodings, read back, raised to a netlist — so the reader, `Aig` and
+//! `Aig::to_netlist` are pinned by what they build, not only by how it
+//! behaves.
 //!
 //! A change that is meant to leave the search alone must pass unchanged.
 //! A change that alters the search replaces the tables below with the ones
 //! the failure message prints, so the new counts show up in review.
 
-use refined_bmc::bmc::{BmcEngine, BmcOptions, BmcRun, Ic3Engine, OrderingStrategy, SolverReuse};
+use refined_bmc::bmc::{
+    BmcEngine, BmcOptions, BmcRun, Ic3Engine, OrderingStrategy, ProblemBuilder, SolverReuse,
+};
+use refined_bmc::circuit::aiger::{parse_aiger, write_aag, write_aig};
+use refined_bmc::gens::corpus::problem_to_aig;
 use refined_bmc::gens::small_suite;
 
 /// `(instance, [decisions, propagations, conflicts, solve_calls])`.
@@ -42,6 +50,32 @@ const IC3: &CountTable = &[
     ("s8_fifo4_guard", [188, 1074, 24, 32]),
     ("s9_tmr2_f1", [279, 886, 8, 32]),
     ("s10_pipe4", [127, 260, 0, 25]),
+];
+
+/// BMC, one session solver per instance, on the problem read back from the
+/// instance's AIGER file (`problem_to_aig`, then `write_aag` or `write_aig`,
+/// then `parse_aiger` and `ProblemBuilder::from_aig`).
+const AIGER_BMC_SESSION: &CountTable = &[
+    ("s1_lock4.aag", [4, 303, 1, 5]),
+    ("s1_lock4.aig", [4, 303, 1, 5]),
+    ("s2_lock3_imp.aag", [7, 498, 7, 9]),
+    ("s2_lock3_imp.aig", [7, 498, 7, 9]),
+    ("s3_ring5.aag", [0, 270, 0, 9]),
+    ("s3_ring5.aig", [0, 270, 0, 9]),
+    ("s4_ring4_bug2.aag", [13, 104, 0, 4]),
+    ("s4_ring4_bug2.aig", [13, 104, 0, 4]),
+    ("s5_shift5.aag", [1, 71, 0, 6]),
+    ("s5_shift5.aig", [1, 71, 0, 6]),
+    ("s6_twin4.aag", [126, 1275, 52, 9]),
+    ("s6_twin4.aig", [126, 1275, 52, 9]),
+    ("s7_fifo4_over.aag", [37, 1844, 20, 6]),
+    ("s7_fifo4_over.aig", [37, 1844, 20, 6]),
+    ("s8_fifo4_guard.aag", [88, 8401, 64, 9]),
+    ("s8_fifo4_guard.aig", [88, 8401, 64, 9]),
+    ("s9_tmr2_f1.aag", [79, 1495, 17, 7]),
+    ("s9_tmr2_f1.aig", [79, 1495, 17, 7]),
+    ("s10_pipe4.aag", [6, 95, 0, 5]),
+    ("s10_pipe4.aig", [6, 95, 0, 5]),
 ];
 
 fn options(max_depth: usize) -> BmcOptions {
@@ -100,4 +134,23 @@ fn ic3_counts_are_pinned() {
         })
         .collect();
     assert_pinned("IC3", IC3, &measured);
+}
+
+#[test]
+fn aiger_front_end_counts_are_pinned() {
+    let mut measured: Vec<(String, [u64; 4])> = Vec::new();
+    for instance in small_suite() {
+        let aig = problem_to_aig(&ProblemBuilder::from_model(&instance.model).build());
+        for (encoding, bytes) in [
+            ("aag", write_aag(&aig).into_bytes()),
+            ("aig", write_aig(&aig)),
+        ] {
+            let name = format!("{}.{encoding}", instance.name);
+            let parsed = parse_aiger(&bytes).unwrap_or_else(|e| panic!("{name}: {e}"));
+            let problem = ProblemBuilder::from_aig(&instance.name, &parsed).build();
+            let mut engine = BmcEngine::for_problem(problem, options(instance.max_depth));
+            measured.push((name, counts(&engine.run_collecting())));
+        }
+    }
+    assert_pinned("AIGER_BMC_SESSION", AIGER_BMC_SESSION, &measured);
 }
