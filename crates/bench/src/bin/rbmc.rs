@@ -17,15 +17,17 @@
 //! rbmc [DIR] [--export-corpus DIR] [--depth N] [--reuse fresh|session]
 //!      [--engine bmc|ic3] [--strategy bmc|sta|dyn|sht] [--divisor N]
 //!      [--jobs N] [--no-preprocess]
-//!      [--lint off|warn|deny] [--lint-json PATH]
+//!      [--lint warn|deny] [--lint-json PATH]
 //!      [--proof off|log|check] [--selfcheck] [--smoke]
 //!      [--witness-dir DIR] [--quiet-witnesses] [--json-out PATH | --no-json]
 //! ```
 //!
-//! Any other `--flag` is rejected with the usage line and exit code 2, so a
-//! misspelt gate (say `--proff check`) cannot silently sweep without it. A
-//! malformed or missing number after `--depth`, `--divisor` or `--jobs`
-//! exits 2 as well, instead of sweeping at the default.
+//! The arguments are parsed once, into a [`Config`], before anything is
+//! exported or swept. Any other `--flag` is rejected with the usage line and
+//! exit code 2, so a misspelt gate (say `--proff check`) cannot silently
+//! sweep without it. A malformed or missing value exits 2 as well — a bad
+//! number after `--depth`, `--divisor` or `--jobs`, say, instead of
+//! sweeping at the default.
 //!
 //! - `--export-corpus DIR` first writes the gens suite as a fallback corpus
 //!   (`rbmc_gens::corpus`) into DIR; when no positional corpus directory is
@@ -62,13 +64,13 @@
 //!   witness positions for latches/inputs outside every property's cone
 //!   print as `x` (their value is irrelevant; the validated trace replays
 //!   them at the declared reset value / `false`).
-//! - `--lint {off,warn,deny}` (default `warn`) runs the static linter
+//! - `--lint {warn,deny}` (default `warn`) runs the static linter
 //!   ([`rbmc_circuit::lint`]) over every file's raw AIGER bytes before
 //!   solving. `warn` prints diagnostics per file and counts them in the
-//!   report extras (`lint_warnings`/`lint_errors`); `deny` additionally
-//!   fails any file with an error-severity diagnostic (the fail-closed CI
-//!   shape); `off` stays silent. Verdicts and witnesses are byte-identical
-//!   across all three modes. Independently of the mode, a file the pipeline
+//!   report extras (`lint_warnings`/`lint_errors`) and the summary line;
+//!   `deny` additionally fails any file with an error-severity diagnostic
+//!   (the fail-closed CI shape). Verdicts and witnesses are byte-identical
+//!   across both modes. Independently of the mode, a file the pipeline
 //!   cannot check at all — unparseable bytes, unsupported `C`/`J`/`F`
 //!   sections, no properties, duplicate property names — is recorded as a
 //!   *skipped* entry (strategy `skipped` in `BENCH_corpus.json`, with its
@@ -90,12 +92,16 @@
 //!   mode, so every cross-run is certified too.
 //! - `--smoke` (alias `--small`) shrinks the export to the small suite and
 //!   the default depth bound to 10 (CI mode).
-//! - `--quiet-witnesses` leaves the status/witness blocks out of stdout
-//!   (the gates still run; `--witness-dir` still writes them).
+//! - `--witness-dir DIR` writes each property's status/witness block to
+//!   `DIR/{file name}.b{index}.wit` instead of stdout; the file name keeps
+//!   its extension, so `x.aag` and `x.aig` never share a witness file.
+//!   `--quiet-witnesses` leaves the blocks out of stdout without writing
+//!   them anywhere (the gates still run). With both, the directory wins.
 //!
 //! The run is recorded as a machine-readable `BENCH_corpus.json` artifact
-//! with one case per (file, property), carrying the per-property session
-//! counters (episodes, assumption conflicts, retirement depth).
+//! (`--json-out PATH` elsewhere, `--no-json` not at all) with one case per
+//! (file, property), carrying the per-property session counters (episodes,
+//! assumption conflicts, retirement depth).
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -116,82 +122,9 @@ use rbmc_core::{
 
 const USAGE: &str = "usage: rbmc [DIR] [--export-corpus DIR] [--depth N] [--engine bmc|ic3] \
      [--reuse fresh|session] [--strategy bmc|sta|dyn|sht] [--divisor N] \
-     [--jobs N] [--no-preprocess] [--lint off|warn|deny] [--lint-json PATH] \
+     [--jobs N] [--no-preprocess] [--lint warn|deny] [--lint-json PATH] \
      [--proof off|log|check] [--selfcheck] [--smoke] [--witness-dir DIR] \
      [--quiet-witnesses] [--json-out PATH | --no-json]";
-
-/// Flags that take a value (the next argument).
-const VALUE_FLAGS: [&str; 12] = [
-    "--depth",
-    "--divisor",
-    "--strategy",
-    "--engine",
-    "--reuse",
-    "--jobs",
-    "--witness-dir",
-    "--json-out",
-    "--export-corpus",
-    "--lint",
-    "--lint-json",
-    "--proof",
-];
-
-/// Flags that stand alone.
-const SWITCH_FLAGS: [&str; 6] = [
-    "--smoke",
-    "--small",
-    "--selfcheck",
-    "--quiet-witnesses",
-    "--no-preprocess",
-    "--no-json",
-];
-
-/// Checks every `--flag` against the known set and returns the first
-/// positional argument (the corpus directory), or the unknown flag.
-fn scan_args(args: &[String]) -> Result<Option<PathBuf>, String> {
-    let mut positional = None;
-    let mut rest = args.iter();
-    while let Some(arg) = rest.next() {
-        if VALUE_FLAGS.contains(&arg.as_str()) {
-            rest.next();
-        } else if arg.starts_with("--") {
-            if !SWITCH_FLAGS.contains(&arg.as_str()) {
-                return Err(arg.clone());
-            }
-        } else if positional.is_none() {
-            positional = Some(PathBuf::from(arg));
-        }
-    }
-    Ok(positional)
-}
-
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-}
-
-/// The value of the numeric flag `flag`, or `default` when the flag is
-/// absent. A malformed or missing value exits 2 naming the flag and the
-/// value, so `--depth 2O` cannot sweep at the default depth.
-fn numeric_flag<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
-    if !args.iter().any(|a| a == flag) {
-        return default;
-    }
-    // A following flag is not a value: `--jobs --no-json` is missing one.
-    let value = flag_value(args, flag).filter(|v| !v.starts_with("--"));
-    match value.map(str::parse) {
-        Some(Ok(n)) => n,
-        _ => {
-            eprintln!(
-                "error: {flag} requires a non-negative integer, got {:?}",
-                value.unwrap_or("<missing>")
-            );
-            std::process::exit(2);
-        }
-    }
-}
 
 /// Which algorithm answers each file (`--engine`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -214,9 +147,6 @@ impl EngineKind {
 /// How `--lint` diagnostics gate the sweep (`rbmc_circuit::lint`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum LintMode {
-    /// Lint runs (its structural facts still guard the skip path) but
-    /// reports nothing.
-    Off,
     /// Diagnostics are printed per file and counted in the report extras;
     /// nothing fails. The default.
     Warn,
@@ -225,39 +155,230 @@ enum LintMode {
     Deny,
 }
 
-fn parse_lint_mode(args: &[String]) -> LintMode {
-    match flag_value(args, "--lint") {
-        None | Some("warn") => LintMode::Warn,
-        Some("off") => LintMode::Off,
-        Some("deny") => LintMode::Deny,
-        Some(other) => {
-            eprintln!("error: --lint requires off|warn|deny, got `{other}`");
-            std::process::exit(2);
+/// Where each property's status/witness block goes.
+#[derive(Debug, PartialEq, Eq)]
+enum WitnessOutput {
+    /// Into the per-file stdout block. The default.
+    Print,
+    /// Nowhere (`--quiet-witnesses`); the soundness gates still run.
+    Quiet,
+    /// One file per property in this directory (`--witness-dir`).
+    Dir(PathBuf),
+}
+
+/// Everything one `rbmc` run was asked to do, parsed once from its
+/// arguments. The engine options carry depth, strategy, reuse regime,
+/// preprocessing and proof mode; the rest says what to sweep, how many
+/// workers to use, and where the results go.
+#[derive(Debug)]
+struct Config {
+    /// The directory swept: the positional argument, else the export
+    /// directory.
+    corpus: PathBuf,
+    /// Where `--export-corpus` writes the gens suite before the sweep.
+    export: Option<PathBuf>,
+    /// `--smoke`: export the small suite (and default to depth 10).
+    smoke: bool,
+    engine: EngineKind,
+    options: BmcOptions,
+    jobs: usize,
+    selfcheck: bool,
+    lint: LintMode,
+    lint_json: Option<PathBuf>,
+    witnesses: WitnessOutput,
+    /// Where the `BENCH_corpus.json` report goes; `None` under `--no-json`.
+    json_out: Option<PathBuf>,
+}
+
+impl Config {
+    /// Parses the arguments after the program name. An error is the whole
+    /// message to print before exiting 2.
+    fn parse(args: &[String]) -> Result<Config, String> {
+        let mut corpus = None;
+        let mut export = None;
+        let mut smoke = false;
+        let mut depth = None;
+        let mut divisor = 64;
+        let mut options = BmcOptions {
+            strategy: OrderingStrategy::RefinedDynamic { divisor },
+            ..BmcOptions::default()
+        };
+        let mut engine = EngineKind::Bmc;
+        let mut jobs = 1;
+        let mut selfcheck = false;
+        let mut lint = LintMode::Warn;
+        let mut lint_json = None;
+        let (mut witness_dir, mut quiet_witnesses) = (None, false);
+        let (mut json_out, mut no_json) = (None, false);
+        // A value flag takes the next argument, whatever it is.
+        let mut rest = args.iter().map(String::as_str);
+        while let Some(arg) = rest.next() {
+            match arg {
+                "--smoke" | "--small" => smoke = true,
+                "--selfcheck" => selfcheck = true,
+                "--no-preprocess" => options.preprocess = false,
+                "--quiet-witnesses" => quiet_witnesses = true,
+                "--no-json" => no_json = true,
+                "--depth" => depth = Some(number(arg, rest.next())?),
+                "--divisor" => divisor = number(arg, rest.next())?,
+                "--jobs" => jobs = number::<usize>(arg, rest.next())?.max(1),
+                "--strategy" => {
+                    options.strategy = choice(
+                        arg,
+                        rest.next(),
+                        &[
+                            ("bmc", OrderingStrategy::Standard),
+                            ("sta", OrderingStrategy::RefinedStatic),
+                            ("dyn", OrderingStrategy::RefinedDynamic { divisor }),
+                            ("sht", OrderingStrategy::Shtrichman),
+                        ],
+                    )?;
+                }
+                "--engine" => {
+                    let choices = [("bmc", EngineKind::Bmc), ("ic3", EngineKind::Ic3)];
+                    engine = choice(arg, rest.next(), &choices)?;
+                }
+                "--reuse" => {
+                    options.reuse = match rest.next() {
+                        Some("fresh") => SolverReuse::Fresh,
+                        Some("session") => SolverReuse::Session,
+                        other => {
+                            return Err(format!(
+                                "error: --reuse requires `fresh` or `session`, got {:?}",
+                                other.unwrap_or("<missing>")
+                            ))
+                        }
+                    };
+                }
+                "--lint" => {
+                    let choices = [("warn", LintMode::Warn), ("deny", LintMode::Deny)];
+                    lint = choice(arg, rest.next(), &choices)?;
+                }
+                "--proof" => {
+                    let choices = [
+                        ("off", ProofMode::Off),
+                        ("log", ProofMode::Log),
+                        ("check", ProofMode::Check),
+                    ];
+                    options.proof = choice(arg, rest.next(), &choices)?;
+                }
+                "--export-corpus" => export = Some(path(arg, rest.next(), "a directory")?),
+                "--witness-dir" => witness_dir = Some(path(arg, rest.next(), "a directory")?),
+                "--lint-json" => lint_json = Some(path(arg, rest.next(), "a path")?),
+                "--json-out" => json_out = Some(path(arg, rest.next(), "a path")?),
+                flag if flag.starts_with("--") => {
+                    return Err(format!("error: unknown flag `{flag}`\n{USAGE}"));
+                }
+                dir => {
+                    corpus.get_or_insert_with(|| PathBuf::from(dir));
+                }
+            }
         }
+        // `--divisor` may follow `--strategy dyn`, and `--smoke` `--depth`.
+        if let OrderingStrategy::RefinedDynamic { divisor: d } = &mut options.strategy {
+            *d = divisor;
+        }
+        options.max_depth = depth.unwrap_or(if smoke { 10 } else { 20 });
+        let Some(corpus) = corpus.or_else(|| export.clone()) else {
+            return Err(USAGE.to_string());
+        };
+        Ok(Config {
+            corpus,
+            export,
+            smoke,
+            engine,
+            options,
+            jobs,
+            selfcheck,
+            lint,
+            lint_json,
+            witnesses: match (witness_dir, quiet_witnesses) {
+                (Some(dir), _) => WitnessOutput::Dir(dir),
+                (None, true) => WitnessOutput::Quiet,
+                (None, false) => WitnessOutput::Print,
+            },
+            json_out: match (json_out, no_json) {
+                (_, true) => None,
+                (path, false) => Some(path.unwrap_or_else(|| "BENCH_corpus.json".into())),
+            },
+        })
     }
 }
 
-fn parse_proof_mode(args: &[String]) -> ProofMode {
-    match flag_value(args, "--proof") {
-        None | Some("off") => ProofMode::Off,
-        Some("log") => ProofMode::Log,
-        Some("check") => ProofMode::Check,
-        Some(other) => {
-            eprintln!("error: --proof requires off|log|check, got `{other}`");
-            std::process::exit(2);
-        }
+/// The value of a numeric flag. A following flag is not a value:
+/// `--jobs --no-json` is missing one, and `--depth 2O` cannot sweep at the
+/// default depth.
+fn number<T: std::str::FromStr>(flag: &str, value: Option<&str>) -> Result<T, String> {
+    let value = value.filter(|v| !v.starts_with("--"));
+    value.and_then(|v| v.parse().ok()).ok_or_else(|| {
+        format!(
+            "error: {flag} requires a non-negative integer, got {:?}",
+            value.unwrap_or("<missing>")
+        )
+    })
+}
+
+/// The value of a flag that takes one of a fixed set of names.
+fn choice<T: Copy>(flag: &str, value: Option<&str>, choices: &[(&str, T)]) -> Result<T, String> {
+    let found = choices.iter().find(|(name, _)| Some(*name) == value);
+    found.map(|&(_, choice)| choice).ok_or_else(|| {
+        let names: Vec<&str> = choices.iter().map(|&(name, _)| name).collect();
+        format!(
+            "error: {flag} requires {}, got `{}`",
+            names.join("|"),
+            value.unwrap_or("<missing>")
+        )
+    })
+}
+
+/// The value of a path flag; a following flag is not a path.
+fn path(flag: &str, value: Option<&str>, what: &str) -> Result<PathBuf, String> {
+    match value {
+        Some(v) if !v.starts_with("--") => Ok(PathBuf::from(v)),
+        _ => Err(format!("error: {flag} requires {what} argument")),
     }
 }
 
-/// How a swept file ended: fully checked, or set aside with a diagnostic
+/// What one file adds to the summary line.
+#[derive(Clone, Copy, Default)]
+struct Tally {
+    properties: usize,
+    falsified: usize,
+    proved: usize,
+    lint_warnings: usize,
+    lint_errors: usize,
+}
+
+impl Tally {
+    /// A file's lint counts, before any property is checked.
+    fn lint(lint: &LintReport) -> Tally {
+        Tally {
+            lint_warnings: lint.num_warnings(),
+            lint_errors: lint.num_errors(),
+            ..Tally::default()
+        }
+    }
+
+    fn add(&mut self, other: Tally) {
+        self.properties += other.properties;
+        self.falsified += other.falsified;
+        self.proved += other.proved;
+        self.lint_warnings += other.lint_warnings;
+        self.lint_errors += other.lint_errors;
+    }
+}
+
+/// How a swept file ended — fully checked, or set aside with a diagnostic
 /// (unparseable, unsupported sections, no properties, or a structural defect
-/// the engine cannot represent). Skips keep the sweep going and the exit
-/// code clean; under `--lint deny` the same files fail instead.
+/// the engine cannot represent) — and what it adds to the summary line.
+/// Skips keep the sweep going and the exit code clean; under `--lint deny`
+/// the same files fail instead.
 enum FileDisposition {
     /// The file was solved and all its gates passed.
-    Checked,
-    /// The file was recorded as skipped, with this reason.
-    Skipped(String),
+    Checked(Tally),
+    /// The file was recorded as skipped, with this reason; only its lint
+    /// counts reach the summary.
+    Skipped(String, Tally),
 }
 
 /// Records a skipped file: a diagnostic line in the per-file output and one
@@ -288,20 +409,7 @@ fn skip_file(
             ("lint_errors".into(), lint.num_errors() as f64),
         ],
     });
-    FileDisposition::Skipped(format!("{stem}: {reason}"))
-}
-
-fn parse_strategy(args: &[String], divisor: u32) -> OrderingStrategy {
-    match flag_value(args, "--strategy") {
-        None | Some("dyn") => OrderingStrategy::RefinedDynamic { divisor },
-        Some("bmc") => OrderingStrategy::Standard,
-        Some("sta") => OrderingStrategy::RefinedStatic,
-        Some("sht") => OrderingStrategy::Shtrichman,
-        Some(other) => {
-            eprintln!("error: --strategy requires bmc|sta|dyn|sht, got `{other}`");
-            std::process::exit(2);
-        }
-    }
+    FileDisposition::Skipped(format!("{stem}: {reason}"), Tally::lint(lint))
 }
 
 /// Renders one property's HWMCC-style result block: `1` + witness + `.` for
@@ -564,37 +672,27 @@ type FileOutcome = (String, Vec<BenchCase>, Result<FileDisposition, String>);
 /// differential cross-checks, report cases. Output is written to `out` so a
 /// file-striped sweep can print per-file blocks in deterministic file order;
 /// whatever was produced before an error is kept by the caller.
-#[allow(clippy::too_many_arguments)]
 fn check_file(
     path: &Path,
-    options: &BmcOptions,
-    engine_kind: EngineKind,
-    selfcheck: bool,
-    witness_dir: Option<&Path>,
-    reuse_label: &str,
-    strategy_label: &str,
-    quiet_witnesses: bool,
-    lint_mode: LintMode,
+    config: &Config,
     out: &mut String,
     cases: &mut Vec<BenchCase>,
 ) -> Result<FileDisposition, String> {
+    let options = &config.options;
     let stem = path
         .file_stem()
         .and_then(|s| s.to_str())
         .unwrap_or("benchmark")
         .to_string();
     let bytes = std::fs::read(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    // The lint pass runs on the raw bytes regardless of mode — its
-    // structural facts also guard the skip path below — but only `warn` and
-    // `deny` report it. Verdicts and traces never depend on the mode.
+    // Lint's structural facts also guard the skip path below. Verdicts and
+    // traces never depend on the lint mode.
     let lint = lint_aiger(&bytes);
     let mut lint_lines = String::new();
-    if lint_mode != LintMode::Off {
-        for diagnostic in lint.diagnostics() {
-            let _ = writeln!(lint_lines, "  lint: {diagnostic}");
-        }
+    for diagnostic in lint.diagnostics() {
+        let _ = writeln!(lint_lines, "  lint: {diagnostic}");
     }
-    if lint_mode == LintMode::Deny && lint.num_errors() > 0 {
+    if config.lint == LintMode::Deny && lint.num_errors() > 0 {
         let _ = writeln!(out, "{stem}: lint errors:");
         let _ = write!(out, "{lint_lines}");
         return Err(format!(
@@ -646,7 +744,7 @@ fn check_file(
     // the coordinate system its invariant clauses live in, kept around for
     // the invariant machine-check gate below.
     let (run, pp, working): (BmcRun, Option<(PreprocessReport, TraceLift)>, Option<Model>) =
-        match engine_kind {
+        match config.engine {
             EngineKind::Bmc => {
                 let mut engine = BmcEngine::for_problem(problem.clone(), *options);
                 let run = engine.run_collecting();
@@ -822,11 +920,17 @@ fn check_file(
             .filter(|(_, lift)| !lift.is_identity())
             .map(|(_, lift)| (lift.dontcare_latches(), lift.dontcare_inputs()));
         let text = witness_text(idx, &prop_report.verdict, trace, dontcare);
-        if let Some(dir) = witness_dir {
-            let wpath = dir.join(format!("{stem}.b{idx}.wit"));
-            std::fs::write(&wpath, &text).map_err(|e| format!("{}: {e}", wpath.display()))?;
-        } else if !quiet_witnesses {
-            let _ = write!(out, "{text}");
+        match &config.witnesses {
+            WitnessOutput::Print => {
+                let _ = write!(out, "{text}");
+            }
+            WitnessOutput::Quiet => {}
+            WitnessOutput::Dir(dir) => {
+                // The whole file name, so `x.aag` and `x.aig` keep apart.
+                let file_name = path.file_name().and_then(|s| s.to_str()).unwrap_or(&stem);
+                let wpath = dir.join(format!("{file_name}.b{idx}.wit"));
+                std::fs::write(&wpath, &text).map_err(|e| format!("{}: {e}", wpath.display()))?;
+            }
         }
 
         let (completed_depth, verdict_ok) = match &prop_report.verdict {
@@ -910,11 +1014,12 @@ fn check_file(
                 proof.check_time.as_secs_f64() * 1e3,
             ));
         }
+        let strategy_label = options.strategy.label();
         cases.push(BenchCase {
             name: format!("{stem}::{}", prop_report.name),
-            strategy: match engine_kind {
-                EngineKind::Bmc => format!("{strategy_label}/{reuse_label}"),
-                _ => format!("{}/{strategy_label}", engine_kind.label()),
+            strategy: match config.engine {
+                EngineKind::Bmc => format!("{strategy_label}/{}", options.reuse.label()),
+                EngineKind::Ic3 => format!("{}/{strategy_label}", config.engine.label()),
             },
             // The session run is shared by all of the file's properties, so
             // the per-case wall time is the file's share — summing the cases
@@ -929,8 +1034,18 @@ fn check_file(
             extra,
         });
     }
+    let tally = Tally {
+        properties: run.properties.len(),
+        falsified: run.num_falsified(),
+        proved: run
+            .properties
+            .iter()
+            .filter(|p| matches!(p.verdict, PropertyVerdict::Proved { .. }))
+            .count(),
+        ..Tally::lint(&lint)
+    };
 
-    if selfcheck && engine_kind == EngineKind::Ic3 {
+    if config.selfcheck && config.engine == EngineKind::Ic3 {
         // A run carrying prover verdicts: the differential is against a BMC
         // oracle on the shared frontier prefix instead of the BMC-shaped
         // regime cross-checks below.
@@ -948,7 +1063,7 @@ fn check_file(
             "  selfcheck: ic3 verdicts match the bmc oracle on the shared \
              frontier prefix (falsification depths exact, proofs counterexample-free)"
         );
-    } else if selfcheck {
+    } else if config.selfcheck {
         // The differential harness: the opposite solver-reuse regime and
         // the opposite preprocessing regime must both reproduce the main
         // run's per-depth verdicts property for property. All mismatches
@@ -1029,58 +1144,27 @@ fn check_file(
              and both preprocessing regimes"
         );
     }
-    Ok(FileDisposition::Checked)
+    Ok(FileDisposition::Checked(tally))
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().collect();
-    let positional = match scan_args(&args[1..]) {
-        Ok(positional) => positional,
-        Err(flag) => {
-            eprintln!("error: unknown flag `{flag}`\n{USAGE}");
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let config = match Config::parse(&args) {
+        Ok(config) => config,
+        Err(message) => {
+            eprintln!("{message}");
             return ExitCode::from(2);
         }
     };
-    let smoke = args.iter().any(|a| a == "--smoke" || a == "--small");
-    let selfcheck = args.iter().any(|a| a == "--selfcheck");
-    let quiet_witnesses = args.iter().any(|a| a == "--quiet-witnesses");
-    let depth: usize = numeric_flag(&args, "--depth", if smoke { 10 } else { 20 });
-    let divisor: u32 = numeric_flag(&args, "--divisor", 64);
-    let strategy = parse_strategy(&args, divisor);
-    let reuse = rbmc_bench::cli_reuse(&args, SolverReuse::Session);
-    let jobs: usize = numeric_flag(&args, "--jobs", 1).max(1);
-    let no_preprocess = args.iter().any(|a| a == "--no-preprocess");
-    let lint_mode = parse_lint_mode(&args);
-    let lint_json = flag_value(&args, "--lint-json").map(PathBuf::from);
-    let proof_mode = parse_proof_mode(&args);
-    let engine_kind = match flag_value(&args, "--engine") {
-        None | Some("bmc") => EngineKind::Bmc,
-        Some("ic3") => EngineKind::Ic3,
-        Some(other) => {
-            eprintln!("error: --engine requires bmc|ic3, got `{other}`");
-            return ExitCode::from(2);
-        }
-    };
-    let witness_dir = flag_value(&args, "--witness-dir").map(PathBuf::from);
-    if let Some(dir) = &witness_dir {
+    if let WitnessOutput::Dir(dir) = &config.witnesses {
         if let Err(e) = std::fs::create_dir_all(dir) {
             eprintln!("error: cannot create witness dir {}: {e}", dir.display());
             return ExitCode::from(2);
         }
     }
 
-    let export_dir = match args.iter().position(|a| a == "--export-corpus") {
-        Some(i) => match args.get(i + 1) {
-            Some(dir) if !dir.starts_with("--") => Some(PathBuf::from(dir)),
-            _ => {
-                eprintln!("error: --export-corpus requires a directory argument");
-                return ExitCode::from(2);
-            }
-        },
-        None => None,
-    };
-    if let Some(dir) = &export_dir {
-        let mut suite = if smoke {
+    if let Some(dir) = &config.export {
+        let mut suite = if config.smoke {
             rbmc_gens::small_suite()
         } else {
             rbmc_gens::suite_table1()
@@ -1102,14 +1186,8 @@ fn main() -> ExitCode {
         }
     }
 
-    // The corpus directory: first positional (non-flag) argument, falling
-    // back to a directory just exported.
-    let Some(corpus_dir) = positional.or(export_dir) else {
-        eprintln!("{USAGE}");
-        return ExitCode::from(2);
-    };
-
-    let mut files: Vec<PathBuf> = match std::fs::read_dir(&corpus_dir) {
+    let corpus_dir = &config.corpus;
+    let mut files: Vec<PathBuf> = match std::fs::read_dir(corpus_dir) {
         Ok(entries) => entries
             .filter_map(|e| e.ok().map(|e| e.path()))
             .filter(|p| {
@@ -1136,7 +1214,7 @@ fn main() -> ExitCode {
     // `--lint-json`: the machine-readable lint artifact, written before the
     // sweep (the lint pass is a cheap static analysis over raw bytes, and
     // the artifact should exist even when the sweep itself fails).
-    if let Some(path) = &lint_json {
+    if let Some(path) = &config.lint_json {
         let entries: Vec<(String, LintReport)> = files
             .iter()
             .map(|p| {
@@ -1159,47 +1237,30 @@ fn main() -> ExitCode {
         eprintln!("wrote {}", path.display());
     }
 
-    let options = BmcOptions {
-        max_depth: depth,
-        strategy,
-        reuse,
-        preprocess: !no_preprocess,
-        proof: proof_mode,
-        ..BmcOptions::default()
-    };
+    let options = &config.options;
     let mut report = BenchReport::new(format!(
-        "rbmc corpus ({}, depth={depth}, engine={}, strategy={}, reuse={}, jobs={jobs}{})",
+        "rbmc corpus ({}, depth={}, engine={}, strategy={}, reuse={}, jobs={}{})",
         corpus_dir.display(),
-        engine_kind.label(),
-        strategy.label(),
-        reuse.label(),
-        if selfcheck { ", selfcheck" } else { "" }
+        options.max_depth,
+        config.engine.label(),
+        options.strategy.label(),
+        options.reuse.label(),
+        config.jobs,
+        if config.selfcheck { ", selfcheck" } else { "" }
     ));
     let start = Instant::now();
-    let mut failures = 0usize;
     // Files are claimed off a shared queue, and each file's output block is
     // buffered so stdout comes out in file order no matter who solved what.
     // A file whose check panics fails on its own: the panic becomes that
     // file's `FAIL` line, and the sweep goes on.
-    let outcomes = rbmc_bench::striped_map(files.len(), jobs, |i| {
+    let outcomes = rbmc_bench::striped_map(files.len(), config.jobs, |i| {
         let mut out = String::new();
         let mut cases = Vec::new();
-        let result = check_file(
-            &files[i],
-            &options,
-            engine_kind,
-            selfcheck,
-            witness_dir.as_deref(),
-            reuse.label(),
-            strategy.label(),
-            quiet_witnesses,
-            lint_mode,
-            &mut out,
-            &mut cases,
-        );
+        let result = check_file(&files[i], &config, &mut out, &mut cases);
         (out, cases, result)
     });
-    let mut skipped = 0usize;
+    let mut total = Tally::default();
+    let (mut skipped, mut failures) = (0usize, 0usize);
     for (outcome, path) in outcomes.into_iter().zip(&files) {
         let (out, cases, result): FileOutcome = outcome.unwrap_or_else(|panic| {
             let failure = format!("{}: panicked: {panic}", path.display());
@@ -1210,10 +1271,11 @@ fn main() -> ExitCode {
             report.push(case);
         }
         match result {
-            Ok(FileDisposition::Checked) => {}
-            Ok(FileDisposition::Skipped(reason)) => {
+            Ok(FileDisposition::Checked(tally)) => total.add(tally),
+            Ok(FileDisposition::Skipped(reason, tally)) => {
                 eprintln!("SKIP {reason}");
                 skipped += 1;
+                total.add(tally);
             }
             Err(e) => {
                 eprintln!("FAIL {e}");
@@ -1221,55 +1283,29 @@ fn main() -> ExitCode {
             }
         }
     }
-    let falsified = report
-        .cases
-        .iter()
-        .filter(|c| {
-            c.extra
-                .iter()
-                .any(|(k, v)| k == "retirement_depth" && *v >= 0.0)
-        })
-        .count();
-    let proved = report
-        .cases
-        .iter()
-        .filter(|c| c.extra.iter().any(|(k, v)| k == "proved" && *v > 0.0))
-        .count();
-    // Lint totals, one contribution per file (every property of a file
-    // carries the same counts; skipped files contribute via their one case).
-    let (mut lint_warnings, mut lint_errors) = (0u64, 0u64);
-    let mut seen_stems = std::collections::HashSet::new();
-    for case in &report.cases {
-        let stem = case.name.split("::").next().unwrap_or(&case.name);
-        if seen_stems.insert(stem.to_string()) {
-            for (k, v) in &case.extra {
-                match k.as_str() {
-                    "lint_warnings" => lint_warnings += *v as u64,
-                    "lint_errors" => lint_errors += *v as u64,
-                    _ => {}
-                }
-            }
-        }
-    }
-    let properties = report.cases.len() - skipped;
     println!(
         "\nchecked {} files / {} properties in {:.3}s: {} falsified (witnesses validated), \
          {} proved (invariants checked), {} open, {} skipped, {} failures; \
          lint: {} warning{}, {} error{}",
         files.len() - skipped,
-        properties,
+        total.properties,
         start.elapsed().as_secs_f64(),
-        falsified,
-        proved,
-        properties - falsified - proved,
+        total.falsified,
+        total.proved,
+        total.properties - total.falsified - total.proved,
         skipped,
         failures,
-        lint_warnings,
-        if lint_warnings == 1 { "" } else { "s" },
-        lint_errors,
-        if lint_errors == 1 { "" } else { "s" },
+        total.lint_warnings,
+        if total.lint_warnings == 1 { "" } else { "s" },
+        total.lint_errors,
+        if total.lint_errors == 1 { "" } else { "s" },
     );
-    rbmc_bench::report::emit(&args, "corpus", &report);
+    if let Some(path) = &config.json_out {
+        match rbmc_bench::report::write_json(path, &report) {
+            Ok(()) => eprintln!("wrote {}", path.display()),
+            Err(err) => eprintln!("failed to write {}: {err}", path.display()),
+        }
+    }
     if failures > 0 {
         ExitCode::from(1)
     } else {
@@ -1279,9 +1315,64 @@ fn main() -> ExitCode {
 
 #[cfg(test)]
 mod tests {
-    use super::{verdict_mismatches, witness_text};
+    use super::{verdict_mismatches, witness_text, Config, WitnessOutput, USAGE};
     use rbmc_core::SolveResult::{Sat, Unsat};
-    use rbmc_core::{PropertyVerdict, Trace};
+    use rbmc_core::{OrderingStrategy, PropertyVerdict, Trace};
+    use std::path::PathBuf;
+
+    fn parse(args: &[&str]) -> Result<Config, String> {
+        let args: Vec<String> = args.iter().map(ToString::to_string).collect();
+        Config::parse(&args)
+    }
+
+    #[test]
+    fn config_defaults_and_modifiers_in_any_order() {
+        let config = parse(&["corpus"]).expect("parses");
+        assert_eq!(config.corpus, PathBuf::from("corpus"));
+        assert_eq!(config.options.max_depth, 20);
+        let dynamic = |divisor| OrderingStrategy::RefinedDynamic { divisor };
+        assert_eq!(config.options.strategy, dynamic(64));
+        assert_eq!(config.witnesses, WitnessOutput::Print);
+        assert_eq!(config.json_out, Some(PathBuf::from("BENCH_corpus.json")));
+        // `--divisor` after `--strategy`, `--smoke` after the corpus.
+        let args = ["--strategy", "dyn", "--divisor", "8", "corpus", "--smoke"];
+        let config = parse(&args).expect("parses");
+        assert_eq!(config.options.strategy, dynamic(8));
+        assert_eq!(config.options.max_depth, 10);
+        // With no corpus named, the export directory is swept.
+        let config = parse(&["--export-corpus", "out"]).expect("parses");
+        assert_eq!(config.corpus, PathBuf::from("out"));
+    }
+
+    #[test]
+    fn each_output_has_one_destination() {
+        let quiet = parse(&["c", "--quiet-witnesses"]).expect("parses");
+        assert_eq!(quiet.witnesses, WitnessOutput::Quiet);
+        // A witness directory makes `--quiet-witnesses` moot, and
+        // `--no-json` overrides `--json-out`, in either order.
+        let args = ["c", "--no-json", "--quiet-witnesses", "--witness-dir", "w"];
+        let config = parse(&[&args[..], &["--json-out", "x.json"]].concat()).expect("parses");
+        assert_eq!(config.witnesses, WitnessOutput::Dir(PathBuf::from("w")));
+        assert_eq!(config.json_out, None);
+    }
+
+    #[test]
+    fn a_missing_value_or_corpus_is_an_error() {
+        for flag in ["--strategy", "--engine", "--reuse", "--lint", "--proof"] {
+            let err = parse(&["c", flag]).expect_err(flag);
+            assert!(err.contains(flag) && err.contains("<missing>"), "{err}");
+        }
+        for flag in [
+            "--witness-dir",
+            "--lint-json",
+            "--json-out",
+            "--export-corpus",
+        ] {
+            let err = parse(&["c", flag, "--smoke"]).expect_err(flag);
+            assert!(err.contains(flag), "{err}");
+        }
+        assert_eq!(parse(&["--smoke"]).expect_err("no corpus"), USAGE);
+    }
 
     #[test]
     fn witness_text_prints_x_at_dontcare_positions_only() {

@@ -16,13 +16,13 @@
 //! industrial formulas of 10⁵–10⁶ literals; at this suite's scale (10³–10⁴
 //! literals) `#literals / 64` switches to VSIDS almost at once, so the
 //! matching threshold needs a smaller divisor (see the `ablation_switch`
-//! bench). `--reuse` selects the solver regime: `fresh`
-//! (default — the paper's fresh-solver-per-depth setup, comparable with
-//! `BENCH_baseline.json`) or `session` (one incremental solver across all
-//! depths; the ground-truth assertion inside `run_instance_with` guarantees
-//! both regimes reach identical verdicts and completed depths, and CI runs
-//! the smoke suite in both). Besides the stdout table, the run is recorded
-//! as a machine-readable `BENCH_table1.json` artifact (see `rbmc_bench::report`).
+//! binary). `--reuse` selects the solver regime: `fresh` (default — the
+//! paper's fresh-solver-per-depth setup) or `session` (one incremental solver
+//! across all depths; the ground-truth assertion inside `run_instance_with`
+//! guarantees both regimes reach identical verdicts and completed depths, and
+//! CI runs the smoke suite in both). Besides the stdout table, the run is
+//! recorded as a machine-readable `BENCH_table1.json` artifact (see
+//! `rbmc_bench::report`).
 
 use rbmc_bench::{ratio_percent, run_instance_with, secs, BenchCase, BenchReport};
 use rbmc_core::{OrderingStrategy, SolverReuse, Weighting};

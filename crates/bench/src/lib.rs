@@ -50,9 +50,8 @@ pub struct InstanceResult {
 /// fresh-solver-per-depth regime and verifies the verdict against the
 /// instance's ground truth. The experiment binaries that regenerate the
 /// paper's tables and figures go through this entry point, so their numbers
-/// stay comparable with the paper (and with `BENCH_baseline.json`); pass a
-/// reuse mode explicitly via [`run_instance_with`] to measure the
-/// incremental session instead.
+/// stay comparable with the paper; pass a reuse mode explicitly via
+/// [`run_instance_with`] to measure the incremental session instead.
 ///
 /// # Panics
 ///
@@ -158,15 +157,6 @@ pub fn cli_reuse(args: &[String], default: SolverReuse) -> SolverReuse {
             std::process::exit(2);
         }
     }
-}
-
-/// The three Table 1 strategies in column order.
-pub fn table1_strategies() -> [OrderingStrategy; 3] {
-    [
-        OrderingStrategy::Standard,
-        OrderingStrategy::RefinedStatic,
-        OrderingStrategy::RefinedDynamic { divisor: 64 },
-    ]
 }
 
 /// Formats a duration in seconds with millisecond resolution.

@@ -1,9 +1,9 @@
 //! Machine-readable benchmark artifacts (`BENCH_*.json`).
 //!
 //! Every experiment binary writes one JSON report per run via
-//! [`write_json`], so perf PRs can diff runs instead of eyeballing stdout
-//! tables. The committed `BENCH_baseline.json` at the repository root records
-//! the reference numbers the acceptance criteria compare against.
+//! [`write_json`], so two runs can be diffed instead of compared by eye from
+//! their stdout tables. Timed comparisons across commits belong to the
+//! benchmark under `benchmark/`; these artifacts record what one run did.
 //!
 //! The format is deliberately flat and dependency-free (the workspace builds
 //! offline, so no serde): a report is a label plus a list of cases, each case

@@ -1,6 +1,7 @@
 //! End-to-end tests of the `rbmc` binary on the exported smoke corpus:
-//! striping files across workers must not change a byte of the report, and
-//! a flag the runner does not know must stop it before it sweeps anything.
+//! striping files across workers must not change a byte of the report, a
+//! flag the runner does not know must stop it before it sweeps anything, and
+//! two files that differ only in their extension are reported apart.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -94,6 +95,7 @@ fn unknown_flags_exit_2_before_sweeping() {
         &["--jobs", "x"],
         &["--depth", "-1"],
         &["--jobs"],
+        &["--lint", "off"],
     ] {
         let mut args = vec![dir, "--smoke"];
         args.extend_from_slice(bad);
@@ -141,4 +143,57 @@ fn quiet_witnesses_is_documented_and_drops_the_witness_blocks() {
     };
     assert_eq!(verdicts(&loud), verdicts(&quiet));
     assert_eq!(verdicts(&quiet).len(), 18);
+}
+
+/// The witness files `--witness-dir` wrote, sorted by name.
+fn witness_files(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .expect("witness dir exists")
+        .map(|entry| {
+            let entry = entry.expect("readable entry");
+            entry.file_name().into_string().expect("utf-8 name")
+        })
+        .collect();
+    names.sort();
+    names
+}
+
+#[test]
+fn files_sharing_a_stem_keep_their_witnesses_and_lint_counts() {
+    let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join("rbmc_cli_stems");
+    let _ = std::fs::remove_dir_all(&root);
+    let (corpus, witnesses) = (root.join("corpus"), root.join("witnesses"));
+    std::fs::create_dir_all(&corpus).expect("corpus dir");
+    // A toggling latch that the bad line observes, and one input outside
+    // every cone: each copy fails at depth 1 with one L003 warning.
+    for name in ["t.aag", "t.aig"] {
+        std::fs::write(corpus.join(name), "aag 2 1 1 0 0 1\n2\n4 5\n4\n").expect("write");
+    }
+    let out = rbmc(&[
+        corpus.to_str().expect("utf-8 path"),
+        "--witness-dir",
+        witnesses.to_str().expect("utf-8 path"),
+    ]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let report = stdout(&out);
+    assert!(
+        report.contains("2 falsified") && report.contains("lint: 2 warnings, 0 errors"),
+        "{report}"
+    );
+    assert_eq!(witness_files(&witnesses), ["t.aag.b0.wit", "t.aig.b0.wit"]);
+
+    // The smoke export holds such a pair too; every property gets a file.
+    let dir = smoke_corpus("witness_dir");
+    let witnesses = root.join("smoke_witnesses");
+    let out = rbmc(&[
+        dir.to_str().expect("utf-8 path"),
+        "--smoke",
+        "--jobs",
+        "2",
+        "--witness-dir",
+        witnesses.to_str().expect("utf-8 path"),
+    ]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert!(stdout(&out).contains("checked 16 files / 18 properties"));
+    assert_eq!(witness_files(&witnesses).len(), 18);
 }

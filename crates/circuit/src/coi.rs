@@ -1,13 +1,12 @@
-//! Cone-of-influence analysis and reduction.
+//! Cone-of-influence analysis.
 //!
 //! The cone of influence of a signal is everything that can affect it:
 //! transitively, the fanins of its node, and — through latches — the fanins
 //! of their next-state functions. Nodes outside the cone cannot influence a
-//! property and can be dropped before encoding. (The paper's abstractions of
-//! §3 are *subsets of the COI* discovered semantically via unsatisfiable
-//! cores; COI is the coarser, purely structural bound.)
-
-use std::collections::HashMap;
+//! property and can be dropped before encoding, which [`crate::preprocess`]
+//! does for the engine. (The paper's abstractions of §3 are *subsets of the
+//! COI* discovered semantically via unsatisfiable cores; COI is the coarser,
+//! purely structural bound.)
 
 use crate::{LatchInit, Netlist, Node, NodeId, Signal};
 
@@ -56,92 +55,6 @@ pub fn cone_of_influence(netlist: &Netlist, seeds: &[Signal]) -> Vec<NodeId> {
         .collect()
 }
 
-/// The result of [`reduce_to_cone`]: the reduced netlist plus the signal
-/// mapping for the seeds.
-#[derive(Debug, Clone)]
-pub struct CoiReduction {
-    /// The reduced netlist (only nodes inside the cone).
-    pub netlist: Netlist,
-    /// For each seed passed to [`reduce_to_cone`], the corresponding signal
-    /// in the reduced netlist.
-    pub seed_signals: Vec<Signal>,
-}
-
-/// Builds a new netlist containing only the cone of influence of `seeds`.
-///
-/// Node names are preserved; outputs are re-declared for the seeds only
-/// (named `coi0`, `coi1`, … in seed order) on top of the mapping returned in
-/// [`CoiReduction::seed_signals`].
-///
-/// # Panics
-///
-/// Panics if the netlist fails [`Netlist::validate`] (unconnected latches).
-pub fn reduce_to_cone(netlist: &Netlist, seeds: &[Signal]) -> CoiReduction {
-    netlist.validate().expect("netlist must be well-formed");
-    let cone = cone_of_influence(netlist, seeds);
-    let mut reduced = Netlist::new();
-    let mut map: HashMap<NodeId, Signal> = HashMap::new();
-    map.insert(NodeId::CONST, Signal::FALSE);
-
-    // First pass: create inputs and latches (so cycles through latches work).
-    for &id in &cone {
-        match netlist.node(id) {
-            Node::Input => {
-                let name = netlist.name(id).unwrap_or("in");
-                map.insert(id, reduced.add_input(name));
-            }
-            Node::Latch { init, .. } => {
-                let name = netlist.name(id).unwrap_or("latch");
-                map.insert(id, reduced.add_latch(name, *init));
-            }
-            _ => {}
-        }
-    }
-    // Second pass: gates in topological order.
-    let translate = |map: &HashMap<NodeId, Signal>, s: Signal| -> Signal {
-        let base = map[&s.node()];
-        if s.is_inverted() {
-            !base
-        } else {
-            base
-        }
-    };
-    for id in netlist.topo_order() {
-        if cone.binary_search(&id).is_err() {
-            continue;
-        }
-        if let Node::Gate { op, fanins } = netlist.node(id) {
-            let new_fanins: Vec<Signal> = fanins.iter().map(|&s| translate(&map, s)).collect();
-            use crate::GateOp;
-            let new_sig = match op {
-                GateOp::And => reduced.and_many(&new_fanins),
-                GateOp::Or => reduced.or_many(&new_fanins),
-                GateOp::Xor => reduced.xor_many(&new_fanins),
-                GateOp::Mux => reduced.mux(new_fanins[0], new_fanins[1], new_fanins[2]),
-            };
-            map.insert(id, new_sig);
-        }
-    }
-    // Third pass: connect latches.
-    for &id in &cone {
-        if let Node::Latch {
-            next: Some(next), ..
-        } = netlist.node(id)
-        {
-            let latch_sig = map[&id];
-            reduced.set_next(latch_sig, translate(&map, *next));
-        }
-    }
-    let seed_signals: Vec<Signal> = seeds.iter().map(|&s| translate(&map, s)).collect();
-    for (i, &s) in seed_signals.iter().enumerate() {
-        reduced.add_output(&format!("coi{i}"), s);
-    }
-    CoiReduction {
-        netlist: reduced,
-        seed_signals,
-    }
-}
-
 /// Counts the registers inside the cone of influence of `seeds` (the paper
 /// plots circuits on a "register axis"; this is the model-size metric BMC
 /// reports).
@@ -160,7 +73,6 @@ pub fn init_value(init: LatchInit) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::Simulator;
 
     /// Two independent counters; a property about one should drop the other.
     fn two_counters(width: usize) -> (Netlist, Vec<Signal>, Vec<Signal>) {
@@ -200,35 +112,5 @@ mod tests {
         let (n, a, _) = two_counters(5);
         assert_eq!(registers_in_cone(&n, &[a[4]]), 5);
         assert_eq!(n.num_latches(), 10);
-    }
-
-    #[test]
-    fn reduction_preserves_behaviour() {
-        let (n, a, _) = two_counters(3);
-        // Seed: MSB of counter a.
-        let reduction = reduce_to_cone(&n, &[a[2]]);
-        let reduced = &reduction.netlist;
-        reduced.validate().unwrap();
-        assert_eq!(reduced.num_latches(), 3);
-        // Compare the seed signal over 20 steps.
-        let mut sim_full = Simulator::new(&n);
-        let mut sim_red = Simulator::new(reduced);
-        for step in 0..20 {
-            let full_vals = sim_full.frame_values(&[]);
-            let red_vals = sim_red.frame_values(&[]);
-            let full_bit = crate::sim::read_signal(&full_vals, a[2]);
-            let red_bit = crate::sim::read_signal(&red_vals, reduction.seed_signals[0]);
-            assert_eq!(full_bit, red_bit, "diverged at step {step}");
-            sim_full.step(&[]);
-            sim_red.step(&[]);
-        }
-    }
-
-    #[test]
-    fn constant_seed_reduces_to_trivial_netlist() {
-        let (n, _, _) = two_counters(2);
-        let reduction = reduce_to_cone(&n, &[Signal::TRUE]);
-        assert_eq!(reduction.seed_signals[0], Signal::TRUE);
-        assert_eq!(reduction.netlist.num_latches(), 0);
     }
 }

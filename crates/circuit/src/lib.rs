@@ -10,7 +10,7 @@
 //!   light constant folding, and well-formedness validation.
 //! - [`sim`]: a cycle-accurate two-valued simulator, used as the test oracle
 //!   and to replay BMC counterexample traces.
-//! - [`coi`]: cone-of-influence analysis and reduction.
+//! - [`coi`]: cone-of-influence analysis.
 //! - [`preprocess`]: the engine-path structural pass — constant sweeping,
 //!   structural hashing, and COI restriction to a fixpoint, with maps for
 //!   lifting traces back to original coordinates.

@@ -597,7 +597,6 @@ impl BmcEngine {
         // with the newest core, so the post-run size is the high-water mark.
         let stats = &mut run.solver_stats;
         stats.rank_peak_entries = stats.rank_peak_entries.max(self.rank.num_entries() as u64);
-        stats.rank_peak_bytes = stats.rank_peak_bytes.max(self.rank.approx_bytes() as u64);
         // Lift traces out of the working model's coordinates: callers only
         // ever see the problem they posed.
         if let Some(lift) = self.lift.as_ref().filter(|l| !l.is_identity()) {

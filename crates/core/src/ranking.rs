@@ -197,17 +197,6 @@ impl VarRank {
         }
     }
 
-    /// Approximate heap footprint of the table in bytes (a stats metric,
-    /// not an allocator measurement: hash entries are costed at
-    /// key + value + bucket overhead, dense entries at one `u64`).
-    pub fn approx_bytes(&self) -> usize {
-        match &self.store {
-            // usize key + u64 value + ~half again for bucket overhead.
-            RankStore::Sparse(map) => map.len() * 24,
-            RankStore::Dense(scores) => scores.len() * 8,
-        }
-    }
-
     /// Whether the table is currently in its sparse (hash) form.
     pub fn is_sparse(&self) -> bool {
         matches!(self.store, RankStore::Sparse(_))
@@ -362,7 +351,6 @@ mod tests {
         for (i, &score) in reference.iter().enumerate() {
             assert_eq!(rank.score(Var::new(i)), score);
         }
-        assert!(rank.approx_bytes() > 0);
     }
 
     #[test]

@@ -91,9 +91,6 @@ pub struct SolverStats {
     /// engine; sparse storage keeps this at the cited-variable count rather
     /// than the full variable range).
     pub rank_peak_entries: u64,
-    /// High-water mark of the `varRank` table's approximate heap bytes
-    /// (filled in by the BMC engine).
-    pub rank_peak_bytes: u64,
 }
 
 impl SolverStats {
@@ -130,7 +127,6 @@ impl SolverStats {
         self.arena_peak_bytes = self.arena_peak_bytes.max(other.arena_peak_bytes);
         self.prefix_peak_clauses = self.prefix_peak_clauses.max(other.prefix_peak_clauses);
         self.rank_peak_entries = self.rank_peak_entries.max(other.rank_peak_entries);
-        self.rank_peak_bytes = self.rank_peak_bytes.max(other.rank_peak_bytes);
     }
 }
 
@@ -166,7 +162,6 @@ mod tests {
             arena_peak_bytes: 100,
             prefix_peak_clauses: 4,
             rank_peak_entries: 9,
-            rank_peak_bytes: 72,
             ..SolverStats::default()
         };
         let b = SolverStats {
@@ -174,7 +169,6 @@ mod tests {
             arena_peak_bytes: 250,
             prefix_peak_clauses: 9,
             rank_peak_entries: 2,
-            rank_peak_bytes: 16,
             ..SolverStats::default()
         };
         a.accumulate(&b);
@@ -182,6 +176,5 @@ mod tests {
         assert_eq!(a.arena_peak_bytes, 250);
         assert_eq!(a.prefix_peak_clauses, 9);
         assert_eq!(a.rank_peak_entries, 9);
-        assert_eq!(a.rank_peak_bytes, 72);
     }
 }

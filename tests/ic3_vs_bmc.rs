@@ -6,16 +6,16 @@
 //! may either agree (open at the bound) or close it with a proof — and every
 //! proof must carry an invariant that passes [`check_invariant`]'s
 //! independent initiation/consecution/safety solver queries. A second,
-//! deterministic test runs the proving specimens of `proof_suite` end to
-//! end: all of them must prove, under both the unordered and the
-//! core-ordered assumption ranking.
+//! deterministic test runs the proving specimens of `proof_suite` and the
+//! holding instances of `small_suite` end to end: all of them must prove,
+//! under both the unordered and the core-ordered assumption ranking.
 
 use proptest::prelude::*;
 use refined_bmc::bmc::{
     check_invariant, BmcEngine, BmcOptions, Ic3Engine, Model, OrderingStrategy, PropertyVerdict,
 };
 use refined_bmc::circuit::{LatchInit, Netlist, Signal};
-use refined_bmc::gens::{proof_suite, Expectation};
+use refined_bmc::gens::{proof_suite, small_suite, Expectation};
 
 /// Construction steps over a signal pool (inputs, latches, then gates).
 #[derive(Debug, Clone)]
@@ -167,12 +167,15 @@ proptest! {
     }
 }
 
-/// The dedicated proving specimens all close under IC3 — with either
-/// assumption order — and every extracted invariant survives the
-/// independent inductive check.
+/// The dedicated proving specimens and the small suite's holding instances
+/// all close under IC3 — with either assumption order — and every extracted
+/// invariant survives the independent inductive check.
 #[test]
 fn proof_suite_proves_under_both_assumption_orders() {
-    for instance in proof_suite() {
+    let holding = small_suite()
+        .into_iter()
+        .filter(|instance| instance.expectation == Expectation::Holds);
+    for instance in proof_suite().into_iter().chain(holding) {
         assert_eq!(
             instance.expectation,
             Expectation::Holds,

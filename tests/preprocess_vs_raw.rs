@@ -2,12 +2,14 @@
 //! multi-property sequential circuits, the preprocessed engine must
 //! reproduce the raw engine's per-depth verdicts and retirement depths in
 //! both reuse regimes, and every counterexample it returns — lifted back to
-//! original coordinates — must replay on the *original* netlist.
+//! original coordinates — must replay on the *original* netlist. On a
+//! deterministic disjoint-cone fixture, where each counterexample is unique,
+//! the lifted traces must also equal the raw ones bit for bit.
 
 use proptest::prelude::*;
 use refined_bmc::bmc::{
     BmcEngine, BmcOptions, BmcRun, OrderingStrategy, ProblemBuilder, PropertyVerdict, SolveResult,
-    SolverReuse, VerificationProblem,
+    SolverReuse, Trace, VerificationProblem,
 };
 use refined_bmc::circuit::{LatchInit, Netlist, Signal};
 
@@ -203,6 +205,17 @@ proptest! {
     }
 }
 
+/// Each property's counterexample, if it has one.
+fn traces(run: &BmcRun) -> Vec<Option<Trace>> {
+    run.properties
+        .iter()
+        .map(|p| match &p.verdict {
+            PropertyVerdict::Falsified { trace, .. } => Some(trace.clone()),
+            _ => None,
+        })
+        .collect()
+}
+
 #[test]
 fn preprocessing_agrees_across_reuse_regimes_on_disjoint_cones() {
     const DEPTH: usize = 15;
@@ -216,6 +229,13 @@ fn preprocessing_agrees_across_reuse_regimes_on_disjoint_cones() {
             signature(&pp),
             signature(&baseline),
             "{reuse:?} diverged from the raw session engine"
+        );
+        // No inputs and binary latch inits: each counterexample is unique,
+        // so the lifted trace must equal the raw one bit for bit.
+        assert_eq!(
+            traces(&pp),
+            traces(&baseline),
+            "{reuse:?} lifted a different trace than the raw session engine found"
         );
     }
 }
