@@ -383,6 +383,10 @@ struct PropRunner<'a> {
     /// Proof sink and per-episode checker of the session solver (attached
     /// when [`BmcOptions::proof`] is on).
     certifier: Option<EpisodeCertifier>,
+    /// Solver clauses added by set-up (transition relation and `I`); every
+    /// later one is a lemma, a query's `¬s`, or a selector unit.
+    #[cfg(feature = "debug-invariants")]
+    setup_clauses: usize,
 }
 
 impl<'a> PropRunner<'a> {
@@ -457,6 +461,8 @@ impl<'a> PropRunner<'a> {
             assumption_conflicts: 0,
             frontier_core_positions: Vec::new(),
             certifier,
+            #[cfg(feature = "debug-invariants")]
+            setup_clauses: 0,
         };
         runner.act_init = runner.alloc_lit();
         // I(V⁰), gated: ¬act_init ∨ (latch at its initial value).
@@ -468,6 +474,10 @@ impl<'a> PropRunner<'a> {
             };
             let act = runner.act_init;
             runner.solver.add_clause(&[!act, lit]);
+        }
+        #[cfg(feature = "debug-invariants")]
+        {
+            runner.setup_clauses = runner.solver.num_original_clauses();
         }
         runner
     }
@@ -607,16 +617,26 @@ impl<'a> PropRunner<'a> {
         }
     }
 
-    /// Blocks `cube` at `level`: the clause `¬cube` is added under the
-    /// level's activation literal and the bookkeeping subsumes.
-    fn add_blocked(&mut self, level: usize, cube: Cube) {
+    /// Adds the clause `¬gate ∨ ¬cube` over unprimed latches and returns its
+    /// solver ID: a lemma when `gate` is a level's activation literal, a
+    /// blocking query's `¬s` when it is the query's selector.
+    fn add_gated_negation(&mut self, gate: Lit, cube: &Cube) -> usize {
         let mut clause = Vec::with_capacity(cube.len() + 1);
-        clause.push(!self.act_of(level));
-        for &(pos, value) in &cube {
+        clause.push(!gate);
+        for &(pos, value) in cube {
             clause.push(self.latch_lit(pos, !value, 0));
         }
-        self.solver.add_clause(&clause);
-        self.frames.add(level, cube);
+        self.solver.add_clause(&clause)
+    }
+
+    /// Blocks `cube` at `level`: the clause `¬cube` is added under the
+    /// level's activation literal, and the clauses of the stored cubes it
+    /// subsumes are removed.
+    fn add_blocked(&mut self, level: usize, cube: Cube) {
+        let clause = self.add_gated_negation(self.act_of(level), &cube);
+        for dropped in self.frames.add(level, cube, clause) {
+            self.solver.remove_clause(dropped);
+        }
     }
 
     /// Discharges the obligation queue seeded with the frontier bad cube
@@ -639,38 +659,34 @@ impl<'a> PropRunner<'a> {
             // F_{j-1} ∧ ¬s ∧ T ∧ s': ¬s under a one-shot selector, s'
             // assumed literal by literal (core-ordered), frame acts first.
             let selector = self.alloc_lit();
-            let mut not_s = Vec::with_capacity(s.len() + 1);
-            not_s.push(!selector);
-            for &(pos, value) in &s {
-                not_s.push(self.latch_lit(pos, !value, 0));
-            }
-            self.solver.add_clause(&not_s);
+            let query = self.add_gated_negation(selector, &s);
             let mut assumptions = self.frame_assumptions(j - 1);
             assumptions.push(selector);
             assumptions.extend(self.primed_lits(&s, j - 1));
             self.install_ranking(j - 1);
             let result = self.solve(&assumptions);
+            // Answered: the `¬selector` unit retires the selector for good
+            // (it is never decided again) and satisfies `¬s` at the root,
+            // so BCP need not visit that clause any more. The answer's core
+            // and model stay readable.
+            self.solver.add_clause(&[!selector]);
+            self.solver.remove_clause(query);
             match result {
                 SolveResult::Unsat => {
                     self.assumption_conflicts += 1;
                     let core = self.core_positions();
                     self.record_core(j - 1, &core);
                     let cube = generalize_from_core(&s, &core, &self.inits);
-                    self.solver.add_clause(&[!selector]);
                     self.add_blocked(j, cube);
                 }
                 SolveResult::Sat => {
                     let predecessor = self.cube_from_model();
-                    self.solver.add_clause(&[!selector]);
                     self.seq += 1;
                     queue.push(Reverse((j - 1, self.seq, predecessor)));
                     self.seq += 1;
                     queue.push(Reverse((j, self.seq, s)));
                 }
-                SolveResult::Unknown => {
-                    self.solver.add_clause(&[!selector]);
-                    return BlockResult::ResourceOut;
-                }
+                SolveResult::Unknown => return BlockResult::ResourceOut,
             }
         }
         BlockResult::Blocked
@@ -678,12 +694,13 @@ impl<'a> PropRunner<'a> {
 
     /// The push phase after frontier `k` passed: every cube at levels
     /// `1..k` that is inductive relative to its own frame moves up one
-    /// level. Returns `false` on a truncated query.
+    /// level. Its level-`j` clause is removed, since the level-`j + 1` copy
+    /// is active wherever it is. Returns `false` on a truncated query.
     fn push_phase(&mut self, k: usize) -> bool {
         for j in 1..k {
-            let cubes: Vec<Cube> = self.frames.cubes_at(j).to_vec();
+            let cubes: Vec<Cube> = self.frames.cubes_at(j).cloned().collect();
             for cube in cubes {
-                if !self.frames.cubes_at(j).contains(&cube) {
+                if !self.frames.cubes_at(j).any(|c| *c == cube) {
                     continue; // subsumed away earlier in this phase
                 }
                 let mut assumptions = self.frame_assumptions(j);
@@ -694,13 +711,13 @@ impl<'a> PropRunner<'a> {
                         self.assumption_conflicts += 1;
                         let core = self.core_positions();
                         self.record_core(j, &core);
-                        if self.frames.push_up(j, &cube) {
-                            let mut clause = Vec::with_capacity(cube.len() + 1);
-                            clause.push(!self.act_of(j + 1));
-                            for &(pos, value) in &cube {
-                                clause.push(self.latch_lit(pos, !value, 0));
-                            }
-                            self.solver.add_clause(&clause);
+                        let clause = self.add_gated_negation(self.act_of(j + 1), &cube);
+                        let superseded = self
+                            .frames
+                            .push_up(j, &cube, clause)
+                            .expect("the cube was at level j when its query was asked");
+                        for id in superseded {
+                            self.solver.remove_clause(id);
                         }
                     }
                     SolveResult::Sat => {}
@@ -709,6 +726,33 @@ impl<'a> PropRunner<'a> {
             }
         }
         true
+    }
+
+    /// `debug-invariants` audit: the solver watches exactly the clauses IC3
+    /// still needs. Every stored cube's clause is attached, and of the
+    /// clauses added after set-up only those and one `¬selector` unit per
+    /// blocking query are — so every query's `¬s` clause and every
+    /// superseded lemma copy has been removed.
+    #[cfg(feature = "debug-invariants")]
+    fn audit_clauses(&self) -> Result<(), String> {
+        let stored: Vec<usize> = self.frames.clause_ids().collect();
+        if let Some(id) = stored.iter().find(|&&id| self.solver.is_removed(id)) {
+            return Err(format!("clause {id} of a stored cube is removed"));
+        }
+        let attached = (self.setup_clauses..self.solver.num_original_clauses())
+            .filter(|&id| !self.solver.is_removed(id))
+            .count();
+        // Every variable allocated after `act_init` is a level's
+        // activation literal or a blocking query's selector.
+        let selectors = self.next_var - self.act_init.var().index() - 1 - self.level_acts.len();
+        if attached != stored.len() + selectors {
+            return Err(format!(
+                "{attached} clauses added after set-up are attached, want {} stored cubes \
+                 plus {selectors} selector units",
+                stored.len()
+            ));
+        }
+        Ok(())
     }
 
     /// Reconstructs the depth-`k` counterexample as a validated trace via a
@@ -818,7 +862,7 @@ impl<'a> PropRunner<'a> {
                 } else if !self.push_phase(k) {
                     frontier_result = SolveResult::Unknown;
                     outcome = Some(PropOutcome::ResourceOut);
-                } else if let Some(fix) = (1..k).find(|&j| self.frames.cubes_at(j).is_empty()) {
+                } else if let Some(fix) = (1..k).find(|&j| self.frames.cubes_at(j).len() == 0) {
                     let invariant = invariant_clauses_from(&self.frames.cubes_from(fix + 1));
                     outcome = Some(PropOutcome::Proved {
                         depth: k,
@@ -849,7 +893,8 @@ impl<'a> PropRunner<'a> {
             });
             // Frontier boundary, `debug-invariants` builds: full structural
             // audit of the session solver (watches, trail, arena, CDG,
-            // decision heap) and of its proof log's coherence.
+            // decision heap), of its proof log's coherence, and of which
+            // clauses IC3 left attached.
             #[cfg(feature = "debug-invariants")]
             {
                 self.solver
@@ -857,6 +902,8 @@ impl<'a> PropRunner<'a> {
                     .expect("solver invariants at frontier boundary");
                 crate::certify::audit_proof_coherence(&self.solver)
                     .expect("proof-log coherence at frontier boundary");
+                self.audit_clauses()
+                    .expect("IC3 clause removal at frontier boundary");
             }
             if outcome.is_some() {
                 break 'frontiers;

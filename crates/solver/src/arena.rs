@@ -10,7 +10,7 @@
 //! Record layout (all `u32` words):
 //!
 //! ```text
-//! word 0   len << 2 | deleted << 1 | learned
+//! word 0   len << 3 | removed << 2 | deleted << 1 | learned
 //! word 1   activity (times used as a conflict antecedent)
 //! word 2   CDG pseudo-ID (original: input position; learned: assigned id)
 //! word 3…  literal codes (Lit::code), len of them
@@ -24,6 +24,10 @@
 //! reports the relocation map, and the solver patches its `reasons`, its
 //! original-clause references, and exactly the two watch entries of each
 //! relocated clause in place.
+//!
+//! An original clause the caller removed (`Solver::remove_clause`) keeps its
+//! record, flagged `removed`: it has no watch entries, but reasons, cores
+//! and proof hints may still cite it.
 
 use rbmc_cnf::Lit;
 
@@ -49,7 +53,8 @@ impl ClauseRef {
 const HEADER_WORDS: u32 = 3;
 const LEARNED_BIT: u32 = 0b01;
 const DELETED_BIT: u32 = 0b10;
-const LEN_SHIFT: u32 = 2;
+const REMOVED_BIT: u32 = 0b100;
+const LEN_SHIFT: u32 = 3;
 
 /// The flat clause database.
 #[derive(Debug, Default)]
@@ -104,6 +109,19 @@ impl ClauseArena {
     #[inline]
     pub(crate) fn mark_deleted(&mut self, c: ClauseRef) {
         self.data[c.0 as usize] |= DELETED_BIT;
+    }
+
+    /// Whether the original clause was removed from BCP (permanent; the
+    /// record and its body stay).
+    #[inline]
+    pub(crate) fn is_removed(&self, c: ClauseRef) -> bool {
+        self.data[c.0 as usize] & REMOVED_BIT != 0
+    }
+
+    /// Flags the clause as removed from BCP.
+    #[inline]
+    pub(crate) fn mark_removed(&mut self, c: ClauseRef) {
+        self.data[c.0 as usize] |= REMOVED_BIT;
     }
 
     /// The `i`-th literal of the clause.
@@ -255,7 +273,9 @@ mod tests {
         let first_learned = arena.end_offset();
         let l1 = arena.alloc(&lits(&[3, 4, 5]), true, 1);
         let l2 = arena.alloc(&lits(&[-3, -4, -5]), true, 2);
-        let l3 = arena.alloc(&lits(&[1, 5]), true, 3);
+        // An original added mid-session and since removed from BCP.
+        let l3 = arena.alloc(&lits(&[1, 5]), false, 3);
+        arena.mark_removed(l3);
         arena.mark_deleted(l1);
         let remap = arena.compact_learned(first_learned);
         // l2 and l3 shift down by one record; orig is untouched.
@@ -267,6 +287,7 @@ mod tests {
         assert_eq!(arena.lit(new_l2, 0), Lit::from_dimacs(-3));
         assert_eq!(arena.cdg_id(new_l2), 2);
         assert_eq!(arena.lit(new_l3, 1), Lit::from_dimacs(5));
+        assert!(arena.is_removed(new_l3) && !arena.is_removed(new_l2));
         assert_eq!(arena.lit(orig, 0), Lit::from_dimacs(1));
         assert_eq!(arena.next(new_l3), None);
     }

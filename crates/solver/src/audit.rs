@@ -77,6 +77,9 @@ impl Solver {
             if self.clauses.is_deleted(cref) && !self.clauses.is_learned(cref) {
                 fail!("arena: original clause at {} marked deleted", cref.offset());
             }
+            if self.clauses.is_removed(cref) && self.clauses.is_learned(cref) {
+                fail!("arena: learned clause at {} marked removed", cref.offset());
+            }
             headers.insert(cref.offset());
             last_end = cref.offset() + 3 + len as u32;
             cursor = self.clauses.next(cref);
@@ -122,7 +125,8 @@ impl Solver {
     /// exactly once under each of its slot-0/slot-1 literals — in the binary
     /// tier with the *other* literal inlined as `implied`, or in the long
     /// tier with a blocker drawn from the clause body — and nothing else in
-    /// any list references it.
+    /// any list references it. A removed clause is not live: no entry may
+    /// point at it.
     fn audit_watches(&self, headers: &HashSet<u32>) -> Result<(), String> {
         if self.watches.len() != 2 * self.num_vars() {
             fail!(
@@ -140,9 +144,9 @@ impl Solver {
                 if !headers.contains(&cref.offset()) {
                     fail!("watches: bin entry at non-header offset {}", cref.offset());
                 }
-                if self.clauses.is_deleted(cref) {
+                if self.clauses.is_deleted(cref) || self.clauses.is_removed(cref) {
                     fail!(
-                        "watches: bin entry references deleted clause at {}",
+                        "watches: bin entry references deleted or removed clause at {}",
                         cref.offset()
                     );
                 }
@@ -179,9 +183,9 @@ impl Solver {
                 if !headers.contains(&cref.offset()) {
                     fail!("watches: long entry at non-header offset {}", cref.offset());
                 }
-                if self.clauses.is_deleted(cref) {
+                if self.clauses.is_deleted(cref) || self.clauses.is_removed(cref) {
                     fail!(
-                        "watches: long entry references deleted clause at {}",
+                        "watches: long entry references deleted or removed clause at {}",
                         cref.offset()
                     );
                 }
@@ -216,7 +220,8 @@ impl Solver {
         while let Some(cref) = cursor {
             cursor = self.clauses.next(cref);
             let len = self.clauses.len(cref);
-            let expected: &[usize] = if len >= 2 && !self.clauses.is_deleted(cref) {
+            let live = !self.clauses.is_deleted(cref) && !self.clauses.is_removed(cref);
+            let expected: &[usize] = if len >= 2 && live {
                 &[
                     self.clauses.lit(cref, 0).code(),
                     self.clauses.lit(cref, 1).code(),
@@ -529,6 +534,20 @@ mod tests {
         }
         let err = s.audit().expect_err("wrong implied literal must fail");
         assert!(err.contains("implied"), "unexpected report: {err}");
+    }
+
+    #[test]
+    fn audit_flags_watch_entry_of_removed_clause() {
+        let mut s = Solver::from_formula(&sat_formula());
+        s.remove_clause(2);
+        s.audit().expect("a removed clause leaves no watch entry");
+        assert_eq!(s.solve(), SolveResult::Sat);
+        s.audit().expect("clean after an episode");
+        // Flag a still-watched clause as removed without detaching it.
+        let binary = s.original_refs[0];
+        s.clauses.mark_removed(binary);
+        let err = s.audit().expect_err("entry pointing at a removed clause");
+        assert!(err.contains("removed"), "unexpected report: {err}");
     }
 
     /// Minimal [`ProofLog`] that tracks exactly the bookkeeping

@@ -143,7 +143,8 @@ pub struct Solver {
     /// compaction — only learned records are ever deleted.
     first_learned: u32,
     /// Total literal occurrences in the original formula — the paper's
-    /// "number of original literals" used by the dynamic switch.
+    /// "number of original literals" used by the dynamic switch. Removed
+    /// clauses keep counting.
     num_original_lits: u64,
     watches: Vec<WatchLists>,
     values: Vec<LBool>,
@@ -202,6 +203,9 @@ pub struct Solver {
     /// lockstep with the CDG by [`Solver::prune_cdg`]; proof ids themselves
     /// are never renumbered, so emitted hints stay valid forever.
     proof_of_cdg: Vec<u64>,
+    /// Scratch of [`proof_hints`], indexed by CDG node id: the nodes already
+    /// cited by the hint list being built. All false between calls.
+    cited: Vec<bool>,
 }
 
 impl fmt::Debug for Solver {
@@ -270,6 +274,7 @@ impl Solver {
             proof: None,
             next_proof_id: 0,
             proof_of_cdg: Vec::new(),
+            cited: Vec::new(),
         }
     }
 
@@ -314,6 +319,8 @@ impl Solver {
 
     /// Total literal occurrences over the original clauses (the paper's
     /// `#original literals`, the base of the dynamic-switch threshold).
+    /// Clauses removed by [`Solver::remove_clause`] still count, so a
+    /// removal never moves the threshold.
     pub fn num_original_literals(&self) -> u64 {
         self.num_original_lits
     }
@@ -323,8 +330,9 @@ impl Solver {
         &self.opts
     }
 
-    /// Adds an original clause. The clause's ID for core reporting is its
-    /// 0-based position in the order of `add_clause` calls.
+    /// Adds an original clause and returns its ID: its 0-based position in
+    /// the order of `add_clause` calls. Cores ([`Solver::core_clauses`]) are
+    /// reported in these IDs, and [`Solver::remove_clause`] takes one.
     ///
     /// Duplicate literals are removed internally; a clause containing both
     /// phases of a variable is stored but ignored by the search (it is a
@@ -337,7 +345,7 @@ impl Solver {
     /// assignment: already-falsified literals are skipped when choosing
     /// watches, a clause left unit propagates immediately, and a clause with
     /// no true or free literal makes the solver permanently unsatisfiable.
-    pub fn add_clause(&mut self, lits: &[Lit]) {
+    pub fn add_clause(&mut self, lits: &[Lit]) -> usize {
         self.backtrack(0);
         // The raw literal count feeds both the initial cha_score and the
         // dynamic-switch threshold.
@@ -426,6 +434,49 @@ impl Solver {
         }
         self.num_original = self.original_refs.len();
         self.note_arena_peak();
+        input_pos as usize
+    }
+
+    /// Removes original clause `id` (as returned by [`Solver::add_clause`])
+    /// from the search: its two watch entries are detached, so BCP never
+    /// visits it again.
+    ///
+    /// The clause keeps its arena record, its proof axiom line and its ID.
+    /// A reason, a core or a proof hint that cites it stays valid, and
+    /// [`Solver::core_vars`] still reads its literals. Scores do not change:
+    /// `cha_score` and [`Solver::num_original_literals`] keep counting the
+    /// clause, so the only change to the search is which clauses BCP visits.
+    /// A unit or empty clause has no watches; the root-level fact or the
+    /// refutation it produced stands. Removing a clause twice is a no-op.
+    ///
+    /// # Soundness
+    ///
+    /// Learned clauses derived from a removed clause stay in the solver, so
+    /// an UNSAT answer is still implied by every clause ever added, removed
+    /// ones included. The caller may remove only clauses that no later SAT
+    /// answer depends on: for example a clause satisfied at the root, or one
+    /// that a clause still present implies under every assumption set that
+    /// activates it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no clause with ID `id` was added.
+    pub fn remove_clause(&mut self, id: usize) {
+        let cref = self.original_refs[id];
+        if self.clauses.is_removed(cref) {
+            return;
+        }
+        self.detach_watches(cref);
+        self.clauses.mark_removed(cref);
+    }
+
+    /// Whether original clause `id` was removed by [`Solver::remove_clause`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if no clause with ID `id` was added.
+    pub fn is_removed(&self, id: usize) -> bool {
+        self.clauses.is_removed(self.original_refs[id])
     }
 
     /// Records the arena's current size into the peak-bytes high-water mark
@@ -492,21 +543,6 @@ impl Solver {
         self.proof_of_cdg[idx] = pid;
     }
 
-    /// Maps a CDG antecedent list to proof-line hints in propagation order:
-    /// conflict analysis walks the trail backward, so the list is reversed,
-    /// and duplicate citations (a root fact dropped from several clauses)
-    /// keep only their earliest position.
-    fn hints_from(&self, ants: &[ClauseId]) -> Vec<u64> {
-        let mut hints: Vec<u64> = Vec::with_capacity(ants.len());
-        for &ant in ants.iter().rev() {
-            let pid = self.proof_of_cdg[ant as usize];
-            if !hints.contains(&pid) {
-                hints.push(pid);
-            }
-        }
-        hints
-    }
-
     /// Emits the deletion line of an arena clause (called at mark time,
     /// while the header still resolves the CDG node).
     fn emit_proof_delete(&mut self, cref: ClauseRef) {
@@ -525,7 +561,7 @@ impl Solver {
     fn emit_proof_final_failed(&mut self) {
         if self.proof.is_some() {
             let clause: Vec<Lit> = self.failed.iter().map(|&a| !a).collect();
-            let hints = self.hints_from(&self.conflict_ants);
+            let hints = proof_hints(&self.proof_of_cdg, &mut self.cited, &self.conflict_ants);
             if let Some(proof) = self.proof.as_mut() {
                 proof.finalize(&clause, &hints);
             }
@@ -884,7 +920,7 @@ impl Solver {
             let node = self.cdg.record_learned(&self.unit_ants);
             self.unit_node[v] = Some(node);
             if self.proof.is_some() {
-                let hints = self.hints_from(&self.unit_ants);
+                let hints = proof_hints(&self.proof_of_cdg, &mut self.cited, &self.unit_ants);
                 let pid = self.fresh_proof_id();
                 self.map_proof(node, pid);
                 self.proof
@@ -1068,7 +1104,7 @@ impl Solver {
             ClauseId::MAX
         };
         if self.proof.is_some() {
-            let hints = self.hints_from(&self.conflict_ants);
+            let hints = proof_hints(&self.proof_of_cdg, &mut self.cited, &self.conflict_ants);
             let pid = self.fresh_proof_id();
             self.map_proof(cdg_id, pid);
             self.proof
@@ -1222,11 +1258,12 @@ impl Solver {
             // Rewrite the two watch entries of each relocated clause.
             // Ascending old-offset order makes the scan unambiguous: every
             // new offset is strictly below its own old offset, and hence
-            // below all old offsets still waiting to be patched.
+            // below all old offsets still waiting to be patched. A removed
+            // clause has no entries to rewrite.
             for &(old, new) in &remap {
                 let cref = ClauseRef::at(new);
                 let len = self.clauses.len(cref);
-                if len < 2 {
+                if len < 2 || self.clauses.is_removed(cref) {
                     continue;
                 }
                 let (l0, l1) = (self.clauses.lit(cref, 0), self.clauses.lit(cref, 1));
@@ -1241,9 +1278,9 @@ impl Solver {
             .expect("solver invariants violated after compaction");
     }
 
-    /// Removes the two watch entries of `cref` (about to be deleted). Its
-    /// watched literals are slots 0 and 1 by the BCP invariant; unit and
-    /// empty clauses are never watched.
+    /// Removes the two watch entries of `cref` (about to be deleted or
+    /// removed). Its watched literals are slots 0 and 1 by the BCP
+    /// invariant; unit and empty clauses are never watched.
     fn detach_watches(&mut self, cref: ClauseRef) {
         let len = self.clauses.len(cref);
         if len < 2 {
@@ -1257,14 +1294,14 @@ impl Solver {
                     .bins
                     .iter()
                     .position(|w| w.clause == cref)
-                    .expect("deleted binary clause is watched on slots 0/1");
+                    .expect("detached binary clause is watched on slots 0/1");
                 wl.bins.swap_remove(i);
             } else {
                 let i = wl
                     .longs
                     .iter()
                     .position(|w| w.clause == cref)
-                    .expect("deleted long clause is watched on slots 0/1");
+                    .expect("detached long clause is watched on slots 0/1");
                 wl.longs.swap_remove(i);
             }
         }
@@ -1457,7 +1494,7 @@ impl Solver {
     fn finish_unsat(&mut self, final_antecedents: Vec<ClauseId>) {
         self.ok = false;
         if self.proof.is_some() {
-            let hints = self.hints_from(&final_antecedents);
+            let hints = proof_hints(&self.proof_of_cdg, &mut self.cited, &final_antecedents);
             if let Some(proof) = self.proof.as_mut() {
                 proof.finalize(&[], &hints);
             }
@@ -1475,6 +1512,30 @@ impl Solver {
         }
         self.result = Some(SolveResult::Unsat);
     }
+}
+
+/// Maps a CDG antecedent list to proof-line hints in propagation order:
+/// conflict analysis walks the trail backward, so the list is reversed, and
+/// duplicate citations (a root fact dropped from several clauses) keep only
+/// their earliest position. Nodes and proof lines correspond one to one, so
+/// `cited` (all false on entry and on return) deduplicates per node in
+/// linear time.
+fn proof_hints(proof_of_cdg: &[u64], cited: &mut Vec<bool>, ants: &[ClauseId]) -> Vec<u64> {
+    if cited.len() < proof_of_cdg.len() {
+        cited.resize(proof_of_cdg.len(), false);
+    }
+    let mut hints: Vec<u64> = Vec::with_capacity(ants.len());
+    for &ant in ants.iter().rev() {
+        let node = ant as usize;
+        if !cited[node] {
+            cited[node] = true;
+            hints.push(proof_of_cdg[node]);
+        }
+    }
+    for &ant in ants {
+        cited[ant as usize] = false;
+    }
+    hints
 }
 
 /// The Luby restart sequence: 1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8, …
@@ -1802,9 +1863,19 @@ mod tests {
         // A formula needing real search, with an aggressive reduction
         // threshold: compactions relocate learned clauses mid-search, and
         // the incremental repair must keep BCP sound to the (known) verdict.
-        let text = "p cnf 3 8\n1 2 3 0\n1 2 -3 0\n1 -2 3 0\n1 -2 -3 0\n\
-                    -1 2 3 0\n-1 2 -3 0\n-1 -2 3 0\n-1 -2 -3 0\n";
-        let f = parse_dimacs(text).unwrap();
+        // The eight clauses over x1..x3 come twice, gated by x4 ∧ x5 and by
+        // x6, so a second episode searches again after a mid-session clause
+        // was added and removed.
+        let full = [
+            "1 2 3", "1 2 -3", "1 -2 3", "1 -2 -3", "-1 2 3", "-1 2 -3", "-1 -2 3", "-1 -2 -3",
+        ];
+        let mut text = String::from("p cnf 6 16\n");
+        for gate in ["-4 -5", "-6"] {
+            for clause in full {
+                text.push_str(&format!("{gate} {clause} 0\n"));
+            }
+        }
+        let f = parse_dimacs(&text).unwrap();
         let mut s = Solver::from_formula_with(
             &f,
             SolverOptions {
@@ -1814,17 +1885,72 @@ mod tests {
                 ..SolverOptions::default()
             },
         );
-        assert_eq!(s.solve(), SolveResult::Unsat);
+        assert_eq!(s.solve_under(&[lit(4), lit(5)]), SolveResult::Unsat);
         let stats = s.stats();
         assert!(stats.compactions > 0, "reduction must have run");
         assert!(
             stats.deleted > 0,
             "reduction must have deleted learned clauses"
         );
+        // A mid-session clause lands after the learned records; removed at
+        // once, it must stay unwatched wherever compaction moves it.
+        let removed = s.add_clause(&[lit(7), lit(8), lit(9)]);
+        s.remove_clause(removed);
+        let before = s.original_refs[removed];
+        // Retiring x4 satisfies the first episode's learned clauses at the
+        // root; the second episode's reductions delete them, moving the
+        // removed clause down.
+        s.add_clause(&[lit(-4)]);
+        assert_eq!(s.solve_under(&[lit(6)]), SolveResult::Unsat);
+        assert!(s.original_refs[removed] < before, "compaction relocated it");
+        assert!(s.is_removed(removed));
         // The core is still exact through all the relocation.
         let core = s.core_clauses().unwrap();
-        let mut s2 = Solver::from_formula(&f.subformula(core));
+        let mut sub = f.subformula(core);
+        sub.add_clause([lit(6)]);
+        let mut s2 = Solver::from_formula(&sub);
         assert_eq!(s2.solve(), SolveResult::Unsat);
+        // BCP still ignores the relocated clause.
+        assert_eq!(
+            s.solve_under(&[lit(-7), lit(-8), lit(-9)]),
+            SolveResult::Sat
+        );
+    }
+
+    #[test]
+    fn removed_clause_stops_constraining_later_episodes() {
+        // A long and a binary clause, each refuting its assumption pair.
+        let f = parse_dimacs("p cnf 5 3\n-1 -2 -3 0\n-4 5 0\n1 4 0\n").unwrap();
+        let mut s = Solver::from_formula(&f);
+        assert_eq!(s.solve_under(&[lit(1), lit(2), lit(3)]), SolveResult::Unsat);
+        assert_eq!(s.core_clauses().unwrap(), &[0]);
+        assert_eq!(s.solve_under(&[lit(4), lit(-5)]), SolveResult::Unsat);
+        assert_eq!(s.core_clauses().unwrap(), &[1]);
+        s.remove_clause(0);
+        s.remove_clause(1);
+        s.remove_clause(1); // a second removal is a no-op
+        assert!(s.is_removed(0) && s.is_removed(1) && !s.is_removed(2));
+        assert_eq!(s.solve_under(&[lit(1), lit(2), lit(3)]), SolveResult::Sat);
+        assert_eq!(s.solve_under(&[lit(4), lit(-5)]), SolveResult::Sat);
+        // The clause that stays still binds, and the threshold base keeps
+        // counting the removed clauses.
+        assert_eq!(s.solve_under(&[lit(-1), lit(-4)]), SolveResult::Unsat);
+        assert_eq!(s.core_clauses().unwrap(), &[2]);
+        assert_eq!(s.num_original_literals(), 7);
+    }
+
+    #[test]
+    fn core_after_removal_may_cite_the_removed_clause() {
+        // x1 and x1 → x2 fix x2 at the root; removing x1 → x2 afterwards
+        // keeps the fact, and the core of a refutation through it still
+        // names the removed clause, whose literals `core_vars` reads.
+        let f = parse_dimacs("p cnf 3 3\n1 0\n-1 2 0\n-3 1 0\n").unwrap();
+        let mut s = Solver::from_formula(&f);
+        assert_eq!(s.solve(), SolveResult::Sat);
+        s.remove_clause(1);
+        assert_eq!(s.solve_under(&[lit(-2)]), SolveResult::Unsat);
+        assert_eq!(s.core_clauses().unwrap(), &[0, 1]);
+        assert_eq!(s.core_vars().unwrap(), vec![Var::new(0), Var::new(1)]);
     }
 
     #[test]

@@ -40,16 +40,16 @@ const BMC_SESSION: &CountTable = &[
 
 /// IC3 to the instance's frame bound.
 const IC3: &CountTable = &[
-    ("s1_lock4", [100, 580, 3, 23]),
+    ("s1_lock4", [103, 577, 3, 23]),
     ("s2_lock3_imp", [43, 229, 2, 12]),
-    ("s3_ring5", [632, 2811, 21, 97]),
-    ("s4_ring4_bug2", [333, 1235, 8, 50]),
+    ("s3_ring5", [649, 2798, 22, 97]),
+    ("s4_ring4_bug2", [336, 1234, 8, 50]),
     ("s5_shift5", [119, 248, 0, 25]),
-    ("s6_twin4", [702, 2119, 28, 104]),
-    ("s7_fifo4_over", [328, 1445, 24, 49]),
-    ("s8_fifo4_guard", [188, 1074, 24, 32]),
-    ("s9_tmr2_f1", [279, 886, 8, 32]),
-    ("s10_pipe4", [127, 260, 0, 25]),
+    ("s6_twin4", [714, 2099, 28, 104]),
+    ("s7_fifo4_over", [329, 1446, 24, 49]),
+    ("s8_fifo4_guard", [186, 1051, 23, 32]),
+    ("s9_tmr2_f1", [279, 887, 8, 32]),
+    ("s10_pipe4", [131, 256, 0, 25]),
 ];
 
 /// BMC, one session solver per instance, on the problem read back from the
