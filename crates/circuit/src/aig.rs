@@ -323,7 +323,7 @@ impl Aig {
         for id in netlist.node_ids() {
             match netlist.node(id) {
                 Node::Input => map[id.index()] = aig.add_input(),
-                Node::Latch { init, .. } => map[id.index()] = aig.add_latch(*init),
+                Node::Latch { init, .. } => map[id.index()] = aig.add_latch(init),
                 _ => {}
             }
         }
@@ -353,7 +353,7 @@ impl Aig {
             } = netlist.node(id)
             {
                 let latch_lit = map[id.index()];
-                let next_lit = read(&map, *next);
+                let next_lit = read(&map, next);
                 aig.set_next(latch_lit, next_lit);
             }
         }
@@ -399,6 +399,11 @@ impl Aig {
     /// gate to a constant or an existing signal; the map always holds the
     /// semantically equal signal.
     ///
+    /// The netlist's tables are sized once from the AIG's counts and the
+    /// generated `i<n>`/`l<n>` names are formatted straight into its name
+    /// buffer, so raising takes a constant number of allocations however
+    /// large the AIG is.
+    ///
     /// # Panics
     ///
     /// Panics if some latch has no next-state function.
@@ -411,7 +416,19 @@ impl Aig {
                 s
             }
         }
-        let mut netlist = Netlist::new();
+        // `i<n>`/`l<n>`: a prefix byte and at most as many digits as the
+        // count has.
+        fn names_len(count: usize) -> usize {
+            count * (1 + count.checked_ilog10().map_or(1, |d| d as usize + 1))
+        }
+        // One node per AIG node at most (folding may alias an AND), two
+        // fanins per AND: the tables never regrow.
+        let named = self.inputs.len() + self.latches.len();
+        let mut netlist = Netlist::with_capacity(
+            self.nodes.len(),
+            2 * self.nodes.len().saturating_sub(1 + named),
+            "false".len() + names_len(self.inputs.len()) + names_len(self.latches.len()),
+        );
         let mut map: Vec<Signal> = vec![Signal::FALSE; self.nodes.len()];
         let mut next_input = 0usize;
         let mut next_latch = 0usize;
@@ -419,12 +436,12 @@ impl Aig {
             map[id] = match node {
                 AigNodeKind::Const => Signal::FALSE,
                 AigNodeKind::Input => {
-                    let s = netlist.add_input(&format!("i{next_input}"));
+                    let s = netlist.add_input_fmt(format_args!("i{next_input}"));
                     next_input += 1;
                     s
                 }
                 AigNodeKind::Latch { init, .. } => {
-                    let s = netlist.add_latch(&format!("l{next_latch}"), *init);
+                    let s = netlist.add_latch_fmt(format_args!("l{next_latch}"), *init);
                     next_latch += 1;
                     s
                 }
@@ -561,7 +578,7 @@ mod tests {
                 .latches()
                 .iter()
                 .map(|&id| match n.node(id) {
-                    Node::Latch { next: Some(nx), .. } => read_signal(&net_vals, *nx),
+                    Node::Latch { next: Some(nx), .. } => read_signal(&net_vals, nx),
                     _ => unreachable!(),
                 })
                 .collect();
@@ -620,7 +637,7 @@ mod tests {
                 .latches()
                 .iter()
                 .map(|&id| match n.node(id) {
-                    Node::Latch { next: Some(nx), .. } => read_signal(&nv, *nx),
+                    Node::Latch { next: Some(nx), .. } => read_signal(&nv, nx),
                     _ => unreachable!(),
                 })
                 .collect();

@@ -451,7 +451,7 @@ pub fn write_blif(netlist: &Netlist, model_name: &str) -> String {
                 LatchInit::One => 1,
                 LatchInit::Free => 2,
             };
-            let next_name = reference(*next, &mut inverters);
+            let next_name = reference(next, &mut inverters);
             body.push_str(&format!(
                 ".latch {next_name} {} {init_code}\n",
                 signal_name(id)

@@ -224,19 +224,71 @@ impl LintReport {
     }
 }
 
-/// Formats up to four names followed by an ellipsis marker ("a, b, c, …").
-fn name_sample(names: &[String]) -> String {
-    const SHOW: usize = 4;
-    let mut s = names
+/// How many names a diagnostic prints before its ellipsis.
+const SHOW: usize = 4;
+
+/// Formats the first [`SHOW`] of `total` names, followed by an ellipsis
+/// marker when there are more ("a, b, c, d, …"). `shown` holds at least
+/// those first names.
+fn name_sample<S: AsRef<str>>(shown: &[S], total: usize) -> String {
+    let mut s = shown
         .iter()
         .take(SHOW)
-        .cloned()
+        .map(AsRef::as_ref)
         .collect::<Vec<_>>()
         .join(", ");
-    if names.len() > SHOW {
+    if total > SHOW {
         s.push_str(", …");
     }
     s
+}
+
+/// Counts the nodes of one kind outside the union cone, keeping the names
+/// of only the first [`SHOW`], which are all a diagnostic prints.
+fn outside_cone(
+    netlist: &Netlist,
+    in_union: impl Fn(NodeId) -> bool,
+    of_kind: impl Fn(Node<'_>) -> bool,
+) -> (usize, Vec<&str>) {
+    let mut count = 0;
+    let mut shown = Vec::with_capacity(SHOW);
+    for id in netlist.node_ids() {
+        if of_kind(netlist.node(id)) && !in_union(id) {
+            count += 1;
+            if shown.len() < SHOW {
+                shown.push(netlist.name(id).unwrap_or("?"));
+            }
+        }
+    }
+    (count, shown)
+}
+
+/// Whether a latch is reachable from `seed` through gate fanins, that is,
+/// whether the seed's cone of influence holds a register. The search stops
+/// at the first latch. `marks` is node-sized scratch shared by every call:
+/// a node counts as visited when its mark equals this call's `stamp`, so
+/// each call passes a stamp no earlier call used and nothing is cleared.
+fn reaches_latch(
+    netlist: &Netlist,
+    seed: Signal,
+    stamp: u32,
+    marks: &mut [u32],
+    stack: &mut Vec<NodeId>,
+) -> bool {
+    stack.clear();
+    stack.push(seed.node());
+    while let Some(id) = stack.pop() {
+        if marks[id.index()] == stamp {
+            continue;
+        }
+        marks[id.index()] = stamp;
+        match netlist.node(id) {
+            Node::Latch { .. } => return true,
+            Node::Gate { fanins, .. } => stack.extend(fanins.iter().map(|s| s.node())),
+            Node::Const | Node::Input => {}
+        }
+    }
+    false
 }
 
 /// Evaluates every node in three-valued logic at the reset state: latches
@@ -259,38 +311,41 @@ fn ternary_reset_values(netlist: &Netlist) -> Vec<Option<bool>> {
                 LatchInit::Free => None,
             },
             Node::Gate { op, fanins } => {
-                let f: Vec<Option<bool>> = fanins.iter().map(|&s| read(&vals, s)).collect();
+                let mut all = fanins.iter().map(|&s| read(&vals, s));
                 match op {
                     GateOp::And => {
-                        if f.contains(&Some(false)) {
+                        if all.clone().any(|v| v == Some(false)) {
                             Some(false)
-                        } else if f.iter().all(|v| *v == Some(true)) {
+                        } else if all.all(|v| v == Some(true)) {
                             Some(true)
                         } else {
                             None
                         }
                     }
                     GateOp::Or => {
-                        if f.contains(&Some(true)) {
+                        if all.clone().any(|v| v == Some(true)) {
                             Some(true)
-                        } else if f.iter().all(|v| *v == Some(false)) {
+                        } else if all.all(|v| v == Some(false)) {
                             Some(false)
                         } else {
                             None
                         }
                     }
-                    GateOp::Xor => f.iter().try_fold(false, |acc, v| v.map(|b| acc ^ b)),
-                    GateOp::Mux => match f[0] {
-                        Some(true) => f[1],
-                        Some(false) => f[2],
-                        None => {
-                            if f[1].is_some() && f[1] == f[2] {
-                                f[1]
-                            } else {
-                                None
+                    GateOp::Xor => all.try_fold(false, |acc, v| v.map(|b| acc ^ b)),
+                    GateOp::Mux => {
+                        let [sel, then, other] = [0, 1, 2].map(|i| read(&vals, fanins[i]));
+                        match sel {
+                            Some(true) => then,
+                            Some(false) => other,
+                            None => {
+                                if then.is_some() && then == other {
+                                    then
+                                } else {
+                                    None
+                                }
                             }
                         }
-                    },
+                    }
                 }
             }
         };
@@ -377,15 +432,15 @@ pub fn lint_properties(netlist: &Netlist, props: &[(String, Signal)]) -> LintRep
     }
 
     // L002: register-free cones (per property; constants already reported).
-    for (name, sig) in props {
+    // One mark buffer serves every property's search, stamped with the
+    // property's position.
+    let mut marks = vec![0u32; netlist.num_nodes()];
+    let mut stack = Vec::new();
+    for ((name, sig), stamp) in props.iter().zip(1u32..) {
         if sig.is_const() {
             continue;
         }
-        let cone = cone_of_influence(netlist, &[*sig]);
-        let has_latch = cone
-            .iter()
-            .any(|&id| matches!(netlist.node(id), Node::Latch { .. }));
-        if !has_latch {
+        if !reaches_latch(netlist, *sig, stamp, &mut marks, &mut stack) {
             report.push(
                 Diagnostic::new(
                     LintCode::RegisterFreeCoi,
@@ -401,41 +456,29 @@ pub fn lint_properties(netlist: &Netlist, props: &[(String, Signal)]) -> LintRep
     let seeds: Vec<Signal> = props.iter().map(|&(_, s)| s).collect();
     let union = cone_of_influence(netlist, &seeds);
     let in_union = |id: NodeId| union.binary_search(&id).is_ok();
-    let floating: Vec<String> = netlist
-        .inputs()
-        .iter()
-        .filter(|&&id| !in_union(id))
-        .map(|&id| netlist.name(id).unwrap_or("?").to_string())
-        .collect();
-    if !floating.is_empty() {
+    let (floating, shown) = outside_cone(netlist, in_union, |node| node == Node::Input);
+    if floating > 0 {
         report.push(
             Diagnostic::new(
                 LintCode::FloatingInput,
                 "inputs",
                 format!(
-                    "{} input(s) outside every property cone: {}",
-                    floating.len(),
-                    name_sample(&floating)
+                    "{floating} input(s) outside every property cone: {}",
+                    name_sample(&shown, floating)
                 ),
             )
             .hint("they cannot affect any verdict; COI reduction drops them"),
         );
     }
-    let dead: Vec<String> = netlist
-        .latches()
-        .iter()
-        .filter(|&&id| !in_union(id))
-        .map(|&id| netlist.name(id).unwrap_or("?").to_string())
-        .collect();
-    if !dead.is_empty() {
+    let (dead, shown) = outside_cone(netlist, in_union, |node| matches!(node, Node::Latch { .. }));
+    if dead > 0 {
         report.push(
             Diagnostic::new(
                 LintCode::DeadLatch,
                 "latches",
                 format!(
-                    "{} latch(es) outside every property cone: {}",
-                    dead.len(),
-                    name_sample(&dead)
+                    "{dead} latch(es) outside every property cone: {}",
+                    name_sample(&shown, dead)
                 ),
             )
             .hint("dead state adds frame clauses but no reachable behaviour"),
@@ -593,7 +636,7 @@ pub fn lint_aiger_bytes(bytes: &[u8]) -> LintReport {
                 report.push(
                     Diagnostic::new(
                         LintCode::NonNormalizedAnd,
-                        format!("line {}", name_sample(&lines)),
+                        format!("line {}", name_sample(&lines, lines.len())),
                         format!(
                             "{total} AND gate(s) not in normalized form \
                              (lhs > rhs0 ≥ rhs1, non-foldable fanins)"

@@ -1,8 +1,8 @@
 //! The sequential gate-level netlist.
 
 use std::error::Error;
-use std::fmt;
-use std::ops::Not;
+use std::fmt::{self, Write as _};
+use std::ops::{Not, Range};
 
 /// Index of a node in a [`Netlist`].
 ///
@@ -147,9 +147,11 @@ pub enum GateOp {
     Mux,
 }
 
-/// A node of the netlist.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Node {
+/// A node of the netlist, as [`Netlist::node`] reads it out of the
+/// netlist's flat tables: a `Copy` view, whose gate arm borrows the gate's
+/// fanins from the netlist's shared fanin array.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Node<'a> {
     /// The constant-false node (only node 0).
     Const,
     /// A primary input.
@@ -166,8 +168,8 @@ pub enum Node {
     Gate {
         /// The operator.
         op: GateOp,
-        /// The operands.
-        fanins: Vec<Signal>,
+        /// The operands, in construction order.
+        fanins: &'a [Signal],
     },
 }
 
@@ -198,45 +200,162 @@ impl fmt::Display for NetlistError {
 
 impl Error for NetlistError {}
 
+/// One node's fixed-size record in a [`Netlist`]'s node table: 12 bytes.
+///
+/// A gate's span is its fanin range in the shared fanin array; every other
+/// node's span is its name's byte range in the name buffer (gates have no
+/// names, and every other node has one).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Record {
+    /// The kind tag in the low [`Record::KIND_BITS`] bits, the span's
+    /// length above them.
+    head: u32,
+    /// Where the span starts.
+    start: u32,
+    /// A latch's next-state signal code plus one; 0 while unconnected and
+    /// for every other node.
+    next: u32,
+}
+
+impl Record {
+    const KIND_BITS: u32 = 4;
+    const CONST: u32 = 0;
+    const INPUT: u32 = 1;
+    /// Latch tags are `LATCH + init`, in [`LATCH_INITS`] order.
+    const LATCH: u32 = 2;
+    /// Gate tags are `GATE + op`, in [`GATE_OPS`] order.
+    const GATE: u32 = 5;
+
+    fn new(kind: u32, start: usize, len: usize) -> Record {
+        let len = u32::try_from(len)
+            .ok()
+            .filter(|&len| len < 1 << (32 - Record::KIND_BITS))
+            .expect("node span length fits in 28 bits");
+        Record {
+            head: kind | len << Record::KIND_BITS,
+            start: u32::try_from(start).expect("node span start fits in u32"),
+            next: 0,
+        }
+    }
+
+    fn kind(self) -> u32 {
+        self.head & ((1 << Record::KIND_BITS) - 1)
+    }
+
+    fn is_latch(self) -> bool {
+        (Record::LATCH..Record::GATE).contains(&self.kind())
+    }
+
+    fn is_gate(self) -> bool {
+        self.kind() >= Record::GATE
+    }
+
+    fn span(self) -> Range<usize> {
+        let start = self.start as usize;
+        start..start + (self.head >> Record::KIND_BITS) as usize
+    }
+}
+
+const _: () = assert!(std::mem::size_of::<Record>() == 12);
+
+/// Latch initial values by their offset from [`Record::LATCH`].
+const LATCH_INITS: [LatchInit; 3] = [LatchInit::Zero, LatchInit::One, LatchInit::Free];
+/// Gate operators by their offset from [`Record::GATE`].
+const GATE_OPS: [GateOp; 4] = [GateOp::And, GateOp::Or, GateOp::Xor, GateOp::Mux];
+
 /// A sequential gate-level netlist.
 ///
 /// See the [crate docs](crate) for an example. Gate constructors perform
 /// light constant folding (`x ∧ 0 = 0`, `x ⊕ x = 0`, …), so generated
 /// circuits stay lean without a separate optimization pass.
-#[derive(Clone, Debug, Default)]
+///
+/// # Layout
+///
+/// The netlist is three flat tables: one fixed-size record per node, one
+/// fanin array shared by all gates, and one buffer holding the names of the
+/// inputs, latches and constant (gates have none). Building, cloning and
+/// dropping a netlist therefore takes a handful of allocations however
+/// large it is, and [`Netlist::node`] hands out a `Copy` [`Node`] view that
+/// borrows a gate's fanins from the shared array.
+///
+/// A node's [`NodeId`] is its position in the record table, and the
+/// unroller numbers variables `frame · num_nodes + node` from it, so the
+/// layout never renumbers nodes: ids, fanin order and names are exactly
+/// those of construction.
+#[derive(Clone, Default)]
 pub struct Netlist {
-    nodes: Vec<Node>,
-    names: Vec<Option<String>>,
+    records: Vec<Record>,
+    fanins: Vec<Signal>,
+    names: String,
     outputs: Vec<(String, Signal)>,
+}
+
+impl fmt::Debug for Netlist {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // Node by node as the views and names read, then the outputs.
+        f.debug_map()
+            .entries(
+                self.node_ids()
+                    .map(|id| (id, (self.node(id), self.name(id)))),
+            )
+            .entries(self.outputs.iter().map(|(name, signal)| (name, signal)))
+            .finish()
+    }
 }
 
 impl Netlist {
     /// Creates a netlist containing only the constant node.
     pub fn new() -> Netlist {
-        Netlist {
-            nodes: vec![Node::Const],
-            names: vec![Some("false".to_string())],
-            outputs: Vec::new(),
-        }
+        Netlist::with_capacity(1, 0, "false".len())
     }
 
-    fn push(&mut self, node: Node, name: Option<String>) -> NodeId {
-        let id = NodeId::new(self.nodes.len());
-        self.nodes.push(node);
-        self.names.push(name);
+    /// A netlist containing only the constant node, with room for `nodes`
+    /// nodes, `fanins` gate fanins and `name_bytes` bytes of names, so a
+    /// builder that has counted them fills the tables without regrowing
+    /// them.
+    pub(crate) fn with_capacity(nodes: usize, fanins: usize, name_bytes: usize) -> Netlist {
+        let mut netlist = Netlist {
+            records: Vec::with_capacity(nodes),
+            fanins: Vec::with_capacity(fanins),
+            names: String::with_capacity(name_bytes),
+            outputs: Vec::new(),
+        };
+        netlist.push_named(Record::CONST, "false");
+        netlist
+    }
+
+    /// Appends a node with a name, formatted straight into the name buffer.
+    fn push_named(&mut self, kind: u32, name: impl fmt::Display) -> NodeId {
+        let id = NodeId::new(self.records.len());
+        let start = self.names.len();
+        write!(self.names, "{name}").expect("writing to a String cannot fail");
+        self.records
+            .push(Record::new(kind, start, self.names.len() - start));
         id
     }
 
     /// Adds a primary input and returns its signal.
     pub fn add_input(&mut self, name: &str) -> Signal {
-        self.push(Node::Input, Some(name.to_string())).signal()
+        self.push_named(Record::INPUT, name).signal()
+    }
+
+    /// [`Netlist::add_input`] with a name formatted straight into the name
+    /// buffer, so a generated name (`format_args!("i{n}")`) needs no
+    /// `String` of its own.
+    pub(crate) fn add_input_fmt(&mut self, name: fmt::Arguments<'_>) -> Signal {
+        self.push_named(Record::INPUT, name).signal()
     }
 
     /// Adds a latch (register) with the given initial value; connect its
     /// next-state function later with [`Netlist::set_next`].
     pub fn add_latch(&mut self, name: &str, init: LatchInit) -> Signal {
-        self.push(Node::Latch { init, next: None }, Some(name.to_string()))
-            .signal()
+        self.push_named(Record::LATCH + init as u32, name).signal()
+    }
+
+    /// [`Netlist::add_latch`] with a name formatted as
+    /// [`Netlist::add_input_fmt`] formats it.
+    pub(crate) fn add_latch_fmt(&mut self, name: fmt::Arguments<'_>, init: LatchInit) -> Signal {
+        self.push_named(Record::LATCH + init as u32, name).signal()
     }
 
     /// Connects the next-state function of `latch`.
@@ -247,13 +366,13 @@ impl Netlist {
     /// already connected.
     pub fn set_next(&mut self, latch: Signal, next: Signal) {
         assert!(!latch.is_inverted(), "latch reference must be plain");
-        match &mut self.nodes[latch.node().index()] {
-            Node::Latch { next: slot, .. } => {
-                assert!(slot.is_none(), "latch already connected");
-                *slot = Some(next);
-            }
-            other => panic!("set_next on non-latch node {other:?}"),
+        let record = self.records[latch.node().index()];
+        if !record.is_latch() {
+            panic!("set_next on non-latch node {:?}", self.node(latch.node()));
         }
+        assert_eq!(record.next, 0, "latch already connected");
+        self.records[latch.node().index()].next =
+            next.0.checked_add(1).expect("signal code fits in u32");
     }
 
     /// Declares a named primary output.
@@ -263,8 +382,13 @@ impl Netlist {
 
     // ----- gate constructors (with light folding) --------------------------
 
-    fn gate(&mut self, op: GateOp, fanins: Vec<Signal>) -> Signal {
-        self.push(Node::Gate { op, fanins }, None).signal()
+    fn gate(&mut self, op: GateOp, fanins: &[Signal]) -> Signal {
+        let id = NodeId::new(self.records.len());
+        let start = self.fanins.len();
+        self.fanins.extend_from_slice(fanins);
+        self.records
+            .push(Record::new(Record::GATE + op as u32, start, fanins.len()));
+        id.signal()
     }
 
     /// Binary AND.
@@ -278,7 +402,7 @@ impl Netlist {
         if b == Signal::TRUE {
             return a;
         }
-        self.gate(GateOp::And, vec![a, b])
+        self.gate(GateOp::And, &[a, b])
     }
 
     /// Binary OR.
@@ -306,7 +430,7 @@ impl Netlist {
         if a == !b {
             return Signal::TRUE;
         }
-        self.gate(GateOp::Xor, vec![a, b])
+        self.gate(GateOp::Xor, &[a, b])
     }
 
     /// Exclusive-nor (equality).
@@ -322,7 +446,7 @@ impl Netlist {
         if sel == Signal::FALSE {
             return b;
         }
-        self.gate(GateOp::Mux, vec![sel, a, b])
+        self.gate(GateOp::Mux, &[sel, a, b])
     }
 
     /// `a → b` (implication).
@@ -348,7 +472,7 @@ impl Netlist {
         match fanins.len() {
             0 => Signal::TRUE,
             1 => fanins[0],
-            _ => self.gate(GateOp::And, fanins),
+            _ => self.gate(GateOp::And, &fanins),
         }
     }
 
@@ -428,21 +552,34 @@ impl Netlist {
 
     /// Number of nodes (including the constant node).
     pub fn num_nodes(&self) -> usize {
-        self.nodes.len()
+        self.records.len()
     }
 
-    /// The node behind an id.
+    /// The node behind an id, read out of the netlist's tables.
     ///
     /// # Panics
     ///
     /// Panics if `id` is out of range.
-    pub fn node(&self, id: NodeId) -> &Node {
-        &self.nodes[id.index()]
+    pub fn node(&self, id: NodeId) -> Node<'_> {
+        let record = self.records[id.index()];
+        match record.kind() {
+            Record::CONST => Node::Const,
+            Record::INPUT => Node::Input,
+            kind if kind < Record::GATE => Node::Latch {
+                init: LATCH_INITS[(kind - Record::LATCH) as usize],
+                next: record.next.checked_sub(1).map(Signal),
+            },
+            kind => Node::Gate {
+                op: GATE_OPS[(kind - Record::GATE) as usize],
+                fanins: &self.fanins[record.span()],
+            },
+        }
     }
 
-    /// The declared name of a node, if any.
+    /// The declared name of a node: `None` for gates, which have none.
     pub fn name(&self, id: NodeId) -> Option<&str> {
-        self.names[id.index()].as_deref()
+        let record = self.records[id.index()];
+        (!record.is_gate()).then(|| &self.names[record.span()])
     }
 
     /// The named outputs in declaration order.
@@ -460,37 +597,53 @@ impl Netlist {
 
     /// Iterates over all node ids.
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.nodes.len()).map(NodeId::new)
+        (0..self.records.len()).map(NodeId::new)
     }
 
     /// The ids of all primary inputs, in creation order.
     pub fn inputs(&self) -> Vec<NodeId> {
         self.node_ids()
-            .filter(|&id| matches!(self.node(id), Node::Input))
+            .filter(|&id| self.records[id.index()].kind() == Record::INPUT)
             .collect()
     }
 
     /// The ids of all latches, in creation order.
     pub fn latches(&self) -> Vec<NodeId> {
         self.node_ids()
-            .filter(|&id| matches!(self.node(id), Node::Latch { .. }))
+            .filter(|&id| self.records[id.index()].is_latch())
             .collect()
     }
 
     /// Number of latches (the model's registers).
     pub fn num_latches(&self) -> usize {
-        self.nodes
-            .iter()
-            .filter(|node| matches!(node, Node::Latch { .. }))
-            .count()
+        self.records.iter().filter(|r| r.is_latch()).count()
     }
 
     /// Number of primary inputs.
     pub fn num_inputs(&self) -> usize {
-        self.nodes
+        self.records
             .iter()
-            .filter(|node| matches!(node, Node::Input))
+            .filter(|r| r.kind() == Record::INPUT)
             .count()
+    }
+
+    /// The fanins of a gate; empty for every other node.
+    fn gate_fanins(&self, id: NodeId) -> &[Signal] {
+        let record = self.records[id.index()];
+        if record.is_gate() {
+            &self.fanins[record.span()]
+        } else {
+            &[]
+        }
+    }
+
+    /// Rewires one fanin of a gate behind the constructors' back, so tests
+    /// can build what they cannot (a combinational cycle).
+    #[cfg(test)]
+    fn set_fanin(&mut self, gate: NodeId, pos: usize, signal: Signal) {
+        let record = self.records[gate.index()];
+        assert!(record.is_gate(), "set_fanin on a non-gate");
+        self.fanins[record.span()][pos] = signal;
     }
 
     /// Checks well-formedness: every latch connected, gate arities valid, and
@@ -522,7 +675,7 @@ impl Netlist {
         const WHITE: u8 = 0;
         const GRAY: u8 = 1;
         const BLACK: u8 = 2;
-        let mut color = vec![WHITE; self.nodes.len()];
+        let mut color = vec![WHITE; self.num_nodes()];
         // Iterative DFS with an explicit stack of (node, fanin position),
         // emptied by every search and reused by the next.
         let mut stack: Vec<(NodeId, usize)> = Vec::new();
@@ -533,17 +686,14 @@ impl Netlist {
             stack.push((start, 0));
             color[start.index()] = GRAY;
             while let Some(&mut (id, ref mut pos)) = stack.last_mut() {
-                let fanins: &[Signal] = match self.node(id) {
-                    Node::Gate { fanins, .. } => fanins,
-                    _ => &[],
-                };
+                let fanins = self.gate_fanins(id);
                 if *pos < fanins.len() {
                     let child = fanins[*pos].node();
                     *pos += 1;
                     match color[child.index()] {
                         WHITE => {
                             // Only gates propagate combinational paths.
-                            if matches!(self.node(child), Node::Gate { .. }) {
+                            if self.records[child.index()].is_gate() {
                                 color[child.index()] = GRAY;
                                 stack.push((child, 0));
                             } else {
@@ -577,11 +727,11 @@ impl Netlist {
     /// Panics if the netlist has combinational cycles (call
     /// [`Netlist::validate`] first).
     pub fn topo_order(&self) -> Vec<NodeId> {
-        let mut order = Vec::with_capacity(self.nodes.len());
+        let mut order = Vec::with_capacity(self.num_nodes());
         // One DFS stack of (node, fanin position), emptied by every search
         // and reused by the next.
         let mut stack: Vec<(NodeId, usize)> = Vec::new();
-        let mut state = vec![0u8; self.nodes.len()]; // 0 new, 1 open, 2 done
+        let mut state = vec![0u8; self.num_nodes()]; // 0 new, 1 open, 2 done
         for start in self.node_ids() {
             if state[start.index()] != 0 {
                 continue;
@@ -589,15 +739,12 @@ impl Netlist {
             stack.push((start, 0));
             state[start.index()] = 1;
             while let Some(&mut (id, ref mut pos)) = stack.last_mut() {
-                let fanins: &[Signal] = match self.node(id) {
-                    Node::Gate { fanins, .. } => fanins,
-                    _ => &[],
-                };
+                let fanins = self.gate_fanins(id);
                 if *pos < fanins.len() {
                     let child = fanins[*pos].node();
                     *pos += 1;
                     if state[child.index()] == 0 {
-                        if matches!(self.node(child), Node::Gate { .. }) {
+                        if self.records[child.index()].is_gate() {
                             state[child.index()] = 1;
                             stack.push((child, 0));
                         } else {
@@ -724,11 +871,9 @@ mod tests {
         let g = n.and2(a, a.node().signal()); // folded: a == a -> a
         assert_eq!(g, a);
         // Construct an actual cycle: g1 = AND(a, g2), g2 = AND(a, g1).
-        let g1 = n.gate(GateOp::And, vec![a, Signal::FALSE]); // placeholder fanin
-        let g2 = n.gate(GateOp::And, vec![a, g1]);
-        if let Node::Gate { fanins, .. } = &mut n.nodes[g1.node().index()] {
-            fanins[1] = g2;
-        }
+        let g1 = n.gate(GateOp::And, &[a, Signal::FALSE]); // placeholder fanin
+        let g2 = n.gate(GateOp::And, &[a, g1]);
+        n.set_fanin(g1.node(), 1, g2);
         assert!(matches!(
             n.validate(),
             Err(NetlistError::CombinationalCycle(_))

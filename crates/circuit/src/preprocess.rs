@@ -90,7 +90,7 @@ struct Round {
 
 /// The constant a latch is stuck at: its next-state function can never
 /// change its (binary) initial value. `None` for every other node.
-fn stuck_value(id: NodeId, node: &Node) -> Option<bool> {
+fn stuck_value(id: NodeId, node: Node<'_>) -> Option<bool> {
     let Node::Latch {
         init,
         next: Some(next),
@@ -98,12 +98,12 @@ fn stuck_value(id: NodeId, node: &Node) -> Option<bool> {
     else {
         return None;
     };
-    if *init == LatchInit::Free {
+    if init == LatchInit::Free {
         return None;
     }
-    let value = init_value(*init);
+    let value = init_value(init);
     // next = self (same polarity): holds its initial value forever.
-    let holds = *next == id.signal();
+    let holds = next == id.signal();
     // next = constant equal to the initial value.
     let const_same = next.is_const() && next.apply(false) == value;
     (holds || const_same).then_some(value)
@@ -171,7 +171,7 @@ fn rebuild_round(current: &Netlist, seeds: &[Signal]) -> Round {
                 } else if in_cone {
                     kept_latches.push(visited_latches.len());
                     let name = current.name(id).unwrap_or("latch");
-                    map[id.index()] = reduced.add_latch(name, *init);
+                    map[id.index()] = reduced.add_latch(name, init);
                 }
                 visited_latches.push(in_cone);
             }
@@ -199,7 +199,7 @@ fn rebuild_round(current: &Netlist, seeds: &[Signal]) -> Round {
         }
         if let Node::Gate { op, fanins } = current.node(id) {
             let new_fanins: Vec<Signal> = fanins.iter().map(|&s| translate(&map, s)).collect();
-            let key = canonical_key(*op, &new_fanins);
+            let key = canonical_key(op, &new_fanins);
             let new_sig = match hash.get(&key) {
                 Some(&sig) => {
                     hashed += 1;
@@ -228,7 +228,7 @@ fn rebuild_round(current: &Netlist, seeds: &[Signal]) -> Round {
         } = node
         {
             if visited[id.index()] && stuck_value(id, node).is_none() {
-                reduced.set_next(map[id.index()], translate(&map, *next));
+                reduced.set_next(map[id.index()], translate(&map, next));
             }
         }
     }

@@ -181,7 +181,7 @@ impl<'a> Simulator<'a> {
             match self.plan.netlist.node(id) {
                 Node::Latch {
                     next: Some(next), ..
-                } => *bit = read_signal(&values, *next),
+                } => *bit = read_signal(&values, next),
                 _ => panic!("latch {id:?} not connected (validate the netlist)"),
             }
         }

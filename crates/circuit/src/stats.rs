@@ -63,7 +63,7 @@ impl NetlistStats {
         for id in netlist.topo_order() {
             match netlist.node(id) {
                 Node::Gate { op, fanins } => {
-                    gates_by_op[*op as usize] += 1;
+                    gates_by_op[op as usize] += 1;
                     let mut d = 0;
                     for s in fanins {
                         fanout[s.node().index()] += 1;

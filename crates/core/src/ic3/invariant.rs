@@ -90,7 +90,7 @@ fn emit_step_frame(unroller: &Unroller<'_>, frame: usize, formula: &mut CnfFormu
                 next: Some(next), ..
             } if frame > 0 => {
                 let cur = unroller.var_of(id, frame).positive();
-                let prev = unroller.lit_of(*next, frame - 1);
+                let prev = unroller.lit_of(next, frame - 1);
                 formula.add_clause([!cur, prev]);
                 formula.add_clause([cur, !prev]);
             }

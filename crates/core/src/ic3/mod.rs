@@ -399,7 +399,7 @@ impl<'a> PropRunner<'a> {
         for (pos, &id) in latches.iter().enumerate() {
             latch_pos[id.index()] = Some(pos);
             if let Node::Latch { init, .. } = model.netlist().node(id) {
-                inits.push(*init);
+                inits.push(init);
             }
         }
         // Same solver configuration as BMC's strategy mapping, except the
@@ -427,7 +427,7 @@ impl<'a> PropRunner<'a> {
                     next: Some(next), ..
                 } => {
                     let cur = unroller.var_of(id, 1).positive();
-                    let prev = unroller.lit_of(*next, 0);
+                    let prev = unroller.lit_of(next, 0);
                     formula.add_clause([!cur, prev]);
                     formula.add_clause([cur, !prev]);
                 }

@@ -118,7 +118,7 @@ pub fn check_reachable(model: &Model, max_depth: usize) -> OracleVerdict {
                 let successor: Vec<bool> = latches
                     .iter()
                     .map(|&id| match netlist.node(id) {
-                        Node::Latch { next: Some(nx), .. } => read_signal(&values, *nx),
+                        Node::Latch { next: Some(nx), .. } => read_signal(&values, nx),
                         _ => unreachable!("latches are connected"),
                     })
                     .collect();

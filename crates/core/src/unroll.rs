@@ -329,7 +329,7 @@ impl<'a> Unroller<'a> {
                     }
                 }
                 Node::Gate { op, fanins } => {
-                    self.emit_gate(id, *op, fanins, frame, formula);
+                    self.emit_gate(id, op, fanins, frame, formula);
                 }
             }
         }
@@ -403,7 +403,7 @@ impl<'a> Unroller<'a> {
     /// one-step encodings).
     pub(crate) fn emit_gate_for(&self, id: NodeId, frame: usize, formula: &mut CnfFormula) {
         if let Node::Gate { op, fanins } = self.model.netlist().node(id) {
-            self.emit_gate(id, *op, fanins, frame, formula);
+            self.emit_gate(id, op, fanins, frame, formula);
         }
     }
 
@@ -649,7 +649,7 @@ mod tests {
                 .iter()
                 .map(|&l| match model.netlist().node(l) {
                     Node::Latch { next: Some(nx), .. } => {
-                        rbmc_circuit::sim::read_signal(&values, *nx)
+                        rbmc_circuit::sim::read_signal(&values, nx)
                     }
                     _ => unreachable!(),
                 })

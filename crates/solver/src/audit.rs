@@ -368,23 +368,7 @@ impl Solver {
             return Ok(());
         }
         let total = self.cdg.num_total_nodes();
-        let mut roots: Vec<ClauseId> = Vec::new();
-        let mut cursor = self.clauses.first();
-        while let Some(cref) = cursor {
-            cursor = self.clauses.next(cref);
-            if !self.clauses.is_deleted(cref) {
-                let id = self.clauses.cdg_id(cref);
-                if (id as usize) >= total {
-                    fail!(
-                        "cdg: live clause at {} carries node id {id}, graph has {total}",
-                        cref.offset()
-                    );
-                }
-                roots.push(id);
-            }
-        }
-        roots.extend(self.unit_node.iter().flatten().copied());
-        let reachable = self.cdg.audit_reachable(&roots)?;
+        let reachable = self.cdg.audit_reachable(&self.cdg_roots())?;
         debug_assert!(reachable <= total);
         Ok(())
     }

@@ -157,6 +157,10 @@ pub struct Solver {
     qhead: usize,
     order: LitOrder,
     cdg: Cdg,
+    /// A compaction has run since the last [`Solver::prune_cdg`]. Only a
+    /// compaction drops arena records, so only then can a CDG root have
+    /// gone and left nodes unreachable.
+    cdg_garbage: bool,
     stats: SolverStats,
     /// Ranking installed by [`Solver::set_var_ranking`], applied at setup.
     bmc_scores: Vec<u64>,
@@ -250,6 +254,7 @@ impl Solver {
             qhead: 0,
             order: LitOrder::new(0),
             cdg: Cdg::new(),
+            cdg_garbage: false,
             stats: SolverStats::new(),
             bmc_scores: Vec::new(),
             pending_units: Vec::new(),
@@ -795,23 +800,38 @@ impl Solver {
     /// Search state, verdicts, and future cores are unaffected — IDs are
     /// opaque, and cores are reported as input positions, which leaves keep.
     ///
+    /// A root leaves only when a compaction drops its arena record, so a
+    /// call with no compaction since the previous one finds nothing to
+    /// discard: it returns 0 at once, after refreshing the CDG size
+    /// statistics (`debug-invariants` builds first assert that every node is
+    /// still reachable).
+    ///
     /// No-op (returning 0) when CDG recording is off.
     pub fn prune_cdg(&mut self) -> u64 {
         if !self.opts.record_cdg {
             return 0;
         }
-        let before = self.cdg.num_total_nodes();
         self.stats.cdg_peak_nodes = self.stats.cdg_peak_nodes.max(self.cdg.num_nodes());
-        let mut roots: Vec<ClauseId> = Vec::new();
-        let mut cursor = self.clauses.first();
-        while let Some(cref) = cursor {
-            cursor = self.clauses.next(cref);
-            if !self.clauses.is_deleted(cref) {
-                roots.push(self.clauses.cdg_id(cref));
+        if !self.cdg_garbage {
+            #[cfg(feature = "debug-invariants")]
+            {
+                let reachable = self
+                    .cdg
+                    .audit_reachable(&self.cdg_roots())
+                    .expect("CDG invariants violated before a skipped prune");
+                assert_eq!(
+                    reachable,
+                    self.cdg.num_total_nodes(),
+                    "CDG garbage without a compaction since the last prune"
+                );
             }
+            self.stats.cdg_nodes = self.cdg.num_nodes();
+            self.stats.cdg_edges = self.cdg.num_edges();
+            return 0;
         }
-        roots.extend(self.unit_node.iter().flatten().copied());
-        let remap = self.cdg.prune_reachable(&roots);
+        self.cdg_garbage = false;
+        let before = self.cdg.num_total_nodes();
+        let remap = self.cdg.prune_reachable(&self.cdg_roots());
         let pruned = (before - self.cdg.num_total_nodes()) as u64;
         if pruned > 0 {
             let mut cursor = self.clauses.first();
@@ -845,6 +865,22 @@ impl Solver {
         self.audit()
             .expect("solver invariants violated after CDG prune");
         pruned
+    }
+
+    /// The CDG IDs every future core extraction starts from: those of the
+    /// live arena records (original and learned) plus the unit-fact nodes
+    /// of root-level assignments.
+    pub(crate) fn cdg_roots(&self) -> Vec<ClauseId> {
+        let mut roots: Vec<ClauseId> = Vec::new();
+        let mut cursor = self.clauses.first();
+        while let Some(cref) = cursor {
+            cursor = self.clauses.next(cref);
+            if !self.clauses.is_deleted(cref) {
+                roots.push(self.clauses.cdg_id(cref));
+            }
+        }
+        roots.extend(self.unit_node.iter().flatten().copied());
+        roots
     }
 
     /// The result of the last solve call, if any.
@@ -1240,6 +1276,7 @@ impl Solver {
         // Compact the learned region and patch the relocated references.
         let remap = self.clauses.compact_learned(self.first_learned);
         self.stats.compactions += 1;
+        self.cdg_garbage = true;
         if !remap.is_empty() {
             let first_learned = self.first_learned;
             let patch = |r: &mut ClauseRef| {

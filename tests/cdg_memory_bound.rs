@@ -11,6 +11,11 @@ use refined_bmc::solver::SolverOptions;
 /// retired depths' learned clauses actually leave the database — the
 /// workload whose CDG garbage pruning exists to reclaim.
 fn sweep(max_depth: usize, cdg_prune: bool) -> BmcRun {
+    sweep_with_reduce_base(max_depth, cdg_prune, 20)
+}
+
+/// [`sweep`] with the given flat clause-deletion threshold.
+fn sweep_with_reduce_base(max_depth: usize, cdg_prune: bool, reduce_base: u64) -> BmcRun {
     let mut engine = BmcEngine::new(
         families::tmr_voter(3, 1),
         BmcOptions {
@@ -19,7 +24,7 @@ fn sweep(max_depth: usize, cdg_prune: bool) -> BmcRun {
             reuse: SolverReuse::Session,
             cdg_prune,
             solver: SolverOptions {
-                reduce_base: 20,
+                reduce_base,
                 reduce_inc: 0,
                 ..SolverOptions::default()
             },
@@ -84,4 +89,25 @@ fn pruning_does_not_perturb_the_search() {
     // The lazy compaction repair was exercised along the way: compactions
     // happened, and only relocated clauses' entries were rewritten.
     assert!(unpruned.solver_stats.compactions > 0);
+}
+
+#[test]
+fn depths_without_a_compaction_skip_the_prune_and_keep_every_count() {
+    // A ten times higher deletion threshold compacts at only 11 of the 40
+    // depth boundaries, so most `prune_cdg` calls find no compaction since
+    // the previous one and return early (in `debug-invariants` builds,
+    // asserting that every CDG node is still reachable). The counts are
+    // those of a prune that walks the graph at every boundary.
+    let run = sweep_with_reduce_base(40, true, 200);
+    let stats = &run.solver_stats;
+    assert_eq!(stats.compactions, 11);
+    assert_eq!(
+        (
+            stats.cdg_peak_nodes,
+            stats.cdg_pruned_nodes,
+            stats.cdg_nodes
+        ),
+        (548, 452, 523)
+    );
+    assert_eq!((stats.conflicts, stats.decisions), (768, 12_155));
 }
