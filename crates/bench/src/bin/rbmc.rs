@@ -27,7 +27,10 @@
 //! exit code 2, so a misspelt gate (say `--proff check`) cannot silently
 //! sweep without it. A malformed or missing value exits 2 as well — a bad
 //! number after `--depth`, `--divisor` or `--jobs`, say, instead of
-//! sweeping at the default.
+//! sweeping at the default. So does an option the run would ignore, in any
+//! flag order: `--reuse` or `--strategy sht` with `--engine ic3` (IC3 always
+//! queries one session solver, and a one-step query has no time axis to
+//! order by), and `--divisor` with any strategy but `dyn`.
 //!
 //! - `--export-corpus DIR` first writes the gens suite as a fallback corpus
 //!   (`rbmc_gens::corpus`) into DIR; when no positional corpus directory is
@@ -198,9 +201,11 @@ impl Config {
         let mut export = None;
         let mut smoke = false;
         let mut depth = None;
-        let mut divisor = 64;
+        // Kept apart until every flag is read: each may name an option the
+        // chosen engine or strategy would ignore.
+        let (mut divisor, mut reuse) = (None, None);
         let mut options = BmcOptions {
-            strategy: OrderingStrategy::RefinedDynamic { divisor },
+            strategy: OrderingStrategy::RefinedDynamic { divisor: 64 },
             ..BmcOptions::default()
         };
         let mut engine = EngineKind::Bmc;
@@ -220,7 +225,7 @@ impl Config {
                 "--quiet-witnesses" => quiet_witnesses = true,
                 "--no-json" => no_json = true,
                 "--depth" => depth = Some(number(arg, rest.next())?),
-                "--divisor" => divisor = number(arg, rest.next())?,
+                "--divisor" => divisor = Some(number(arg, rest.next())?),
                 "--jobs" => jobs = number::<usize>(arg, rest.next())?.max(1),
                 "--strategy" => {
                     options.strategy = choice(
@@ -229,7 +234,7 @@ impl Config {
                         &[
                             ("bmc", OrderingStrategy::Standard),
                             ("sta", OrderingStrategy::RefinedStatic),
-                            ("dyn", OrderingStrategy::RefinedDynamic { divisor }),
+                            ("dyn", OrderingStrategy::RefinedDynamic { divisor: 64 }),
                             ("sht", OrderingStrategy::Shtrichman),
                         ],
                     )?;
@@ -239,7 +244,7 @@ impl Config {
                     engine = choice(arg, rest.next(), &choices)?;
                 }
                 "--reuse" => {
-                    options.reuse = match rest.next() {
+                    reuse = Some(match rest.next() {
                         Some("fresh") => SolverReuse::Fresh,
                         Some("session") => SolverReuse::Session,
                         other => {
@@ -248,7 +253,7 @@ impl Config {
                                 other.unwrap_or("<missing>")
                             ))
                         }
-                    };
+                    });
                 }
                 "--lint" => {
                     let choices = [("warn", LintMode::Warn), ("deny", LintMode::Deny)];
@@ -275,9 +280,29 @@ impl Config {
             }
         }
         // `--divisor` may follow `--strategy dyn`, and `--smoke` `--depth`.
-        if let OrderingStrategy::RefinedDynamic { divisor: d } = &mut options.strategy {
+        // An option the run would ignore is an error, not a silent no-op.
+        if let Some(divisor) = divisor {
+            let OrderingStrategy::RefinedDynamic { divisor: d } = &mut options.strategy else {
+                return Err(format!(
+                    "error: --divisor applies only to --strategy dyn, not `{}`",
+                    options.strategy.label()
+                ));
+            };
             *d = divisor;
         }
+        if engine == EngineKind::Ic3 {
+            if reuse.is_some() {
+                return Err("error: --reuse applies only to --engine bmc; \
+                            IC3 always queries one session solver"
+                    .to_string());
+            }
+            if options.strategy == OrderingStrategy::Shtrichman {
+                return Err("error: --strategy sht has no --engine ic3 analog \
+                            (a one-step query has no time axis)"
+                    .to_string());
+            }
+        }
+        options.reuse = reuse.unwrap_or(options.reuse);
         options.max_depth = depth.unwrap_or(if smoke { 10 } else { 20 });
         let Some(corpus) = corpus.or_else(|| export.clone()) else {
             return Err(USAGE.to_string());

@@ -29,12 +29,7 @@ use rbmc_core::{OrderingStrategy, SolverReuse, Weighting};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let divisor: u32 = args
-        .iter()
-        .position(|a| a == "--divisor")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(64);
+    let divisor = rbmc_bench::cli_divisor(&args);
     let reuse = rbmc_bench::cli_reuse(&args, SolverReuse::Fresh);
     let suite = rbmc_bench::cli_suite(&args);
     let mut report = BenchReport::new(format!(

@@ -159,6 +159,27 @@ pub fn cli_reuse(args: &[String], default: SolverReuse) -> SolverReuse {
     }
 }
 
+/// Parses `--divisor N` (the dynamic ordering's switch denominator) from a
+/// binary's arguments; the paper's 64 when the flag is absent. A malformed
+/// or missing value aborts the binary, as in [`cli_reuse`]: sweeping at the
+/// default instead would label the artifact with a divisor nobody asked for.
+pub fn cli_divisor(args: &[String]) -> u32 {
+    match args
+        .iter()
+        .position(|a| a == "--divisor")
+        .map(|i| args.get(i + 1).map(String::as_str))
+    {
+        None => 64,
+        Some(value) => value.and_then(|v| v.parse().ok()).unwrap_or_else(|| {
+            eprintln!(
+                "error: --divisor requires a non-negative integer, got {:?}",
+                value.unwrap_or("<missing>")
+            );
+            std::process::exit(2);
+        }),
+    }
+}
+
 /// Formats a duration in seconds with millisecond resolution.
 pub fn secs(d: Duration) -> String {
     format!("{:.3}", d.as_secs_f64())

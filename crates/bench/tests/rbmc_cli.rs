@@ -1,7 +1,8 @@
 //! End-to-end tests of the `rbmc` binary on the exported smoke corpus:
 //! striping files across workers must not change a byte of the report, a
-//! flag the runner does not know must stop it before it sweeps anything, and
-//! two files that differ only in their extension are reported apart.
+//! flag the runner does not know, or one the chosen engine or strategy would
+//! ignore, must stop it before it sweeps anything, and two files that differ
+//! only in their extension are reported apart.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -108,6 +109,27 @@ fn unknown_flags_exit_2_before_sweeping() {
             err.contains(bad[0]) && err.contains(value),
             "{bad:?}: {err}"
         );
+    }
+    // Nor must an option the engine or strategy would ignore, in any order.
+    for (ignored, named) in [
+        (&["--engine", "ic3", "--reuse", "fresh"][..], "--reuse"),
+        (&["--reuse", "fresh", "--engine", "ic3"], "--reuse"),
+        (&["--strategy", "sht", "--engine", "ic3"], "sht"),
+        (&["--engine", "ic3", "--strategy", "sht"], "sht"),
+        (&["--strategy", "sta", "--divisor", "8"], "--divisor"),
+        (&["--divisor", "64", "--strategy", "bmc"], "--divisor"),
+    ] {
+        let mut args = vec![dir, "--smoke"];
+        args.extend_from_slice(ignored);
+        let out = rbmc(&args);
+        assert_eq!(out.status.code(), Some(2), "{ignored:?}: {}", stderr(&out));
+        assert!(
+            out.stdout.is_empty(),
+            "{ignored:?} swept:\n{}",
+            stdout(&out)
+        );
+        let err = stderr(&out);
+        assert!(err.contains(named), "{ignored:?}: {err}");
     }
     let out = rbmc(&[dir, "--smoke", "--proof", "check"]);
     assert!(out.status.success(), "{}", stderr(&out));

@@ -16,8 +16,10 @@
 //!   lifting traces back to original coordinates.
 //! - [`Aig`]: an and-inverter-graph form with structural hashing, plus
 //!   lowering from [`Netlist`].
-//! - [`blif`] and [`aiger`]: readers/writers for the two interchange formats
-//!   of the paper's era (VIS consumed BLIF; AIGER is the modern equivalent).
+//! - [`aiger`]: the AIGER reader and writer (both encodings), the one
+//!   interchange format the pipeline reads.
+//! - [`lint`]: static checks on raw AIGER bytes before they are solved.
+//! - [`stats`]: input, latch and gate counts.
 //!
 //! # Examples
 //!
@@ -42,7 +44,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod aiger;
-pub mod blif;
 pub mod coi;
 pub mod lint;
 pub mod preprocess;

@@ -30,9 +30,9 @@ use crate::{GateOp, LatchInit, Netlist, Node, NodeId, Signal};
 /// Shape delta of a [`preprocess`] run, for logs and BENCH extras.
 #[derive(Clone, Debug)]
 pub struct PreprocessReport {
-    /// Statistics of the netlist as given.
+    /// Node counts of the netlist as given.
     pub before: NetlistStats,
-    /// Statistics of the reduced netlist.
+    /// Node counts of the reduced netlist.
     pub after: NetlistStats,
     /// Latches replaced by constants (stuck at their initial value).
     pub swept_latches: usize,

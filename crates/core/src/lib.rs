@@ -87,7 +87,6 @@
 
 pub mod ic3;
 pub mod oracle;
-pub mod vcd;
 
 mod certify;
 mod engine;

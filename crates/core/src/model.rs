@@ -52,25 +52,6 @@ impl Model {
         }
     }
 
-    /// Creates a model whose bad signal is a named output of the netlist.
-    ///
-    /// This is how BLIF frontends attach properties: the convention is an
-    /// output that is 1 exactly in the bad states.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the output does not exist or the netlist is malformed.
-    pub fn from_output(name: &str, netlist: Netlist, output: &str) -> Model {
-        let bad = netlist
-            .output(output)
-            .unwrap_or_else(|| panic!("netlist has no output named `{output}`"));
-        Model {
-            problem: ProblemBuilder::new(name, netlist)
-                .property(output, bad)
-                .build(),
-        }
-    }
-
     /// Parses an AIGER file (either encoding, auto-detected) and takes its
     /// **first** bad-state line — or, for files without a `B` section, its
     /// first output — as the property. Multi-property files lose their other
@@ -140,26 +121,6 @@ mod tests {
     use super::*;
     use rbmc_circuit::aiger::write_aag;
     use rbmc_circuit::{Aig, LatchInit};
-
-    #[test]
-    fn from_output_resolves_bad_signal() {
-        let mut n = Netlist::new();
-        let l = n.add_latch("l", LatchInit::Zero);
-        n.set_next(l, !l);
-        n.add_output("bad", l);
-        let m = Model::from_output("m", n, "bad");
-        assert_eq!(m.bad(), m.netlist().output("bad").unwrap());
-        assert_eq!(m.primary().name(), "bad");
-    }
-
-    #[test]
-    #[should_panic(expected = "no output named")]
-    fn from_missing_output_panics() {
-        let mut n = Netlist::new();
-        let l = n.add_latch("l", LatchInit::Zero);
-        n.set_next(l, !l);
-        let _ = Model::from_output("m", n, "ghost");
-    }
 
     #[test]
     #[should_panic(expected = "well-formed")]

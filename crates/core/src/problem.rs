@@ -220,8 +220,8 @@ impl ProblemBuilder {
         self
     }
 
-    /// Adds every declared netlist output as a property (the convention
-    /// BLIF/pre-1.9-AIGER front ends use: an output is 1 in the bad states).
+    /// Adds every declared netlist output as a property (the pre-1.9 AIGER
+    /// convention: an output is 1 in the bad states).
     pub fn properties_from_outputs(mut self) -> ProblemBuilder {
         let outputs: Vec<(String, Signal)> = self
             .netlist

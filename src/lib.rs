@@ -10,7 +10,7 @@
 //!   learned-clause deletion, and unsat-core extraction through a simplified
 //!   conflict dependency graph (the paper's §3.1).
 //! - [`circuit`] — sequential gate-level netlists, AIGs, simulation,
-//!   cone-of-influence, BLIF and AIGER I/O.
+//!   cone-of-influence, AIGER I/O.
 //! - [`bmc`] — the paper's contribution: Tseitin unrolling with frame-stable
 //!   variable numbering, the `refine_order_bmc` engine (Fig. 5), `bmc_score`
 //!   ranking (§3.2), and the static/dynamic ordering application (§3.3).

@@ -1,4 +1,4 @@
-//! Parser robustness fuzzing: AIGER, BLIF and DIMACS.
+//! Parser robustness fuzzing: AIGER and DIMACS.
 //!
 //! Valid AIGER files in both encodings are mutilated — truncated at an
 //! arbitrary byte, hit with random byte flips, or both — and fed back to
@@ -10,14 +10,12 @@
 //! header count of every seed to a huge value: a count the reader trusted
 //! for an allocation would abort the process, which no caller can catch,
 //! so the reader (and the linter `rbmc` runs before it) must answer with a
-//! value or a positioned error here too. Valid BLIF netlists and DIMACS
-//! formulas get the same truncations and byte flips, and [`parse_blif`] and
-//! [`parse_dimacs`] must likewise return, with any error naming a line of
-//! the input.
+//! value or a positioned error here too. Valid DIMACS formulas get the
+//! same truncations and byte flips, and [`parse_dimacs`] must likewise
+//! return, with any error naming a line of the input.
 //!
 //! [`parse_aiger`]: refined_bmc::circuit::aiger::parse_aiger
 //! [`ParseAigerError`]: refined_bmc::circuit::aiger::ParseAigerError
-//! [`parse_blif`]: refined_bmc::circuit::blif::parse_blif
 //! [`parse_dimacs`]: refined_bmc::cnf::parse_dimacs
 
 use std::sync::OnceLock;
@@ -26,7 +24,6 @@ use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use refined_bmc::bmc::{ProblemBuilder, Unroller};
 use refined_bmc::circuit::aiger::{parse_aiger, write_aag, write_aig};
-use refined_bmc::circuit::blif::{parse_blif, write_blif};
 use refined_bmc::circuit::lint::lint_aiger;
 use refined_bmc::cnf::{parse_dimacs, to_dimacs_string};
 use refined_bmc::gens::corpus::{multi_even_counter, problem_to_aig};
@@ -56,17 +53,10 @@ fn seeds() -> &'static Vec<Vec<u8>> {
     })
 }
 
-/// The text formats fuzzed alongside AIGER.
-#[derive(Clone, Copy, Debug)]
-enum Text {
-    Blif,
-    Dimacs,
-}
-
-/// Valid BLIF netlists and DIMACS formulas (BMC instances of the same
-/// families, with a header) to mutate.
-fn text_seeds() -> &'static Vec<(Text, Vec<u8>)> {
-    static SEEDS: OnceLock<Vec<(Text, Vec<u8>)>> = OnceLock::new();
+/// Valid DIMACS formulas (BMC instances of the same families, with a
+/// header) to mutate.
+fn dimacs_seeds() -> &'static Vec<Vec<u8>> {
+    static SEEDS: OnceLock<Vec<Vec<u8>>> = OnceLock::new();
     SEEDS.get_or_init(|| {
         let models = [
             families::gated_counter(4, 2, 7),
@@ -74,40 +64,34 @@ fn text_seeds() -> &'static Vec<(Text, Vec<u8>)> {
             families::tmr_voter(2, 1),
             families::mutex_arbiter(2),
         ];
-        let mut files = Vec::new();
-        for model in &models {
-            let blif = write_blif(model.netlist(), model.name());
-            let cnf = format!(
-                "c {}\n{}",
-                model.name(),
-                to_dimacs_string(&Unroller::new(model).formula(2))
-            );
-            assert!(parse_blif(&blif).is_ok() && parse_dimacs(&cnf).is_ok());
-            files.push((Text::Blif, blif.into_bytes()));
-            files.push((Text::Dimacs, cnf.into_bytes()));
-        }
-        files
+        models
+            .iter()
+            .map(|model| {
+                let cnf = format!(
+                    "c {}\n{}",
+                    model.name(),
+                    to_dimacs_string(&Unroller::new(model).formula(2))
+                );
+                assert!(parse_dimacs(&cnf).is_ok());
+                cnf.into_bytes()
+            })
+            .collect()
     })
 }
 
-/// The robustness contract for one mutated BLIF or DIMACS text: parsing must
-/// return, and any error must name a line of the input (BLIF reports line 0
-/// for errors about the file as a whole).
-fn text_parses_or_positions_error(format: Text, bytes: &[u8]) -> Result<(), TestCaseError> {
+/// The robustness contract for one mutated DIMACS text: parsing must
+/// return, and any error must name a line of the input.
+fn dimacs_parses_or_positions_error(bytes: &[u8]) -> Result<(), TestCaseError> {
     let text = String::from_utf8_lossy(bytes);
-    let error = match format {
-        Text::Blif => parse_blif(&text).err().map(|e| (e.line(), e.to_string())),
-        Text::Dimacs => parse_dimacs(&text).err().map(|e| (e.line(), e.to_string())),
-    };
-    if let Some((line, message)) = error {
-        let lines = text.lines().count();
+    if let Err(e) = parse_dimacs(&text) {
+        let (line, lines) = (e.line(), text.lines().count());
         prop_assert!(
-            line <= lines,
-            "{format:?}: line {line} outside the {lines}-line input: {message}"
+            (1..=lines).contains(&line),
+            "line {line} outside the {lines}-line input: {e}"
         );
         prop_assert!(
-            line == 0 || message.contains(&format!("line {line}")),
-            "{format:?}: display must carry the position: {message}"
+            e.to_string().contains(&format!("line {line}")),
+            "display must carry the position: {e}"
         );
     }
     Ok(())
@@ -224,24 +208,23 @@ proptest! {
     }
 
     #[test]
-    fn blif_and_dimacs_truncations_never_panic(file in 0usize..64, cut in 0usize..1 << 20) {
-        let files = text_seeds();
-        let (format, bytes) = &files[file % files.len()];
+    fn dimacs_truncations_never_panic(file in 0usize..64, cut in 0usize..1 << 20) {
+        let files = dimacs_seeds();
+        let bytes = &files[file % files.len()];
         let cut = cut % (bytes.len() + 1);
-        text_parses_or_positions_error(*format, &bytes[..cut])?;
+        dimacs_parses_or_positions_error(&bytes[..cut])?;
     }
 
     #[test]
-    fn blif_and_dimacs_byte_flips_never_panic(
+    fn dimacs_byte_flips_never_panic(
         file in 0usize..64,
         at in 0usize..1 << 20,
         mask in 1u8..=255,
     ) {
-        let files = text_seeds();
-        let (format, bytes) = &files[file % files.len()];
-        let mut bytes = bytes.clone();
+        let files = dimacs_seeds();
+        let mut bytes = files[file % files.len()].clone();
         let i = at % bytes.len();
         bytes[i] ^= mask;
-        text_parses_or_positions_error(*format, &bytes)?;
+        dimacs_parses_or_positions_error(&bytes)?;
     }
 }

@@ -1,12 +1,11 @@
-//! Integration across the I/O formats: a generated model written to BLIF or
-//! AIGER, read back, and model-checked must give the same verdict at the
-//! same depth; and the AIGER writers reproduce, byte for byte, what the
-//! reader read from them.
+//! Integration across the I/O formats: a generated model written to AIGER,
+//! read back, and model-checked must give the same verdict at the same
+//! depth; a BMC instance exported as DIMACS stays solvable; and the AIGER
+//! writers reproduce, byte for byte, what the reader read from them.
 
 use refined_bmc::bmc::{BmcEngine, BmcOptions, BmcOutcome, Model};
 use refined_bmc::circuit::aiger::{parse_aag, parse_aiger, write_aag, write_aig};
-use refined_bmc::circuit::blif::{parse_blif, write_blif};
-use refined_bmc::circuit::{Aig, LatchInit, Netlist, Signal};
+use refined_bmc::circuit::Aig;
 use refined_bmc::gens::corpus::export_corpus;
 use refined_bmc::gens::{families, proof_suite, suite_table1};
 
@@ -27,26 +26,6 @@ fn bmc_verdict(model: Model, max_depth: usize) -> Option<usize> {
 }
 
 #[test]
-fn blif_roundtrip_preserves_bmc_verdict() {
-    for (model, max_depth) in [
-        (families::token_ring_buggy(4, 2), 8),
-        (families::gated_counter(4, 1, 9), 12),
-        (families::shift_twin(4), 8),
-    ] {
-        // Attach the bad signal as an output so it survives the roundtrip.
-        let mut netlist = model.netlist().clone();
-        netlist.add_output("bad_property", model.bad());
-        let text = write_blif(&netlist, model.name());
-        let reparsed = parse_blif(&text).unwrap_or_else(|e| panic!("{}: {e}", model.name()));
-        let roundtripped = Model::from_output(model.name(), reparsed, "bad_property");
-
-        let original = bmc_verdict(model.clone(), max_depth);
-        let after = bmc_verdict(roundtripped, max_depth);
-        assert_eq!(original, after, "{} verdict changed", model.name());
-    }
-}
-
-#[test]
 fn aiger_roundtrip_preserves_bmc_verdict() {
     for (model, max_depth) in [
         (families::token_ring_buggy(4, 2), 8),
@@ -58,59 +37,19 @@ fn aiger_roundtrip_preserves_bmc_verdict() {
         let text = write_aag(&lowered.aig);
         let back = parse_aag(&text).unwrap();
 
-        // Rebuild a netlist from the parsed AIG by direct translation.
-        let rebuilt = aig_to_netlist(&back);
-        let bad_index = back
-            .outputs()
-            .iter()
-            .position(|(name, _)| name == "bad_property")
+        // Raise the parsed AIG the way `VerificationProblem::from_aiger`
+        // does; the output keeps its name through the symbol table.
+        let raised = back.to_netlist();
+        let bad = raised
+            .netlist
+            .output("bad_property")
             .expect("property output survives");
-        let bad = rebuilt
-            .output(&format!("o{bad_index}"))
-            .or_else(|| rebuilt.output("bad_property"));
-        let roundtripped = Model::new(model.name(), rebuilt.clone(), bad.unwrap());
+        let roundtripped = Model::new(model.name(), raised.netlist, bad);
 
         let original = bmc_verdict(model.clone(), max_depth);
         let after = bmc_verdict(roundtripped, max_depth);
         assert_eq!(original, after, "{} verdict changed", model.name());
     }
-}
-
-/// Minimal AIG -> netlist translation (inverse of `Aig::from_netlist`).
-fn aig_to_netlist(aig: &Aig) -> Netlist {
-    let mut n = Netlist::new();
-    let mut map: Vec<Signal> = vec![Signal::FALSE; aig.num_nodes()];
-    for (i, &id) in aig.inputs().iter().enumerate() {
-        map[id] = n.add_input(&format!("i{i}"));
-    }
-    for (i, &id) in aig.latches().iter().enumerate() {
-        let init = aig.init_of(id).unwrap_or(LatchInit::Zero);
-        map[id] = n.add_latch(&format!("l{i}"), init);
-    }
-    let read = |map: &Vec<Signal>, lit: refined_bmc::circuit::AigLit| -> Signal {
-        let s = map[lit.node()];
-        if lit.is_inverted() {
-            !s
-        } else {
-            s
-        }
-    };
-    for node in 0..aig.num_nodes() {
-        if let Some((a, b)) = aig.and_fanins(node) {
-            let (sa, sb) = (read(&map, a), read(&map, b));
-            map[node] = n.and2(sa, sb);
-        }
-    }
-    for &id in aig.latches() {
-        let next = aig.next_of(id).expect("connected");
-        let sig = read(&map, next);
-        n.set_next(map[id], sig);
-    }
-    for (name, lit) in aig.outputs() {
-        let sig = read(&map, *lit);
-        n.add_output(name, sig);
-    }
-    n
 }
 
 #[test]

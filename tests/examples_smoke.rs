@@ -66,25 +66,6 @@ fn dimacs_solve_refutes_the_pigeonhole_instance() {
 }
 
 #[test]
-fn blif_bmc_checks_the_builtin_arbiter() {
-    let out = run_example("blif_bmc");
-    assert!(out.contains("property"), "unexpected output:\n{out}");
-}
-
-#[test]
-fn bmc_trace_replays_and_dumps_a_waveform() {
-    let out = run_example("bmc_trace");
-    assert!(
-        out.contains("counterexample found"),
-        "unexpected output:\n{out}"
-    );
-    assert!(
-        out.contains("waveform written"),
-        "unexpected output:\n{out}"
-    );
-}
-
-#[test]
 fn ordering_comparison_reports_all_strategies() {
     let out = run_example("ordering_comparison");
     for label in [
