@@ -111,14 +111,13 @@ pub fn read_signal(values: &[bool], signal: Signal) -> bool {
 /// let mut n = Netlist::new();
 /// let t = n.add_latch("t", LatchInit::Zero);
 /// n.set_next(t, !t);
-/// n.add_output("t", t);
 ///
 /// let mut sim = Simulator::new(&n);
-/// assert_eq!(sim.output_values(&[]), vec![false]);
+/// assert_eq!(sim.state(), &[false]);
 /// sim.step(&[]);
-/// assert_eq!(sim.output_values(&[]), vec![true]);
+/// assert_eq!(sim.state(), &[true]);
 /// sim.step(&[]);
-/// assert_eq!(sim.output_values(&[]), vec![false]);
+/// assert_eq!(sim.state(), &[false]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Simulator<'a> {
@@ -158,17 +157,6 @@ impl<'a> Simulator<'a> {
     /// Evaluates the whole frame under `inputs` without advancing time.
     pub fn frame_values(&self, inputs: &[bool]) -> Vec<bool> {
         self.plan.eval(&self.state, inputs)
-    }
-
-    /// Values of the declared outputs under `inputs` (current frame).
-    pub fn output_values(&self, inputs: &[bool]) -> Vec<bool> {
-        let values = self.frame_values(inputs);
-        self.plan
-            .netlist
-            .outputs()
-            .iter()
-            .map(|&(_, s)| read_signal(&values, s))
-            .collect()
     }
 
     /// Advances one clock cycle under `inputs`, returning the frame values
@@ -242,12 +230,11 @@ mod tests {
         let l = n.add_latch("l", LatchInit::Zero);
         let d = n.and2(a, b);
         n.set_next(l, d);
-        n.add_output("q", l);
         let mut sim = Simulator::new(&n);
         sim.step(&[true, true]);
-        assert_eq!(sim.output_values(&[false, false]), vec![true]);
+        assert_eq!(sim.state(), &[true]);
         sim.step(&[true, false]);
-        assert_eq!(sim.output_values(&[false, false]), vec![false]);
+        assert_eq!(sim.state(), &[false]);
     }
 
     #[test]

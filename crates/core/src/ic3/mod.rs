@@ -338,6 +338,36 @@ enum PropOutcome {
     ResourceOut,
 }
 
+/// Loads the 1-step transition relation into `solver`: frame 0 is the
+/// combinational logic with latches and inputs free (no `I`), frame 1 only
+/// the latch transition clauses (queries never read frame-1 gates — primed
+/// cubes and the bad predicate are over latches and frame-0 logic). The
+/// session solver loads it once, and so does the invariant check.
+fn load_step_relation(unroller: &Unroller<'_>, solver: &mut Solver) {
+    let netlist = unroller.model().netlist();
+    solver.reserve_vars(unroller.num_vars_at(1));
+    let mut formula = CnfFormula::with_vars(unroller.num_vars_at(1));
+    formula.add_clause([unroller.var_of(NodeId::CONST, 0).negative()]);
+    formula.add_clause([unroller.var_of(NodeId::CONST, 1).negative()]);
+    for id in netlist.node_ids() {
+        match netlist.node(id) {
+            Node::Gate { .. } => unroller.emit_gate_for(id, 0, &mut formula),
+            Node::Latch {
+                next: Some(next), ..
+            } => {
+                let cur = unroller.var_of(id, 1).positive();
+                let prev = unroller.lit_of(next, 0);
+                formula.add_clause([!cur, prev]);
+                formula.add_clause([cur, !prev]);
+            }
+            _ => {}
+        }
+    }
+    for clause in formula.clauses() {
+        solver.add_clause(clause.lits());
+    }
+}
+
 /// How one obligation-blocking campaign ended.
 enum BlockResult {
     /// Every obligation was discharged; re-ask the frontier bad query.
@@ -410,34 +440,7 @@ impl<'a> PropRunner<'a> {
         solver_opts.record_cdg = options.proof.is_on();
         let mut solver = Solver::with_options(solver_opts);
         let certifier = EpisodeCertifier::attach(options.proof, &mut solver);
-        solver.reserve_vars(2 * num_nodes);
-
-        // Load the 1-step transition relation once: frame 0 is the
-        // combinational logic with latches and inputs free (no `I`), frame
-        // 1 only the latch transition clauses (queries never read frame-1
-        // gates — primed cubes and the bad predicate are over latches and
-        // frame-0 logic).
-        let mut formula = CnfFormula::with_vars(2 * num_nodes);
-        formula.add_clause([unroller.var_of(NodeId::CONST, 0).negative()]);
-        formula.add_clause([unroller.var_of(NodeId::CONST, 1).negative()]);
-        for id in model.netlist().node_ids() {
-            match model.netlist().node(id) {
-                Node::Gate { .. } => unroller.emit_gate_for(id, 0, &mut formula),
-                Node::Latch {
-                    next: Some(next), ..
-                } => {
-                    let cur = unroller.var_of(id, 1).positive();
-                    let prev = unroller.lit_of(next, 0);
-                    formula.add_clause([!cur, prev]);
-                    formula.add_clause([cur, !prev]);
-                }
-                _ => {}
-            }
-        }
-        let total = formula.num_clauses();
-        for clause in formula.clauses_in(0..total) {
-            solver.add_clause(clause.lits());
-        }
+        load_step_relation(&unroller, &mut solver);
 
         let mut runner = PropRunner {
             model,
@@ -756,11 +759,15 @@ impl<'a> PropRunner<'a> {
     }
 
     /// Reconstructs the depth-`k` counterexample as a validated trace via a
-    /// fresh BMC-style solve (shares nothing with the IC3 session). `None`
-    /// only when a budget or deadline truncated the reconstruction.
+    /// fresh BMC-style solve (shares nothing with the IC3 session; no core
+    /// is read, so no CDG is recorded). `None` only when a budget or
+    /// deadline truncated the reconstruction.
     fn extract_trace(&self, k: usize) -> Option<Trace> {
         let unroller = Unroller::new(self.model);
-        let mut solver = Solver::with_options(SolverOptions::default());
+        let mut solver = Solver::with_options(SolverOptions {
+            record_cdg: false,
+            ..SolverOptions::default()
+        });
         solver.reserve_vars(unroller.num_vars_at(k));
         unroller.with_prefix(k, |clauses| {
             for clause in clauses {

@@ -220,21 +220,6 @@ impl ProblemBuilder {
         self
     }
 
-    /// Adds every declared netlist output as a property (the pre-1.9 AIGER
-    /// convention: an output is 1 in the bad states).
-    pub fn properties_from_outputs(mut self) -> ProblemBuilder {
-        let outputs: Vec<(String, Signal)> = self
-            .netlist
-            .outputs()
-            .iter()
-            .map(|(n, s)| (n.clone(), *s))
-            .collect();
-        for (name, signal) in outputs {
-            self.properties.push(Property::new(&name, signal));
-        }
-        self
-    }
-
     /// Number of properties queued so far.
     pub fn num_properties(&self) -> usize {
         self.properties.len()
@@ -311,17 +296,6 @@ mod tests {
             .property("p", t)
             .property("p", !t)
             .build();
-    }
-
-    #[test]
-    fn builder_from_outputs() {
-        let (mut n, t) = toggle_netlist();
-        n.add_output("o_high", t);
-        let p = ProblemBuilder::new("toggle", n)
-            .properties_from_outputs()
-            .build();
-        assert_eq!(p.num_properties(), 1);
-        assert_eq!(p.primary().name(), "o_high");
     }
 
     fn two_property_aig() -> Aig {

@@ -5,7 +5,7 @@
 //! depth with a validated trace; wherever BMC leaves the property open, IC3
 //! may either agree (open at the bound) or close it with a proof — and every
 //! proof must carry an invariant that passes [`check_invariant`]'s
-//! independent initiation/consecution/safety solver queries. A second,
+//! initiation, consecution and safety checks. A second,
 //! deterministic test runs the proving specimens of `proof_suite` and the
 //! holding instances of `small_suite` end to end: all of them must prove,
 //! under both the unordered and the core-ordered assumption ranking.
