@@ -3,13 +3,15 @@
 //! CAV'00 ordering along the *time axis* (earlier frames first). This bench
 //! runs both against standard VSIDS on the suite.
 //!
-//! Usage: `cargo run -p rbmc-bench --release --bin ablation_axis`
+//! Usage: `cargo run -p rbmc-bench --release --bin ablation_axis` (no arguments;
+//! given any, it prints its usage line and exits with status 2)
 
 use rbmc_bench::{ratio_percent, run_instance};
 use rbmc_core::{OrderingStrategy, Weighting};
 use rbmc_gens::suite_table1;
 
 fn main() {
+    rbmc_bench::cli_no_args("ablation_axis");
     println!("Register-axis (this paper) vs time-axis (Shtrichman) ordering\n");
     println!(
         "{:<20} {:>12} {:>14} {:>14}",

@@ -8,13 +8,15 @@
 //! be read as an interpolation — and shows where the paper's 64 lands at
 //! this formula scale (10³–10⁴ literals here, 10⁵–10⁶ in the paper).
 //!
-//! Usage: `cargo run -p rbmc-bench --release --bin ablation_switch`
+//! Usage: `cargo run -p rbmc-bench --release --bin ablation_switch` (no arguments;
+//! given any, it prints its usage line and exits with status 2)
 
 use rbmc_bench::{ratio_percent, run_instance};
 use rbmc_core::{OrderingStrategy, Weighting};
 use rbmc_gens::suite_table1;
 
 fn main() {
+    rbmc_bench::cli_no_args("ablation_switch");
     println!("Dynamic-switch divisor sweep (§3.3; threshold = #literals / divisor)\n");
     let suite = suite_table1();
 

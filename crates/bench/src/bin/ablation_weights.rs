@@ -3,13 +3,15 @@
 //! This bench compares that linear weighting against uniform weights and
 //! against trusting only the most recent core, under the static strategy.
 //!
-//! Usage: `cargo run -p rbmc-bench --release --bin ablation_weights`
+//! Usage: `cargo run -p rbmc-bench --release --bin ablation_weights` (no arguments;
+//! given any, it prints its usage line and exits with status 2)
 
 use rbmc_bench::{ratio_percent, run_instance};
 use rbmc_core::{OrderingStrategy, Weighting};
 use rbmc_gens::suite_table1;
 
 fn main() {
+    rbmc_bench::cli_no_args("ablation_weights");
     println!("Score-weighting ablation (static strategy; §3.2)\n");
     let schemes = [
         ("linear (paper)", Weighting::Linear),

@@ -12,8 +12,7 @@
 use std::time::Instant;
 
 use rbmc_bench::{BenchCase, BenchReport};
-use rbmc_core::{BmcEngine, BmcOptions, BmcOutcome, OrderingStrategy, SolverReuse};
-use rbmc_gens::Expectation;
+use rbmc_core::{BmcEngine, BmcOptions, OrderingStrategy, SolverReuse};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -59,17 +58,11 @@ fn main() {
             }
             // The ground-truth check run_instance does for the other
             // binaries: a verdict regression must not hide in the artifact.
-            let verdict_ok = match (&run.outcome, instance.expectation) {
-                (BmcOutcome::Counterexample { depth, .. }, Expectation::FailsAt(d)) => *depth == d,
-                (BmcOutcome::BoundReached { depth_completed }, Expectation::Holds) => {
-                    *depth_completed == instance.max_depth
-                }
-                _ => false,
-            };
+            let verdict_ok = rbmc_bench::verdict_matches(&instance, &run);
             assert!(
                 verdict_ok,
-                "{}: verdict {:?} contradicts ground truth {:?}",
-                instance.name, run.outcome, instance.expectation
+                "{}: verdict {} contradicts ground truth {:?}",
+                instance.name, run.properties[0].verdict, instance.expectation
             );
             report.push(BenchCase {
                 name: instance.name.clone(),

@@ -1011,10 +1011,6 @@ fn check_file(
                 run.solver_stats.arena_peak_bytes as f64,
             ),
             (
-                "prefix_peak_clauses".into(),
-                run.solver_stats.prefix_peak_clauses as f64,
-            ),
-            (
                 "rank_peak_entries".into(),
                 run.solver_stats.rank_peak_entries as f64,
             ),

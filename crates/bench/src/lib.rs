@@ -13,7 +13,7 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use rbmc_core::{
-    BmcEngine, BmcOptions, BmcOutcome, BmcRun, OrderingStrategy, SolverReuse, Weighting,
+    BmcEngine, BmcOptions, BmcRun, OrderingStrategy, PropertyVerdict, SolverReuse, Weighting,
 };
 use rbmc_gens::{BenchInstance, Expectation};
 
@@ -89,26 +89,13 @@ pub fn run_instance_with(
     );
     let run = engine.run_collecting();
     let time = start.elapsed();
-    let verdict_ok = match (&run.outcome, instance.expectation) {
-        (BmcOutcome::Counterexample { depth, trace }, Expectation::FailsAt(d)) => {
-            assert!(
-                trace.validate(&instance.model).is_ok(),
-                "{}: invalid trace",
-                instance.name
-            );
-            *depth == d
-        }
-        (BmcOutcome::BoundReached { depth_completed }, Expectation::Holds) => {
-            *depth_completed == instance.max_depth
-        }
-        _ => false,
-    };
+    let verdict_ok = verdict_matches(instance, &run);
     assert!(
         verdict_ok,
-        "{} [{}]: verdict {:?} contradicts ground truth {:?}",
+        "{} [{}]: verdict {} contradicts ground truth {:?}",
         instance.name,
         strategy.label(),
-        run.outcome,
+        run.properties[0].verdict,
         instance.expectation
     );
     InstanceResult {
@@ -122,6 +109,19 @@ pub fn run_instance_with(
         completed_depth: run.max_completed_depth().unwrap_or(0),
         verdict_ok,
         run,
+    }
+}
+
+/// Whether a run of `instance`'s single property reached its ground truth:
+/// a counterexample of the expected length that replays on the model, or
+/// the property still open at the instance's depth bound.
+pub fn verdict_matches(instance: &BenchInstance, run: &BmcRun) -> bool {
+    match (&run.properties[0].verdict, instance.expectation) {
+        (PropertyVerdict::Falsified { depth, trace }, Expectation::FailsAt(d)) => {
+            *depth == d && trace.validate(&instance.model).is_ok()
+        }
+        (PropertyVerdict::OpenAt { depth }, Expectation::Holds) => *depth == instance.max_depth,
+        _ => false,
     }
 }
 
@@ -177,6 +177,16 @@ pub fn cli_divisor(args: &[String]) -> u32 {
             );
             std::process::exit(2);
         }),
+    }
+}
+
+/// Exits with status 2 and a usage line when a binary that reads no
+/// arguments is given one: running anyway would print a table the
+/// arguments do not describe.
+pub fn cli_no_args(bin: &str) {
+    if std::env::args().nth(1).is_some() {
+        eprintln!("usage: {bin} (takes no arguments)");
+        std::process::exit(2);
     }
 }
 

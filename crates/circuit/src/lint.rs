@@ -209,11 +209,6 @@ impl LintReport {
             .count()
     }
 
-    /// True when no check fired.
-    pub fn is_clean(&self) -> bool {
-        self.diagnostics.is_empty()
-    }
-
     /// Appends all diagnostics of `other`.
     pub fn merge(&mut self, other: LintReport) {
         self.diagnostics.extend(other.diagnostics);
@@ -778,6 +773,6 @@ mod tests {
     #[test]
     fn garbage_bytes_lint_clean() {
         // Unparseable input is the parser's problem, not the linter's.
-        assert!(lint_aiger(b"not an aiger file").is_clean());
+        assert!(lint_aiger(b"not an aiger file").diagnostics().is_empty());
     }
 }

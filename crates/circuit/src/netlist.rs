@@ -433,11 +433,6 @@ impl Netlist {
         self.gate(GateOp::Xor, &[a, b])
     }
 
-    /// Exclusive-nor (equality).
-    pub fn xnor2(&mut self, a: Signal, b: Signal) -> Signal {
-        !self.xor2(a, b)
-    }
-
     /// `if sel then a else b`.
     pub fn mux(&mut self, sel: Signal, a: Signal, b: Signal) -> Signal {
         if sel == Signal::TRUE || a == b {
@@ -489,17 +484,6 @@ impl Netlist {
             acc = self.xor2(acc, s);
         }
         acc
-    }
-
-    /// Equality of two equally wide buses: `⋀ (aᵢ ↔ bᵢ)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the buses differ in width.
-    pub fn bus_eq(&mut self, a: &[Signal], b: &[Signal]) -> Signal {
-        assert_eq!(a.len(), b.len(), "bus widths differ");
-        let bits: Vec<Signal> = a.iter().zip(b).map(|(&x, &y)| self.xnor2(x, y)).collect();
-        self.and_many(&bits)
     }
 
     /// Compares a bus (LSB first) against a constant. A value that does not

@@ -96,11 +96,6 @@ impl<'a> ClauseView<'a> {
         self.lits
     }
 
-    /// Copies the view into an owned [`Clause`].
-    pub fn to_clause(&self) -> Clause {
-        Clause::new(self.lits.to_vec())
-    }
-
     /// Returns true if the clause contains both phases of some variable.
     pub fn is_tautology(&self) -> bool {
         lits_are_tautology(self.lits)
@@ -249,11 +244,6 @@ impl Clause {
     /// `assignment`.
     pub fn evaluate(&self, assignment: &[bool]) -> Option<bool> {
         eval_lits(&self.lits, assignment)
-    }
-
-    /// Borrows the clause as a [`ClauseView`].
-    pub fn as_view(&self) -> ClauseView<'_> {
-        ClauseView::new(&self.lits)
     }
 }
 

@@ -203,19 +203,6 @@ impl CnfFormula {
         }
         sub
     }
-
-    /// Iterates over every distinct variable mentioned in some clause.
-    pub fn used_vars(&self) -> Vec<Var> {
-        let mut seen = vec![false; self.num_vars];
-        for lit in &self.lits {
-            seen[lit.var().index()] = true;
-        }
-        seen.iter()
-            .enumerate()
-            .filter(|&(_, &s)| s)
-            .map(|(i, _)| Var::new(i))
-            .collect()
-    }
 }
 
 impl<'a> IntoIterator for &'a CnfFormula {
@@ -454,14 +441,6 @@ mod tests {
         assert_eq!(sub.num_vars(), f.num_vars());
         assert_eq!(sub.clause(0), f.clause(0));
         assert_eq!(sub.clause(1), f.clause(2));
-    }
-
-    #[test]
-    fn used_vars_skips_unused() {
-        let mut f = CnfFormula::with_vars(4);
-        f.add_clause(clause(&[1, 3]));
-        let used = f.used_vars();
-        assert_eq!(used, vec![Var::new(0), Var::new(2)]);
     }
 
     #[test]

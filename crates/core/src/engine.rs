@@ -41,7 +41,7 @@ use rbmc_circuit::Signal;
 use rbmc_solver::{Limits, OrderMode, SolveResult, Solver, SolverOptions, SolverStats};
 
 use crate::certify::{self, EpisodeCertifier};
-use crate::preprocess::preprocess_problem;
+use crate::preprocess::EngineModel;
 use crate::{
     shtrichman_rank, Model, Trace, TraceLift, Unroller, VarRank, VerificationProblem, Weighting,
 };
@@ -311,58 +311,12 @@ pub struct PropertyReport {
     pub depth_results: Vec<SolveResult>,
 }
 
-/// The overall outcome of a BMC run — the summary over the property set.
-/// Per-property verdicts live in [`BmcRun::properties`].
-#[derive(Clone, Debug)]
-pub enum BmcOutcome {
-    /// Some property fails; this is the shallowest counterexample found
-    /// (ties broken by property order). Other properties may still be open —
-    /// see the per-property reports.
-    Counterexample {
-        /// Length of the counterexample (bad state at this frame).
-        depth: usize,
-        /// The counterexample itself.
-        trace: Trace,
-    },
-    /// Every depth up to `max_depth` is UNSAT for every (non-falsified)
-    /// property: no counterexample of bounded length exists (the paper's
-    /// "property proven true up to the completeness threshold").
-    BoundReached {
-        /// The last depth proven UNSAT.
-        depth_completed: usize,
-    },
-    /// A per-depth conflict budget or the deadline ran out at `at_depth`
-    /// before any property was falsified (a found counterexample outranks a
-    /// later budget exhaustion in this summary).
-    ResourceOut {
-        /// Depth whose solve did not finish.
-        at_depth: usize,
-    },
-}
-
-impl fmt::Display for BmcOutcome {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BmcOutcome::Counterexample { depth, .. } => {
-                write!(f, "counterexample at depth {depth}")
-            }
-            BmcOutcome::BoundReached { depth_completed } => {
-                write!(f, "no counterexample up to depth {depth_completed}")
-            }
-            BmcOutcome::ResourceOut { at_depth } => {
-                write!(f, "resources exhausted at depth {at_depth}")
-            }
-        }
-    }
-}
-
-/// Summary of a finished run: outcome, per-property reports, and all
+/// Summary of a finished run: per-property verdicts and reports, and all
 /// per-depth statistics.
 #[derive(Clone, Debug)]
 pub struct BmcRun {
-    /// The summary verdict (single-property runs: the property's verdict).
-    pub outcome: BmcOutcome,
-    /// One report per property of the problem, in property order.
+    /// One report per property of the problem, in property order (a
+    /// single-property run's verdict is `properties[0].verdict`).
     pub properties: Vec<PropertyReport>,
     /// One entry per attempted depth, in order.
     pub per_depth: Vec<DepthStats>,
@@ -484,15 +438,8 @@ impl PropState {
 /// example.
 pub struct BmcEngine {
     /// The working model the solver sees (preprocessed when
-    /// [`BmcOptions::preprocess`] is on).
-    model: Model,
-    /// The problem as given, when preprocessing rebuilt it (`None` means the
-    /// working model *is* the original).
-    original: Option<Model>,
-    /// Trace map from working to original coordinates.
-    lift: Option<TraceLift>,
-    /// Shape accounting of the preprocessing pass.
-    pp_report: Option<PreprocessReport>,
+    /// [`BmcOptions::preprocess`] is on) and the way back to the original.
+    model: EngineModel,
     options: BmcOptions,
     rank: VarRank,
     per_depth: Vec<DepthStats>,
@@ -501,8 +448,11 @@ pub struct BmcEngine {
 impl fmt::Debug for BmcEngine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("BmcEngine")
-            .field("problem", &self.model.name())
-            .field("properties", &self.model.problem().num_properties())
+            .field("problem", &self.model.working().name())
+            .field(
+                "properties",
+                &self.model.working().problem().num_properties(),
+            )
             .field("options", &self.options)
             .field("depths_done", &self.per_depth.len())
             .finish()
@@ -514,23 +464,8 @@ impl BmcEngine {
     /// options. With [`BmcOptions::preprocess`] on (the default) the model
     /// is structurally reduced here, once, before any encoding.
     pub fn new(model: Model, options: BmcOptions) -> BmcEngine {
-        let (model, original, lift, pp_report) = if options.preprocess {
-            let problem = model.into_problem();
-            let pp = preprocess_problem(&problem);
-            (
-                Model::from_problem(pp.problem),
-                Some(Model::from_problem(problem)),
-                Some(pp.lift),
-                Some(pp.report),
-            )
-        } else {
-            (model, None, None, None)
-        };
         BmcEngine {
-            model,
-            original,
-            lift,
-            pp_report,
+            model: EngineModel::new(model, options.preprocess),
             options,
             rank: VarRank::new(options.weighting),
             per_depth: Vec::new(),
@@ -549,7 +484,7 @@ impl BmcEngine {
     /// returns are in this model's coordinates, whether or not
     /// preprocessing reduced the working copy.
     pub fn model(&self) -> &Model {
-        self.original.as_ref().unwrap_or(&self.model)
+        self.model.original()
     }
 
     /// The working model the solver actually encodes: the preprocessed
@@ -557,7 +492,7 @@ impl BmcEngine {
     /// anything), otherwise the model as given. Its netlist sizes are the
     /// ones per-depth CNF statistics refer to.
     pub fn working_model(&self) -> &Model {
-        &self.model
+        self.model.working()
     }
 
     /// The full problem under check, as given.
@@ -568,14 +503,14 @@ impl BmcEngine {
     /// Shape accounting of the preprocessing pass (`None` when
     /// [`BmcOptions::preprocess`] is off).
     pub fn preprocess_report(&self) -> Option<&PreprocessReport> {
-        self.pp_report.as_ref()
+        self.model.report()
     }
 
     /// The trace map from working to original coordinates (`None` when
     /// preprocessing is off). Witness printers use its don't-care masks to
     /// emit `x` for state no property can observe.
     pub fn trace_lift(&self) -> Option<&TraceLift> {
-        self.lift.as_ref()
+        self.model.lift()
     }
 
     /// The accumulated `varRank` (inspect after a run).
@@ -583,32 +518,15 @@ impl BmcEngine {
         &self.rank
     }
 
-    /// Runs the loop of Fig. 5 and returns only the summary outcome.
-    pub fn run(&mut self) -> BmcOutcome {
-        self.run_collecting().outcome
-    }
-
     /// Runs the loop of Fig. 5 over every property, collecting per-depth and
     /// per-property statistics.
     pub fn run_collecting(&mut self) -> BmcRun {
         let mut run = self.refine_order_bmc();
-        // Peak varRank storage. The table only ever shrinks on a
-        // LastOnly-weighting reset, whose next update immediately refills it
-        // with the newest core, so the post-run size is the high-water mark.
+        // Peak varRank storage: the table never shrinks, so its post-run
+        // length is the high-water mark.
         let stats = &mut run.solver_stats;
         stats.rank_peak_entries = stats.rank_peak_entries.max(self.rank.num_entries() as u64);
-        // Lift traces out of the working model's coordinates: callers only
-        // ever see the problem they posed.
-        if let Some(lift) = self.lift.as_ref().filter(|l| !l.is_identity()) {
-            if let BmcOutcome::Counterexample { trace, .. } = &mut run.outcome {
-                *trace = lift.lift(trace);
-            }
-            for prop in &mut run.properties {
-                if let PropertyVerdict::Falsified { trace, .. } = &mut prop.verdict {
-                    *trace = lift.lift(trace);
-                }
-            }
-        }
+        self.model.lift_traces(&mut run);
         run
     }
 
@@ -616,9 +534,9 @@ impl BmcEngine {
     /// [`BmcEngine::run_collecting`] lifts its traces.
     fn refine_order_bmc(&mut self) -> BmcRun {
         let run_start = Instant::now();
-        let unroller = Unroller::new(&self.model);
-        let mut props: Vec<PropState> = self
-            .model
+        let working = self.model.working();
+        let unroller = Unroller::new(working);
+        let mut props: Vec<PropState> = working
             .problem()
             .properties()
             .iter()
@@ -649,29 +567,20 @@ impl BmcEngine {
             .and_then(|s| EpisodeCertifier::attach(self.options.proof, s));
         let mut proof_acc: Option<crate::ProofSummary> = None;
         let mut aggregate = SolverStats::new();
-        let mut first_falsified: Option<usize> = None;
-        let mut resource_out: Option<usize> = None;
-        let mut depth_completed = 0usize;
+        let mut resource_out = false;
         'depths: for k in 0..=self.options.max_depth {
             let depth_start = Instant::now();
             let limits = depth_limits(&self.options);
-            // gen_cnf_formula(M, P, k): the unroller only ever encodes the
-            // one new frame; the session solver consumes exactly that delta
-            // once per depth, fresh solvers replay the cached prefix per
-            // episode. sat_check(F, varRank) is one solve episode per open
-            // property.
+            // gen_cnf_formula(M, P, k): the session solver reads the one new
+            // frame once, so it is encoded without caching; fresh solvers
+            // replay the cached prefix per episode. sat_check(F, varRank) is
+            // one solve episode per open property.
             if let Some(solver) = session.as_mut() {
                 unroller.with_frame_delta(k, |clauses| {
                     for clause in clauses {
                         solver.add_clause(clause.lits());
                     }
                 });
-                // Bounded prefix mode: the persistent solver now holds this
-                // frame for the rest of the run, so the cache copy is pure
-                // duplication — drop it and keep the cache at one frame
-                // instead of `max_depth`. (Fresh-per-depth runs reload the
-                // whole prefix per episode and never retire.)
-                unroller.retire_frames_through(k);
             }
             let mut depth = DepthStats {
                 depth: k,
@@ -744,13 +653,12 @@ impl BmcEngine {
                         let assignment = solver.model().expect("model after SAT");
                         let trace = Trace::from_assignment(&unroller, assignment, k);
                         debug_assert!(
-                            trace.validate_against(self.model.netlist(), bad).is_ok(),
+                            trace.validate_against(working.netlist(), bad).is_ok(),
                             "solver returned an invalid counterexample for `{}`",
                             props[p_idx].name
                         );
                         props[p_idx].falsified = Some((k, trace));
                         props[p_idx].open = false;
-                        first_falsified = first_falsified.or(Some(p_idx));
                         if let Some(solver) = session.as_mut() {
                             // Retire the activation literal: the property
                             // leaves the sweep, so its bad-state clause must
@@ -790,7 +698,7 @@ impl BmcEngine {
                     }
                     SolveResult::Unknown => {
                         depth.result = SolveResult::Unknown;
-                        resource_out = Some(k);
+                        resource_out = true;
                     }
                 }
                 if let Some(f) = fresh.as_ref() {
@@ -800,7 +708,7 @@ impl BmcEngine {
                     &mut proof_acc,
                     fresh_certifier.map(EpisodeCertifier::into_summary),
                 );
-                if resource_out.is_some() {
+                if resource_out {
                     break;
                 }
             }
@@ -825,24 +733,14 @@ impl BmcEngine {
                 }
             }
             // Depth boundary, `debug-invariants` builds: full structural
-            // audit of the session solver (watches, trail, arena, CDG) and
-            // of the rank table's sparse/dense agreement.
+            // audit of the session solver (watches, trail, arena, CDG).
             #[cfg(feature = "debug-invariants")]
-            {
-                if let Some(solver) = session.as_ref() {
-                    solver.audit().expect("solver invariants at depth boundary");
-                    certify::audit_proof_coherence(solver)
-                        .expect("proof-log coherence at depth boundary");
-                }
-                self.rank
-                    .audit()
-                    .expect("rank-table invariants at depth boundary");
+            if let Some(solver) = session.as_ref() {
+                solver.audit().expect("solver invariants at depth boundary");
+                certify::audit_proof_coherence(solver)
+                    .expect("proof-log coherence at depth boundary");
             }
-            if resource_out.is_some() {
-                break 'depths;
-            }
-            depth_completed = k;
-            if props.iter().all(|p| !p.open) {
+            if resource_out || props.iter().all(|p| !p.open) {
                 break 'depths;
             }
         }
@@ -853,20 +751,7 @@ impl BmcEngine {
             &mut proof_acc,
             session_certifier.map(EpisodeCertifier::into_summary),
         );
-        aggregate.prefix_peak_clauses = unroller.peak_cached_clauses() as u64;
-        let outcome = match (resource_out, first_falsified) {
-            // A definite counterexample outranks a later budget exhaustion:
-            // the summary keeps its documented meaning (some property fails),
-            // and the per-property reports still record who ran out.
-            (_, Some(p_idx)) => {
-                let (depth, trace) = props[p_idx].falsified.clone().expect("falsified recorded");
-                BmcOutcome::Counterexample { depth, trace }
-            }
-            (Some(at_depth), None) => BmcOutcome::ResourceOut { at_depth },
-            (None, None) => BmcOutcome::BoundReached { depth_completed },
-        };
         BmcRun {
-            outcome,
             properties: props.into_iter().map(PropState::into_report).collect(),
             per_depth: std::mem::take(&mut self.per_depth),
             solver_stats: aggregate,
@@ -885,7 +770,7 @@ impl BmcEngine {
             OrderingStrategy::Shtrichman => {
                 solver.set_var_ranking(&shtrichman_rank(unroller, k));
             }
-            _ => solver.set_var_ranking(&self.rank.snapshot()),
+            _ => solver.set_var_ranking(self.rank.scores()),
         }
     }
 
@@ -1008,12 +893,13 @@ mod tests {
                     ..BmcOptions::default()
                 },
             );
-            match engine.run() {
-                BmcOutcome::Counterexample { depth, trace } => {
-                    assert_eq!(depth, 11, "{strategy:?}");
+            let run = engine.run_collecting();
+            match &run.properties[0].verdict {
+                PropertyVerdict::Falsified { depth, trace } => {
+                    assert_eq!(*depth, 11, "{strategy:?}");
                     assert!(trace.validate(engine.model()).is_ok(), "{strategy:?}");
                 }
-                other => panic!("{strategy:?}: expected cex, got {other:?}"),
+                other => panic!("{strategy:?}: expected cex, got {other}"),
             }
         }
     }
@@ -1031,11 +917,9 @@ mod tests {
                     ..BmcOptions::default()
                 },
             );
-            match engine.run() {
-                BmcOutcome::BoundReached { depth_completed } => {
-                    assert_eq!(depth_completed, 12, "{strategy:?}");
-                }
-                other => panic!("{strategy:?}: expected bound reached, got {other:?}"),
+            match engine.run_collecting().properties[0].verdict {
+                PropertyVerdict::OpenAt { depth } => assert_eq!(depth, 12, "{strategy:?}"),
+                ref other => panic!("{strategy:?}: expected open at the bound, got {other}"),
             }
         }
     }
@@ -1053,8 +937,8 @@ mod tests {
         );
         let run = engine.run_collecting();
         assert!(matches!(
-            run.outcome,
-            BmcOutcome::Counterexample { depth: 9, .. }
+            run.properties[0].verdict,
+            PropertyVerdict::Falsified { depth: 9, .. }
         ));
         // Nine UNSAT instances were consumed (k = 0..8).
         assert_eq!(engine.rank().num_updates(), 9);
@@ -1096,7 +980,8 @@ mod tests {
         // Fresh mode: with a zero conflict budget, the UNSAT depths of the
         // input-free counter still complete (level-0 propagation refutes
         // them before the budget is consulted), but the SAT depth hits the
-        // budget check in the decision loop and reports ResourceOut there.
+        // budget check in the decision loop and ends the run there, open at
+        // the last completed depth.
         let model = counter_model(3, 5);
         let mut engine = BmcEngine::new(
             model.clone(),
@@ -1108,13 +993,16 @@ mod tests {
                 ..BmcOptions::default()
             },
         );
-        match engine.run() {
-            BmcOutcome::ResourceOut { at_depth } => assert_eq!(at_depth, 5),
-            other => panic!("expected resource-out, got {other:?}"),
-        }
+        let run = engine.run_collecting();
+        assert!(matches!(
+            run.properties[0].verdict,
+            PropertyVerdict::OpenAt { depth: 4 }
+        ));
+        let last = run.per_depth.last().expect("a depth was attempted");
+        assert_eq!((last.depth, last.result), (5, SolveResult::Unknown));
         // Session mode asserts the bad state through an assumed activation
         // literal, so even depth 0 needs one pseudo-decision — which a zero
-        // budget forbids: ResourceOut immediately, and the property reports
+        // budget forbids: the run ends at once, and the property reports
         // Unknown (no depth completed).
         let mut engine = BmcEngine::new(
             model,
@@ -1127,10 +1015,8 @@ mod tests {
             },
         );
         let run = engine.run_collecting();
-        match &run.outcome {
-            BmcOutcome::ResourceOut { at_depth } => assert_eq!(*at_depth, 0),
-            other => panic!("expected resource-out, got {other:?}"),
-        }
+        assert_eq!(run.per_depth.len(), 1);
+        assert_eq!(run.per_depth[0].result, SolveResult::Unknown);
         assert!(matches!(
             run.properties[0].verdict,
             PropertyVerdict::Unknown
@@ -1182,8 +1068,8 @@ mod tests {
         );
         let run = engine.run_collecting();
         assert!(matches!(
-            run.outcome,
-            BmcOutcome::Counterexample { depth: 11, .. }
+            run.properties[0].verdict,
+            PropertyVerdict::Falsified { depth: 11, .. }
         ));
         let stats = &run.solver_stats;
         // One solve episode per attempted depth (0..=11).
@@ -1246,11 +1132,6 @@ mod tests {
                 PropertyVerdict::OpenAt { depth } => assert_eq!(*depth, 12),
                 other => panic!("{strategy:?}: reach_14 expected open, got {other}"),
             }
-            // Summary outcome is the shallowest counterexample.
-            assert!(
-                matches!(run.outcome, BmcOutcome::Counterexample { depth: 3, .. }),
-                "{strategy:?}"
-            );
             assert_eq!(run.num_falsified(), 2);
             // Retired properties stop consuming episodes: reach_3 ran
             // depths 0..=3 only.
@@ -1309,17 +1190,20 @@ mod tests {
         assert_eq!(run.per_depth.len(), 5);
         assert_eq!(run.num_falsified(), 2);
         assert!(matches!(
-            run.outcome,
-            BmcOutcome::Counterexample { depth: 2, .. }
+            run.property("reach_2").unwrap().verdict,
+            PropertyVerdict::Falsified { depth: 2, .. }
         ));
     }
 
     #[test]
-    fn outcome_display_is_informative() {
+    fn verdict_display_is_informative() {
         let model = counter_model(3, 5);
         let mut engine = BmcEngine::new(model, BmcOptions::default());
-        let outcome = engine.run();
-        assert!(outcome.to_string().contains("depth 5"));
+        let run = engine.run_collecting();
+        assert_eq!(
+            run.properties[0].verdict.to_string(),
+            "falsified at depth 5"
+        );
         assert!(PropertyVerdict::OpenAt { depth: 7 }
             .to_string()
             .contains("open at depth 7"));

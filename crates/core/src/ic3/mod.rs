@@ -69,10 +69,10 @@ use rbmc_solver::{Limits, SolveResult, Solver, SolverOptions, SolverStats};
 
 use crate::certify::EpisodeCertifier;
 use crate::engine::{
-    depth_limits, strategy_solver_options, BmcOptions, BmcOutcome, BmcRun, DepthStats,
-    PropertyReport, PropertyVerdict,
+    depth_limits, strategy_solver_options, BmcOptions, BmcRun, DepthStats, PropertyReport,
+    PropertyVerdict,
 };
-use crate::preprocess::preprocess_problem;
+use crate::preprocess::EngineModel;
 use crate::{Model, Trace, TraceLift, Unroller, VarRank, VerificationProblem};
 
 use frames::{Cube, Frames};
@@ -91,7 +91,7 @@ use invariant::invariant_clauses_from;
 /// # Examples
 ///
 /// ```
-/// use rbmc_core::{BmcOptions, Ic3Engine, Model, PropertyVerdict};
+/// use rbmc_core::{check_invariant, BmcOptions, Ic3Engine, Model, PropertyVerdict};
 /// use rbmc_circuit::{LatchInit, Netlist};
 ///
 /// // A sticky latch (l' = l, init 0) never becomes 1: IC3 proves it.
@@ -101,29 +101,30 @@ use invariant::invariant_clauses_from;
 /// let model = Model::new("sticky", n, l);
 /// let mut engine = Ic3Engine::new(model, BmcOptions::default());
 /// let run = engine.run_collecting();
-/// assert!(matches!(
-///     run.properties[0].verdict,
-///     PropertyVerdict::Proved { .. }
-/// ));
+/// let PropertyVerdict::Proved { invariant_clauses: Some(clauses), .. } =
+///     &run.properties[0].verdict
+/// else {
+///     panic!("expected a proof");
+/// };
+/// // A proof is trusted once its invariant passes the independent check.
+/// let working = engine.working_model();
+/// assert_eq!(check_invariant(working, working.bad(), clauses), Ok(()));
 /// ```
 pub struct Ic3Engine {
     /// The working model the solver sees (preprocessed when
-    /// [`BmcOptions::preprocess`] is on).
-    model: Model,
-    /// The problem as given, when preprocessing rebuilt it.
-    original: Option<Model>,
-    /// Trace map from working to original coordinates.
-    lift: Option<TraceLift>,
-    /// Shape accounting of the preprocessing pass.
-    pp_report: Option<PreprocessReport>,
+    /// [`BmcOptions::preprocess`] is on) and the way back to the original.
+    model: EngineModel,
     options: BmcOptions,
 }
 
 impl fmt::Debug for Ic3Engine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Ic3Engine")
-            .field("problem", &self.model.name())
-            .field("properties", &self.model.problem().num_properties())
+            .field("problem", &self.model.working().name())
+            .field(
+                "properties",
+                &self.model.working().problem().num_properties(),
+            )
             .field("options", &self.options)
             .finish()
     }
@@ -135,23 +136,8 @@ impl Ic3Engine {
     /// with [`BmcOptions::preprocess`] on, the model is structurally
     /// reduced once here and every verdict is lifted back.
     pub fn new(model: Model, options: BmcOptions) -> Ic3Engine {
-        let (model, original, lift, pp_report) = if options.preprocess {
-            let problem = model.into_problem();
-            let pp = preprocess_problem(&problem);
-            (
-                Model::from_problem(pp.problem),
-                Some(Model::from_problem(problem)),
-                Some(pp.lift),
-                Some(pp.report),
-            )
-        } else {
-            (model, None, None, None)
-        };
         Ic3Engine {
-            model,
-            original,
-            lift,
-            pp_report,
+            model: EngineModel::new(model, options.preprocess),
             options,
         }
     }
@@ -164,13 +150,13 @@ impl Ic3Engine {
 
     /// The model under check **as given** (traces are in its coordinates).
     pub fn model(&self) -> &Model {
-        self.original.as_ref().unwrap_or(&self.model)
+        self.model.original()
     }
 
     /// The working model the solver actually encodes — the coordinate
     /// system of [`PropertyVerdict::Proved`] invariant clauses.
     pub fn working_model(&self) -> &Model {
-        &self.model
+        self.model.working()
     }
 
     /// The full problem under check, as given.
@@ -180,18 +166,13 @@ impl Ic3Engine {
 
     /// Shape accounting of the preprocessing pass (`None` when off).
     pub fn preprocess_report(&self) -> Option<&PreprocessReport> {
-        self.pp_report.as_ref()
+        self.model.report()
     }
 
     /// The trace map from working to original coordinates (`None` when
     /// preprocessing is off).
     pub fn trace_lift(&self) -> Option<&TraceLift> {
-        self.lift.as_ref()
-    }
-
-    /// Runs IC3 and returns only the summary outcome.
-    pub fn run(&mut self) -> BmcOutcome {
-        self.run_collecting().outcome
+        self.model.lift()
     }
 
     /// Runs IC3 on every property, collecting per-property reports and
@@ -200,8 +181,8 @@ impl Ic3Engine {
     /// `k`, which is what the differential harnesses compare).
     pub fn run_collecting(&mut self) -> BmcRun {
         let run_start = Instant::now();
-        let props: Vec<(String, Signal)> = self
-            .model
+        let working = self.model.working();
+        let props: Vec<(String, Signal)> = working
             .problem()
             .properties()
             .iter()
@@ -212,7 +193,7 @@ impl Ic3Engine {
         let mut per_depth: Vec<DepthStats> = Vec::new();
         let mut proof_acc: Option<crate::ProofSummary> = None;
         for (name, bad) in props {
-            let mut runner = PropRunner::new(&self.model, bad, &self.options);
+            let mut runner = PropRunner::new(working, bad, &self.options);
             let (report, frontier_stats) = runner.run(name);
             aggregate.accumulate(runner.solver.stats());
             crate::certify::merge_opt(
@@ -223,78 +204,16 @@ impl Ic3Engine {
             reports.push(report);
         }
 
-        let outcome = summarize(&reports, self.options.max_depth);
         let mut run = BmcRun {
-            outcome,
             properties: reports,
             per_depth,
             solver_stats: aggregate,
             total_time: run_start.elapsed(),
             proof: proof_acc,
         };
-        // Lift traces out of the working model's coordinates, as BMC does.
-        if let Some(lift) = self.lift.as_ref().filter(|l| !l.is_identity()) {
-            if let BmcOutcome::Counterexample { trace, .. } = &mut run.outcome {
-                *trace = lift.lift(trace);
-            }
-            for prop in &mut run.properties {
-                if let PropertyVerdict::Falsified { trace, .. } = &mut prop.verdict {
-                    *trace = lift.lift(trace);
-                }
-            }
-        }
+        self.model.lift_traces(&mut run);
         run
     }
-}
-
-/// The summary outcome over the per-property reports, with BMC's
-/// precedence: a counterexample outranks a truncation outranks completion.
-fn summarize(reports: &[PropertyReport], max_depth: usize) -> BmcOutcome {
-    let mut best: Option<(usize, &Trace)> = None;
-    for report in reports {
-        if let PropertyVerdict::Falsified { depth, trace } = &report.verdict {
-            if best.is_none_or(|(d, _)| *depth < d) {
-                best = Some((*depth, trace));
-            }
-        }
-    }
-    if let Some((depth, trace)) = best {
-        return BmcOutcome::Counterexample {
-            depth,
-            trace: trace.clone(),
-        };
-    }
-    if let Some(at_depth) = reports
-        .iter()
-        .filter_map(|r| match r.verdict {
-            PropertyVerdict::Unknown => Some(r.depth_results.len()),
-            _ => None,
-        })
-        .min()
-    {
-        return BmcOutcome::ResourceOut { at_depth };
-    }
-    // Every property proved or open: the depth through which *no*
-    // counterexample exists is bounded by the open properties' frontiers
-    // (a proof bounds nothing — it holds at every depth).
-    let depth_completed = reports
-        .iter()
-        .filter_map(|r| match r.verdict {
-            PropertyVerdict::OpenAt { depth } => Some(depth),
-            _ => None,
-        })
-        .min()
-        .unwrap_or_else(|| {
-            reports
-                .iter()
-                .filter_map(|r| match r.verdict {
-                    PropertyVerdict::Proved { depth, .. } => Some(depth),
-                    _ => None,
-                })
-                .max()
-                .unwrap_or(max_depth)
-        });
-    BmcOutcome::BoundReached { depth_completed }
 }
 
 /// Folds one property's per-frontier statistics into the run-level
@@ -562,7 +481,7 @@ impl<'a> PropRunner<'a> {
     /// `set_var_ranking` refresh).
     fn install_ranking(&mut self, m: usize) {
         if self.ordered {
-            self.solver.set_var_ranking(&self.ranks[m].snapshot());
+            self.solver.set_var_ranking(self.ranks[m].scores());
         }
     }
 
@@ -920,14 +839,6 @@ impl<'a> PropRunner<'a> {
         let outcome = outcome.unwrap_or(PropOutcome::Open {
             completed: completed.unwrap_or(0),
         });
-        // An extracted proof is only reported after the independent
-        // machine check accepts its invariant — soundness is asserted, not
-        // assumed.
-        if let PropOutcome::Proved { invariant, .. } = &outcome {
-            if let Err(err) = check_invariant(self.model, self.bad, invariant) {
-                panic!("IC3 proof of `{name}` failed the invariant check: {err}");
-            }
-        }
 
         let stats = self.solver.stats();
         let (verdict, retirement_depth) = match outcome {
@@ -1020,12 +931,13 @@ mod tests {
                     ..BmcOptions::default()
                 },
             );
-            match engine.run() {
-                BmcOutcome::Counterexample { depth, trace } => {
-                    assert_eq!(depth, 11, "{strategy:?}");
+            let run = engine.run_collecting();
+            match &run.properties[0].verdict {
+                PropertyVerdict::Falsified { depth, trace } => {
+                    assert_eq!(*depth, 11, "{strategy:?}");
                     assert!(trace.validate(engine.model()).is_ok(), "{strategy:?}");
                 }
-                other => panic!("{strategy:?}: expected cex, got {other:?}"),
+                other => panic!("{strategy:?}: expected cex, got {other}"),
             }
         }
     }
@@ -1049,9 +961,7 @@ mod tests {
                     invariant_clauses,
                 } => {
                     let clauses = invariant_clauses.as_ref().expect("IC3 extracts invariants");
-                    // The engine already asserted the check; re-run it here
-                    // against the engine's working model as an independent
-                    // witness of the test's own expectation.
+                    // The invariant is in the working model's coordinates.
                     let working = engine.working_model();
                     let bad = working.bad();
                     assert_eq!(check_invariant(working, bad, clauses), Ok(()));
@@ -1059,7 +969,6 @@ mod tests {
                 }
                 other => panic!("{strategy:?}: expected proof, got {other}"),
             }
-            assert!(matches!(run.outcome, BmcOutcome::BoundReached { .. }));
         }
     }
 
@@ -1129,14 +1038,17 @@ mod tests {
             PropertyVerdict::Falsified { depth, .. } => assert_eq!(*depth, 7),
             other => panic!("reach_7: expected falsified, got {other}"),
         }
-        assert!(matches!(
-            run.property("reach_13").unwrap().verdict,
-            PropertyVerdict::Proved { .. }
-        ));
-        assert!(matches!(
-            run.outcome,
-            BmcOutcome::Counterexample { depth: 7, .. }
-        ));
+        match &run.property("reach_13").unwrap().verdict {
+            PropertyVerdict::Proved {
+                invariant_clauses: Some(clauses),
+                ..
+            } => {
+                let working = engine.working_model();
+                let bad = working.problem().property(1).bad();
+                assert_eq!(check_invariant(working, bad, clauses), Ok(()));
+            }
+            other => panic!("reach_13: expected proof, got {other}"),
+        }
     }
 
     #[test]
@@ -1165,7 +1077,8 @@ mod tests {
         };
         let mut engine = Ic3Engine::new(counter_model(4, 13), options);
         let run = engine.run_collecting();
-        assert!(matches!(run.outcome, BmcOutcome::ResourceOut { .. }));
+        assert_eq!(run.per_depth.len(), 1);
+        assert_eq!(run.per_depth[0].result, SolveResult::Unknown);
         assert!(matches!(
             run.properties[0].verdict,
             PropertyVerdict::Unknown
@@ -1189,12 +1102,12 @@ mod tests {
         let bad = n.bus_eq_const(&bits, 5);
         let model = Model::new("with_dead", n, bad);
         let mut engine = Ic3Engine::new(model, BmcOptions::default());
-        match engine.run() {
-            BmcOutcome::Counterexample { depth, trace } => {
-                assert_eq!(depth, 5);
+        match &engine.run_collecting().properties[0].verdict {
+            PropertyVerdict::Falsified { depth, trace } => {
+                assert_eq!(*depth, 5);
                 assert!(trace.validate(engine.model()).is_ok());
             }
-            other => panic!("expected cex, got {other:?}"),
+            other => panic!("expected cex, got {other}"),
         }
     }
 }

@@ -50,15 +50,16 @@
 //!   truth in tests.
 //! - [`ic3`]: an IC3 engine over the same session solver, with the paper's
 //!   core ranking transplanted to per-frame **assumption ordering** (see
-//!   the module docs), extracted machine-checked inductive invariants, and
-//!   [`PropertyVerdict::Proved`] verdicts — the "combine with other
-//!   techniques" extension the paper's conclusion anticipates.
+//!   the module docs), and [`PropertyVerdict::Proved`] verdicts carrying
+//!   extracted inductive invariants that [`check_invariant`] machine-checks
+//!   — the "combine with other techniques" extension the paper's
+//!   conclusion anticipates.
 //!
 //! # Examples
 //!
 //! ```
 //! use rbmc_circuit::{LatchInit, Netlist};
-//! use rbmc_core::{BmcEngine, BmcOptions, BmcOutcome, Model, OrderingStrategy};
+//! use rbmc_core::{BmcEngine, BmcOptions, Model, OrderingStrategy, PropertyVerdict};
 //!
 //! // A 3-bit counter; "counter never reaches 5" fails at depth 5.
 //! let mut n = Netlist::new();
@@ -73,12 +74,13 @@
 //!     strategy: OrderingStrategy::RefinedDynamic { divisor: 64 },
 //!     ..BmcOptions::default()
 //! });
-//! match engine.run() {
-//!     BmcOutcome::Counterexample { depth, trace } => {
-//!         assert_eq!(depth, 5);
+//! let run = engine.run_collecting();
+//! match &run.properties[0].verdict {
+//!     PropertyVerdict::Falsified { depth, trace } => {
+//!         assert_eq!(*depth, 5);
 //!         assert!(trace.validate(engine.model()).is_ok());
 //!     }
-//!     other => panic!("expected a counterexample, got {other:?}"),
+//!     other => panic!("expected a counterexample, got {other}"),
 //! }
 //! ```
 
@@ -100,8 +102,8 @@ mod unroll;
 
 pub use certify::{ProofAuditError, ProofMode, ProofSummary, SharedRecorder};
 pub use engine::{
-    BmcEngine, BmcOptions, BmcOutcome, BmcRun, DepthStats, OrderingStrategy, PropertyReport,
-    PropertyVerdict, SolverReuse,
+    BmcEngine, BmcOptions, BmcRun, DepthStats, OrderingStrategy, PropertyReport, PropertyVerdict,
+    SolverReuse,
 };
 pub use ic3::{check_invariant, Ic3Engine, InvariantClause, InvariantError};
 pub use model::Model;

@@ -19,7 +19,7 @@
 use rbmc_circuit::preprocess::{preprocess, PreprocessReport};
 use rbmc_circuit::{LatchInit, Netlist, Node};
 
-use crate::{ProblemBuilder, Trace, VerificationProblem};
+use crate::{BmcRun, Model, ProblemBuilder, PropertyVerdict, Trace, VerificationProblem};
 
 /// Maps traces found on a preprocessed (reduced) problem back to the
 /// original problem's latch/input coordinates.
@@ -153,6 +153,69 @@ pub fn preprocess_problem(problem: &VerificationProblem) -> PreprocessedProblem 
         problem: builder.build(),
         lift,
         report: pp.report,
+    }
+}
+
+/// The model an engine encodes, and — when
+/// [`BmcOptions::preprocess`](crate::BmcOptions::preprocess) is on — the
+/// problem as given plus the way back to it. Both engines hold one, so they
+/// preprocess and lift traces the same way.
+pub(crate) struct EngineModel {
+    /// The model the solver sees.
+    working: Model,
+    /// The model as given, the trace map back to it, and the pass's shape
+    /// accounting (`None`: the working model *is* the model as given).
+    reduced: Option<(Model, TraceLift, PreprocessReport)>,
+}
+
+impl EngineModel {
+    /// Reduces `model` once, here, when `preprocess` is set.
+    pub(crate) fn new(model: Model, preprocess: bool) -> EngineModel {
+        if !preprocess {
+            return EngineModel {
+                working: model,
+                reduced: None,
+            };
+        }
+        let problem = model.into_problem();
+        let pp = preprocess_problem(&problem);
+        EngineModel {
+            working: Model::from_problem(pp.problem),
+            reduced: Some((Model::from_problem(problem), pp.lift, pp.report)),
+        }
+    }
+
+    /// The model as given (the coordinates of every returned trace).
+    pub(crate) fn original(&self) -> &Model {
+        self.reduced.as_ref().map_or(&self.working, |(m, _, _)| m)
+    }
+
+    /// The model the solver encodes.
+    pub(crate) fn working(&self) -> &Model {
+        &self.working
+    }
+
+    /// The trace map back to the model as given.
+    pub(crate) fn lift(&self) -> Option<&TraceLift> {
+        self.reduced.as_ref().map(|(_, lift, _)| lift)
+    }
+
+    /// The preprocessing pass's shape accounting.
+    pub(crate) fn report(&self) -> Option<&PreprocessReport> {
+        self.reduced.as_ref().map(|(_, _, report)| report)
+    }
+
+    /// Lifts every counterexample of `run` out of working coordinates:
+    /// callers only ever see the problem they posed.
+    pub(crate) fn lift_traces(&self, run: &mut BmcRun) {
+        let Some(lift) = self.lift().filter(|l| !l.is_identity()) else {
+            return;
+        };
+        for prop in &mut run.properties {
+            if let PropertyVerdict::Falsified { trace, .. } = &mut prop.verdict {
+                *trace = lift.lift(trace);
+            }
+        }
     }
 }
 

@@ -14,14 +14,15 @@ use crate::{Model, Unroller};
 ///
 /// ```
 /// use rbmc_circuit::{LatchInit, Netlist};
-/// use rbmc_core::{BmcEngine, BmcOptions, BmcOutcome, Model};
+/// use rbmc_core::{BmcEngine, BmcOptions, Model, PropertyVerdict};
 ///
 /// let mut n = Netlist::new();
 /// let t = n.add_latch("t", LatchInit::Zero);
 /// n.set_next(t, !t);
 /// let model = Model::new("toggle", n, t);
 /// let mut engine = BmcEngine::new(model, BmcOptions { max_depth: 4, ..Default::default() });
-/// if let BmcOutcome::Counterexample { trace, .. } = engine.run() {
+/// let run = engine.run_collecting();
+/// if let PropertyVerdict::Falsified { trace, .. } = &run.properties[0].verdict {
 ///     assert_eq!(trace.depth(), 1);
 ///     assert!(trace.validate(engine.model()).is_ok());
 /// } else {

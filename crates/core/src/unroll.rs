@@ -10,14 +10,14 @@
 //! The same invariant makes the instances *append-only*: the clauses of
 //! frame `f` depend only on `f`, so `F_k` is the clauses of `F_{k-1}` minus
 //! its final bad-state unit, plus one new frame, plus a new bad-state unit.
-//! The unroller caches the encoded clause prefix per model and only ever
-//! encodes each frame once, turning the total encoding work of a BMC run
-//! (one instance per depth) from quadratic to linear in the depth bound.
-//! Consumers read the cache two ways: [`Unroller::with_prefix`] lends all of
-//! frames `0..=k` (a fresh solver loading one whole instance), and
+//! Consumers read frames two ways: [`Unroller::with_prefix`] lends all of
+//! frames `0..=k` (a fresh solver loading one whole instance) from a clause
+//! prefix the unroller caches, so each frame is encoded once and the total
+//! encoding work of a fresh-per-depth run is linear in the depth bound; and
 //! [`Unroller::with_frame_delta`] lends frame `k` alone (a persistent
 //! session solver appending just the new frame — see its docs for why the
-//! deltas concatenate exactly to the prefix).
+//! deltas concatenate exactly to the prefix), encoded without caching,
+//! because the session solver reads each frame once and keeps it.
 
 use std::cell::RefCell;
 use std::fmt;
@@ -29,26 +29,12 @@ use crate::Model;
 
 /// The cached clause prefix: every frame encoded so far, in emission order,
 /// without any bad-state unit clause.
-///
-/// In **bounded prefix mode** (see [`Unroller::retire_frames_through`]) the
-/// clauses of frames already handed to a persistent session solver are
-/// dropped from `formula`; `frame_end` keeps *absolute* clause counts so the
-/// bookkeeping (`num_clauses_at`, delta boundaries) is unaffected, and
-/// `retired_clauses` maps absolute offsets to the retained suffix.
 #[derive(Clone, Default)]
 struct PrefixCache {
-    /// Clauses of frames `retired_frames..frame_end.len()`.
     formula: CnfFormula,
     /// Clause count after each encoded frame: `frame_end[f]` is the number
-    /// of clauses encoding frames `0..=f` (absolute, including retired).
+    /// of clauses encoding frames `0..=f`.
     frame_end: Vec<usize>,
-    /// Frames `0..retired_frames` have been dropped from `formula`.
-    retired_frames: usize,
-    /// Number of dropped clauses (`frame_end[retired_frames - 1]`).
-    retired_clauses: usize,
-    /// Most clauses `formula` ever held at once (the space metric bounded
-    /// prefix mode exists to shrink).
-    peak_clauses: usize,
 }
 
 /// The Eq. 1 encoder (`gen_cnf_formula` in the paper's Fig. 5).
@@ -106,10 +92,9 @@ impl<'a> Unroller<'a> {
         while cache.frame_end.len() <= k {
             let frame = cache.frame_end.len();
             self.emit_frame(frame, &mut cache.formula);
-            let end = cache.retired_clauses + cache.formula.num_clauses();
+            let end = cache.formula.num_clauses();
             cache.frame_end.push(end);
         }
-        cache.peak_clauses = cache.peak_clauses.max(cache.formula.num_clauses());
     }
 
     /// The model being unrolled.
@@ -135,12 +120,6 @@ impl<'a> Unroller<'a> {
         )
     }
 
-    /// The time frame a CNF variable belongs to (the x-axis of Shtrichman's
-    /// plane; our refinement ranks along the other axis).
-    pub fn frame_of(&self, var: Var) -> usize {
-        var.index() / self.num_nodes
-    }
-
     /// Number of CNF variables in the instance of depth `k`.
     pub fn num_vars_at(&self, k: usize) -> usize {
         (k + 1) * self.num_nodes
@@ -155,7 +134,7 @@ impl<'a> Unroller<'a> {
     /// This materializes a fresh owned `CnfFormula`, which costs one
     /// allocation per clause — as much as encoding it — so it deliberately
     /// bypasses the prefix cache. Callers that build one instance per depth
-    /// (the BMC loop) should consume [`Unroller::with_prefix`] instead: that
+    /// (fresh-per-depth BMC) should consume [`Unroller::with_prefix`] instead: that
     /// path encodes every frame exactly once per unroller and lends out the
     /// cached clauses without copying.
     pub fn formula(&self, k: usize) -> CnfFormula {
@@ -174,111 +153,38 @@ impl<'a> Unroller<'a> {
     /// [`SolverReuse::Fresh`](crate::SolverReuse) differential path, tests,
     /// benches) load whole instances from.
     ///
-    /// `consume` must not call back into cache-filling methods of the same
-    /// unroller (`formula`, `with_prefix`, `with_frame_delta`): the cache is
-    /// borrowed for the duration of the call. The pure index arithmetic
-    /// (`var_of`, `lit_of`, `num_vars_at`, …) is fine.
-    /// In bounded prefix mode, asking for a prefix that includes retired
-    /// frames falls back to a one-off re-encode of frames `0..=k` (correct,
-    /// but it pays the encoding again — session-style consumers should not
-    /// land here).
+    /// `consume` must not call back into [`Unroller::with_prefix`] on the
+    /// same unroller: the cache is borrowed for the duration of the call.
+    /// The pure index arithmetic (`var_of`, `lit_of`, `num_vars_at`, …) is
+    /// fine.
     pub fn with_prefix<R>(&self, k: usize, consume: impl FnOnce(Clauses<'_>) -> R) -> R {
         self.ensure_frames(k);
         let cache = self.prefix.borrow();
-        if cache.retired_clauses > 0 {
-            drop(cache);
-            let mut formula = CnfFormula::with_vars(self.num_vars_at(k));
-            for frame in 0..=k {
-                self.emit_frame(frame, &mut formula);
-            }
-            let total = formula.num_clauses();
-            return consume(formula.clauses_in(0..total));
-        }
         consume(cache.formula.clauses_in(0..cache.frame_end[k]))
     }
 
-    /// Runs `consume` on the cached clauses of frame `k` **alone** — the
+    /// Runs `consume` on the clauses of frame `k` **alone** — the
     /// difference between `F_k` and `F_{k-1}` (ignoring the bad-state
     /// units). This is what the incremental solving session appends per
     /// depth: the persistent solver already holds frames `0..k`, so each
     /// depth costs one frame of encoding and loading instead of `k + 1`.
+    /// The frame is encoded into a scratch formula, not the prefix cache:
+    /// the session solver reads it once and keeps it.
     ///
-    /// Serving the delta from the same append-only cache as
-    /// [`Unroller::with_prefix`] is sound **because frame numbering is
-    /// stable**: the variable of `(node, frame)` is `frame · num_nodes +
-    /// node`, independent of the depth bound, so the clauses of frame `k`
-    /// are byte-identical in every instance `F_j` with `j ≥ k`. The deltas
+    /// Appending deltas is sound **because frame numbering is stable**: the
+    /// variable of `(node, frame)` is `frame · num_nodes + node`,
+    /// independent of the depth bound, so the clauses of frame `k` are
+    /// byte-identical in every instance `F_j` with `j ≥ k`. The deltas
     /// therefore concatenate exactly to the prefix —
     /// `prefix(k) = delta(0) ++ … ++ delta(k)` — and a solver fed deltas
     /// incrementally holds, clause for clause, the formula a fresh solver
-    /// would load via `with_prefix`. Without stable numbering (e.g. had
-    /// variables been numbered per-instance), earlier frames would need
-    /// re-encoding at every depth and no delta could exist.
-    ///
-    /// The same borrow rule as [`Unroller::with_prefix`] applies to
-    /// `consume`.
+    /// would load via [`Unroller::with_prefix`]. Without stable numbering
+    /// (e.g. had variables been numbered per-instance), earlier frames would
+    /// need re-encoding at every depth and no delta could exist.
     pub fn with_frame_delta<R>(&self, k: usize, consume: impl FnOnce(Clauses<'_>) -> R) -> R {
-        self.ensure_frames(k);
-        let cache = self.prefix.borrow();
-        if k < cache.retired_frames {
-            // Bounded prefix mode dropped this frame: re-encode it one-off.
-            drop(cache);
-            let mut formula = CnfFormula::with_vars(self.num_vars_at(k));
-            self.emit_frame(k, &mut formula);
-            let total = formula.num_clauses();
-            return consume(formula.clauses_in(0..total));
-        }
-        let base = cache.retired_clauses;
-        let start = if k == 0 { 0 } else { cache.frame_end[k - 1] };
-        consume(
-            cache
-                .formula
-                .clauses_in(start - base..cache.frame_end[k] - base),
-        )
-    }
-
-    /// **Bounded prefix mode**: drops the cached clauses of frames `0..=k`.
-    ///
-    /// A persistent session solver holds every frame it was fed for the rest
-    /// of the run, so once frame `k`'s delta has been appended the cache
-    /// copy is pure duplication — the sequential session engine retires each
-    /// depth after solving it, keeping the cache at one frame instead of
-    /// `max_depth`. Absolute bookkeeping ([`Unroller::num_clauses_at`],
-    /// delta boundaries for later frames) is unaffected; re-reading a
-    /// retired frame ([`Unroller::with_prefix`],
-    /// [`Unroller::with_frame_delta`]) falls back to a one-off re-encode.
-    /// Frames beyond the cache are ignored.
-    pub fn retire_frames_through(&self, k: usize) {
-        let mut cache = self.prefix.borrow_mut();
-        if cache.frame_end.is_empty() {
-            return;
-        }
-        let through = k.min(cache.frame_end.len() - 1);
-        if through < cache.retired_frames {
-            return;
-        }
-        let drop_to = cache.frame_end[through];
-        let local_drop = drop_to - cache.retired_clauses;
-        let total_local = cache.formula.num_clauses();
-        let mut rest = CnfFormula::with_vars(cache.formula.num_vars());
-        for clause in cache.formula.clauses_in(local_drop..total_local) {
-            rest.add_clause(clause);
-        }
-        cache.formula = rest;
-        cache.retired_frames = through + 1;
-        cache.retired_clauses = drop_to;
-    }
-
-    /// Number of clauses currently held by the prefix cache (drops as
-    /// [`Unroller::retire_frames_through`] is applied).
-    pub fn cached_clauses(&self) -> usize {
-        self.prefix.borrow().formula.num_clauses()
-    }
-
-    /// Most clauses the prefix cache ever held at once — the peak-memory
-    /// metric the space-efficient engine reports.
-    pub fn peak_cached_clauses(&self) -> usize {
-        self.prefix.borrow().peak_clauses
+        let mut formula = CnfFormula::with_vars(self.num_vars_at(k));
+        self.emit_frame(k, &mut formula);
+        consume(formula.clauses_in(0..formula.num_clauses()))
     }
 
     /// The unit literal `¬P(V^k)` that turns the frame prefix into `F_k`,
@@ -289,13 +195,6 @@ impl<'a> Unroller<'a> {
     /// [`Unroller::lit_of`] on the property's own bad signal instead.
     pub fn bad_lit(&self, k: usize) -> Lit {
         self.lit_of(self.model.bad(), k)
-    }
-
-    /// Number of clauses in the instance of depth `k` (prefix plus the
-    /// bad-state unit).
-    pub fn num_clauses_at(&self, k: usize) -> usize {
-        self.ensure_frames(k);
-        self.prefix.borrow().frame_end[k] + 1
     }
 
     /// Emits the constraints of one time frame: constant pinning, gate
@@ -476,7 +375,6 @@ mod tests {
                 let v = unroller.var_of(node, frame);
                 assert_eq!(v.index(), frame * n + node.index());
                 assert_eq!(unroller.origin_of(v), (node, frame));
-                assert_eq!(unroller.frame_of(v), frame);
             }
         }
     }
@@ -515,7 +413,6 @@ mod tests {
         let unroller = Unroller::new(&model);
         for k in [0usize, 2, 5, 3] {
             let f = unroller.formula(k);
-            assert_eq!(unroller.num_clauses_at(k), f.num_clauses());
             unroller.with_prefix(k, |clauses| {
                 assert_eq!(clauses.len() + 1, f.num_clauses(), "depth {k}");
                 for (i, clause) in clauses.iter().enumerate() {
@@ -553,58 +450,6 @@ mod tests {
                     assert_eq!(clause, rebuilt.clause(i), "clause {i} at depth {k}");
                 }
             });
-        }
-    }
-
-    #[test]
-    fn bounded_prefix_keeps_deltas_and_bookkeeping_intact() {
-        // Retire frames as a session engine would; later deltas must be
-        // byte-identical to an unretired unroller's, absolute clause counts
-        // must not change, and the peak must reflect the bounded window.
-        let model = counter_model(4, 9);
-        let reference = Unroller::new(&model);
-        let bounded = Unroller::new(&model);
-        let delta_of = |u: &Unroller<'_>, k: usize| -> Vec<Vec<rbmc_cnf::Lit>> {
-            u.with_frame_delta(k, |c| c.iter().map(|cl| cl.lits().to_vec()).collect())
-        };
-        for k in 0..10usize {
-            assert_eq!(delta_of(&bounded, k), delta_of(&reference, k), "depth {k}");
-            assert_eq!(
-                bounded.num_clauses_at(k),
-                reference.num_clauses_at(k),
-                "clause count at depth {k}"
-            );
-            bounded.retire_frames_through(k);
-        }
-        assert_eq!(bounded.cached_clauses(), 0, "everything retired");
-        assert!(bounded.peak_cached_clauses() < reference.cached_clauses());
-        assert_eq!(
-            reference.peak_cached_clauses(),
-            reference.cached_clauses(),
-            "unretired cache peaks at its full size"
-        );
-    }
-
-    #[test]
-    fn bounded_prefix_reencodes_retired_reads() {
-        // Reading a retired frame (prefix or delta) falls back to a one-off
-        // re-encode with identical clauses.
-        let model = counter_model(3, 5);
-        let reference = Unroller::new(&model);
-        let bounded = Unroller::new(&model);
-        bounded.with_frame_delta(4, |_| {});
-        bounded.retire_frames_through(2);
-        for k in 0..=4usize {
-            let expect: Vec<Vec<rbmc_cnf::Lit>> =
-                reference.with_prefix(k, |c| c.iter().map(|cl| cl.lits().to_vec()).collect());
-            let got: Vec<Vec<rbmc_cnf::Lit>> =
-                bounded.with_prefix(k, |c| c.iter().map(|cl| cl.lits().to_vec()).collect());
-            assert_eq!(got, expect, "prefix at depth {k}");
-            let expect_delta: Vec<Vec<rbmc_cnf::Lit>> =
-                reference.with_frame_delta(k, |c| c.iter().map(|cl| cl.lits().to_vec()).collect());
-            let got_delta: Vec<Vec<rbmc_cnf::Lit>> =
-                bounded.with_frame_delta(k, |c| c.iter().map(|cl| cl.lits().to_vec()).collect());
-            assert_eq!(got_delta, expect_delta, "delta at depth {k}");
         }
     }
 

@@ -121,7 +121,7 @@ pub fn random_model(seed: u64, config: RandomModelConfig) -> Model {
 mod tests {
     use super::*;
     use rbmc_core::oracle::{check_reachable, OracleVerdict};
-    use rbmc_core::{BmcEngine, BmcOptions, BmcOutcome, OrderingStrategy};
+    use rbmc_core::{BmcEngine, BmcOptions, OrderingStrategy, PropertyVerdict};
 
     #[test]
     fn generator_is_deterministic() {
@@ -158,12 +158,12 @@ mod tests {
                     ..BmcOptions::default()
                 },
             );
-            match (oracle, engine.run()) {
-                (OracleVerdict::FailsAt(d), BmcOutcome::Counterexample { depth, trace }) => {
-                    assert_eq!(depth, d, "seed {seed}");
+            match (oracle, &engine.run_collecting().properties[0].verdict) {
+                (OracleVerdict::FailsAt(d), PropertyVerdict::Falsified { depth, trace }) => {
+                    assert_eq!(*depth, d, "seed {seed}");
                     assert!(trace.validate(&model).is_ok(), "seed {seed}");
                 }
-                (OracleVerdict::HoldsUpTo(_), BmcOutcome::BoundReached { .. }) => {}
+                (OracleVerdict::HoldsUpTo(_), PropertyVerdict::OpenAt { .. }) => {}
                 (o, b) => panic!("seed {seed}: oracle {o:?} vs bmc {b}"),
             }
         }

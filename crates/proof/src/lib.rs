@@ -10,7 +10,7 @@
 //! - A [`ProofRecorder`] accumulates the step log (one per solver) in a
 //!   line table indexed by proof id, and can check the current episode in
 //!   place or snapshot it into an owned [`CertificateBundle`].
-//! - A [`CertificateBundle`] is the self-contained, file-backable form: the
+//! - A [`CertificateBundle`] is the self-contained form: the
 //!   axiom/derived/delete step list, the episode's final clause, and a
 //!   formula hash binding the certificate to the exact input clause sequence
 //!   — a certificate replayed against a different formula fails the hash
@@ -60,14 +60,12 @@
 
 mod check;
 mod forward;
-mod text;
 
 use rbmc_cnf::Lit;
 
 use forward::Forward;
 
 pub use check::{CheckStats, ProofError};
-pub use text::ParseLratError;
 
 /// One line of a clausal proof log.
 #[derive(Clone, Debug, PartialEq, Eq)]

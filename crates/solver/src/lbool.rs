@@ -28,18 +28,6 @@ pub enum LBool {
 }
 
 impl LBool {
-    /// Returns true if this is [`LBool::True`].
-    #[inline]
-    pub fn is_true(self) -> bool {
-        self == LBool::True
-    }
-
-    /// Returns true if this is [`LBool::False`].
-    #[inline]
-    pub fn is_false(self) -> bool {
-        self == LBool::False
-    }
-
     /// Returns true if this is [`LBool::Undef`].
     #[inline]
     pub fn is_undef(self) -> bool {

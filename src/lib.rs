@@ -25,7 +25,7 @@
 //! Check an invariant on a small sequential circuit:
 //!
 //! ```
-//! use refined_bmc::bmc::{BmcEngine, BmcOptions, BmcOutcome, OrderingStrategy};
+//! use refined_bmc::bmc::{BmcEngine, BmcOptions, OrderingStrategy, PropertyVerdict};
 //! use refined_bmc::gens::families;
 //!
 //! // An 8-bit enable-gated counter stepping by 2: it only ever holds even
@@ -36,8 +36,8 @@
 //!     strategy: OrderingStrategy::RefinedDynamic { divisor: 64 },
 //!     ..BmcOptions::default()
 //! });
-//! let outcome = engine.run();
-//! assert!(matches!(outcome, BmcOutcome::BoundReached { depth_completed: 20 }));
+//! let run = engine.run_collecting();
+//! assert!(matches!(run.properties[0].verdict, PropertyVerdict::OpenAt { depth: 20 }));
 //! ```
 
 pub use rbmc_circuit as circuit;

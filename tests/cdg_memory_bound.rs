@@ -2,7 +2,9 @@
 //! conflict-dependency graph smaller than a much shallower unpruned sweep's,
 //! without perturbing the search in any observable way.
 
-use refined_bmc::bmc::{BmcEngine, BmcOptions, BmcOutcome, BmcRun, OrderingStrategy, SolverReuse};
+use refined_bmc::bmc::{
+    BmcEngine, BmcOptions, BmcRun, OrderingStrategy, PropertyVerdict, SolverReuse,
+};
 use refined_bmc::gens::families;
 use refined_bmc::solver::SolverOptions;
 
@@ -32,10 +34,10 @@ fn sweep_with_reduce_base(max_depth: usize, cdg_prune: bool, reduce_base: u64) -
         },
     );
     let run = engine.run_collecting();
+    let verdict = &run.properties[0].verdict;
     assert!(
-        matches!(run.outcome, BmcOutcome::BoundReached { depth_completed } if depth_completed == max_depth),
-        "tmr voter must hold to depth {max_depth}, got {:?}",
-        run.outcome
+        matches!(verdict, PropertyVerdict::OpenAt { depth } if *depth == max_depth),
+        "tmr voter must hold to depth {max_depth}, got {verdict}"
     );
     run
 }

@@ -4,8 +4,8 @@
 //! paper's argument targets.
 
 use refined_bmc::bmc::{
-    BmcEngine, BmcOptions, BmcOutcome, Model, OrderingStrategy, SolverReuse, Unroller, VarRank,
-    Weighting,
+    BmcEngine, BmcOptions, Model, OrderingStrategy, PropertyVerdict, SolverReuse, Unroller,
+    VarRank, Weighting,
 };
 use refined_bmc::gens::families;
 use refined_bmc::solver::{SolveResult, Solver, SolverOptions};
@@ -49,7 +49,10 @@ fn rank_grows_and_stays_sparse() {
         },
     );
     let run = engine.run_collecting();
-    assert!(matches!(run.outcome, BmcOutcome::BoundReached { .. }));
+    assert!(matches!(
+        run.properties[0].verdict,
+        PropertyVerdict::OpenAt { depth: 12 }
+    ));
     assert_eq!(engine.rank().num_updates(), 13);
     let ranked = engine.rank().num_ranked();
     let total_vars = run.per_depth.last().unwrap().num_vars;
@@ -109,9 +112,9 @@ fn weighting_schemes_agree_on_verdicts() {
                 ..BmcOptions::default()
             },
         );
-        match engine.run() {
-            BmcOutcome::Counterexample { depth, .. } => assert_eq!(depth, 9, "{weighting:?}"),
-            other => panic!("{weighting:?}: {other}"),
+        match engine.run_collecting().properties[0].verdict {
+            PropertyVerdict::Falsified { depth, .. } => assert_eq!(depth, 9, "{weighting:?}"),
+            ref other => panic!("{weighting:?}: {other}"),
         }
     }
 }
@@ -132,11 +135,11 @@ fn manual_refine_loop_matches_engine() {
                 ..SolverOptions::default()
             },
         );
-        solver.set_var_ranking(&rank.snapshot());
+        solver.set_var_ranking(rank.scores());
         assert_eq!(solver.solve(), SolveResult::Unsat);
         rank.update(&solver.core_vars().unwrap(), k);
     }
-    // The engine's rank after the same run must match in sparsity.
+    // The engine's rank after the same run consumed as many cores.
     let mut engine = BmcEngine::new(
         families::shift_twin(6),
         BmcOptions {
@@ -145,7 +148,7 @@ fn manual_refine_loop_matches_engine() {
             ..BmcOptions::default()
         },
     );
-    let _ = engine.run();
+    engine.run_collecting();
     assert_eq!(engine.rank().num_updates(), rank.num_updates());
 }
 
@@ -170,9 +173,9 @@ fn free_latches_end_to_end() {
             ..BmcOptions::default()
         },
     );
-    match engine.run() {
-        BmcOutcome::Counterexample { depth, trace } => {
-            assert_eq!(depth, 1);
+    match &engine.run_collecting().properties[0].verdict {
+        PropertyVerdict::Falsified { depth, trace } => {
+            assert_eq!(*depth, 1);
             assert!(trace.initial_state()[0], "a must start at 1");
             trace.validate(engine.model()).unwrap();
         }

@@ -2,9 +2,9 @@
 //!
 //! With the feature enabled, the solver audits its watch lists, trail,
 //! arena, CDG and decision heap after every learned-database compaction and
-//! CDG prune, the BMC engine re-audits the session solver plus the rank
-//! table at every depth boundary, and IC3 re-audits its session solver at
-//! every frontier boundary — any violation panics. These tests drive search-heavy
+//! CDG prune, the BMC engine re-audits the session solver at every depth
+//! boundary, and IC3 re-audits its session solver at every frontier
+//! boundary — any violation panics. These tests drive search-heavy
 //! session sweeps with compaction-aggressive settings so the hooks fire
 //! many times; they pass exactly when every audit along the way does.
 //!
@@ -12,10 +12,9 @@
 
 #![cfg(feature = "debug-invariants")]
 
-use refined_bmc::bmc::Model;
 use refined_bmc::bmc::{
-    BmcEngine, BmcOptions, BmcOutcome, Ic3Engine, OrderingStrategy, ProofMode, PropertyVerdict,
-    SolverReuse,
+    check_invariant, BmcEngine, BmcOptions, Ic3Engine, Model, OrderingStrategy, ProofMode,
+    PropertyVerdict, SolverReuse,
 };
 use refined_bmc::gens::families;
 use refined_bmc::solver::SolverOptions;
@@ -41,69 +40,15 @@ fn audited_options(max_depth: usize, strategy: OrderingStrategy) -> BmcOptions {
     }
 }
 
-fn run(model: Model, max_depth: usize, strategy: OrderingStrategy) -> BmcOutcome {
+fn run(model: Model, max_depth: usize, strategy: OrderingStrategy) -> PropertyVerdict {
     let mut engine = BmcEngine::new(model, audited_options(max_depth, strategy));
     let bmc_run = engine.run_collecting();
     assert!(
         bmc_run.solver_stats.compactions > 0 || bmc_run.solver_stats.conflicts < 50,
         "compaction-heavy settings should compact on a search-heavy run"
     );
-    bmc_run.outcome
-}
-
-#[test]
-fn holding_sweep_passes_every_audit() {
-    // TMR voter: UNSAT at every depth, search-heavy — many compactions and
-    // depth-boundary prunes, each followed by a full structural audit.
-    let outcome = run(
-        families::tmr_voter(3, 1),
-        16,
-        OrderingStrategy::RefinedStatic,
-    );
-    assert!(matches!(
-        outcome,
-        BmcOutcome::BoundReached {
-            depth_completed: 16
-        }
-    ));
-}
-
-#[test]
-fn falsified_sweep_passes_every_audit() {
-    // A counterexample run: UNSAT prefixes (audited) then a SAT instance.
-    let outcome = run(
-        families::token_ring_buggy(3, 6),
-        12,
-        OrderingStrategy::RefinedStatic,
-    );
-    assert!(
-        matches!(outcome, BmcOutcome::Counterexample { .. }),
-        "buggy token ring must fall within the bound, got {outcome:?}"
-    );
-}
-
-#[test]
-fn dynamic_ordering_sweep_passes_every_audit() {
-    let outcome = run(
-        families::mutex_arbiter(3),
-        10,
-        OrderingStrategy::RefinedDynamic { divisor: 64 },
-    );
-    assert!(matches!(outcome, BmcOutcome::BoundReached { .. }));
-}
-
-/// IC3 under the same audited options: its session solver serves one
-/// query after another, and the engine audits it at every frontier
-/// boundary.
-fn run_ic3(model: Model, max_depth: usize) -> PropertyVerdict {
-    let options = audited_options(max_depth, OrderingStrategy::RefinedDynamic { divisor: 64 });
-    let mut engine = Ic3Engine::new(model, options);
-    let run = engine.run_collecting();
-    assert!(
-        run.solver_stats.solve_calls > 20,
-        "too few queries to audit"
-    );
-    run.properties
+    bmc_run
+        .properties
         .into_iter()
         .next()
         .expect("one property")
@@ -111,37 +56,80 @@ fn run_ic3(model: Model, max_depth: usize) -> PropertyVerdict {
 }
 
 #[test]
-fn ic3_proof_passes_every_audit() {
-    let verdict = run_ic3(families::mutex_arbiter(4), 12);
-    assert!(
-        matches!(verdict, PropertyVerdict::Proved { .. }),
-        "the mutex holds, got {verdict}"
+fn holding_sweep_passes_every_audit() {
+    // TMR voter: UNSAT at every depth, search-heavy — many compactions and
+    // depth-boundary prunes, each followed by a full structural audit.
+    let verdict = run(
+        families::tmr_voter(3, 1),
+        16,
+        OrderingStrategy::RefinedStatic,
     );
+    assert!(matches!(verdict, PropertyVerdict::OpenAt { depth: 16 }));
+}
+
+#[test]
+fn falsified_sweep_passes_every_audit() {
+    // A counterexample run: UNSAT prefixes (audited) then a SAT instance.
+    let verdict = run(
+        families::token_ring_buggy(3, 6),
+        12,
+        OrderingStrategy::RefinedStatic,
+    );
+    assert!(
+        matches!(verdict, PropertyVerdict::Falsified { .. }),
+        "buggy token ring must fall within the bound, got {verdict}"
+    );
+}
+
+#[test]
+fn dynamic_ordering_sweep_passes_every_audit() {
+    let verdict = run(
+        families::mutex_arbiter(3),
+        10,
+        OrderingStrategy::RefinedDynamic { divisor: 64 },
+    );
+    assert!(matches!(verdict, PropertyVerdict::OpenAt { .. }));
+}
+
+/// IC3 under the same audited options: its session solver serves one
+/// query after another, and the engine audits it at every frontier
+/// boundary.
+fn run_ic3(model: Model, max_depth: usize) -> (Ic3Engine, PropertyVerdict) {
+    let options = audited_options(max_depth, OrderingStrategy::RefinedDynamic { divisor: 64 });
+    let mut engine = Ic3Engine::new(model, options);
+    let run = engine.run_collecting();
+    assert!(
+        run.solver_stats.solve_calls > 20,
+        "too few queries to audit"
+    );
+    let verdict = run
+        .properties
+        .into_iter()
+        .next()
+        .expect("one property")
+        .verdict;
+    (engine, verdict)
+}
+
+#[test]
+fn ic3_proof_passes_every_audit() {
+    let (engine, verdict) = run_ic3(families::mutex_arbiter(4), 12);
+    let PropertyVerdict::Proved {
+        invariant_clauses: Some(clauses),
+        ..
+    } = &verdict
+    else {
+        panic!("the mutex holds, got {verdict}");
+    };
+    let working = engine.working_model();
+    assert_eq!(check_invariant(working, working.bad(), clauses), Ok(()));
 }
 
 #[test]
 fn ic3_falsification_passes_every_audit() {
-    let verdict = run_ic3(families::token_ring_buggy(3, 6), 12);
+    let (_, verdict) = run_ic3(families::token_ring_buggy(3, 6), 12);
     assert!(
         matches!(verdict, PropertyVerdict::Falsified { .. }),
         "the buggy token ring fails, got {verdict}"
     );
-}
-
-#[test]
-fn rank_table_audit_holds_across_promotion() {
-    use rbmc_cnf::Var;
-    use refined_bmc::bmc::{VarRank, Weighting};
-
-    for weighting in [Weighting::Linear, Weighting::Uniform, Weighting::LastOnly] {
-        let mut rank = VarRank::new(weighting);
-        rank.audit().expect("empty table");
-        rank.update(&[Var::new(9999)], 0);
-        rank.audit().expect("sparse far-out entry");
-        let block: Vec<Var> = (0..4096).map(Var::new).collect();
-        rank.update(&block, 1);
-        rank.audit().expect("after promotion-sized block");
-        rank.update(&[Var::new(12)], 2);
-        rank.audit().expect("after post-promotion update");
-    }
 }

@@ -3,13 +3,13 @@
 //! depth; a BMC instance exported as DIMACS stays solvable; and the AIGER
 //! writers reproduce, byte for byte, what the reader read from them.
 
-use refined_bmc::bmc::{BmcEngine, BmcOptions, BmcOutcome, Model};
+use refined_bmc::bmc::{BmcEngine, BmcOptions, Model, PropertyVerdict};
 use refined_bmc::circuit::aiger::{parse_aag, parse_aiger, write_aag, write_aig};
 use refined_bmc::circuit::Aig;
 use refined_bmc::gens::corpus::export_corpus;
 use refined_bmc::gens::{families, proof_suite, suite_table1};
 
-/// Runs BMC and summarizes the outcome as `Some(depth)` / `None`.
+/// Runs BMC and summarizes the verdict as `Some(depth)` / `None`.
 fn bmc_verdict(model: Model, max_depth: usize) -> Option<usize> {
     let mut engine = BmcEngine::new(
         model,
@@ -18,10 +18,10 @@ fn bmc_verdict(model: Model, max_depth: usize) -> Option<usize> {
             ..BmcOptions::default()
         },
     );
-    match engine.run() {
-        BmcOutcome::Counterexample { depth, .. } => Some(depth),
-        BmcOutcome::BoundReached { .. } => None,
-        BmcOutcome::ResourceOut { at_depth } => panic!("resource out at {at_depth}"),
+    match engine.run_collecting().properties[0].verdict {
+        PropertyVerdict::Falsified { depth, .. } => Some(depth),
+        PropertyVerdict::OpenAt { depth } if depth == max_depth => None,
+        ref other => panic!("no verdict at the bound: {other}"),
     }
 }
 

@@ -8,8 +8,8 @@
 //! ordering strategy.
 
 use refined_bmc::bmc::{
-    BmcEngine, BmcOptions, BmcOutcome, OrderingStrategy, ProblemBuilder, PropertyVerdict,
-    SolveResult, SolverReuse, VerificationProblem,
+    BmcEngine, BmcOptions, OrderingStrategy, ProblemBuilder, PropertyVerdict, SolveResult,
+    SolverReuse, VerificationProblem,
 };
 use refined_bmc::circuit::aiger::{write_aag, write_aig};
 use refined_bmc::gens::corpus::{multi_even_counter, problem_to_aig};
@@ -54,10 +54,6 @@ fn check_ingested(bytes: &[u8], strategy: OrderingStrategy) {
         PropertyVerdict::OpenAt { depth } => assert_eq!(*depth, 9, "{strategy:?}"),
         other => panic!("{strategy:?}: reach7 expected open, got {other}"),
     }
-    assert!(matches!(
-        run.outcome,
-        BmcOutcome::Counterexample { depth: 3, .. }
-    ));
 
     // Per-depth verdicts identical to fresh-per-depth single-property runs.
     for (idx, report) in run.properties.iter().enumerate() {

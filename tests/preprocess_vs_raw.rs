@@ -282,31 +282,3 @@ fn preprocessing_shrinks_the_encoded_problem() {
         raw_run.solver_stats.arena_peak_bytes
     );
 }
-
-#[test]
-fn bounded_prefix_keeps_session_cache_below_fresh() {
-    let problem = disjoint_cones_problem();
-    let run_with = |reuse: SolverReuse| {
-        let mut engine = BmcEngine::for_problem(
-            problem.clone(),
-            BmcOptions {
-                max_depth: 15,
-                reuse,
-                ..BmcOptions::default()
-            },
-        );
-        engine.run_collecting()
-    };
-    let session = run_with(SolverReuse::Session);
-    let fresh = run_with(SolverReuse::Fresh);
-    assert_eq!(signature(&session), signature(&fresh));
-    // The sequential session retires each frame after appending it, so its
-    // cache peaks at one frame; fresh-per-depth runs keep the whole prefix.
-    assert!(session.solver_stats.prefix_peak_clauses > 0);
-    assert!(
-        session.solver_stats.prefix_peak_clauses * 4 < fresh.solver_stats.prefix_peak_clauses,
-        "bounded prefix peak {} vs full prefix {}",
-        session.solver_stats.prefix_peak_clauses,
-        fresh.solver_stats.prefix_peak_clauses
-    );
-}

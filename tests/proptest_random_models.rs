@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use refined_bmc::bmc::oracle::{check_reachable, OracleVerdict};
-use refined_bmc::bmc::{BmcEngine, BmcOptions, BmcOutcome, Model, OrderingStrategy};
+use refined_bmc::bmc::{BmcEngine, BmcOptions, Model, OrderingStrategy, PropertyVerdict};
 use refined_bmc::circuit::{LatchInit, Netlist, Signal};
 
 /// Construction steps over a signal pool (inputs, latches, then gates).
@@ -117,14 +117,14 @@ proptest! {
                 model.clone(),
                 BmcOptions { max_depth: DEPTH, strategy, ..BmcOptions::default() },
             );
-            let outcome = engine.run();
-            match (oracle, &outcome) {
-                (OracleVerdict::FailsAt(d), BmcOutcome::Counterexample { depth, trace }) => {
+            let run = engine.run_collecting();
+            match (oracle, &run.properties[0].verdict) {
+                (OracleVerdict::FailsAt(d), PropertyVerdict::Falsified { depth, trace }) => {
                     prop_assert_eq!(*depth, d, "{:?}", strategy);
                     prop_assert!(trace.validate(engine.model()).is_ok());
                 }
-                (OracleVerdict::HoldsUpTo(_), BmcOutcome::BoundReached { depth_completed }) => {
-                    prop_assert_eq!(*depth_completed, DEPTH);
+                (OracleVerdict::HoldsUpTo(_), PropertyVerdict::OpenAt { depth }) => {
+                    prop_assert_eq!(*depth, DEPTH);
                 }
                 (o, b) => prop_assert!(false, "oracle {o:?} vs bmc {b} under {strategy:?}"),
             }

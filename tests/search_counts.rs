@@ -10,12 +10,18 @@
 //! `Aig::to_netlist` are pinned by what they build, not only by how it
 //! behaves.
 //!
+//! At this scale `dyn/64` hands the search to VSIDS almost at once, so a
+//! fourth table pins the `varRank` table itself: the paper's static ordering
+//! (`RefinedStatic`, which never falls back) in its fresh-per-depth regime,
+//! under each of the three core weightings of §3.2.
+//!
 //! A change that is meant to leave the search alone must pass unchanged.
 //! A change that alters the search replaces the tables below with the ones
 //! the failure message prints, so the new counts show up in review.
 
 use refined_bmc::bmc::{
     BmcEngine, BmcOptions, BmcRun, Ic3Engine, OrderingStrategy, ProblemBuilder, SolverReuse,
+    Weighting,
 };
 use refined_bmc::circuit::aiger::{parse_aiger, write_aag, write_aig};
 use refined_bmc::gens::corpus::problem_to_aig;
@@ -76,6 +82,41 @@ const AIGER_BMC_SESSION: &CountTable = &[
     ("s9_tmr2_f1.aig", [79, 1495, 17, 7]),
     ("s10_pipe4.aag", [6, 95, 0, 5]),
     ("s10_pipe4.aig", [6, 95, 0, 5]),
+];
+
+/// BMC under `RefinedStatic`, a fresh solver per depth, once per core
+/// weighting (`instance/weighting`).
+const STATIC_FRESH_BY_WEIGHTING: &CountTable = &[
+    ("s1_lock4/linear", [3, 337, 4, 5]),
+    ("s1_lock4/uniform", [3, 337, 4, 5]),
+    ("s1_lock4/last", [3, 337, 4, 5]),
+    ("s2_lock3_imp/linear", [38, 2216, 32, 9]),
+    ("s2_lock3_imp/uniform", [38, 2216, 32, 9]),
+    ("s2_lock3_imp/last", [34, 2237, 34, 9]),
+    ("s3_ring5/linear", [0, 945, 9, 9]),
+    ("s3_ring5/uniform", [0, 945, 9, 9]),
+    ("s3_ring5/last", [0, 945, 9, 9]),
+    ("s4_ring4_bug2/linear", [12, 190, 3, 4]),
+    ("s4_ring4_bug2/uniform", [12, 190, 3, 4]),
+    ("s4_ring4_bug2/last", [12, 190, 3, 4]),
+    ("s5_shift5/linear", [0, 146, 5, 6]),
+    ("s5_shift5/uniform", [0, 146, 5, 6]),
+    ("s5_shift5/last", [0, 146, 5, 6]),
+    ("s6_twin4/linear", [95, 1458, 53, 9]),
+    ("s6_twin4/uniform", [100, 1534, 53, 9]),
+    ("s6_twin4/last", [82, 1279, 53, 9]),
+    ("s7_fifo4_over/linear", [25, 857, 15, 6]),
+    ("s7_fifo4_over/uniform", [25, 857, 15, 6]),
+    ("s7_fifo4_over/last", [28, 938, 17, 6]),
+    ("s8_fifo4_guard/linear", [116, 5739, 96, 9]),
+    ("s8_fifo4_guard/uniform", [116, 5739, 96, 9]),
+    ("s8_fifo4_guard/last", [165, 7580, 131, 9]),
+    ("s9_tmr2_f1/linear", [79, 998, 18, 7]),
+    ("s9_tmr2_f1/uniform", [76, 1001, 18, 7]),
+    ("s9_tmr2_f1/last", [159, 1573, 36, 7]),
+    ("s10_pipe4/linear", [5, 100, 3, 5]),
+    ("s10_pipe4/uniform", [5, 100, 3, 5]),
+    ("s10_pipe4/last", [5, 100, 3, 5]),
 ];
 
 fn options(max_depth: usize) -> BmcOptions {
@@ -153,4 +194,32 @@ fn aiger_front_end_counts_are_pinned() {
         }
     }
     assert_pinned("AIGER_BMC_SESSION", AIGER_BMC_SESSION, &measured);
+}
+
+#[test]
+fn static_fresh_counts_are_pinned_per_weighting() {
+    let mut measured: Vec<(String, [u64; 4])> = Vec::new();
+    for instance in small_suite() {
+        for (label, weighting) in [
+            ("linear", Weighting::Linear),
+            ("uniform", Weighting::Uniform),
+            ("last", Weighting::LastOnly),
+        ] {
+            let options = BmcOptions {
+                max_depth: instance.max_depth,
+                strategy: OrderingStrategy::RefinedStatic,
+                reuse: SolverReuse::Fresh,
+                weighting,
+                ..BmcOptions::default()
+            };
+            let mut engine = BmcEngine::new(instance.model.clone(), options);
+            let name = format!("{}/{label}", instance.name);
+            measured.push((name, counts(&engine.run_collecting())));
+        }
+    }
+    assert_pinned(
+        "STATIC_FRESH_BY_WEIGHTING",
+        STATIC_FRESH_BY_WEIGHTING,
+        &measured,
+    );
 }

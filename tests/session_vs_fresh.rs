@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 use refined_bmc::bmc::{
-    BmcEngine, BmcOptions, BmcOutcome, BmcRun, Model, OrderingStrategy, ProblemBuilder, ProofMode,
+    BmcEngine, BmcOptions, BmcRun, Model, OrderingStrategy, ProblemBuilder, ProofMode,
     PropertyVerdict, SolveResult, SolverReuse, VerificationProblem,
 };
 use refined_bmc::circuit::{LatchInit, Netlist, Signal};
@@ -136,7 +136,7 @@ fn run(model: &Model, strategy: OrderingStrategy, reuse: SolverReuse, depth: usi
     let run = engine.run_collecting();
     // A SAT verdict must carry a counterexample that replays on the
     // circuit simulator, in either regime.
-    if let BmcOutcome::Counterexample { trace, .. } = &run.outcome {
+    if let PropertyVerdict::Falsified { trace, .. } = &run.properties[0].verdict {
         trace.validate(model).expect("trace must replay");
     }
     run
@@ -221,18 +221,17 @@ proptest! {
                 "per-depth divergence under {:?}",
                 strategy
             );
-            // Identical verdict sequences imply identical outcome kinds;
+            // Identical verdict sequences imply identical verdict kinds;
             // counterexamples must agree on the (minimal-per-regime) depth.
-            match (&fresh.outcome, &session.outcome) {
+            match (&fresh.properties[0].verdict, &session.properties[0].verdict) {
                 (
-                    BmcOutcome::Counterexample { depth: df, .. },
-                    BmcOutcome::Counterexample { depth: ds, .. },
-                ) => prop_assert_eq!(df, ds),
-                (
-                    BmcOutcome::BoundReached { depth_completed: df },
-                    BmcOutcome::BoundReached { depth_completed: ds },
-                ) => prop_assert_eq!(df, ds),
-                (f, s) => prop_assert!(false, "outcome kinds diverged: {f} vs {s}"),
+                    PropertyVerdict::Falsified { depth: df, .. },
+                    PropertyVerdict::Falsified { depth: ds, .. },
+                )
+                | (PropertyVerdict::OpenAt { depth: df }, PropertyVerdict::OpenAt { depth: ds }) => {
+                    prop_assert_eq!(df, ds);
+                }
+                (f, s) => prop_assert!(false, "verdict kinds diverged: {f} vs {s}"),
             }
         }
     }

@@ -3,7 +3,7 @@
 //! suite.
 
 use refined_bmc::bmc::oracle::{check_reachable, OracleVerdict};
-use refined_bmc::bmc::{BmcEngine, BmcOptions, BmcOutcome, OrderingStrategy};
+use refined_bmc::bmc::{BmcEngine, BmcOptions, OrderingStrategy, PropertyVerdict};
 use refined_bmc::gens::{small_suite, Expectation};
 
 fn strategies() -> [OrderingStrategy; 5] {
@@ -37,16 +37,16 @@ fn all_strategies_match_the_oracle_on_the_small_suite() {
                     ..BmcOptions::default()
                 },
             );
-            let outcome = engine.run();
-            match (instance.expectation, &outcome) {
-                (Expectation::FailsAt(d), BmcOutcome::Counterexample { depth, trace }) => {
+            let run = engine.run_collecting();
+            match (instance.expectation, &run.properties[0].verdict) {
+                (Expectation::FailsAt(d), PropertyVerdict::Falsified { depth, trace }) => {
                     assert_eq!(*depth, d, "{} [{strategy:?}]", instance.name);
                     trace
                         .validate(engine.model())
                         .unwrap_or_else(|e| panic!("{} [{strategy:?}]: {e}", instance.name));
                 }
-                (Expectation::Holds, BmcOutcome::BoundReached { depth_completed }) => {
-                    assert_eq!(*depth_completed, instance.max_depth);
+                (Expectation::Holds, PropertyVerdict::OpenAt { depth }) => {
+                    assert_eq!(*depth, instance.max_depth);
                 }
                 (e, o) => panic!("{} [{strategy:?}]: {e:?} vs {o}", instance.name),
             }
