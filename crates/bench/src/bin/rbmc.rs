@@ -82,7 +82,10 @@
 //!   swept file as a machine-readable artifact (`rbmc-lint/v1`: per-file
 //!   diagnostics with code, severity, location, message, hint, plus
 //!   warning/error totals) — the shape CI annotators and dashboards consume
-//!   instead of scraping stdout. Independent of `--lint` mode.
+//!   instead of scraping stdout. Independent of `--lint` mode. It is written
+//!   after the sweep, from the findings of each file's own lint pass, so no
+//!   file is read or parsed twice (a file whose check panicked is linted
+//!   again).
 //! - `--proof {off,log,check}` (default `off`) turns on clause-level
 //!   DRAT/LRAT proof logging in the solver. `log` records every axiom,
 //!   derivation (with CDG-sourced antecedent hints), and deletion, and
@@ -114,7 +117,7 @@ use std::time::Instant;
 use rbmc_bench::{BenchCase, BenchReport};
 use rbmc_circuit::aiger::parse_aiger;
 use rbmc_circuit::coi::registers_in_cone;
-use rbmc_circuit::lint::{lint_aiger, LintCode, LintReport};
+use rbmc_circuit::lint::{lint_aig, lint_aiger, lint_aiger_bytes, LintCode, LintReport};
 use rbmc_circuit::preprocess::PreprocessReport;
 use rbmc_circuit::Aig;
 use rbmc_core::{
@@ -687,21 +690,28 @@ fn preprocess_view(
     Some((report?.clone(), lift?.clone()))
 }
 
-/// A checked file's buffered stdout block, its report cases, and whether
-/// the check succeeded — output and cases survive a failure, so the
-/// diagnostics printed for a failing file are no poorer than an eager
-/// sequential sweep's.
-type FileOutcome = (String, Vec<BenchCase>, Result<FileDisposition, String>);
+/// A checked file's buffered stdout block, its report cases, its lint
+/// report, and whether the check succeeded — output, cases and lint survive
+/// a failure, so the diagnostics printed for a failing file are no poorer
+/// than an eager sequential sweep's.
+type FileOutcome = (
+    String,
+    Vec<BenchCase>,
+    LintReport,
+    Result<FileDisposition, String>,
+);
 
 /// The per-file check: one run over all properties, witness gates, optional
 /// differential cross-checks, report cases. Output is written to `out` so a
-/// file-striped sweep can print per-file blocks in deterministic file order;
+/// file-striped sweep can print per-file blocks in deterministic file order,
+/// and the file's lint findings to `lint` for the `--lint-json` artifact;
 /// whatever was produced before an error is kept by the caller.
 fn check_file(
     path: &Path,
     config: &Config,
     out: &mut String,
     cases: &mut Vec<BenchCase>,
+    lint: &mut LintReport,
 ) -> Result<FileDisposition, String> {
     let options = &config.options;
     let stem = path
@@ -710,9 +720,16 @@ fn check_file(
         .unwrap_or("benchmark")
         .to_string();
     let bytes = std::fs::read(path).map_err(|e| format!("{}: {e}", path.display()))?;
+    // The file is parsed once: the raw-byte lint, then the parse, then the
+    // lint of the parsed AIG build exactly the report `lint_aiger` builds.
     // Lint's structural facts also guard the skip path below. Verdicts and
     // traces never depend on the lint mode.
-    let lint = lint_aiger(&bytes);
+    *lint = lint_aiger_bytes(&bytes);
+    let parsed = parse_aiger(&bytes);
+    if let Ok(aig) = &parsed {
+        lint.merge(lint_aig(aig));
+    }
+    let lint = &*lint;
     let mut lint_lines = String::new();
     for diagnostic in lint.diagnostics() {
         let _ = writeln!(lint_lines, "  lint: {diagnostic}");
@@ -729,11 +746,11 @@ fn check_file(
     }
     // Input defects stop this file, not the sweep: unparseable bytes and
     // unsupported sections become a skipped entry with a diagnostic.
-    let aig = match parse_aiger(&bytes) {
+    let aig = match parsed {
         Ok(aig) => aig,
         Err(e) => {
             let reason = format!("unparseable: {e}");
-            return Ok(skip_file(&stem, reason, &lint, &lint_lines, out, cases));
+            return Ok(skip_file(&stem, reason, lint, &lint_lines, out, cases));
         }
     };
     // One decode serves both the problem construction and the witness
@@ -743,7 +760,7 @@ fn check_file(
         return Ok(skip_file(
             &stem,
             "aiger file declares no bad-state lines and no outputs".into(),
-            &lint,
+            lint,
             &lint_lines,
             out,
             cases,
@@ -755,7 +772,7 @@ fn check_file(
         return Ok(skip_file(
             &stem,
             "duplicate property names (lint L005)".into(),
-            &lint,
+            lint,
             &lint_lines,
             out,
             cases,
@@ -1063,7 +1080,7 @@ fn check_file(
             .iter()
             .filter(|p| matches!(p.verdict, PropertyVerdict::Proved { .. }))
             .count(),
-        ..Tally::lint(&lint)
+        ..Tally::lint(lint)
     };
 
     if config.selfcheck && config.engine == EngineKind::Ic3 {
@@ -1232,32 +1249,6 @@ fn main() -> ExitCode {
         return ExitCode::from(1);
     }
 
-    // `--lint-json`: the machine-readable lint artifact, written before the
-    // sweep (the lint pass is a cheap static analysis over raw bytes, and
-    // the artifact should exist even when the sweep itself fails).
-    if let Some(path) = &config.lint_json {
-        let entries: Vec<(String, LintReport)> = files
-            .iter()
-            .map(|p| {
-                let name = p
-                    .file_name()
-                    .and_then(|s| s.to_str())
-                    .unwrap_or("benchmark")
-                    .to_string();
-                let report = match std::fs::read(p) {
-                    Ok(bytes) => lint_aiger(&bytes),
-                    Err(_) => LintReport::default(),
-                };
-                (name, report)
-            })
-            .collect();
-        if let Err(e) = std::fs::write(path, rbmc_bench::report::lint_json(&entries)) {
-            eprintln!("error: cannot write lint artifact {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        eprintln!("wrote {}", path.display());
-    }
-
     let options = &config.options;
     let mut report = BenchReport::new(format!(
         "rbmc corpus ({}, depth={}, engine={}, strategy={}, reuse={}, jobs={}{})",
@@ -1277,16 +1268,29 @@ fn main() -> ExitCode {
     let outcomes = rbmc_bench::striped_map(files.len(), config.jobs, |i| {
         let mut out = String::new();
         let mut cases = Vec::new();
-        let result = check_file(&files[i], &config, &mut out, &mut cases);
-        (out, cases, result)
+        let mut lint = LintReport::default();
+        let result = check_file(&files[i], &config, &mut out, &mut cases, &mut lint);
+        (out, cases, lint, result)
     });
     let mut total = Tally::default();
     let (mut skipped, mut failures) = (0usize, 0usize);
+    // `--lint-json` entries: the report each file's check handed back.
+    let mut lints: Vec<(String, LintReport)> = Vec::new();
     for (outcome, path) in outcomes.into_iter().zip(&files) {
-        let (out, cases, result): FileOutcome = outcome.unwrap_or_else(|panic| {
+        let (out, cases, lint, result): FileOutcome = outcome.unwrap_or_else(|panic| {
             let failure = format!("{}: panicked: {panic}", path.display());
-            (String::new(), Vec::new(), Err(failure))
+            // A panicked check hands back no report, so only the artifact
+            // lints such a file again.
+            let lint = config
+                .lint_json
+                .as_ref()
+                .and_then(|_| std::fs::read(path).ok())
+                .map(|bytes| lint_aiger(&bytes))
+                .unwrap_or_default();
+            (String::new(), Vec::new(), lint, Err(failure))
         });
+        let name = path.file_name().and_then(|s| s.to_str());
+        lints.push((name.unwrap_or("benchmark").to_string(), lint));
         print!("{out}");
         for case in cases {
             report.push(case);
@@ -1326,6 +1330,15 @@ fn main() -> ExitCode {
             Ok(()) => eprintln!("wrote {}", path.display()),
             Err(err) => eprintln!("failed to write {}: {err}", path.display()),
         }
+    }
+    // `--lint-json`: the machine-readable lint artifact, built from the
+    // sweep's own findings. It exists even when the sweep fails.
+    if let Some(path) = &config.lint_json {
+        if let Err(e) = std::fs::write(path, rbmc_bench::report::lint_json(&lints)) {
+            eprintln!("error: cannot write lint artifact {}: {e}", path.display());
+            return ExitCode::from(2);
+        }
+        eprintln!("wrote {}", path.display());
     }
     if failures > 0 {
         ExitCode::from(1)

@@ -1,11 +1,14 @@
 //! End-to-end tests of the `rbmc` binary on the exported smoke corpus:
 //! striping files across workers must not change a byte of the report, a
 //! flag the runner does not know, or one the chosen engine or strategy would
-//! ignore, must stop it before it sweeps anything, and two files that differ
-//! only in their extension are reported apart.
+//! ignore, must stop it before it sweeps anything, two files that differ
+//! only in their extension are reported apart, and the `--lint-json`
+//! artifact holds each file's own lint report.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
+
+use rbmc_circuit::lint::lint_aiger;
 
 /// Runs `rbmc` with `args` and no JSON artifact.
 fn rbmc(args: &[&str]) -> Output {
@@ -218,4 +221,49 @@ fn files_sharing_a_stem_keep_their_witnesses_and_lint_counts() {
     assert!(out.status.success(), "{}", stderr(&out));
     assert!(stdout(&out).contains("checked 16 files / 18 properties"));
     assert_eq!(witness_files(&witnesses).len(), 18);
+}
+
+#[test]
+fn lint_json_holds_each_files_own_lint_report() {
+    let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join("rbmc_cli_lint_json");
+    let _ = std::fs::remove_dir_all(&root);
+    let corpus = root.join("corpus");
+    std::fs::create_dir_all(&corpus).expect("corpus dir");
+    let files: [(&str, &[u8]); 4] = [
+        // A toggling latch that the bad line observes: no finding.
+        ("a_clean.aag", b"aag 1 0 1 0 0 1\n2 3\n2\n"),
+        // A header the parser rejects, with no finding: the file is skipped.
+        ("b_garbled.aag", b"aag 1 0 x\n"),
+        // An invariant-constraint section, which only the raw-byte lint
+        // sees (the parser rejects the file): an error, which `deny` fails.
+        ("c_constrained.aag", b"aag 1 0 1 0 0 0 1\n2 3\n2\n"),
+        // A bad line that is constant true, which only the lint of the
+        // parsed AIG sees: an error, which `deny` fails.
+        ("d_constant.aag", b"aag 0 0 0 0 0 1\n1\n"),
+    ];
+    for (name, bytes) in files {
+        std::fs::write(corpus.join(name), bytes).expect("write");
+    }
+    let artifact = root.join("lint.json");
+    let out = rbmc(&[
+        corpus.to_str().expect("utf-8 path"),
+        "--lint",
+        "deny",
+        "--lint-json",
+        artifact.to_str().expect("utf-8 path"),
+    ]);
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    let err = stderr(&out);
+    assert!(err.contains("SKIP b_garbled"), "{err}");
+    assert_eq!(err.matches("lint denied").count(), 2, "{err}");
+    // The artifact is what linting each file's bytes on its own builds.
+    let expected: Vec<_> = files
+        .iter()
+        .map(|(name, bytes)| (name.to_string(), lint_aiger(bytes)))
+        .collect();
+    assert!(expected[0].1.diagnostics().is_empty());
+    assert!(expected[1].1.diagnostics().is_empty());
+    assert!(expected[2].1.num_errors() > 0 && expected[3].1.num_errors() > 0);
+    let written = std::fs::read_to_string(&artifact).expect("artifact written");
+    assert_eq!(written, rbmc_bench::report::lint_json(&expected));
 }

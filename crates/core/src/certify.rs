@@ -1,20 +1,20 @@
-//! UNSAT certification glue: wires the solver's [`ProofLog`] emission into
-//! the independent checker of [`rbmc_proof`].
+//! UNSAT certification bookkeeping: what a run's proof mode asks of each
+//! solver it provisions, and what it reports.
 //!
-//! The solver emits; [`rbmc_proof`] records and checks; this module owns the
-//! plumbing between them — a [`SharedRecorder`] the solver writes through,
-//! an [`EpisodeCertifier`] the engines drive once per UNSAT episode, and a
-//! [`ProofSummary`] the run reports. Under [`ProofMode::Check`] every UNSAT
-//! verdict of a run is re-derived by the checker before it is trusted; a
-//! rejection is counted (and described) rather than panicking, so the
-//! fail-closed decision stays with the caller (the `rbmc` sweep exits
-//! non-zero on any rejection).
+//! Each solver owns its proof log, the `ProofRecorder` of `rbmc-proof`
+//! started by [`Solver::start_proof`] before the first clause, and the
+//! engines reach the recorder's independent checker through the solver
+//! ([`Solver::proof_mut`]). This module only books: [`ProofMode::solver`]
+//! provisions a solver with its log started, and one [`ProofSummary`] per
+//! run counts each UNSAT episode the engine has checked and the lines every
+//! solver logged. Under [`ProofMode::Check`] every UNSAT verdict of a run is
+//! re-derived by the checker before it is trusted; a rejection is counted
+//! (and described) rather than panicking, so the fail-closed decision stays
+//! with the caller (the `rbmc` sweep exits non-zero on any rejection).
 
-use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use rbmc_proof::ProofRecorder;
-use rbmc_solver::{ProofAuditSnapshot, ProofLog, Solver};
+use rbmc_solver::{Solver, SolverOptions};
 
 /// Whether (and how strictly) a run certifies its UNSAT verdicts.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -49,10 +49,21 @@ impl ProofMode {
             ProofMode::Check => "check",
         }
     }
+
+    /// A fresh solver with `opts`, its proof log started when this mode
+    /// logs (`opts` must then record the CDG).
+    pub(crate) fn solver(self, opts: SolverOptions) -> Solver {
+        let mut solver = Solver::with_options(opts);
+        if self.is_on() {
+            solver.start_proof();
+        }
+        solver
+    }
 }
 
-/// What a run's proof logging amounted to, aggregated over every solver the
-/// run provisioned (the session solver or the fresh-per-depth ones).
+/// What a run's proof logging amounted to, booked once per run over every
+/// solver the run provisioned (the session solver, the fresh-per-depth
+/// ones, or IC3's one per property).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ProofSummary {
     /// UNSAT episodes whose certificate the checker accepted.
@@ -74,170 +85,32 @@ impl ProofSummary {
         self.rejections > 0
     }
 
-    /// Folds another solver's summary into this one (first rejection wins
-    /// the description slot).
-    pub fn merge(&mut self, other: &ProofSummary) {
-        self.episodes_certified += other.episodes_certified;
-        self.rejections += other.rejections;
-        self.steps_logged += other.steps_logged;
-        self.check_time += other.check_time;
-        if self.first_rejection.is_none() {
-            self.first_rejection.clone_from(&other.first_rejection);
-        }
-    }
-}
-
-/// A [`ProofRecorder`] behind `Arc<Mutex>`: the solver's boxed [`ProofLog`]
-/// sink and the certifier's checking handle are clones of the same
-/// recorder. The mutex is uncontended — solver emission and certification
-/// never overlap (both run on the solver's thread).
-#[derive(Clone, Debug, Default)]
-pub struct SharedRecorder(Arc<Mutex<ProofRecorder>>);
-
-impl SharedRecorder {
-    /// A fresh, empty recorder.
-    pub fn new() -> SharedRecorder {
-        SharedRecorder::default()
-    }
-
-    /// Runs `f` with the locked recorder.
-    pub fn with<R>(&self, f: impl FnOnce(&ProofRecorder) -> R) -> R {
-        f(&self.0.lock().expect("proof recorder lock"))
-    }
-
-    /// Runs `f` with the locked recorder, mutably (checking advances the
-    /// recorder's cursor).
-    pub fn with_mut<R>(&self, f: impl FnOnce(&mut ProofRecorder) -> R) -> R {
-        f(&mut self.0.lock().expect("proof recorder lock"))
-    }
-}
-
-impl ProofLog for SharedRecorder {
-    fn axiom(&mut self, id: u64, lits: &[rbmc_cnf::Lit]) {
-        self.0.lock().expect("proof recorder lock").axiom(id, lits);
-    }
-
-    fn derived(&mut self, id: u64, lits: &[rbmc_cnf::Lit], hints: &[u64]) {
-        self.0
-            .lock()
-            .expect("proof recorder lock")
-            .derived(id, lits, hints);
-    }
-
-    fn delete(&mut self, id: u64) {
-        self.0.lock().expect("proof recorder lock").delete(id);
-    }
-
-    fn finalize(&mut self, lits: &[rbmc_cnf::Lit], hints: &[u64]) {
-        self.0
-            .lock()
-            .expect("proof recorder lock")
-            .finalize(lits, hints);
-    }
-
-    fn audit_snapshot(&self) -> Option<ProofAuditSnapshot> {
-        let rec = self.0.lock().expect("proof recorder lock");
-        Some(ProofAuditSnapshot {
-            live_derived: rec.live_derived_sorted(),
-            num_axioms: rec.num_axioms(),
-        })
-    }
-}
-
-/// Per-solver certification driver: attaches a [`SharedRecorder`] to a
-/// freshly provisioned solver and, under [`ProofMode::Check`], replays each
-/// UNSAT episode's certificate through the independent checker.
-#[derive(Debug)]
-pub(crate) struct EpisodeCertifier {
-    mode: ProofMode,
-    recorder: SharedRecorder,
-    summary: ProofSummary,
-}
-
-impl EpisodeCertifier {
-    /// Attaches a recorder to `solver` (which must be freshly provisioned —
-    /// no clauses yet — and configured with `record_cdg`). Returns `None`
-    /// under [`ProofMode::Off`].
-    pub(crate) fn attach(mode: ProofMode, solver: &mut Solver) -> Option<EpisodeCertifier> {
-        if !mode.is_on() {
-            return None;
-        }
-        let recorder = SharedRecorder::new();
-        solver.set_proof_log(Box::new(recorder.clone()));
-        Some(EpisodeCertifier {
-            mode,
-            recorder,
-            summary: ProofSummary::default(),
-        })
-    }
-
-    /// Certifies the UNSAT episode that just ended: under
-    /// [`ProofMode::Check`], verifies the lines logged since the previous
-    /// UNSAT episode and the episode's final clause through the checker and
-    /// books the verdict; under [`ProofMode::Log`] this is a no-op (the log
-    /// keeps growing either way).
-    pub(crate) fn observe_unsat(&mut self) {
-        if !self.mode.checks() {
-            return;
-        }
+    /// Checks the UNSAT episode `solver` just ended: the lines its log
+    /// gained since the previous check, then the episode's final clause.
+    /// Books the verdict and the time it took.
+    pub(crate) fn check_episode(&mut self, solver: &mut Solver) {
+        let log = solver
+            .proof_mut()
+            .expect("a checked run starts every solver's proof log");
         let start = Instant::now();
-        let verdict = self.recorder.with_mut(ProofRecorder::check_current);
-        self.summary.check_time += start.elapsed();
+        let verdict = log.check_current();
+        self.check_time += start.elapsed();
         match verdict {
-            Ok(_) => self.summary.episodes_certified += 1,
+            Ok(_) => self.episodes_certified += 1,
             Err(e) => {
-                self.summary.rejections += 1;
-                if self.summary.first_rejection.is_none() {
-                    self.summary.first_rejection = Some(e.to_string());
+                self.rejections += 1;
+                if self.first_rejection.is_none() {
+                    self.first_rejection = Some(e.to_string());
                 }
             }
         }
     }
 
-    /// Closes the solver's certification and returns its summary (step
-    /// count read off the recorder at its final size).
-    pub(crate) fn into_summary(self) -> ProofSummary {
-        let mut summary = self.summary;
-        summary.steps_logged = self.recorder.with(ProofRecorder::num_steps) as u64;
-        summary
-    }
-}
-
-/// Folds an optional solver summary into an optional run summary in place.
-pub(crate) fn merge_opt(into: &mut Option<ProofSummary>, from: Option<ProofSummary>) {
-    if let Some(from) = from {
-        match into {
-            Some(acc) => acc.merge(&from),
-            None => *into = Some(from),
+    /// Books the lines `solver` logged; call once, when the run is done
+    /// with the solver.
+    pub(crate) fn add_steps(&mut self, solver: &Solver) {
+        if let Some(log) = solver.proof() {
+            self.steps_logged += log.num_steps() as u64;
         }
     }
 }
-
-/// `debug-invariants` coherence audit between a solver and its proof log:
-/// the recorder's live derived lines must be exactly the proof ids the
-/// solver still holds (live learned clauses and root-level unit facts), and
-/// the axiom count must match the originals added. Run from BMC's
-/// depth-boundary and IC3's frontier-boundary audit hooks.
-#[cfg(feature = "debug-invariants")]
-pub(crate) fn audit_proof_coherence(solver: &Solver) -> Result<(), ProofAuditError> {
-    let Some(log) = solver.proof_log() else {
-        return Ok(());
-    };
-    let Some(snapshot) = log.audit_snapshot() else {
-        return Ok(());
-    };
-    solver.audit_proof(&snapshot).map_err(ProofAuditError)
-}
-
-/// Error wrapper for the proof coherence audit (a plain description — the
-/// audit is a debug facility, not an API).
-#[derive(Clone, Debug)]
-pub struct ProofAuditError(pub String);
-
-impl std::fmt::Display for ProofAuditError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "proof-log coherence violated: {}", self.0)
-    }
-}
-
-impl std::error::Error for ProofAuditError {}

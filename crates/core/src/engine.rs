@@ -40,10 +40,10 @@ use std::time::{Duration, Instant};
 use rbmc_circuit::Signal;
 use rbmc_solver::{Limits, OrderMode, SolveResult, Solver, SolverOptions, SolverStats};
 
-use crate::certify::{self, EpisodeCertifier};
 use crate::preprocess::EngineModel;
 use crate::{
-    shtrichman_rank, Model, Trace, TraceLift, Unroller, VarRank, VerificationProblem, Weighting,
+    shtrichman_rank, Model, ProofSummary, Trace, TraceLift, Unroller, VarRank, VerificationProblem,
+    Weighting,
 };
 use rbmc_circuit::preprocess::PreprocessReport;
 
@@ -148,12 +148,6 @@ pub struct BmcOptions {
     /// engine's; every removed node shrinks every frame of the unrolling.
     /// Turn off for differential testing against the raw encoding.
     pub preprocess: bool,
-    /// Prune the session solver's conflict dependency graph at each depth
-    /// boundary ([`Solver::prune_cdg`]), bounding the CDG's growth over a
-    /// deep sweep. On by default; the ablation tests turn it off to measure
-    /// the unpruned growth. Fresh-per-depth solvers discard their CDG with
-    /// the solver and never prune.
-    pub cdg_prune: bool,
     /// Clause-level proof logging of every provisioned solver, and — under
     /// [`ProofMode::Check`](crate::ProofMode) — independent re-derivation of
     /// every UNSAT episode's certificate. Forces `record_cdg` (the proof
@@ -174,7 +168,6 @@ impl Default for BmcOptions {
             deadline: None,
             force_record_cdg: false,
             preprocess: true,
-            cdg_prune: true,
             proof: crate::ProofMode::Off,
         }
     }
@@ -328,10 +321,10 @@ pub struct BmcRun {
     pub solver_stats: SolverStats,
     /// Total wall-clock time.
     pub total_time: Duration,
-    /// Proof-logging summary, aggregated over every solver the run
+    /// Proof-logging summary, booked once over every solver the run
     /// provisioned. `None` when [`BmcOptions::proof`] is
     /// [`ProofMode::Off`](crate::ProofMode).
-    pub proof: Option<crate::ProofSummary>,
+    pub proof: Option<ProofSummary>,
 }
 
 impl BmcRun {
@@ -442,7 +435,6 @@ pub struct BmcEngine {
     model: EngineModel,
     options: BmcOptions,
     rank: VarRank,
-    per_depth: Vec<DepthStats>,
 }
 
 impl fmt::Debug for BmcEngine {
@@ -454,7 +446,6 @@ impl fmt::Debug for BmcEngine {
                 &self.model.working().problem().num_properties(),
             )
             .field("options", &self.options)
-            .field("depths_done", &self.per_depth.len())
             .finish()
     }
 }
@@ -468,7 +459,6 @@ impl BmcEngine {
             model: EngineModel::new(model, options.preprocess),
             options,
             rank: VarRank::new(options.weighting),
-            per_depth: Vec::new(),
         }
     }
 
@@ -553,19 +543,18 @@ impl BmcEngine {
         let activation = |k: usize, p_idx: usize| {
             rbmc_cnf::Var::new(activation_base + k * num_props + p_idx).positive()
         };
-        // The persistent solver of a session run (frames appended per depth).
+        // The persistent solver of a session run (frames appended per depth),
+        // its proof log started before any clause.
         let mut session: Option<Solver> = match self.options.reuse {
-            SolverReuse::Session => {
-                Some(Solver::with_options(strategy_solver_options(&self.options)))
-            }
+            SolverReuse::Session => Some(
+                self.options
+                    .proof
+                    .solver(strategy_solver_options(&self.options)),
+            ),
             SolverReuse::Fresh => None,
         };
-        // Proof sink of the session solver (attached before any clause), and
-        // the running aggregate over every solver the run provisions.
-        let mut session_certifier = session
-            .as_mut()
-            .and_then(|s| EpisodeCertifier::attach(self.options.proof, s));
-        let mut proof_acc: Option<crate::ProofSummary> = None;
+        let mut proof = ProofSummary::default();
+        let mut per_depth: Vec<DepthStats> = Vec::new();
         let mut aggregate = SolverStats::new();
         let mut resource_out = false;
         'depths: for k in 0..=self.options.max_depth {
@@ -610,7 +599,6 @@ impl BmcEngine {
                 }
                 let bad = props[p_idx].bad;
                 let mut fresh: Option<Solver> = None;
-                let mut fresh_certifier: Option<EpisodeCertifier> = None;
                 let (solver, result, base) = match session.as_mut() {
                     Some(solver) => {
                         let base = solver.stats().clone();
@@ -626,9 +614,7 @@ impl BmcEngine {
                         (&mut *solver, result, base)
                     }
                     None => {
-                        let (provisioned, certifier) = self.fresh_solver(&unroller, k, bad);
-                        fresh_certifier = certifier;
-                        let solver = fresh.insert(provisioned);
+                        let solver = fresh.insert(self.fresh_solver(&unroller, k, bad));
                         let result = solver.solve_limited(&limits);
                         (&mut *solver, result, SolverStats::new())
                     }
@@ -691,9 +677,10 @@ impl BmcEngine {
                         }
                         // Certify the episode's UNSAT verdict against its
                         // just-recorded final clause.
-                        if let Some(cert) = session_certifier.as_mut().or(fresh_certifier.as_mut())
-                        {
-                            cert.observe_unsat();
+                        if self.options.proof.checks() {
+                            if let Some(solver) = session.as_mut().or(fresh.as_mut()) {
+                                proof.check_episode(solver);
+                            }
                         }
                     }
                     SolveResult::Unknown => {
@@ -703,11 +690,8 @@ impl BmcEngine {
                 }
                 if let Some(f) = fresh.as_ref() {
                     aggregate.accumulate(f.stats());
+                    proof.add_steps(f);
                 }
-                certify::merge_opt(
-                    &mut proof_acc,
-                    fresh_certifier.map(EpisodeCertifier::into_summary),
-                );
                 if resource_out {
                     break;
                 }
@@ -721,24 +705,22 @@ impl BmcEngine {
                 self.rank.update(&core_union, k);
             }
             depth.time = depth_start.elapsed();
-            self.per_depth.push(depth);
+            per_depth.push(depth);
             // Depth boundary: the ¬a_{p,k} retirements above have just cut a
             // batch of learned clauses loose; drop the CDG nodes nothing
             // live can reach any more (bounds session memory on deep
             // sweeps). IDs are opaque and cores cite input positions, so
-            // search behaviour and future cores are unchanged.
-            if self.options.cdg_prune {
-                if let Some(solver) = session.as_mut() {
-                    solver.prune_cdg();
-                }
+            // search behaviour and future cores are unchanged. Fresh
+            // solvers discard their CDG with the solver.
+            if let Some(solver) = session.as_mut() {
+                solver.prune_cdg();
             }
             // Depth boundary, `debug-invariants` builds: full structural
-            // audit of the session solver (watches, trail, arena, CDG).
+            // audit of the session solver (watches, trail, arena, CDG, and
+            // the proof log against the clause database).
             #[cfg(feature = "debug-invariants")]
             if let Some(solver) = session.as_ref() {
                 solver.audit().expect("solver invariants at depth boundary");
-                certify::audit_proof_coherence(solver)
-                    .expect("proof-log coherence at depth boundary");
             }
             if resource_out || props.iter().all(|p| !p.open) {
                 break 'depths;
@@ -746,17 +728,14 @@ impl BmcEngine {
         }
         if let Some(solver) = session.as_ref() {
             aggregate = solver.stats().clone();
+            proof.add_steps(solver);
         }
-        certify::merge_opt(
-            &mut proof_acc,
-            session_certifier.map(EpisodeCertifier::into_summary),
-        );
         BmcRun {
             properties: props.into_iter().map(PropState::into_report).collect(),
-            per_depth: std::mem::take(&mut self.per_depth),
+            per_depth,
             solver_stats: aggregate,
             total_time: run_start.elapsed(),
-            proof: proof_acc,
+            proof: self.options.proof.is_on().then_some(proof),
         }
     }
 
@@ -778,16 +757,13 @@ impl BmcEngine {
     /// differential path): loads `F_k` from the unroller's cached clause
     /// prefix plus the depth-`k` bad-state unit of one property — no
     /// activation literals, no assumptions — then installs the strategy's
-    /// ranking. The proof certifier (attached before any clause) rides
-    /// along when [`BmcOptions::proof`] is on.
-    fn fresh_solver(
-        &self,
-        unroller: &Unroller<'_>,
-        k: usize,
-        bad: Signal,
-    ) -> (Solver, Option<EpisodeCertifier>) {
-        let mut solver = Solver::with_options(strategy_solver_options(&self.options));
-        let certifier = EpisodeCertifier::attach(self.options.proof, &mut solver);
+    /// ranking. Its proof log is started before any clause when
+    /// [`BmcOptions::proof`] is on.
+    fn fresh_solver(&self, unroller: &Unroller<'_>, k: usize, bad: Signal) -> Solver {
+        let mut solver = self
+            .options
+            .proof
+            .solver(strategy_solver_options(&self.options));
         solver.reserve_vars(unroller.num_vars_at(k));
         unroller.with_prefix(k, |clauses| {
             for clause in clauses {
@@ -796,7 +772,7 @@ impl BmcEngine {
         });
         solver.add_clause(&[unroller.lit_of(bad, k)]);
         self.install_ranking(&mut solver, unroller, k);
-        (solver, certifier)
+        solver
     }
 }
 

@@ -67,13 +67,12 @@ use rbmc_circuit::{LatchInit, Node, NodeId, Signal};
 use rbmc_cnf::{CnfFormula, Lit, Var};
 use rbmc_solver::{Limits, SolveResult, Solver, SolverOptions, SolverStats};
 
-use crate::certify::EpisodeCertifier;
 use crate::engine::{
     depth_limits, strategy_solver_options, BmcOptions, BmcRun, DepthStats, PropertyReport,
     PropertyVerdict,
 };
 use crate::preprocess::EngineModel;
-use crate::{Model, Trace, TraceLift, Unroller, VarRank, VerificationProblem};
+use crate::{Model, ProofSummary, Trace, TraceLift, Unroller, VarRank, VerificationProblem};
 
 use frames::{Cube, Frames};
 use generalize::generalize_from_core;
@@ -191,15 +190,17 @@ impl Ic3Engine {
         let mut aggregate = SolverStats::new();
         let mut reports: Vec<PropertyReport> = Vec::new();
         let mut per_depth: Vec<DepthStats> = Vec::new();
-        let mut proof_acc: Option<crate::ProofSummary> = None;
+        let mut proof = ProofSummary::default();
         for (name, bad) in props {
-            let mut runner = PropRunner::new(working, bad, &self.options);
+            let mut runner = PropRunner::new(working, bad, &self.options, &mut proof);
             let (report, frontier_stats) = runner.run(name);
             aggregate.accumulate(runner.solver.stats());
-            crate::certify::merge_opt(
-                &mut proof_acc,
-                runner.certifier.take().map(EpisodeCertifier::into_summary),
-            );
+            // Runners run one after another, and each holds all its frames'
+            // rank tables at once until it is dropped; a table never
+            // shrinks, so a runner's final total is its high-water mark.
+            let rank_entries: usize = runner.ranks.iter().map(VarRank::num_entries).sum();
+            aggregate.rank_peak_entries = aggregate.rank_peak_entries.max(rank_entries as u64);
+            runner.proof.add_steps(&runner.solver);
             merge_depth_stats(&mut per_depth, frontier_stats);
             reports.push(report);
         }
@@ -209,7 +210,7 @@ impl Ic3Engine {
             per_depth,
             solver_stats: aggregate,
             total_time: run_start.elapsed(),
-            proof: proof_acc,
+            proof: self.options.proof.is_on().then_some(proof),
         };
         self.model.lift_traces(&mut run);
         run
@@ -329,9 +330,9 @@ struct PropRunner<'a> {
     assumption_conflicts: u64,
     /// Distinct latch positions cited by cores, per frontier (DepthStats).
     frontier_core_positions: Vec<usize>,
-    /// Proof sink and per-episode checker of the session solver (attached
-    /// when [`BmcOptions::proof`] is on).
-    certifier: Option<EpisodeCertifier>,
+    /// The run's proof summary, which books each UNSAT query the session
+    /// solver's log certifies under [`ProofMode::Check`](crate::ProofMode).
+    proof: &'a mut ProofSummary,
     /// Solver clauses added by set-up (transition relation and `I`); every
     /// later one is a lemma, a query's `¬s`, or a selector unit.
     #[cfg(feature = "debug-invariants")]
@@ -339,7 +340,12 @@ struct PropRunner<'a> {
 }
 
 impl<'a> PropRunner<'a> {
-    fn new(model: &'a Model, bad: Signal, options: &'a BmcOptions) -> PropRunner<'a> {
+    fn new(
+        model: &'a Model,
+        bad: Signal,
+        options: &'a BmcOptions,
+        proof: &'a mut ProofSummary,
+    ) -> PropRunner<'a> {
         let unroller = Unroller::new(model);
         let num_nodes = model.netlist().num_nodes();
         let latches = model.netlist().latches();
@@ -357,8 +363,7 @@ impl<'a> PropRunner<'a> {
         // logging re-enables it — the LRAT hints are CDG antecedents.
         let mut solver_opts: SolverOptions = strategy_solver_options(options);
         solver_opts.record_cdg = options.proof.is_on();
-        let mut solver = Solver::with_options(solver_opts);
-        let certifier = EpisodeCertifier::attach(options.proof, &mut solver);
+        let mut solver = options.proof.solver(solver_opts);
         load_step_relation(&unroller, &mut solver);
 
         let mut runner = PropRunner {
@@ -382,7 +387,7 @@ impl<'a> PropRunner<'a> {
             episodes: 0,
             assumption_conflicts: 0,
             frontier_core_positions: Vec::new(),
-            certifier,
+            proof,
             #[cfg(feature = "debug-invariants")]
             setup_clauses: 0,
         };
@@ -490,10 +495,8 @@ impl<'a> PropRunner<'a> {
         let result = self.solver.solve_under_limited(assumptions, &self.limits);
         // Every IC3 query funnels through here, so every UNSAT verdict the
         // algorithm acts on (blocked cube, converged frontier) is certified.
-        if result == SolveResult::Unsat {
-            if let Some(cert) = self.certifier.as_mut() {
-                cert.observe_unsat();
-            }
+        if result == SolveResult::Unsat && self.options.proof.checks() {
+            self.proof.check_episode(&mut self.solver);
         }
         result
     }
@@ -819,15 +822,13 @@ impl<'a> PropRunner<'a> {
             });
             // Frontier boundary, `debug-invariants` builds: full structural
             // audit of the session solver (watches, trail, arena, CDG,
-            // decision heap), of its proof log's coherence, and of which
-            // clauses IC3 left attached.
+            // decision heap, proof log), and of which clauses IC3 left
+            // attached.
             #[cfg(feature = "debug-invariants")]
             {
                 self.solver
                     .audit()
                     .expect("solver invariants at frontier boundary");
-                crate::certify::audit_proof_coherence(&self.solver)
-                    .expect("proof-log coherence at frontier boundary");
                 self.audit_clauses()
                     .expect("IC3 clause removal at frontier boundary");
             }
@@ -893,9 +894,9 @@ mod tests {
         Model::new("counter", n, bad)
     }
 
-    /// Counter that resets to 0 upon reaching `reset_at`; values above
-    /// `reset_at` are unreachable.
-    fn reset_counter(width: usize, reset_at: u64, target: u64) -> Model {
+    /// The netlist of a counter that resets to 0 upon reaching `reset_at`
+    /// (values above `reset_at` are unreachable), and its bits.
+    fn reset_counter_netlist(width: usize, reset_at: u64) -> (Netlist, Vec<Signal>) {
         let mut n = Netlist::new();
         let bits: Vec<Signal> = (0..width)
             .map(|i| n.add_latch(&format!("b{i}"), LatchInit::Zero))
@@ -906,6 +907,12 @@ mod tests {
         for (&b, &nx) in bits.iter().zip(&next) {
             n.set_next(b, nx);
         }
+        (n, bits)
+    }
+
+    /// The resetting counter with the property "never equals `target`".
+    fn reset_counter(width: usize, reset_at: u64, target: u64) -> Model {
+        let (mut n, bits) = reset_counter_netlist(width, reset_at);
         let bad = n.bus_eq_const(&bits, target);
         Model::new("reset_counter", n, bad)
     }
@@ -973,6 +980,59 @@ mod tests {
     }
 
     #[test]
+    fn ordered_runs_report_their_rank_tables_peak() {
+        // Blocking queries on the resetting counter yield cores. The ordered
+        // strategies record them in per-frame rank tables; the unordered
+        // baseline keeps its tables empty.
+        let peak = |strategy| {
+            let mut engine = Ic3Engine::new(
+                reset_counter(4, 10, 13),
+                BmcOptions {
+                    max_depth: 30,
+                    strategy,
+                    ..BmcOptions::default()
+                },
+            );
+            let run = engine.run_collecting();
+            assert!(
+                run.per_depth.iter().any(|d| d.core_vars > 0),
+                "{strategy:?}: no query yielded a core"
+            );
+            run.solver_stats.rank_peak_entries
+        };
+        assert!(peak(OrderingStrategy::RefinedDynamic { divisor: 64 }) > 0);
+        assert_eq!(peak(OrderingStrategy::Standard), 0);
+    }
+
+    #[test]
+    fn rank_peak_is_the_largest_single_property_total() {
+        // One runner per property, one after another: the run's peak is the
+        // larger of the two runners' totals, not their sum. Without
+        // preprocessing each runner sees the same netlist it would alone.
+        let (mut n, bits) = reset_counter_netlist(4, 10);
+        let bads = [n.bus_eq_const(&bits, 12), n.bus_eq_const(&bits, 13)];
+        let peak = |props: &[usize]| {
+            let mut builder = ProblemBuilder::new("pair", n.clone());
+            for &p in props {
+                builder = builder.property(&format!("p{p}"), bads[p]);
+            }
+            let mut engine = Ic3Engine::for_problem(
+                builder.build(),
+                BmcOptions {
+                    max_depth: 30,
+                    strategy: OrderingStrategy::RefinedDynamic { divisor: 64 },
+                    preprocess: false,
+                    ..BmcOptions::default()
+                },
+            );
+            engine.run_collecting().solver_stats.rank_peak_entries
+        };
+        let (first, second) = (peak(&[0]), peak(&[1]));
+        assert!(first > 0 && second > 0, "{first}, {second}");
+        assert_eq!(peak(&[0, 1]), first.max(second));
+    }
+
+    #[test]
     fn depth_results_match_bmc_per_depth_verdicts() {
         // The differential currency: IC3's per-frontier sequence equals
         // BMC's per-depth sequence on the shared prefix.
@@ -1009,16 +1069,7 @@ mod tests {
 
     #[test]
     fn multi_property_mixes_proofs_and_counterexamples() {
-        let mut n = Netlist::new();
-        let bits: Vec<Signal> = (0..4)
-            .map(|i| n.add_latch(&format!("b{i}"), LatchInit::Zero))
-            .collect();
-        let inc = n.bus_increment(&bits);
-        let at10 = n.bus_eq_const(&bits, 10);
-        let next: Vec<Signal> = inc.iter().map(|&s| n.mux(at10, Signal::FALSE, s)).collect();
-        for (&b, &nx) in bits.iter().zip(&next) {
-            n.set_next(b, nx);
-        }
+        let (mut n, bits) = reset_counter_netlist(4, 10);
         let reach7 = n.bus_eq_const(&bits, 7);
         let reach13 = n.bus_eq_const(&bits, 13);
         let problem = ProblemBuilder::new("mixed", n)

@@ -100,7 +100,7 @@ mod shtrichman;
 mod trace;
 mod unroll;
 
-pub use certify::{ProofAuditError, ProofMode, ProofSummary, SharedRecorder};
+pub use certify::{ProofMode, ProofSummary};
 pub use engine::{
     BmcEngine, BmcOptions, BmcRun, DepthStats, OrderingStrategy, PropertyReport, PropertyVerdict,
     SolverReuse,

@@ -5,7 +5,10 @@
 //! clause per UNSAT episode. This crate replays such a log **without any
 //! dependency on the solver** — it consumes only [`rbmc_cnf`] literals — and
 //! accepts a certificate only if every step it depends on is a genuine
-//! reverse-unit-propagation (RUP) consequence of the clauses before it:
+//! reverse-unit-propagation (RUP) consequence of the clauses before it. The
+//! dependency runs the other way: the solver depends on this crate and owns
+//! a [`ProofRecorder`] as its log, while this crate still depends on
+//! `rbmc-cnf` alone.
 //!
 //! - A [`ProofRecorder`] accumulates the step log (one per solver) in a
 //!   line table indexed by proof id, and can check the current episode in
@@ -256,8 +259,8 @@ impl ProofRecorder {
         self.final_clause.as_ref()
     }
 
-    /// Derived line ids without a deletion record, sorted ascending — the
-    /// recorder's half of the `debug-invariants` coherence audit.
+    /// Derived line ids without a deletion record, sorted ascending — what
+    /// the solver's audit compares with its live clauses.
     pub fn live_derived_sorted(&self) -> Vec<u64> {
         self.forward.live_derived(&self.steps)
     }

@@ -4,8 +4,9 @@
 //! solver against each other: the watch lists against the clause arena, the
 //! trail against values/levels/reasons, the arena record chain against its
 //! own headers, the CDG against the live-clause roots that
-//! [`Solver::prune_cdg`] keeps, and the decision heap against its scores and
-//! the assignment. The checks are O(database) and allocate, so
+//! [`Solver::prune_cdg`] keeps, the decision heap against its scores and
+//! the assignment, and a started proof log's live lines against the clause
+//! database. The checks are O(database) and allocate, so
 //! they live behind a cargo feature and are invoked from the differential
 //! test suites (and internally after compaction and CDG pruning) rather
 //! than from production runs.
@@ -32,7 +33,10 @@ macro_rules! fail {
 
 impl Solver {
     /// Checks every internal invariant of the solver state, returning a
-    /// description of the first violation found.
+    /// description of the first violation found. With a proof log started
+    /// ([`Solver::start_proof`]), that includes the log: its derived lines
+    /// without a deletion must be exactly the live learned clauses and
+    /// root-level unit facts, and its axiom count the originals added.
     ///
     /// Intended for tests and the `debug-invariants` builds of the BMC and
     /// IC3 engines; with the feature enabled the solver also calls it after
@@ -50,6 +54,9 @@ impl Solver {
         self.order
             .audit(&self.values)
             .map_err(|e| format!("order: {e}"))?;
+        if let Some(proof) = &self.proof {
+            self.audit_proof(&proof.live_derived_sorted(), proof.num_axioms())?;
+        }
         Ok(())
     }
 
@@ -373,28 +380,15 @@ impl Solver {
         Ok(())
     }
 
-    /// Cross-checks an attached proof log against the clause database: the
-    /// log's unretracted derived lines must be exactly the proof ids of the
-    /// live learned clauses plus the root-level unit facts (nothing missing,
-    /// nothing extra), and the axiom count must match the originals added.
-    ///
-    /// The snapshot comes from [`crate::ProofLog::audit_snapshot`]; logs
-    /// that do not track one simply opt out of this audit. The engines call
-    /// this at depth boundaries under `debug-invariants`, turning every
-    /// differential run into a log/database coherence check.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first divergence between the log and
-    /// the database.
-    pub fn audit_proof(&self, snapshot: &crate::ProofAuditSnapshot) -> Result<(), String> {
-        if self.proof.is_none() {
-            fail!("proof: audit_proof called with no log attached");
-        }
-        if snapshot.num_axioms != self.original_refs.len() as u64 {
+    /// Compares a proof log's bookkeeping with the clause database: the
+    /// log's derived lines without a deletion (`live_derived`, sorted
+    /// ascending) must be exactly the proof ids of the live learned clauses
+    /// plus the root-level unit facts (nothing missing, nothing extra), and
+    /// `num_axioms` must match the originals added.
+    fn audit_proof(&self, live_derived: &[u64], num_axioms: u64) -> Result<(), String> {
+        if num_axioms != self.original_refs.len() as u64 {
             fail!(
-                "proof: log holds {} axiom lines, database {} original clauses",
-                snapshot.num_axioms,
+                "proof: log holds {num_axioms} axiom lines, database {} original clauses",
                 self.original_refs.len()
             );
         }
@@ -423,18 +417,18 @@ impl Solver {
             expected.push(pid);
         }
         expected.sort_unstable();
-        if expected != snapshot.live_derived {
+        if expected != live_derived {
             let rank = expected
                 .iter()
-                .zip(&snapshot.live_derived)
+                .zip(live_derived)
                 .position(|(a, b)| a != b)
-                .unwrap_or_else(|| expected.len().min(snapshot.live_derived.len()));
-            let in_log = snapshot.live_derived.get(rank);
+                .unwrap_or_else(|| expected.len().min(live_derived.len()));
+            let in_log = live_derived.get(rank);
             let in_db = expected.get(rank);
             fail!(
                 "proof: live lines diverge at rank {rank}: log has {in_log:?}, database \
                  {in_db:?} ({} log lines vs {} database clauses)",
-                snapshot.live_derived.len(),
+                live_derived.len(),
                 expected.len()
             );
         }
@@ -445,8 +439,6 @@ impl Solver {
 #[cfg(test)]
 mod tests {
     use rbmc_cnf::{CnfFormula, Lit, Var};
-
-    use crate::{ProofAuditSnapshot, ProofLog};
 
     use super::super::{SolveResult, Solver, SolverOptions};
 
@@ -534,85 +526,58 @@ mod tests {
         assert!(err.contains("removed"), "unexpected report: {err}");
     }
 
-    /// Minimal [`ProofLog`] that tracks exactly the bookkeeping
-    /// [`ProofAuditSnapshot`] wants, so the coherence audit can be pinned
-    /// without depending on the real recorder crate.
-    #[derive(Debug, Default)]
-    struct TestLog {
-        axioms: u64,
-        live: Vec<u64>,
-    }
-
-    impl ProofLog for TestLog {
-        fn axiom(&mut self, _id: u64, _lits: &[Lit]) {
-            self.axioms += 1;
-        }
-
-        fn derived(&mut self, id: u64, _lits: &[Lit], _hints: &[u64]) {
-            self.live.push(id);
-        }
-
-        fn delete(&mut self, id: u64) {
-            self.live.retain(|&x| x != id);
-        }
-
-        fn finalize(&mut self, _lits: &[Lit], _hints: &[u64]) {}
-
-        fn audit_snapshot(&self) -> Option<ProofAuditSnapshot> {
-            let mut live_derived = self.live.clone();
-            live_derived.sort_unstable();
-            Some(ProofAuditSnapshot {
-                live_derived,
-                num_axioms: self.axioms,
-            })
-        }
-    }
-
-    /// Solves an UNSAT formula with a [`TestLog`] attached and returns the
-    /// solver together with its end-state snapshot.
-    fn logged_unsat_solver() -> (Solver, ProofAuditSnapshot) {
+    /// Solves an UNSAT formula with its proof log started and returns the
+    /// solver together with the log's live derived lines and axiom count.
+    fn logged_unsat_solver() -> (Solver, Vec<u64>, u64) {
         let mut s = Solver::with_options(SolverOptions::default());
-        s.set_proof_log(Box::new(TestLog::default()));
+        s.start_proof();
         s.reserve_vars(2);
         s.add_clause(&[lit(0, false), lit(1, false)]);
         s.add_clause(&[lit(0, true), lit(1, false)]);
         s.add_clause(&[lit(0, false), lit(1, true)]);
         s.add_clause(&[lit(0, true), lit(1, true)]);
         assert_eq!(s.solve(), SolveResult::Unsat);
-        let snapshot = s
-            .proof_log()
-            .expect("log attached")
-            .audit_snapshot()
-            .expect("TestLog tracks a snapshot");
-        (s, snapshot)
+        let proof = s.proof().expect("log started");
+        let (live, axioms) = (proof.live_derived_sorted(), proof.num_axioms());
+        (s, live, axioms)
     }
 
     #[test]
     fn proof_audit_accepts_coherent_log() {
-        let (s, snapshot) = logged_unsat_solver();
-        s.audit_proof(&snapshot).expect("coherent log audits clean");
-        assert!(snapshot.num_axioms == 4 && !snapshot.live_derived.is_empty());
+        let (s, live, axioms) = logged_unsat_solver();
+        s.audit_proof(&live, axioms)
+            .expect("coherent log audits clean");
+        s.audit().expect("the full audit checks the log too");
+        assert!(axioms == 4 && !live.is_empty());
     }
 
     #[test]
     fn proof_audit_flags_missing_and_extra_lines() {
-        let (s, snapshot) = logged_unsat_solver();
-        let mut dropped = snapshot.clone();
-        dropped.live_derived.pop();
-        let err = s.audit_proof(&dropped).expect_err("retracted live line");
+        let (mut s, live, axioms) = logged_unsat_solver();
+        let dropped = &live[..live.len() - 1];
+        let err = s
+            .audit_proof(dropped, axioms)
+            .expect_err("retracted live line");
         assert!(err.contains("diverge"), "unexpected report: {err}");
-        let mut extra = snapshot;
-        extra.live_derived.push(u64::MAX);
-        let err = s.audit_proof(&extra).expect_err("phantom live line");
+        let mut extra = live.clone();
+        extra.push(u64::MAX);
+        let err = s
+            .audit_proof(&extra, axioms)
+            .expect_err("phantom live line");
+        assert!(err.contains("diverge"), "unexpected report: {err}");
+        // The full audit reads the solver's own log: a line retracted there
+        // alone is caught too.
+        s.proof_mut().expect("log started").delete(live[0]);
+        let err = s.audit().expect_err("log drifted from the database");
         assert!(err.contains("diverge"), "unexpected report: {err}");
     }
 
     #[test]
     fn proof_audit_flags_axiom_count_mismatch() {
-        let (s, snapshot) = logged_unsat_solver();
-        let mut tampered = snapshot;
-        tampered.num_axioms += 1;
-        let err = s.audit_proof(&tampered).expect_err("axiom count drift");
+        let (s, live, axioms) = logged_unsat_solver();
+        let err = s
+            .audit_proof(&live, axioms + 1)
+            .expect_err("axiom count drift");
         assert!(err.contains("axiom"), "unexpected report: {err}");
     }
 

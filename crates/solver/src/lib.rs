@@ -21,6 +21,11 @@
 //!   (`bmc_score` primary, `cha_score` tiebreaker throughout) or a *dynamic*
 //!   mode (static until `#decisions > #original_literals / divisor`, then
 //!   fall back to pure VSIDS).
+//! - **Proof logging**: [`Solver::start_proof`] makes the solver keep a
+//!   clausal proof log, an [`rbmc_proof::ProofRecorder`], with LRAT hints
+//!   taken from the CDG. The recorder's independent checker certifies each
+//!   UNSAT episode; `rbmc-proof` depends on nothing but `rbmc-cnf`, so the
+//!   checker never sees solver internals.
 //!
 //! # Examples
 //!
@@ -46,7 +51,6 @@ mod cdg;
 mod lbool;
 mod limits;
 mod order;
-mod proof;
 mod reference;
 mod solver;
 mod stats;
@@ -54,7 +58,6 @@ mod stats;
 pub use lbool::LBool;
 pub use limits::Limits;
 pub use order::OrderMode;
-pub use proof::{ProofAuditSnapshot, ProofLog};
 pub use reference::{brute_force_sat, reference_dpll};
 pub use solver::{SolveResult, Solver, SolverOptions};
 pub use stats::SolverStats;

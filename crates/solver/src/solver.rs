@@ -5,11 +5,11 @@ use std::fmt;
 use std::time::Instant;
 
 use rbmc_cnf::{Clause, CnfFormula, Lit, Var};
+use rbmc_proof::ProofRecorder;
 
 use crate::arena::{ClauseArena, ClauseRef};
 use crate::cdg::{Cdg, ClauseId};
 use crate::order::LitOrder;
-use crate::proof::ProofLog;
 use crate::{LBool, Limits, OrderMode, SolverStats};
 
 // The auditor is a child module so it can read the solver's private fields
@@ -199,8 +199,8 @@ pub struct Solver {
     unit_ants: Vec<ClauseId>,
     /// Scratch antecedent list of conflict analysis.
     conflict_ants: Vec<ClauseId>,
-    /// Attached clausal proof log, if any (see [`Solver::set_proof_log`]).
-    proof: Option<Box<dyn ProofLog>>,
+    /// The clausal proof log, once started (see [`Solver::start_proof`]).
+    proof: Option<ProofRecorder>,
     /// Next proof line id to hand out (ids start at 1, LRAT-style).
     next_proof_id: u64,
     /// Proof line id of each CDG node, indexed by node id. Compacted in
@@ -506,32 +506,56 @@ impl Solver {
         self.bmc_scores.extend_from_slice(scores);
     }
 
-    /// Attaches a clausal proof log (see the [`crate::ProofLog`] docs for
-    /// the event vocabulary). From here on every original clause, learned
-    /// clause, root-level unit fact, deletion, and per-episode UNSAT final
-    /// is recorded, with LRAT antecedent hints sourced from the CDG.
+    /// Starts the solver's clausal proof log, a [`ProofRecorder`] the
+    /// solver owns from here on. It records, under one strictly increasing
+    /// sequence of line ids starting at 1:
+    ///
+    /// - **axioms**: every original clause, in `add_clause` order (the
+    ///   input formula the certificate is about);
+    /// - **derived lines**: every learned clause and every root-level unit
+    ///   fact, each with LRAT hints taken from the conflict dependency
+    ///   graph (§3.1) and listed in propagation order, so that a strict
+    ///   checker can require each cited line to be unit until the last one
+    ///   conflicts;
+    /// - **deletions**: every learned clause that database reduction
+    ///   removes, recorded before compaction frees its body, so the log's
+    ///   live lines mirror the live clause set;
+    /// - **finals**: each UNSAT episode's final clause, which is not added
+    ///   to the database: the negated failed assumptions, or the empty
+    ///   clause when the database itself is unsatisfiable. A later episode
+    ///   overwrites it.
+    ///
+    /// [`ProofRecorder::check_current`] then verifies the latest episode
+    /// through [`Solver::proof_mut`], and the `debug-invariants` auditor
+    /// (`Solver::audit`) checks the log's live lines against the clause
+    /// database.
     ///
     /// # Panics
     ///
     /// Panics if CDG recording is disabled (hints come from the CDG) or if
     /// clauses were already added (earlier clauses would have no proof
     /// lines, leaving every certificate incomplete).
-    pub fn set_proof_log(&mut self, log: Box<dyn ProofLog>) {
+    pub fn start_proof(&mut self) {
         assert!(
             self.opts.record_cdg,
             "proof logging requires CDG recording (SolverOptions::record_cdg)"
         );
         assert!(
             self.original_refs.is_empty() && !self.started,
-            "proof log must be attached before the first clause"
+            "proof log must be started before the first clause"
         );
-        self.proof = Some(log);
+        self.proof = Some(ProofRecorder::new());
     }
 
-    /// The attached proof log, if any (the auditor and tests cross-check
-    /// its live-line bookkeeping against the clause database).
-    pub fn proof_log(&self) -> Option<&dyn ProofLog> {
-        self.proof.as_deref()
+    /// The proof log, if [`Solver::start_proof`] started one.
+    pub fn proof(&self) -> Option<&ProofRecorder> {
+        self.proof.as_ref()
+    }
+
+    /// The proof log, mutably: checking an episode advances the log's
+    /// checking cursor ([`ProofRecorder::check_current`]).
+    pub fn proof_mut(&mut self) -> Option<&mut ProofRecorder> {
+        self.proof.as_mut()
     }
 
     /// Hands out the next proof line id (strictly increasing from 1).
@@ -552,12 +576,8 @@ impl Solver {
     /// Emits the deletion line of an arena clause (called at mark time,
     /// while the header still resolves the CDG node).
     fn emit_proof_delete(&mut self, cref: ClauseRef) {
-        if self.proof.is_none() {
-            return;
-        }
-        let pid = self.proof_of_cdg[self.clauses.cdg_id(cref) as usize];
         if let Some(proof) = self.proof.as_mut() {
-            proof.delete(pid);
+            proof.delete(self.proof_of_cdg[self.clauses.cdg_id(cref) as usize]);
         }
     }
 
@@ -565,12 +585,10 @@ impl Solver {
     /// of the failed assumptions, justified by the antecedents collected by
     /// [`Solver::analyze_final`].
     fn emit_proof_final_failed(&mut self) {
-        if self.proof.is_some() {
+        if let Some(proof) = self.proof.as_mut() {
             let clause: Vec<Lit> = self.failed.iter().map(|&a| !a).collect();
             let hints = proof_hints(&self.proof_of_cdg, &mut self.cited, &self.conflict_ants);
-            if let Some(proof) = self.proof.as_mut() {
-                proof.finalize(&clause, &hints);
-            }
+            proof.finalize(&clause, &hints);
         }
     }
 
@@ -1513,11 +1531,9 @@ impl Solver {
 
     fn finish_unsat(&mut self, final_antecedents: Vec<ClauseId>) {
         self.ok = false;
-        if self.proof.is_some() {
+        if let Some(proof) = self.proof.as_mut() {
             let hints = proof_hints(&self.proof_of_cdg, &mut self.cited, &final_antecedents);
-            if let Some(proof) = self.proof.as_mut() {
-                proof.finalize(&[], &hints);
-            }
+            proof.finalize(&[], &hints);
         }
         // A mid-episode (or mid-session `add_clause`) refutation invalidates
         // any previously published episode results.

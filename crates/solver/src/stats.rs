@@ -83,8 +83,11 @@ pub struct SolverStats {
     /// High-water mark of the clause arena, in bytes (original + learned
     /// clause storage; updated at allocation and compaction).
     pub arena_peak_bytes: u64,
-    /// High-water mark of stored `varRank` entries (filled in by the BMC
-    /// engine): one past the highest variable any core cited.
+    /// High-water mark of stored `varRank` entries, filled in by the
+    /// engines, not the solver. BMC keeps one table, whose length is one
+    /// past the highest variable any core cited; IC3 keeps one table per
+    /// frame for each property and counts the largest total of one
+    /// property's tables. 0 under a strategy that ranks by no cores.
     pub rank_peak_entries: u64,
 }
 

@@ -1,10 +1,10 @@
 //! Structural-audit runs (the `debug-invariants` feature).
 //!
 //! With the feature enabled, the solver audits its watch lists, trail,
-//! arena, CDG and decision heap after every learned-database compaction and
-//! CDG prune, the BMC engine re-audits the session solver at every depth
-//! boundary, and IC3 re-audits its session solver at every frontier
-//! boundary — any violation panics. These tests drive search-heavy
+//! arena, CDG, decision heap and proof log after every learned-database
+//! compaction and CDG prune, the BMC engine re-audits the session solver at
+//! every depth boundary, and IC3 re-audits its session solver at every
+//! frontier boundary — any violation panics. These tests drive search-heavy
 //! session sweeps with compaction-aggressive settings so the hooks fire
 //! many times; they pass exactly when every audit along the way does.
 //!
@@ -20,16 +20,15 @@ use refined_bmc::gens::families;
 use refined_bmc::solver::SolverOptions;
 
 /// Compaction-heavy engine options: reduction after a handful of learned
-/// clauses, session reuse, depth-boundary CDG pruning — the configuration
-/// that exercises every audited hook. Proof checking rides along so the
-/// depth-boundary audits also cover proof-log coherence (the live lines in
-/// the log must mirror the solver's learned database exactly).
+/// clauses and session reuse, whose solver prunes its CDG at every depth
+/// boundary — the configuration that exercises every audited hook. Proof
+/// checking rides along so every audit also covers the proof log (its live
+/// lines must mirror the solver's learned database exactly).
 fn audited_options(max_depth: usize, strategy: OrderingStrategy) -> BmcOptions {
     BmcOptions {
         max_depth,
         strategy,
         reuse: SolverReuse::Session,
-        cdg_prune: true,
         proof: ProofMode::Check,
         solver: SolverOptions {
             reduce_base: 4,

@@ -44,7 +44,6 @@
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use rbmc_proof::ProofRecorder;
-use refined_bmc::bmc::SharedRecorder;
 use refined_bmc::cnf::Lit;
 use refined_bmc::proof::{CertificateBundle, CheckStats, ProofError, ProofStep};
 use refined_bmc::solver::{SolveResult, Solver, SolverOptions};
@@ -53,12 +52,11 @@ fn lit(n: i64) -> Lit {
     Lit::from_dimacs(n)
 }
 
-/// Solves `clauses` (DIMACS-style literals) with a proof log attached and
+/// Solves `clauses` (DIMACS-style literals) with its proof log started and
 /// returns the episode certificate if the formula is UNSAT.
 fn certify(num_vars: usize, clauses: &[Vec<i64>]) -> Option<CertificateBundle> {
-    let recorder = SharedRecorder::new();
     let mut solver = Solver::with_options(SolverOptions::default());
-    solver.set_proof_log(Box::new(recorder.clone()));
+    solver.start_proof();
     solver.reserve_vars(num_vars);
     for clause in clauses {
         let lits: Vec<Lit> = clause.iter().map(|&d| lit(d)).collect();
@@ -67,7 +65,7 @@ fn certify(num_vars: usize, clauses: &[Vec<i64>]) -> Option<CertificateBundle> {
     if solver.solve() != SolveResult::Unsat {
         return None;
     }
-    Some(recorder.with(ProofRecorder::bundle))
+    solver.proof().map(ProofRecorder::bundle)
 }
 
 /// Feeds a bundle's lines, then its final clause, into a fresh recorder:
@@ -422,13 +420,12 @@ struct Tally {
 /// episode, both the forward checker (in place, on the live recorder) and
 /// the backward checker (on a bundle of the log so far) must accept.
 fn certify_session(session: &Session) -> Tally {
-    let recorder = SharedRecorder::new();
     let mut solver = Solver::with_options(SolverOptions {
         reduce_base: 2,
         reduce_inc: 1,
         ..SolverOptions::default()
     });
-    solver.set_proof_log(Box::new(recorder.clone()));
+    solver.start_proof();
     solver.reserve_vars(session.num_vars);
     let add = |solver: &mut Solver, clauses: &[Vec<i64>]| {
         for clause in clauses {
@@ -445,11 +442,12 @@ fn certify_session(session: &Session) -> Tally {
             continue;
         }
         tally.unsat_episodes += 1;
-        let stats = recorder
-            .with_mut(ProofRecorder::check_current)
+        let log = solver.proof_mut().expect("log started");
+        let stats = log
+            .check_current()
             .unwrap_or_else(|e| panic!("forward checker rejects episode: {e}"));
         tally.verified += stats.steps_verified;
-        let bundle = recorder.with(ProofRecorder::bundle);
+        let bundle = log.bundle();
         bundle
             .check()
             .unwrap_or_else(|e| panic!("backward checker rejects episode: {e}"));
