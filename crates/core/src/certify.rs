@@ -110,7 +110,7 @@ impl ProofSummary {
     /// with the solver.
     pub(crate) fn add_steps(&mut self, solver: &Solver) {
         if let Some(log) = solver.proof() {
-            self.steps_logged += log.num_steps() as u64;
+            self.steps_logged += log.steps().len() as u64;
         }
     }
 }

@@ -136,9 +136,11 @@ pub struct BmcOptions {
     pub max_conflicts_per_depth: Option<u64>,
     /// Optional wall-clock deadline for the whole run.
     pub deadline: Option<Instant>,
-    /// Also record cores under [`OrderingStrategy::Standard`] (for the CDG
-    /// overhead measurements of §3.1; off by default to keep the baseline
-    /// honest).
+    /// Record the conflict dependency graph even where nothing reads it:
+    /// under [`OrderingStrategy::Standard`] in BMC, and in IC3, whose cores
+    /// come from failed assumptions (for the CDG overhead measurements of
+    /// §3.1; off by default to keep the baseline honest). Recording never
+    /// changes a decision.
     pub force_record_cdg: bool,
     /// Structurally preprocess the problem before solving (on by default):
     /// constant sweeping, structural hashing, and restriction to the union
@@ -503,7 +505,8 @@ impl BmcEngine {
         self.model.lift()
     }
 
-    /// The accumulated `varRank` (inspect after a run).
+    /// The `varRank` the last run accumulated (inspect after a run; each
+    /// run starts from an empty table).
     pub fn rank(&self) -> &VarRank {
         &self.rank
     }
@@ -524,6 +527,9 @@ impl BmcEngine {
     /// [`BmcEngine::run_collecting`] lifts its traces.
     fn refine_order_bmc(&mut self) -> BmcRun {
         let run_start = Instant::now();
+        // Each run ranks from its own cores only, so a second run on this
+        // engine searches like the first.
+        self.rank = VarRank::new(self.options.weighting);
         let working = self.model.working();
         let unroller = Unroller::new(working);
         let mut props: Vec<PropState> = working

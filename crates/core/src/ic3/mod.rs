@@ -360,9 +360,10 @@ impl<'a> PropRunner<'a> {
         // Same solver configuration as BMC's strategy mapping, except the
         // CDG is normally not recorded: IC3's cores come from failed
         // assumptions, which the session machinery tracks for free. Proof
-        // logging re-enables it — the LRAT hints are CDG antecedents.
+        // logging re-enables it — the LRAT hints are CDG antecedents — and
+        // so does `force_record_cdg`, for the recording-overhead A/B.
         let mut solver_opts: SolverOptions = strategy_solver_options(options);
-        solver_opts.record_cdg = options.proof.is_on();
+        solver_opts.record_cdg = options.force_record_cdg || options.proof.is_on();
         let mut solver = options.proof.solver(solver_opts);
         load_step_relation(&unroller, &mut solver);
 
@@ -1002,6 +1003,36 @@ mod tests {
         };
         assert!(peak(OrderingStrategy::RefinedDynamic { divisor: 64 }) > 0);
         assert_eq!(peak(OrderingStrategy::Standard), 0);
+    }
+
+    #[test]
+    fn forced_cdg_recording_changes_no_decision() {
+        // One falsifying and one proving model: recording the CDG on
+        // request costs nodes, and nothing else.
+        for model in [counter_model(4, 11), reset_counter(4, 10, 13)] {
+            let run = |force_record_cdg| {
+                let mut engine = Ic3Engine::new(
+                    model.clone(),
+                    BmcOptions {
+                        max_depth: 30,
+                        strategy: OrderingStrategy::RefinedDynamic { divisor: 64 },
+                        force_record_cdg,
+                        ..BmcOptions::default()
+                    },
+                );
+                engine.run_collecting()
+            };
+            let (plain, forced) = (run(false), run(true));
+            assert_eq!(
+                plain.properties[0].verdict.to_string(),
+                forced.properties[0].verdict.to_string()
+            );
+            let counts = |run: &BmcRun| (run.solver_stats.decisions, run.solver_stats.conflicts);
+            assert_eq!(counts(&plain), counts(&forced));
+            assert!(plain.solver_stats.conflicts > 0);
+            assert_eq!(plain.solver_stats.cdg_peak_nodes, 0);
+            assert!(forced.solver_stats.cdg_peak_nodes > 0);
+        }
     }
 
     #[test]

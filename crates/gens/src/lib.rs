@@ -30,7 +30,6 @@
 
 pub mod corpus;
 pub mod families;
-pub mod random;
 
 mod lint_suite;
 mod suite;

@@ -14,14 +14,131 @@
 //! The assignment is dense (one slot per variable) and undone through a
 //! trail after each line, so nothing on the per-line path hashes or
 //! allocates. The first rejection is latched: it answers every later call.
+//! What a check reports, [`ProofError`] or [`CheckStats`], is defined here
+//! too.
 //!
 //! [`ProofRecorder`]: crate::ProofRecorder
 //! [`ProofRecorder::check_current`]: crate::ProofRecorder::check_current
 
+use std::fmt;
+
 use rbmc_cnf::Lit;
 
-use crate::check::{CheckStats, HintState, ProofError};
 use crate::{FinalClause, ProofStep};
+
+/// Why a certificate was rejected. Every variant names the offending line
+/// so a fail-closed gate can report something actionable.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum ProofError {
+    /// The log has no final clause: no episode ended UNSAT, so there is
+    /// nothing to certify.
+    NoFinal,
+    /// Proof line ids must be strictly increasing.
+    IdOrder {
+        /// The offending line id.
+        id: u64,
+    },
+    /// A hint cites a line that does not exist, is not yet declared, or was
+    /// deleted before the citing step.
+    UnknownHint {
+        /// The citing line (0 stands for the final clause).
+        step: u64,
+        /// The cited line.
+        hint: u64,
+    },
+    /// A deletion names a line that is not a live derived clause.
+    BadDelete {
+        /// The offending deletion target.
+        id: u64,
+    },
+    /// Strict LRAT: a hint clause was already satisfied under the
+    /// accumulated assignment — it cannot participate in the propagation.
+    SatisfiedHint {
+        /// The citing line (0 stands for the final clause).
+        step: u64,
+        /// The offending hint.
+        hint: u64,
+    },
+    /// Strict LRAT: a hint clause had two or more unassigned literals —
+    /// the hint order does not describe a unit propagation.
+    HintNotUnit {
+        /// The citing line (0 stands for the final clause).
+        step: u64,
+        /// The offending hint.
+        hint: u64,
+    },
+    /// The hint list ran out without reaching a conflict: the clause is not
+    /// RUP under its hints.
+    NoConflict {
+        /// The unjustified line (0 stands for the final clause).
+        step: u64,
+    },
+}
+
+impl fmt::Display for ProofError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fn line(id: u64) -> String {
+            if id == 0 {
+                "the final clause".to_string()
+            } else {
+                format!("line {id}")
+            }
+        }
+        match self {
+            ProofError::NoFinal => write!(f, "no UNSAT episode to certify"),
+            ProofError::IdOrder { id } => {
+                write!(f, "proof line ids not strictly increasing at id {id}")
+            }
+            ProofError::UnknownHint { step, hint } => {
+                write!(f, "{} cites unknown or deleted line {hint}", line(*step))
+            }
+            ProofError::BadDelete { id } => {
+                write!(f, "deletion of {id}, which is not a live derived line")
+            }
+            ProofError::SatisfiedHint { step, hint } => {
+                write!(f, "{} cites satisfied clause {hint}", line(*step))
+            }
+            ProofError::HintNotUnit { step, hint } => {
+                write!(f, "{} cites non-unit clause {hint}", line(*step))
+            }
+            ProofError::NoConflict { step } => {
+                write!(
+                    f,
+                    "{} is not RUP: hints end without a conflict",
+                    line(*step)
+                )
+            }
+        }
+    }
+}
+
+impl std::error::Error for ProofError {}
+
+/// What a successful check covered.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CheckStats {
+    /// Total proof lines in the log.
+    pub steps_total: usize,
+    /// Lines propagation-verified by this check, the final clause included:
+    /// the derived lines logged since the previous
+    /// [`ProofRecorder::check_current`] call, plus the final clause, so the
+    /// counts of a session sum to its derived lines plus one per call.
+    ///
+    /// [`ProofRecorder::check_current`]: crate::ProofRecorder::check_current
+    pub steps_verified: usize,
+}
+
+/// In the strict hint walk, processing one clause yields one of these.
+enum HintState {
+    /// All literals false: the propagation reached its conflict.
+    Conflict,
+    /// Exactly one literal unassigned: propagate it.
+    Unit(Lit),
+    /// Some literal is already true.
+    Satisfied,
+    /// Two or more literals unassigned.
+    Open,
+}
 
 /// Table position of an id that no step declared, or of a line that no
 /// step deleted. It exceeds every real position.

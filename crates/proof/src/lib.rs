@@ -11,13 +11,9 @@
 //! `rbmc-cnf` alone.
 //!
 //! - A [`ProofRecorder`] accumulates the step log (one per solver) in a
-//!   line table indexed by proof id, and can check the current episode in
-//!   place or snapshot it into an owned [`CertificateBundle`].
-//! - A [`CertificateBundle`] is the self-contained form: the
-//!   axiom/derived/delete step list, the episode's final clause, and a
-//!   formula hash binding the certificate to the exact input clause sequence
-//!   — a certificate replayed against a different formula fails the hash
-//!   check before any propagation runs.
+//!   line table indexed by proof id, lends it read-only
+//!   ([`ProofRecorder::steps`], [`ProofRecorder::final_clause`]), and checks
+//!   the current episode in place.
 //! - The recorder checks **forward and incrementally**:
 //!   [`ProofRecorder::check_current`] verifies only the lines logged since
 //!   its previous call, then the episode's final clause in time linear in
@@ -26,17 +22,17 @@
 //!   episodes it has. Every derived line is verified, whether or not a
 //!   final clause depends on it, and the first rejection is latched for the
 //!   rest of the session.
-//! - A bundle checks **backward**: [`CertificateBundle::check`] marks the
-//!   steps reachable from the final clause's hints and propagation-verifies
-//!   only those (the rest get structural checks only). It shares no state
-//!   with the recorder's checker and is the oracle the forward checker is
-//!   tested against.
-//! - Hint verification is **strict LRAT** in both: hints are processed in
-//!   order and each cited clause must be unit (propagating one literal)
-//!   until a conflict closes the step. A satisfied or non-unit hint rejects
-//!   the certificate — the checkers are deliberately intolerant, so
-//!   corrupted or reordered hint lists cannot slip through. Steps with no
-//!   hints fall back to full-database RUP over the live lines, in id order.
+//! - Hint verification is **strict LRAT**: hints are processed in order and
+//!   each cited clause must be unit (propagating one literal) until a
+//!   conflict closes the step. A satisfied or non-unit hint rejects the
+//!   certificate — the checker is deliberately intolerant, so corrupted or
+//!   reordered hint lists cannot slip through. Steps with no hints fall back
+//!   to full-database RUP over the live lines, in id order.
+//!
+//! The repository's integration tests hold a second, backward checker that
+//! shares no code with this one and serves as its reference: it verifies
+//! only the final clause's dependency cone of a copied log, and every
+//! corrupted certificate it rejects the forward checker must reject too.
 //!
 //! # Examples
 //!
@@ -54,21 +50,19 @@
 //! rec.finalize(&[], &[1, 2]);
 //! let stats = rec.check_current().expect("valid certificate");
 //! assert_eq!(stats.steps_verified, 1); // just the final clause
-//! let bundle = rec.bundle();
-//! assert!(bundle.check().is_ok());
+//! assert_eq!(rec.steps().len(), 2); // the two axiom lines
 //! ```
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod check;
 mod forward;
 
 use rbmc_cnf::Lit;
 
 use forward::Forward;
 
-pub use check::{CheckStats, ProofError};
+pub use forward::{CheckStats, ProofError};
 
 /// One line of a clausal proof log.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -119,93 +113,29 @@ pub struct FinalClause {
     pub hints: Vec<u64>,
 }
 
-/// A self-contained, owned UNSAT certificate: the step log up to one
-/// episode's final clause, bound to the input formula by a hash over the
-/// axiom sequence.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CertificateBundle {
-    /// FNV-1a hash over the axiom lines in order (see
-    /// [`ProofRecorder::formula_hash`]). [`CertificateBundle::check`]
-    /// recomputes it from [`CertificateBundle::steps`] and rejects on
-    /// mismatch, so a certificate cannot be replayed against a formula it
-    /// was not produced from.
-    pub formula_hash: u64,
-    /// The proof lines, in emission order.
-    pub steps: Vec<ProofStep>,
-    /// The episode's final clause.
-    pub final_clause: FinalClause,
-}
-
-impl CertificateBundle {
-    /// Verifies the certificate: hash binding, structural coherence of ids
-    /// and hints, and backward RUP/LRAT checking of every step the final
-    /// clause depends on.
-    pub fn check(&self) -> Result<CheckStats, ProofError> {
-        check::check_certificate(Some(self.formula_hash), &self.steps, &self.final_clause)
-    }
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-
-/// Folds one `u32` word into a running FNV-1a hash, byte by byte.
-fn fnv_word(mut hash: u64, word: u32) -> u64 {
-    for byte in word.to_le_bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
-
-/// Clause separator fed to the hash between axiom lines (no literal code
-/// collides with it: codes come from `var << 1 | sign` over in-use vars).
-const HASH_SEP: u32 = u32::MAX;
-
 /// Accumulates a solver's proof log and checks episodes in place.
 ///
 /// One recorder serves one solver for its whole incremental session; each
-/// UNSAT episode overwrites the final clause, and checking or bundling
-/// always refers to the most recent one. Checking is forward and
-/// incremental (see [`ProofRecorder::check_current`]). See the crate docs
-/// for an example.
-#[derive(Clone, Debug)]
+/// UNSAT episode overwrites the final clause, and checking always refers to
+/// the most recent one. Checking is forward and incremental (see
+/// [`ProofRecorder::check_current`]). See the crate docs for an example.
+#[derive(Clone, Debug, Default)]
 pub struct ProofRecorder {
     steps: Vec<ProofStep>,
     final_clause: Option<FinalClause>,
-    /// Running FNV-1a over the axiom lines.
-    hash: u64,
     num_axioms: u64,
     /// The line table by proof id, and the checker's cursor into `steps`.
     forward: Forward,
 }
 
-// Not derived: the derived impl would zero-initialise `hash`, silently
-// diverging from the FNV offset basis `new()` seeds — every certificate
-// bundled from a defaulted recorder would then fail its own hash binding.
-impl Default for ProofRecorder {
-    fn default() -> ProofRecorder {
-        ProofRecorder::new()
-    }
-}
-
 impl ProofRecorder {
     /// Creates an empty recorder.
     pub fn new() -> ProofRecorder {
-        ProofRecorder {
-            steps: Vec::new(),
-            final_clause: None,
-            hash: FNV_OFFSET,
-            num_axioms: 0,
-            forward: Forward::default(),
-        }
+        ProofRecorder::default()
     }
 
     /// Records an axiom line (original clause).
     pub fn axiom(&mut self, id: u64, lits: &[Lit]) {
-        for &lit in lits {
-            self.hash = fnv_word(self.hash, lit.code() as u32);
-        }
-        self.hash = fnv_word(self.hash, HASH_SEP);
         self.num_axioms += 1;
         self.forward.declare(id, self.steps.len());
         self.steps.push(ProofStep::Axiom {
@@ -238,15 +168,10 @@ impl ProofRecorder {
         });
     }
 
-    /// The FNV-1a hash over the axiom lines recorded so far — the identity
-    /// of the formula the log is about.
-    pub fn formula_hash(&self) -> u64 {
-        self.hash
-    }
-
-    /// Number of proof lines recorded so far (excluding the final clause).
-    pub fn num_steps(&self) -> usize {
-        self.steps.len()
+    /// The proof lines recorded so far, in emission order (the final clause
+    /// is not among them).
+    pub fn steps(&self) -> &[ProofStep] {
+        &self.steps
     }
 
     /// Number of axiom lines recorded so far.
@@ -275,31 +200,13 @@ impl ProofRecorder {
     /// Every derived line is checked, not just those the final clause
     /// depends on. The first rejection is latched: it rejects this episode
     /// and every later one, since a later final clause may rest on the bad
-    /// line. The hash is the recorder's own, so only structure and
-    /// propagation are verified; ids out of order and bad deletions are
-    /// caught as they are recorded.
+    /// line. Ids out of order and bad deletions are caught as they are
+    /// recorded.
     ///
     /// Returns [`ProofError::NoFinal`] if no episode has ended UNSAT yet.
     pub fn check_current(&mut self) -> Result<CheckStats, ProofError> {
         let final_clause = self.final_clause.as_ref().ok_or(ProofError::NoFinal)?;
         self.forward.check(&self.steps, final_clause)
-    }
-
-    /// Snapshots the log into an owned [`CertificateBundle`] for the most
-    /// recent episode.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no episode has ended UNSAT (there is nothing to certify).
-    pub fn bundle(&self) -> CertificateBundle {
-        CertificateBundle {
-            formula_hash: self.hash,
-            steps: self.steps.clone(),
-            final_clause: self
-                .final_clause
-                .clone()
-                .expect("bundle requires an UNSAT episode"),
-        }
     }
 }
 
@@ -331,7 +238,6 @@ mod tests {
         let stats = rec.check_current().unwrap();
         assert_eq!(stats.steps_total, 5);
         assert_eq!(stats.steps_verified, 3); // both derived lines + final
-        assert!(rec.bundle().check().is_ok());
     }
 
     #[test]
@@ -346,7 +252,6 @@ mod tests {
         assert_eq!((stats.steps_total, stats.steps_verified), (6, 2));
         // Nothing new: the final clause alone.
         assert_eq!(rec.check_current().unwrap().steps_verified, 1);
-        assert!(rec.bundle().check().is_ok());
     }
 
     #[test]
@@ -361,7 +266,6 @@ mod tests {
         // A later episode with a valid final clause is still rejected.
         rec.axiom(4, &[lit(-2)]);
         rec.finalize(&[], &[2, 1, 4]);
-        assert!(rec.bundle().check().is_ok());
         assert_eq!(rec.check_current(), Err(first));
 
         // So is every episode after a rejected final clause.
@@ -372,7 +276,6 @@ mod tests {
         let first = rec.check_current().unwrap_err();
         assert_eq!(first, ProofError::NoConflict { step: 0 });
         rec.finalize(&[], &[1, 2]);
-        assert!(rec.bundle().check().is_ok());
         assert_eq!(rec.check_current(), Err(first));
     }
 
@@ -419,10 +322,6 @@ mod tests {
         rec.delete(6);
         rec.finalize(&[lit(1)], &[]);
         assert_eq!(rec.check_current(), Err(ProofError::NoConflict { step: 0 }));
-        assert_eq!(
-            rec.bundle().check(),
-            Err(ProofError::NoConflict { step: 0 })
-        );
     }
 
     #[test]
@@ -449,17 +348,6 @@ mod tests {
         let mut rec = ProofRecorder::new();
         rec.axiom(1, &[lit(1)]);
         assert!(matches!(rec.check_current(), Err(ProofError::NoFinal)));
-    }
-
-    #[test]
-    fn hash_binds_the_formula() {
-        let rec = chain_recorder();
-        let mut bundle = rec.bundle();
-        bundle.formula_hash ^= 0xdead_beef;
-        assert!(matches!(
-            bundle.check(),
-            Err(ProofError::FormulaHashMismatch { .. })
-        ));
     }
 
     #[test]

@@ -6,16 +6,14 @@
 //! own headers, the CDG against the live-clause roots that
 //! [`Solver::prune_cdg`] keeps, the decision heap against its scores and
 //! the assignment, and a started proof log's live lines against the clause
-//! database. The checks are O(database) and allocate, so
-//! they live behind a cargo feature and are invoked from the differential
-//! test suites (and internally after compaction and CDG pruning) rather
-//! than from production runs.
+//! database. The checks are O(database) and allocate flat tables indexed
+//! by arena offset, so they live behind a cargo feature and are invoked
+//! from the differential test suites (and internally after compaction and
+//! CDG pruning) rather than from production runs.
 //!
 //! The auditor is deliberately a *child module* of `solver`: it reads the
 //! private fields directly, so it can never drift into testing a sanitized
 //! accessor view instead of the real state.
-
-use std::collections::{HashMap, HashSet};
 
 use rbmc_cnf::Lit;
 
@@ -29,6 +27,24 @@ macro_rules! fail {
     ($($arg:tt)*) => {
         return Err(format!($($arg)*))
     };
+}
+
+/// The arena's record offsets: `true` at each offset where the record
+/// chain puts a header.
+struct Headers(Vec<bool>);
+
+impl Headers {
+    fn contains(&self, offset: u32) -> bool {
+        self.0.get(offset as usize).copied().unwrap_or(false)
+    }
+}
+
+/// An empty slot of the watch tally (no literal has this code).
+const NO_CODE: u32 = u32::MAX;
+
+/// The filled slots of a watch tally, for reports.
+fn watch_codes(slots: [u32; 2]) -> Vec<u32> {
+    slots.into_iter().filter(|&code| code != NO_CODE).collect()
 }
 
 impl Solver {
@@ -64,9 +80,10 @@ impl Solver {
     /// cursor exactly on the next header (ending at `end_offset`), every
     /// stored literal must name a known variable, and the patched
     /// `original_refs` table must point at live original records. Returns
-    /// the set of valid header offsets for the cross-checks.
-    fn audit_arena(&self) -> Result<HashSet<u32>, String> {
-        let mut headers: HashSet<u32> = HashSet::new();
+    /// the valid header offsets for the cross-checks.
+    fn audit_arena(&self) -> Result<Headers, String> {
+        // The chain never leaves the arena: `next` stops at its end.
+        let mut headers = Headers(vec![false; self.clauses.end_offset() as usize]);
         let mut cursor = self.clauses.first();
         let mut last_end = 0u32;
         while let Some(cref) = cursor {
@@ -87,7 +104,7 @@ impl Solver {
             if self.clauses.is_removed(cref) && self.clauses.is_learned(cref) {
                 fail!("arena: learned clause at {} marked removed", cref.offset());
             }
-            headers.insert(cref.offset());
+            headers.0[cref.offset() as usize] = true;
             last_end = cref.offset() + 3 + len as u32;
             cursor = self.clauses.next(cref);
         }
@@ -105,7 +122,7 @@ impl Solver {
             );
         }
         for (pos, &cref) in self.original_refs.iter().enumerate() {
-            if !headers.contains(&cref.offset()) {
+            if !headers.contains(cref.offset()) {
                 fail!(
                     "arena: original {pos} points at non-header offset {}",
                     cref.offset()
@@ -116,12 +133,12 @@ impl Solver {
             }
         }
         for &cref in &self.pending_units {
-            if !headers.contains(&cref.offset()) {
+            if !headers.contains(cref.offset()) {
                 fail!("arena: pending unit at non-header offset {}", cref.offset());
             }
         }
         if let Some(empty) = self.empty_clause {
-            if !headers.contains(&empty.offset()) || self.clauses.len(empty) != 0 {
+            if !headers.contains(empty.offset()) || self.clauses.len(empty) != 0 {
                 fail!("arena: empty-clause ref is not a length-0 record");
             }
         }
@@ -134,7 +151,7 @@ impl Solver {
     /// tier with a blocker drawn from the clause body — and nothing else in
     /// any list references it. A removed clause is not live: no entry may
     /// point at it.
-    fn audit_watches(&self, headers: &HashSet<u32>) -> Result<(), String> {
+    fn audit_watches(&self, headers: &Headers) -> Result<(), String> {
         if self.watches.len() != 2 * self.num_vars() {
             fail!(
                 "watches: {} lists for {} vars",
@@ -142,13 +159,25 @@ impl Solver {
                 self.num_vars()
             );
         }
-        // offset -> watching literal codes seen so far.
-        let mut seen: HashMap<u32, Vec<usize>> = HashMap::new();
+        // Per arena offset, the codes of the literals watching the record
+        // there: a live clause has exactly two watches, so a third entry is
+        // a violation by itself.
+        let mut seen = vec![[NO_CODE; 2]; headers.0.len()];
+        let mut tally = |offset: u32, code: usize| -> Result<(), String> {
+            match seen[offset as usize]
+                .iter_mut()
+                .find(|slot| **slot == NO_CODE)
+            {
+                Some(slot) => *slot = code as u32,
+                None => fail!("watches: clause at {offset} has more than two watch entries"),
+            }
+            Ok(())
+        };
         for (code, lists) in self.watches.iter().enumerate() {
             let watcher = Lit::from_code(code);
             for w in &lists.bins {
                 let cref = w.clause;
-                if !headers.contains(&cref.offset()) {
+                if !headers.contains(cref.offset()) {
                     fail!("watches: bin entry at non-header offset {}", cref.offset());
                 }
                 if self.clauses.is_deleted(cref) || self.clauses.is_removed(cref) {
@@ -183,11 +212,11 @@ impl Solver {
                         other
                     );
                 }
-                seen.entry(cref.offset()).or_default().push(code);
+                tally(cref.offset(), code)?;
             }
             for w in &lists.longs {
                 let cref = w.clause;
-                if !headers.contains(&cref.offset()) {
+                if !headers.contains(cref.offset()) {
                     fail!("watches: long entry at non-header offset {}", cref.offset());
                 }
                 if self.clauses.is_deleted(cref) || self.clauses.is_removed(cref) {
@@ -218,7 +247,7 @@ impl Solver {
                         cref.offset()
                     );
                 }
-                seen.entry(cref.offset()).or_default().push(code);
+                tally(cref.offset(), code)?;
             }
         }
         // Forward direction: every live clause of length >= 2 is watched on
@@ -228,19 +257,19 @@ impl Solver {
             cursor = self.clauses.next(cref);
             let len = self.clauses.len(cref);
             let live = !self.clauses.is_deleted(cref) && !self.clauses.is_removed(cref);
-            let expected: &[usize] = if len >= 2 && live {
-                &[
-                    self.clauses.lit(cref, 0).code(),
-                    self.clauses.lit(cref, 1).code(),
+            let mut want = if len >= 2 && live {
+                [
+                    self.clauses.lit(cref, 0).code() as u32,
+                    self.clauses.lit(cref, 1).code() as u32,
                 ]
             } else {
-                &[]
+                [NO_CODE; 2]
             };
-            let mut got = seen.remove(&cref.offset()).unwrap_or_default();
+            let mut got = seen[cref.offset() as usize];
             got.sort_unstable();
-            let mut want = expected.to_vec();
             want.sort_unstable();
             if got != want {
+                let (got, want) = (watch_codes(got), watch_codes(want));
                 fail!(
                     "watches: clause at {} (len {len}) watched under codes {got:?}, want {want:?}",
                     cref.offset()
@@ -257,7 +286,7 @@ impl Solver {
     /// root-satisfied and may legitimately be compacted away, and the search
     /// never dereferences root-level reasons (conflict analysis cites the
     /// CDG unit-fact node instead).
-    fn audit_trail(&self, headers: &HashSet<u32>) -> Result<(), String> {
+    fn audit_trail(&self, headers: &Headers) -> Result<(), String> {
         let n = self.num_vars();
         if self.values.len() != n
             || self.levels.len() != n
@@ -281,7 +310,13 @@ impl Solver {
             prev = lim;
         }
         let mut pos: Vec<Option<usize>> = vec![None; n];
+        // The decision level at trail position `i`: how many segments start
+        // at or before it (`trail_lim` is monotone, checked above).
+        let mut level = 0usize;
         for (i, &lit) in self.trail.iter().enumerate() {
+            while level < self.trail_lim.len() && self.trail_lim[level] <= i {
+                level += 1;
+            }
             let v = lit.var().index();
             if pos[v].is_some() {
                 fail!("trail: variable {v} assigned twice");
@@ -290,8 +325,7 @@ impl Solver {
             if self.lit_value(lit) != LBool::True {
                 fail!("trail: literal {lit:?} on the trail is not true");
             }
-            let level = self.trail_lim.iter().filter(|&&lim| lim <= i).count() as u32;
-            if self.levels[v] != level {
+            if self.levels[v] as usize != level {
                 fail!(
                     "trail: var {v} at trail position {i} has level {}, segments say {level}",
                     self.levels[v]
@@ -326,7 +360,7 @@ impl Solver {
             let Some(reason) = self.reasons[v] else {
                 continue; // decision or assumption pseudo-decision
             };
-            if !headers.contains(&reason.offset()) {
+            if !headers.contains(reason.offset()) {
                 fail!(
                     "trail: reason of var {v} points at non-header offset {}",
                     reason.offset()

@@ -377,9 +377,9 @@ impl Solver {
             let pid = self.fresh_proof_id();
             self.map_proof(cdg_id, pid);
             // A tautology is stored body-less; its axiom line keeps the
-            // literals as given (harmless to a checker, and the axiom
-            // sequence must mirror `add_clause` order exactly for the
-            // formula hash to bind the certificate to this input).
+            // literals as given (harmless to a checker), so the axiom
+            // sequence mirrors `add_clause` order exactly: one line per
+            // clause added, as the audit's axiom count expects.
             let body: &[Lit] = if tautology { lits } else { &stored };
             self.proof.as_mut().expect("checked above").axiom(pid, body);
         }

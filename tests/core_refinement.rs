@@ -4,7 +4,7 @@
 //! paper's argument targets.
 
 use refined_bmc::bmc::{
-    BmcEngine, BmcOptions, Model, OrderingStrategy, PropertyVerdict, SolverReuse, Unroller,
+    BmcEngine, BmcOptions, BmcRun, Model, OrderingStrategy, PropertyVerdict, SolverReuse, Unroller,
     VarRank, Weighting,
 };
 use refined_bmc::gens::families;
@@ -31,6 +31,37 @@ fn cores_are_unsat_and_map_to_frames() {
             assert!(frame <= k, "frame {frame} beyond depth {k}");
             assert!(node.index() < model.netlist().num_nodes());
         }
+    }
+}
+
+/// Each run ranks from its own cores: a second run on the same engine makes
+/// the same decisions as the first, and as a new engine.
+#[test]
+fn a_second_run_on_one_engine_searches_like_a_new_engine() {
+    let options = BmcOptions {
+        max_depth: 12,
+        strategy: OrderingStrategy::RefinedStatic,
+        ..BmcOptions::default()
+    };
+    let counts = |run: &BmcRun| {
+        let stats = &run.solver_stats;
+        (stats.decisions, stats.conflicts, stats.propagations)
+    };
+    let mut fresh = BmcEngine::new(families::tmr_voter(3, 1), options);
+    let want = counts(&fresh.run_collecting());
+    let mut engine = BmcEngine::new(families::tmr_voter(3, 1), options);
+    for run_no in 1..=2 {
+        let run = engine.run_collecting();
+        assert!(matches!(
+            run.properties[0].verdict,
+            PropertyVerdict::OpenAt { depth: 12 }
+        ));
+        assert_eq!(counts(&run), want, "run {run_no}");
+        assert_eq!(
+            engine.rank().scores(),
+            fresh.rank().scores(),
+            "run {run_no}"
+        );
     }
 }
 

@@ -1,15 +1,16 @@
 //! Mutation and differential testing of UNSAT certificates.
 //!
 //! Real certificates — produced by the CDCL solver's proof log on randomly
-//! generated unsatisfiable formulas — must pass both independent checkers
-//! of `rbmc-proof`, and corrupted ones must not:
+//! generated unsatisfiable formulas — must pass two independent checkers,
+//! and corrupted ones must not:
 //!
-//! - the **backward** checker, [`CertificateBundle::check`], which verifies
-//!   the final clause's dependency cone of an owned bundle;
-//! - the **forward** checker, [`ProofRecorder::check_current`], which
-//!   verifies every line once as a session's episodes end. Mutations reach
-//!   it by replaying the corrupted bundle line by line into a fresh
-//!   recorder.
+//! - the **forward** checker of `rbmc-proof`,
+//!   [`ProofRecorder::check_current`], which verifies every line once as a
+//!   session's episodes end. Mutations reach it by replaying the corrupted
+//!   bundle line by line into a fresh recorder;
+//! - the **backward** reference checker of [`proof_reference`], which
+//!   verifies the final clause's dependency cone of a [`Bundle`]: a copy of
+//!   a recorder's [`steps`](ProofRecorder::steps) and final clause.
 //!
 //! Each corruption class the checkers claim to catch is exercised:
 //!
@@ -19,17 +20,13 @@
 //!   sequential) hint replay;
 //! - **reordered antecedents**: LRAT hints are checked in propagation
 //!   order, so a permutation that asks a not-yet-unit clause to propagate
-//!   is rejected;
-//! - **swapped formula hash**: a certificate is bound to the axiom sequence
-//!   it was produced from and cannot be replayed against another formula.
-//!   The recorder has no stored hash to compare; replayed, it computes the
-//!   true one, which differs from the swapped value.
+//!   is rejected.
 //!
 //! Not every mutation of a class is invalid — a flipped literal can weaken
 //! a clause that stays RUP, and reversing a symmetric two-hint chain can
 //! yield another valid propagation order. The flip sweep therefore asserts
 //! over all positions (*some* flip must be rejected, and the forward
-//! checker rejects every flip the backward one does), while the reorder
+//! checker rejects every flip the reference rejects), while the reorder
 //! sweep only applies mutations that are invalid by construction: citing a
 //! clause first when the negated target leaves two or more of its literals
 //! unfalsified, which can neither conflict nor propagate. Deterministic
@@ -39,13 +36,15 @@
 //! reductions check that both checkers accept every UNSAT episode, and that
 //! the forward checker verifies each derived line exactly once.
 //!
-//! [`ProofRecorder::check_current`]: rbmc_proof::ProofRecorder::check_current
+//! [`ProofRecorder::check_current`]: refined_bmc::proof::ProofRecorder::check_current
 
+mod proof_reference;
+
+use proof_reference::Bundle;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
-use rbmc_proof::ProofRecorder;
 use refined_bmc::cnf::Lit;
-use refined_bmc::proof::{CertificateBundle, CheckStats, ProofError, ProofStep};
+use refined_bmc::proof::{CheckStats, FinalClause, ProofError, ProofRecorder, ProofStep};
 use refined_bmc::solver::{SolveResult, Solver, SolverOptions};
 
 fn lit(n: i64) -> Lit {
@@ -54,7 +53,7 @@ fn lit(n: i64) -> Lit {
 
 /// Solves `clauses` (DIMACS-style literals) with its proof log started and
 /// returns the episode certificate if the formula is UNSAT.
-fn certify(num_vars: usize, clauses: &[Vec<i64>]) -> Option<CertificateBundle> {
+fn certify(num_vars: usize, clauses: &[Vec<i64>]) -> Option<Bundle> {
     let mut solver = Solver::with_options(SolverOptions::default());
     solver.start_proof();
     solver.reserve_vars(num_vars);
@@ -65,12 +64,12 @@ fn certify(num_vars: usize, clauses: &[Vec<i64>]) -> Option<CertificateBundle> {
     if solver.solve() != SolveResult::Unsat {
         return None;
     }
-    solver.proof().map(ProofRecorder::bundle)
+    solver.proof().map(Bundle::of)
 }
 
 /// Feeds a bundle's lines, then its final clause, into a fresh recorder:
 /// the certificate as the forward checker sees it during a session.
-fn replay(bundle: &CertificateBundle) -> ProofRecorder {
+fn replay(bundle: &Bundle) -> ProofRecorder {
     let mut rec = ProofRecorder::new();
     for step in &bundle.steps {
         match step {
@@ -84,12 +83,12 @@ fn replay(bundle: &CertificateBundle) -> ProofRecorder {
 }
 
 /// The forward checker's verdict on a bundle.
-fn check_forward(bundle: &CertificateBundle) -> Result<CheckStats, ProofError> {
+fn check_forward(bundle: &Bundle) -> Result<CheckStats, ProofError> {
     replay(bundle).check_current()
 }
 
 /// Both checkers must reject `corrupt`.
-fn rejected_by_both(corrupt: &CertificateBundle) -> bool {
+fn rejected_by_both(corrupt: &Bundle) -> bool {
     corrupt.check().is_err() && check_forward(corrupt).is_err()
 }
 
@@ -115,7 +114,7 @@ fn arb_clauses() -> impl Strategy<Value = (usize, Vec<Vec<i64>>)> {
 
 /// The ids the final clause's hints cite (the steps whose removal must be
 /// structurally fatal).
-fn cited_by_final(bundle: &CertificateBundle) -> Vec<u64> {
+fn cited_by_final(bundle: &Bundle) -> Vec<u64> {
     bundle.final_clause.hints.clone()
 }
 
@@ -139,21 +138,7 @@ proptest! {
             .filter(|s| matches!(s, ProofStep::Derived { .. }))
             .count();
         prop_assert_eq!(forward.steps_verified, derived + 1);
-        prop_assert_eq!(&rec.bundle(), &bundle);
-    }
-
-    #[test]
-    fn swapped_formula_hash_is_rejected(input in arb_clauses()) {
-        let (num_vars, clauses) = input;
-        let Some(mut bundle) = certify(num_vars, &clauses) else {
-            return Ok(());
-        };
-        bundle.formula_hash ^= 0x1;
-        prop_assert!(matches!(
-            bundle.check(),
-            Err(ProofError::FormulaHashMismatch { .. })
-        ));
-        prop_assert!(replay(&bundle).formula_hash() != bundle.formula_hash);
+        prop_assert_eq!(&Bundle::of(&rec), &bundle);
     }
 
     #[test]
@@ -164,9 +149,7 @@ proptest! {
         };
         // Every step the final clause cites is load-bearing: removing any
         // one of them must be rejected (structurally if the dangling id is
-        // caught, semantically otherwise). Dropping an *axiom* would also
-        // change the formula hash; keeping the stored hash means the
-        // mutation is caught either way — exactly the fail-closed contract.
+        // caught, semantically otherwise).
         for cited in cited_by_final(&bundle) {
             let mut corrupt = bundle.clone();
             corrupt.steps.retain(|s| s.id() != cited);
@@ -187,15 +170,15 @@ proptest! {
         // in turn; at least one flip must be rejected. (Not every single
         // flip is invalid — a weakened clause can still be RUP — but a
         // checker that accepts *every* flip checks nothing.) The forward
-        // checker verifies every line the backward one does, so it must
-        // reject whatever the backward one rejects.
+        // checker verifies every line the reference does, so it must
+        // reject whatever the reference rejects.
         let mut rejected = 0usize;
         let mut attempted = 0usize;
-        let mut judge = |corrupt: &CertificateBundle| -> Result<(), TestCaseError> {
+        let mut judge = |corrupt: &Bundle| -> Result<(), TestCaseError> {
             let backward = corrupt.check().is_err();
             prop_assert!(
                 !backward || check_forward(corrupt).is_err(),
-                "the forward checker accepts a flip the backward one rejects"
+                "the forward checker accepts a flip the reference rejects"
             );
             rejected += usize::from(backward);
             Ok(())
@@ -304,13 +287,7 @@ proptest! {
 #[test]
 fn flipping_one_specific_literal_is_rejected() {
     // a ∧ ¬a, final empty clause.
-    let bundle = CertificateBundle {
-        formula_hash: {
-            let mut rec = rbmc_proof::ProofRecorder::new();
-            rec.axiom(1, &[lit(1)]);
-            rec.axiom(2, &[lit(-1)]);
-            rec.formula_hash()
-        },
+    let bundle = Bundle {
         steps: vec![
             ProofStep::Axiom {
                 id: 1,
@@ -321,25 +298,18 @@ fn flipping_one_specific_literal_is_rejected() {
                 lits: vec![lit(-1)],
             },
         ],
-        final_clause: refined_bmc::proof::FinalClause {
+        final_clause: FinalClause {
             lits: Vec::new(),
             hints: vec![1, 2],
         },
     };
     bundle.check().expect("fixture is valid");
+    check_forward(&bundle).expect("fixture is valid");
     let mut corrupt = bundle;
     if let ProofStep::Axiom { lits, .. } = &mut corrupt.steps[1] {
         lits[0] = !lits[0];
     }
-    // The flip breaks the hash binding AND the replay; with the hash field
-    // updated to match the edited axioms, the replay rejection remains.
-    assert!(corrupt.check().is_err());
-    corrupt.formula_hash = {
-        let mut rec = rbmc_proof::ProofRecorder::new();
-        rec.axiom(1, &[lit(1)]);
-        rec.axiom(2, &[lit(1)]);
-        rec.formula_hash()
-    };
+    // a ∧ a: the second hint is satisfied, not conflicting.
     assert!(matches!(
         corrupt.check(),
         Err(ProofError::NoConflict { .. } | ProofError::SatisfiedHint { .. })
@@ -357,13 +327,13 @@ fn flipping_one_specific_literal_is_rejected() {
 fn one_specific_hint_reorder_is_rejected() {
     // a ∧ b ∧ (¬a ∨ ¬b ∨ c) ∧ ¬c: refuting needs a, b first, then the wide
     // clause (now unit on c), then ¬c conflicts.
-    let mut rec = rbmc_proof::ProofRecorder::new();
+    let mut rec = ProofRecorder::new();
     rec.axiom(1, &[lit(1)]);
     rec.axiom(2, &[lit(2)]);
     rec.axiom(3, &[lit(-1), lit(-2), lit(3)]);
     rec.axiom(4, &[lit(-3)]);
     rec.finalize(&[], &[1, 2, 3, 4]);
-    let good = rec.bundle();
+    let good = Bundle::of(&rec);
     good.check().expect("propagation order is valid");
     let mut corrupt = good;
     // Ask the wide clause to propagate first: it still has two unassigned
@@ -379,9 +349,9 @@ fn one_specific_hint_reorder_is_rejected() {
     );
 }
 
-/// The forward twin of the backward checker's
+/// The forward twin of the reference's
 /// `unmarked_garbage_is_structurally_checked_only`: a bogus derived line
-/// that no final clause depends on passes the backward checker, which only
+/// that no final clause depends on passes the reference, which only
 /// verifies the final clause's cone, but the forward checker verifies every
 /// line and rejects it.
 #[test]
@@ -391,8 +361,59 @@ fn garbage_outside_every_cone_is_rejected_forward() {
     rec.axiom(2, &[lit(-1)]);
     rec.derived(3, &[lit(2)], &[1]); // not RUP, and cited by nothing
     rec.finalize(&[], &[1, 2]);
-    assert!(rec.bundle().check().is_ok());
+    assert!(Bundle::of(&rec).check().is_ok());
     assert_eq!(rec.check_current(), Err(ProofError::NoConflict { step: 3 }));
+}
+
+/// The forward checker latches its first rejection, a bad line or a bad
+/// final clause, while the reference judges each episode on its own: a
+/// later final clause that the reference accepts stays rejected forward.
+#[test]
+fn a_latched_rejection_outlasts_a_valid_final_clause() {
+    let mut rec = ProofRecorder::new();
+    rec.axiom(1, &[lit(1), lit(2)]);
+    rec.axiom(2, &[lit(-1)]);
+    rec.derived(3, &[lit(3)], &[1]); // not unit: 1 and 2 are open
+    rec.finalize(&[lit(-1)], &[2]);
+    let first = rec.check_current().unwrap_err();
+    assert_eq!(first, ProofError::HintNotUnit { step: 3, hint: 1 });
+    rec.axiom(4, &[lit(-2)]);
+    rec.finalize(&[], &[2, 1, 4]);
+    assert!(Bundle::of(&rec).check().is_ok());
+    assert_eq!(rec.check_current(), Err(first));
+
+    let mut rec = ProofRecorder::new();
+    rec.axiom(1, &[lit(1)]);
+    rec.axiom(2, &[lit(-1)]);
+    rec.finalize(&[], &[2]);
+    let first = rec.check_current().unwrap_err();
+    assert_eq!(first, ProofError::NoConflict { step: 0 });
+    rec.finalize(&[], &[1, 2]);
+    assert!(Bundle::of(&rec).check().is_ok());
+    assert_eq!(rec.check_current(), Err(first));
+}
+
+/// A hintless final clause is RUP over the lines live at the end of the
+/// log: once the two lemmas it needs are deleted, both checkers reject it.
+#[test]
+fn deleted_lemmas_no_longer_support_a_hintless_final_clause() {
+    // x1 follows from the four clauses over x1..x3 below, but not by unit
+    // propagation alone: it needs the two derived lemmas.
+    let mut rec = ProofRecorder::new();
+    for (id, (b, c)) in [(2, 3), (2, -3), (-2, 3), (-2, -3)].into_iter().enumerate() {
+        rec.axiom(id as u64 + 1, &[lit(1), lit(b), lit(c)]);
+    }
+    rec.derived(5, &[lit(1), lit(2)], &[]);
+    rec.derived(6, &[lit(1), lit(-2)], &[]);
+    rec.finalize(&[lit(1)], &[]);
+    assert!(Bundle::of(&rec).check().is_ok());
+    assert!(rec.check_current().is_ok());
+    rec.delete(5);
+    rec.delete(6);
+    rec.finalize(&[lit(1)], &[]);
+    let rejected = Err(ProofError::NoConflict { step: 0 });
+    assert_eq!(Bundle::of(&rec).check(), rejected);
+    assert_eq!(rec.check_current(), rejected);
 }
 
 /// One incremental session: a base formula, then episodes that each add a
@@ -418,7 +439,7 @@ struct Tally {
 /// Runs `session` on one solver with a proof log and a reduction base of
 /// two learned clauses, so that deletions are frequent. After every UNSAT
 /// episode, both the forward checker (in place, on the live recorder) and
-/// the backward checker (on a bundle of the log so far) must accept.
+/// the reference (on a bundle of the log so far) must accept.
 fn certify_session(session: &Session) -> Tally {
     let mut solver = Solver::with_options(SolverOptions {
         reduce_base: 2,
@@ -447,10 +468,10 @@ fn certify_session(session: &Session) -> Tally {
             .check_current()
             .unwrap_or_else(|e| panic!("forward checker rejects episode: {e}"));
         tally.verified += stats.steps_verified;
-        let bundle = log.bundle();
+        let bundle = Bundle::of(log);
         bundle
             .check()
-            .unwrap_or_else(|e| panic!("backward checker rejects episode: {e}"));
+            .unwrap_or_else(|e| panic!("reference checker rejects episode: {e}"));
         let count = |f: fn(&ProofStep) -> bool| bundle.steps.iter().filter(|s| f(s)).count();
         tally.derived = count(|s| matches!(s, ProofStep::Derived { .. }));
         tally.deletions = count(|s| matches!(s, ProofStep::Delete { .. }));

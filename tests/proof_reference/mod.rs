@@ -1,133 +1,59 @@
-//! Backward RUP/LRAT certificate checking, the checker behind
-//! [`CertificateBundle::check`](crate::CertificateBundle::check). See the
-//! crate docs for the acceptance rules; this module is the enforcement.
+//! The reference checker the product's forward checker is tested against:
+//! backward RUP/LRAT checking of an owned copy of a proof log.
+//!
+//! It shares no code with `rbmc-proof`'s checker, only the log's types and
+//! its error vocabulary. Where the forward checker verifies every derived
+//! line as a session's episodes end, this one verifies one episode at a
+//! time, and only what its final clause depends on:
+//!
+//! 1. a structural pass: ids strictly increasing, every hint citing a line
+//!    declared earlier and not yet deleted, deletions naming live derived
+//!    lines;
+//! 2. backward marking from the final clause's hints;
+//! 3. strict LRAT (or, for a hintless line, full-database RUP in id order)
+//!    over the marked lines and the final clause. The rest get the
+//!    structural checks only.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::fmt;
 
-use rbmc_cnf::Lit;
+use refined_bmc::cnf::Lit;
+use refined_bmc::proof::{CheckStats, FinalClause, ProofError, ProofRecorder, ProofStep};
 
-use crate::{fnv_word, FinalClause, ProofStep, FNV_OFFSET, HASH_SEP};
-
-/// Why a certificate was rejected. Every variant names the offending line
-/// so a fail-closed gate can report something actionable.
+/// An owned UNSAT certificate: a log's lines up to one episode's final
+/// clause.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ProofError {
-    /// The log has no final clause: no episode ended UNSAT, so there is
-    /// nothing to certify.
-    NoFinal,
-    /// The recomputed axiom hash does not match the bundle's — the
-    /// certificate belongs to a different formula.
-    FormulaHashMismatch {
-        /// Hash stored in the bundle.
-        expected: u64,
-        /// Hash recomputed from the bundle's axiom lines.
-        actual: u64,
-    },
-    /// Proof line ids must be strictly increasing.
-    IdOrder {
-        /// The offending line id.
-        id: u64,
-    },
-    /// A hint cites a line that does not exist, is not yet declared, or was
-    /// deleted before the citing step.
-    UnknownHint {
-        /// The citing line (0 stands for the final clause).
-        step: u64,
-        /// The cited line.
-        hint: u64,
-    },
-    /// A deletion names a line that is not a live derived clause.
-    BadDelete {
-        /// The offending deletion target.
-        id: u64,
-    },
-    /// Strict LRAT: a hint clause was already satisfied under the
-    /// accumulated assignment — it cannot participate in the propagation.
-    SatisfiedHint {
-        /// The citing line (0 stands for the final clause).
-        step: u64,
-        /// The offending hint.
-        hint: u64,
-    },
-    /// Strict LRAT: a hint clause had two or more unassigned literals —
-    /// the hint order does not describe a unit propagation.
-    HintNotUnit {
-        /// The citing line (0 stands for the final clause).
-        step: u64,
-        /// The offending hint.
-        hint: u64,
-    },
-    /// The hint list ran out without reaching a conflict: the clause is not
-    /// RUP under its hints.
-    NoConflict {
-        /// The unjustified line (0 stands for the final clause).
-        step: u64,
-    },
+pub(crate) struct Bundle {
+    /// The proof lines, in emission order.
+    pub(crate) steps: Vec<ProofStep>,
+    /// The episode's final clause.
+    pub(crate) final_clause: FinalClause,
 }
 
-impl fmt::Display for ProofError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fn line(id: u64) -> String {
-            if id == 0 {
-                "the final clause".to_string()
-            } else {
-                format!("line {id}")
-            }
+impl Bundle {
+    /// Copies `rec`'s log and its most recent final clause.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no episode has ended UNSAT (there is nothing to certify).
+    pub(crate) fn of(rec: &ProofRecorder) -> Bundle {
+        Bundle {
+            steps: rec.steps().to_vec(),
+            final_clause: rec
+                .final_clause()
+                .cloned()
+                .expect("a bundle needs an UNSAT episode"),
         }
-        match self {
-            ProofError::NoFinal => write!(f, "no UNSAT episode to certify"),
-            ProofError::FormulaHashMismatch { expected, actual } => write!(
-                f,
-                "formula hash mismatch: bundle says {expected:#018x}, axioms hash to {actual:#018x}"
-            ),
-            ProofError::IdOrder { id } => {
-                write!(f, "proof line ids not strictly increasing at id {id}")
-            }
-            ProofError::UnknownHint { step, hint } => {
-                write!(f, "{} cites unknown or deleted line {hint}", line(*step))
-            }
-            ProofError::BadDelete { id } => {
-                write!(f, "deletion of {id}, which is not a live derived line")
-            }
-            ProofError::SatisfiedHint { step, hint } => {
-                write!(f, "{} cites satisfied clause {hint}", line(*step))
-            }
-            ProofError::HintNotUnit { step, hint } => {
-                write!(f, "{} cites non-unit clause {hint}", line(*step))
-            }
-            ProofError::NoConflict { step } => {
-                write!(
-                    f,
-                    "{} is not RUP: hints end without a conflict",
-                    line(*step)
-                )
-            }
-        }
+    }
+
+    /// Checks the certificate backward: structure, then strict LRAT over
+    /// the final clause's dependency cone.
+    pub(crate) fn check(&self) -> Result<CheckStats, ProofError> {
+        check_certificate(&self.steps, &self.final_clause)
     }
 }
 
-impl std::error::Error for ProofError {}
-
-/// What a successful check covered.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CheckStats {
-    /// Total proof lines in the log.
-    pub steps_total: usize,
-    /// Lines propagation-verified by this check, the final clause included.
-    /// For [`ProofRecorder::check_current`] these are the derived lines
-    /// logged since the previous call, so the counts of a session sum to
-    /// its derived lines plus one per call. For [`CertificateBundle::check`]
-    /// they are the derived lines in the final clause's backward dependency
-    /// cone; the rest get structural checks only.
-    ///
-    /// [`ProofRecorder::check_current`]: crate::ProofRecorder::check_current
-    /// [`CertificateBundle::check`]: crate::CertificateBundle::check
-    pub steps_verified: usize,
-}
-
 /// In the strict hint walk, processing one clause yields one of these.
-pub(crate) enum HintState {
+enum HintState {
     /// All literals false: the propagation reached its conflict.
     Conflict,
     /// Exactly one literal unassigned: propagate it.
@@ -240,33 +166,14 @@ fn verify_full_db(step: u64, clause: &[Lit], db: &Database<'_>) -> Result<(), Pr
     }
 }
 
-/// The whole acceptance procedure: hash binding (when `expected_hash` is
-/// given), structural coherence, backward marking from the final clause,
-/// and propagation verification of the marked cone.
-pub(crate) fn check_certificate(
-    expected_hash: Option<u64>,
+/// The whole acceptance procedure: structural coherence, backward marking
+/// from the final clause, and propagation verification of the marked cone.
+/// [`CheckStats::steps_verified`] counts the marked derived lines plus the
+/// final clause.
+fn check_certificate(
     steps: &[ProofStep],
     final_clause: &FinalClause,
 ) -> Result<CheckStats, ProofError> {
-    // --- hash binding ----------------------------------------------------
-    if let Some(expected) = expected_hash {
-        let mut hash = FNV_OFFSET;
-        for step in steps {
-            if let ProofStep::Axiom { lits, .. } = step {
-                for &lit in lits {
-                    hash = fnv_word(hash, lit.code() as u32);
-                }
-                hash = fnv_word(hash, HASH_SEP);
-            }
-        }
-        if hash != expected {
-            return Err(ProofError::FormulaHashMismatch {
-                expected,
-                actual: hash,
-            });
-        }
-    }
-
     // --- structural pass -------------------------------------------------
     // Ids strictly increasing; every hint of every step cites a line that
     // is declared earlier and still active (not deleted) at that point.
@@ -404,12 +311,12 @@ mod tests {
         // both units have propagated.
         let steps = vec![axiom(1, &[1]), axiom(2, &[2]), axiom(3, &[-1, -2, 3])];
         let good = fin(&[3], &[1, 2, 3]);
-        assert!(check_certificate(None, &steps, &good).is_ok());
+        assert!(check_certificate(&steps, &good).is_ok());
         // Cited first, the wide clause has two unassigned literals, and a
         // saturating checker would silently accept — strictness rejects.
         let bad = fin(&[3], &[3, 1, 2]);
         assert!(matches!(
-            check_certificate(None, &steps, &bad),
+            check_certificate(&steps, &bad),
             Err(ProofError::HintNotUnit { step: 0, hint: 3 })
         ));
     }
@@ -421,7 +328,7 @@ mod tests {
         // satisfied → strict rejection.
         let bad = fin(&[2], &[1, 3]);
         assert!(matches!(
-            check_certificate(None, &steps, &bad),
+            check_certificate(&steps, &bad),
             Err(ProofError::SatisfiedHint { .. })
         ));
     }
@@ -431,7 +338,7 @@ mod tests {
         let steps = vec![axiom(1, &[1]), derived(2, &[1], &[7])];
         let f = fin(&[], &[1]);
         assert!(matches!(
-            check_certificate(None, &steps, &f),
+            check_certificate(&steps, &f),
             Err(ProofError::UnknownHint { step: 2, hint: 7 })
         ));
     }
@@ -441,7 +348,7 @@ mod tests {
         let steps = vec![axiom(2, &[1]), axiom(2, &[-1])];
         let f = fin(&[], &[2]);
         assert!(matches!(
-            check_certificate(None, &steps, &f),
+            check_certificate(&steps, &f),
             Err(ProofError::IdOrder { id: 2 })
         ));
     }
@@ -451,7 +358,7 @@ mod tests {
         let steps = vec![axiom(1, &[1]), ProofStep::Delete { id: 1 }];
         let f = fin(&[], &[1]);
         assert!(matches!(
-            check_certificate(None, &steps, &f),
+            check_certificate(&steps, &f),
             Err(ProofError::BadDelete { id: 1 })
         ));
     }
@@ -466,7 +373,7 @@ mod tests {
             derived(3, &[2], &[1]), // not RUP, unmarked
         ];
         let f = fin(&[], &[1, 2]);
-        assert!(check_certificate(None, &steps, &f).is_ok());
+        assert!(check_certificate(&steps, &f).is_ok());
     }
 
     #[test]
@@ -474,12 +381,12 @@ mod tests {
         // ¬3 ∧ (3 ∨ ¬2) ∧ (2 ∨ ¬1) ⊢ ¬1 needs two propagations; in id order
         // the first sweep finds both, and the third clause conflicts.
         let steps = vec![axiom(1, &[-3]), axiom(2, &[3, -2]), axiom(3, &[2, -1])];
-        let stats = check_certificate(None, &steps, &fin(&[-1], &[])).unwrap();
+        let stats = check_certificate(&steps, &fin(&[-1], &[])).unwrap();
         assert_eq!(stats.steps_verified, 1);
         // Without the middle link ¬1 is not RUP.
         let steps = vec![axiom(1, &[-3]), axiom(3, &[2, -1])];
         assert!(matches!(
-            check_certificate(None, &steps, &fin(&[-1], &[])),
+            check_certificate(&steps, &fin(&[-1], &[])),
             Err(ProofError::NoConflict { step: 0 })
         ));
     }
@@ -491,12 +398,12 @@ mod tests {
         // Final [¬2] cites 3; 3 is hintless → full-DB RUP (propagates x
         // from 1, conflicts on 2)… and the final itself: assert 2; hint 3 =
         // [2] satisfied → strict rejection. Use a fuller final instead.
-        assert!(check_certificate(None, &steps, &f).is_err());
+        assert!(check_certificate(&steps, &f).is_err());
         let f = fin(&[], &[]);
         // Empty final with no hints: full-DB RUP over {x, ¬x∨y, y} — no
         // conflict (it is satisfiable), so rejected.
         assert!(matches!(
-            check_certificate(None, &steps, &f),
+            check_certificate(&steps, &f),
             Err(ProofError::NoConflict { step: 0 })
         ));
     }
