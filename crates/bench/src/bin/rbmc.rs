@@ -96,8 +96,8 @@
 //!   fail-closed CI shape, symmetric to the witness and invariant gates).
 //!   Under `--selfcheck`, the differential cross-runs inherit the proof
 //!   mode, so every cross-run is certified too.
-//! - `--smoke` (alias `--small`) shrinks the export to the small suite and
-//!   the default depth bound to 10 (CI mode).
+//! - `--smoke` shrinks the export to the small suite and the default depth
+//!   bound to 10 (CI mode).
 //! - `--witness-dir DIR` writes each property's status/witness block to
 //!   `DIR/{file name}.b{index}.wit` instead of stdout; the file name keeps
 //!   its extension, so `x.aag` and `x.aig` never share a witness file.
@@ -107,23 +107,23 @@
 //! The run is recorded as a machine-readable `BENCH_corpus.json` artifact
 //! (`--json-out PATH` elsewhere, `--no-json` not at all) with one case per
 //! (file, property), carrying the per-property session counters (episodes,
-//! assumption conflicts, retirement depth).
+//! assumption conflicts, retirement depth). An artifact the run was asked
+//! for (this one or `--lint-json`) that cannot be written exits 2 after the
+//! sweep, whatever the sweep found.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
 
-use rbmc_bench::{BenchCase, BenchReport};
+use rbmc_bench::{choice, number, path, BenchCase, BenchReport};
 use rbmc_circuit::aiger::parse_aiger;
 use rbmc_circuit::coi::registers_in_cone;
 use rbmc_circuit::lint::{lint_aig, lint_aiger, lint_aiger_bytes, LintCode, LintReport};
-use rbmc_circuit::preprocess::PreprocessReport;
 use rbmc_circuit::Aig;
 use rbmc_core::{
-    check_invariant, BmcEngine, BmcOptions, BmcRun, Ic3Engine, Model, OrderingStrategy,
-    ProblemBuilder, ProofMode, PropertyVerdict, SolveResult, SolverReuse, Trace, TraceLift,
-    VerificationProblem,
+    check_invariant, BmcEngine, BmcOptions, BmcRun, Ic3Engine, OrderingStrategy, ProblemBuilder,
+    ProofMode, PropertyVerdict, SolveResult, SolverReuse, Trace, VerificationProblem,
 };
 
 const USAGE: &str = "usage: rbmc [DIR] [--export-corpus DIR] [--depth N] [--engine bmc|ic3] \
@@ -222,7 +222,7 @@ impl Config {
         let mut rest = args.iter().map(String::as_str);
         while let Some(arg) = rest.next() {
             match arg {
-                "--smoke" | "--small" => smoke = true,
+                "--smoke" => smoke = true,
                 "--selfcheck" => selfcheck = true,
                 "--no-preprocess" => options.preprocess = false,
                 "--quiet-witnesses" => quiet_witnesses = true,
@@ -247,16 +247,11 @@ impl Config {
                     engine = choice(arg, rest.next(), &choices)?;
                 }
                 "--reuse" => {
-                    reuse = Some(match rest.next() {
-                        Some("fresh") => SolverReuse::Fresh,
-                        Some("session") => SolverReuse::Session,
-                        other => {
-                            return Err(format!(
-                                "error: --reuse requires `fresh` or `session`, got {:?}",
-                                other.unwrap_or("<missing>")
-                            ))
-                        }
-                    });
+                    let choices = [
+                        ("fresh", SolverReuse::Fresh),
+                        ("session", SolverReuse::Session),
+                    ];
+                    reuse = Some(choice(arg, rest.next(), &choices)?);
                 }
                 "--lint" => {
                     let choices = [("warn", LintMode::Warn), ("deny", LintMode::Deny)];
@@ -325,45 +320,8 @@ impl Config {
                 (None, true) => WitnessOutput::Quiet,
                 (None, false) => WitnessOutput::Print,
             },
-            json_out: match (json_out, no_json) {
-                (_, true) => None,
-                (path, false) => Some(path.unwrap_or_else(|| "BENCH_corpus.json".into())),
-            },
+            json_out: rbmc_bench::json_out(json_out, no_json, "corpus"),
         })
-    }
-}
-
-/// The value of a numeric flag. A following flag is not a value:
-/// `--jobs --no-json` is missing one, and `--depth 2O` cannot sweep at the
-/// default depth.
-fn number<T: std::str::FromStr>(flag: &str, value: Option<&str>) -> Result<T, String> {
-    let value = value.filter(|v| !v.starts_with("--"));
-    value.and_then(|v| v.parse().ok()).ok_or_else(|| {
-        format!(
-            "error: {flag} requires a non-negative integer, got {:?}",
-            value.unwrap_or("<missing>")
-        )
-    })
-}
-
-/// The value of a flag that takes one of a fixed set of names.
-fn choice<T: Copy>(flag: &str, value: Option<&str>, choices: &[(&str, T)]) -> Result<T, String> {
-    let found = choices.iter().find(|(name, _)| Some(*name) == value);
-    found.map(|&(_, choice)| choice).ok_or_else(|| {
-        let names: Vec<&str> = choices.iter().map(|&(name, _)| name).collect();
-        format!(
-            "error: {flag} requires {}, got `{}`",
-            names.join("|"),
-            value.unwrap_or("<missing>")
-        )
-    })
-}
-
-/// The value of a path flag; a following flag is not a path.
-fn path(flag: &str, value: Option<&str>, what: &str) -> Result<PathBuf, String> {
-    match value {
-        Some(v) if !v.starts_with("--") => Ok(PathBuf::from(v)),
-        _ => Err(format!("error: {flag} requires {what} argument")),
     }
 }
 
@@ -446,20 +404,18 @@ fn skip_file(
 ///
 /// `dontcare` (latch mask, input mask) marks positions outside every
 /// property's structural cone: they print as `x` in the AIGER witness
-/// convention. The trace itself — the one the soundness gates replayed —
+/// convention. The verdict's trace — the one the soundness gates replayed —
 /// carries concrete defaults at exactly those positions (declared reset for
 /// latches, `false` for inputs), so any reader resolving `x` to those
 /// defaults reproduces the validated replay.
 fn witness_text(
     prop_index: usize,
     verdict: &PropertyVerdict,
-    trace: Option<&Trace>,
     dontcare: Option<(&[bool], &[bool])>,
 ) -> String {
     let mut out = String::new();
     match verdict {
-        PropertyVerdict::Falsified { .. } => {
-            let trace = trace.expect("falsified verdict carries a trace");
+        PropertyVerdict::Falsified { trace, .. } => {
             out.push_str("1\n");
             out.push_str(&format!("b{prop_index}\n"));
             let bits = |v: &[bool], mask: Option<&[bool]>| -> String {
@@ -682,14 +638,6 @@ fn cross_check(
     mismatches
 }
 
-/// An engine's preprocessing view, owned (`None` with preprocessing off).
-fn preprocess_view(
-    report: Option<&PreprocessReport>,
-    lift: Option<&TraceLift>,
-) -> Option<(PreprocessReport, TraceLift)> {
-    Some((report?.clone(), lift?.clone()))
-}
-
 /// A checked file's buffered stdout block, its report cases, its lint
 /// report, and whether the check succeeded — output, cases and lint survive
 /// a failure, so the diagnostics printed for a failing file are no poorer
@@ -780,29 +728,26 @@ fn check_file(
     }
     let problem = builder.build();
     let wall = Instant::now();
-    // Besides the run, the engine hands back its preprocessing view of the
-    // file (shape report for the log line and BENCH extras, don't-care
-    // masks for witness `x` positions) and, for IC3, its working model —
-    // the coordinate system its invariant clauses live in, kept around for
-    // the invariant machine-check gate below.
-    let (run, pp, working): (BmcRun, Option<(PreprocessReport, TraceLift)>, Option<Model>) =
-        match config.engine {
-            EngineKind::Bmc => {
-                let mut engine = BmcEngine::for_problem(problem.clone(), *options);
-                let run = engine.run_collecting();
-                (
-                    run,
-                    preprocess_view(engine.preprocess_report(), engine.trace_lift()),
-                    None,
-                )
-            }
-            EngineKind::Ic3 => {
-                let mut engine = Ic3Engine::for_problem(problem.clone(), *options);
-                let run = engine.run_collecting();
-                let pp = preprocess_view(engine.preprocess_report(), engine.trace_lift());
-                (run, pp, Some(engine.working_model().clone()))
-            }
-        };
+    // The engine lives until the check ends. Besides the run, it lends the
+    // problem, its preprocessing view of the file (shape report for the log
+    // line and BENCH extras, don't-care masks for witness `x` positions)
+    // and, for IC3, its working model — the coordinate system its invariant
+    // clauses live in, for the invariant machine-check gate below.
+    let (mut bmc, mut ic3);
+    let (run, problem, report, lift, working) = match config.engine {
+        EngineKind::Bmc => {
+            bmc = BmcEngine::for_problem(problem, *options);
+            let run = bmc.run_collecting();
+            let (report, lift) = (bmc.preprocess_report(), bmc.trace_lift());
+            (run, bmc.problem(), report, lift, None)
+        }
+        EngineKind::Ic3 => {
+            ic3 = Ic3Engine::for_problem(problem, *options);
+            let run = ic3.run_collecting();
+            let (report, lift) = (ic3.preprocess_report(), ic3.trace_lift());
+            (run, ic3.problem(), report, lift, Some(ic3.working_model()))
+        }
+    };
     let wall = wall.elapsed();
 
     let _ = writeln!(
@@ -831,7 +776,7 @@ fn check_file(
             .map(rbmc_core::Property::bad)
             .collect::<Vec<_>>(),
     );
-    if let Some((report, _)) = &pp {
+    if let Some(report) = report {
         let _ = writeln!(
             out,
             "  cone: {cone_registers}/{} registers; encoded {} registers / {} gates \
@@ -914,26 +859,22 @@ fn check_file(
 
         // Witness soundness gate: netlist replay and AIG replay must both
         // accept every counterexample before it is emitted.
-        let trace = match &prop_report.verdict {
-            PropertyVerdict::Falsified { trace, .. } => {
-                trace
-                    .validate_against(problem.netlist(), problem.property(idx).bad())
-                    .map_err(|e| {
-                        format!(
-                            "{stem}::{}: witness fails netlist replay: {e}",
-                            prop_report.name
-                        )
-                    })?;
-                replay_on_aig(&aig, idx, trace).map_err(|e| {
+        if let PropertyVerdict::Falsified { trace, .. } = &prop_report.verdict {
+            trace
+                .validate_against(problem.netlist(), problem.property(idx).bad())
+                .map_err(|e| {
                     format!(
-                        "{stem}::{}: witness fails AIG replay: {e}",
+                        "{stem}::{}: witness fails netlist replay: {e}",
                         prop_report.name
                     )
                 })?;
-                Some(trace)
-            }
-            _ => None,
-        };
+            replay_on_aig(&aig, idx, trace).map_err(|e| {
+                format!(
+                    "{stem}::{}: witness fails AIG replay: {e}",
+                    prop_report.name
+                )
+            })?;
+        }
         // Proof soundness gate, symmetric to the witness gate: an IC3
         // invariant must pass the independent inductive check (init ⊆ inv,
         // inv ∧ T ⇒ inv', inv ⇒ ¬bad) against the engine's working model
@@ -943,7 +884,7 @@ fn check_file(
             invariant_clauses, ..
         } = &prop_report.verdict
         {
-            let (Some(working), Some(clauses)) = (working.as_ref(), invariant_clauses) else {
+            let (Some(working), Some(clauses)) = (working, invariant_clauses) else {
                 return Err(format!(
                     "{stem}::{}: proved verdict without an invariant to check",
                     prop_report.name
@@ -957,11 +898,10 @@ fn check_file(
                 )
             })?;
         }
-        let dontcare = pp
-            .as_ref()
-            .filter(|(_, lift)| !lift.is_identity())
-            .map(|(_, lift)| (lift.dontcare_latches(), lift.dontcare_inputs()));
-        let text = witness_text(idx, &prop_report.verdict, trace, dontcare);
+        let dontcare = lift
+            .filter(|lift| !lift.is_identity())
+            .map(|lift| (lift.dontcare_latches(), lift.dontcare_inputs()));
+        let text = witness_text(idx, &prop_report.verdict, dontcare);
         match &config.witnesses {
             WitnessOutput::Print => {
                 let _ = write!(out, "{text}");
@@ -1035,7 +975,7 @@ fn check_file(
             ("lint_warnings".into(), lint.num_warnings() as f64),
             ("lint_errors".into(), lint.num_errors() as f64),
         ];
-        if let Some((report, _)) = &pp {
+        if let Some(report) = report {
             extra.push(("registers_encoded".into(), report.after.latches as f64));
             extra.push(("gates_encoded".into(), report.after.gates as f64));
             extra.push(("swept_latches".into(), report.swept_latches as f64));
@@ -1087,7 +1027,7 @@ fn check_file(
         // A run carrying prover verdicts: the differential is against a BMC
         // oracle on the shared frontier prefix instead of the BMC-shaped
         // regime cross-checks below.
-        let mismatches = prover_cross_check(&stem, &problem, &run, options);
+        let mismatches = prover_cross_check(&stem, problem, &run, options);
         if !mismatches.is_empty() {
             return Err(format!(
                 "selfcheck found {} mismatch{}:\n  {}",
@@ -1113,7 +1053,7 @@ fn check_file(
         };
         let mut mismatches = cross_check(
             &stem,
-            &problem,
+            problem,
             &run,
             &BmcOptions {
                 reuse: other_reuse,
@@ -1127,7 +1067,7 @@ fn check_file(
         // property's bad signal, so a divergence is an engine bug.
         mismatches.extend(cross_check(
             &stem,
-            &problem,
+            problem,
             &run,
             &BmcOptions {
                 preprocess: !options.preprocess,
@@ -1325,22 +1265,15 @@ fn main() -> ExitCode {
         total.lint_errors,
         if total.lint_errors == 1 { "" } else { "s" },
     );
-    if let Some(path) = &config.json_out {
-        match rbmc_bench::report::write_json(path, &report) {
-            Ok(()) => eprintln!("wrote {}", path.display()),
-            Err(err) => eprintln!("failed to write {}: {err}", path.display()),
-        }
-    }
-    // `--lint-json`: the machine-readable lint artifact, built from the
-    // sweep's own findings. It exists even when the sweep fails.
-    if let Some(path) = &config.lint_json {
-        if let Err(e) = std::fs::write(path, rbmc_bench::report::lint_json(&lints)) {
-            eprintln!("error: cannot write lint artifact {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        eprintln!("wrote {}", path.display());
-    }
-    if failures > 0 {
+    // Both artifacts are written even when the sweep fails; the `--lint-json`
+    // one is built from the sweep's own findings.
+    let written = rbmc_bench::report::emit(config.json_out.as_deref(), || report.to_json());
+    let lint_written = rbmc_bench::report::emit(config.lint_json.as_deref(), || {
+        rbmc_bench::report::lint_json(&lints)
+    });
+    if !(written && lint_written) {
+        ExitCode::from(2)
+    } else if failures > 0 {
         ExitCode::from(1)
     } else {
         ExitCode::SUCCESS
@@ -1411,13 +1344,10 @@ mod tests {
     #[test]
     fn witness_text_prints_x_at_dontcare_positions_only() {
         let trace = Trace::from_parts(vec![false, true], vec![vec![true], vec![false]]);
-        let verdict = PropertyVerdict::Falsified {
-            depth: 1,
-            trace: trace.clone(),
-        };
-        let masked = witness_text(0, &verdict, Some(&trace), Some((&[false, true], &[true])));
+        let verdict = PropertyVerdict::Falsified { depth: 1, trace };
+        let masked = witness_text(0, &verdict, Some((&[false, true], &[true])));
         assert_eq!(masked, "1\nb0\n0x\nx\nx\n.\n");
-        let plain = witness_text(0, &verdict, Some(&trace), None);
+        let plain = witness_text(0, &verdict, None);
         assert_eq!(plain, "1\nb0\n01\n1\n0\n.\n");
     }
 
@@ -1427,7 +1357,7 @@ mod tests {
             depth: 3,
             invariant_clauses: Some(vec![vec![(0, false)]]),
         };
-        assert_eq!(witness_text(2, &verdict, None, None), "0\nb2\n.\n");
+        assert_eq!(witness_text(2, &verdict, None), "0\nb2\n.\n");
     }
 
     #[test]

@@ -1,20 +1,23 @@
-//! Shared harness code for the experiment binaries (`table1`, `fig6`,
-//! `fig7`, `overhead`, and the ablations) and the `rbmc` corpus runner.
+//! Shared harness code for the experiment binaries (`table1`, `overhead`
+//! and `ablations`) and the `rbmc` corpus runner: one way to run a suite
+//! instance ([`run_instance`]), one strict argument reader ([`number`],
+//! [`choice`], [`path`], [`json_out`]), and the file striping of `rbmc
+//! --jobs` ([`striped_map`]).
 //!
-//! Every experiment binary regenerates one table or figure of the paper; the
-//! README's *Reproducing the paper's tables and figures* section lists them,
-//! and PAPER.md (*§4 — experiments*) maps them to the paper.
+//! Every experiment binary runs each of its configurations once per
+//! instance and prints every view of the paper it reproduces from those
+//! runs; the README's *Reproducing the paper's tables and figures* section
+//! lists them, and PAPER.md (*§4 — experiments*) maps them to the paper.
 
 #![warn(missing_docs)]
 
 use std::panic::AssertUnwindSafe;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use rbmc_core::{
-    BmcEngine, BmcOptions, BmcRun, OrderingStrategy, PropertyVerdict, SolverReuse, Weighting,
-};
+use rbmc_core::{BmcEngine, BmcOptions, BmcRun, PropertyVerdict};
 use rbmc_gens::{BenchInstance, Expectation};
 
 pub mod report;
@@ -26,8 +29,6 @@ pub use report::{BenchCase, BenchReport};
 pub struct InstanceResult {
     /// Instance name.
     pub name: String,
-    /// `T`/`F` ground truth label.
-    pub verdict: &'static str,
     /// Strategy label (`bmc`, `sta`, `dyn`, `sht`).
     pub strategy: &'static str,
     /// Wall-clock time of the whole run.
@@ -46,45 +47,27 @@ pub struct InstanceResult {
     pub run: BmcRun,
 }
 
-/// Runs one benchmark instance under the given strategy in the paper's
-/// fresh-solver-per-depth regime and verifies the verdict against the
-/// instance's ground truth. The experiment binaries that regenerate the
-/// paper's tables and figures go through this entry point, so their numbers
-/// stay comparable with the paper; pass a reuse mode explicitly via
-/// [`run_instance_with`] to measure the incremental session instead.
+/// Runs one benchmark instance to its own depth bound under `options` (its
+/// `max_depth` is replaced by the instance's) and verifies the verdict
+/// against the instance's ground truth. Every experiment binary goes
+/// through this entry point. [`BmcOptions::default`] runs the incremental
+/// session, so an experiment names its `reuse` regime explicitly: the
+/// paper's tables and figures come from [`SolverReuse::Fresh`], a solver
+/// per depth.
+///
+/// [`SolverReuse::Fresh`]: rbmc_core::SolverReuse::Fresh
 ///
 /// # Panics
 ///
 /// Panics if the verdict contradicts the ground truth (the harness treats
 /// that as a correctness bug, not a data point).
-pub fn run_instance(
-    instance: &BenchInstance,
-    strategy: OrderingStrategy,
-    weighting: Weighting,
-) -> InstanceResult {
-    run_instance_with(instance, strategy, weighting, SolverReuse::Fresh)
-}
-
-/// [`run_instance`] with an explicit solver-reuse mode.
-///
-/// # Panics
-///
-/// Panics if the verdict contradicts the ground truth.
-pub fn run_instance_with(
-    instance: &BenchInstance,
-    strategy: OrderingStrategy,
-    weighting: Weighting,
-    reuse: SolverReuse,
-) -> InstanceResult {
+pub fn run_instance(instance: &BenchInstance, options: BmcOptions) -> InstanceResult {
     let start = Instant::now();
     let mut engine = BmcEngine::new(
         instance.model.clone(),
         BmcOptions {
             max_depth: instance.max_depth,
-            strategy,
-            weighting,
-            reuse,
-            ..BmcOptions::default()
+            ..options
         },
     );
     let run = engine.run_collecting();
@@ -94,14 +77,13 @@ pub fn run_instance_with(
         verdict_ok,
         "{} [{}]: verdict {} contradicts ground truth {:?}",
         instance.name,
-        strategy.label(),
+        options.strategy.label(),
         run.properties[0].verdict,
         instance.expectation
     );
     InstanceResult {
         name: instance.name.clone(),
-        verdict: instance.verdict_label(),
-        strategy: strategy.label(),
+        strategy: options.strategy.label(),
         time,
         decisions: run.total_decisions(),
         implications: run.total_implications(),
@@ -115,7 +97,7 @@ pub fn run_instance_with(
 /// Whether a run of `instance`'s single property reached its ground truth:
 /// a counterexample of the expected length that replays on the model, or
 /// the property still open at the instance's depth bound.
-pub fn verdict_matches(instance: &BenchInstance, run: &BmcRun) -> bool {
+fn verdict_matches(instance: &BenchInstance, run: &BmcRun) -> bool {
     match (&run.properties[0].verdict, instance.expectation) {
         (PropertyVerdict::Falsified { depth, trace }, Expectation::FailsAt(d)) => {
             *depth == d && trace.validate(&instance.model).is_ok()
@@ -125,68 +107,52 @@ pub fn verdict_matches(instance: &BenchInstance, run: &BmcRun) -> bool {
     }
 }
 
-/// Selects the suite a binary runs on: `--smoke` (or `--small`) picks the
-/// fast [`rbmc_gens::small_suite`], anything else the full 37-instance
-/// [`rbmc_gens::suite_table1`]. Smoke mode exists so CI can exercise the
-/// JSON-emitting binaries end-to-end in seconds.
-pub fn cli_suite(args: &[String]) -> Vec<BenchInstance> {
-    if args.iter().any(|a| a == "--smoke" || a == "--small") {
-        rbmc_gens::small_suite()
-    } else {
-        rbmc_gens::suite_table1()
+/// The value of a numeric flag. A following flag is not a value:
+/// `--jobs --no-json` is missing one, and `--depth 2O` cannot run at the
+/// default depth. Like the other argument readers, the error is the whole
+/// message the binary prints before it exits 2.
+pub fn number<T: std::str::FromStr>(flag: &str, value: Option<&str>) -> Result<T, String> {
+    let value = value.filter(|v| !v.starts_with("--"));
+    value.and_then(|v| v.parse().ok()).ok_or_else(|| {
+        format!(
+            "error: {flag} requires a non-negative integer, got {:?}",
+            value.unwrap_or("<missing>")
+        )
+    })
+}
+
+/// The value of a flag that takes one of a fixed set of names.
+pub fn choice<T: Copy>(
+    flag: &str,
+    value: Option<&str>,
+    choices: &[(&str, T)],
+) -> Result<T, String> {
+    let found = choices.iter().find(|(name, _)| Some(*name) == value);
+    found.map(|&(_, choice)| choice).ok_or_else(|| {
+        let names: Vec<&str> = choices.iter().map(|&(name, _)| name).collect();
+        format!(
+            "error: {flag} requires {}, got `{}`",
+            names.join("|"),
+            value.unwrap_or("<missing>")
+        )
+    })
+}
+
+/// The value of a path flag; a following flag is not a path.
+pub fn path(flag: &str, value: Option<&str>, what: &str) -> Result<PathBuf, String> {
+    match value {
+        Some(v) if !v.starts_with("--") => Ok(PathBuf::from(v)),
+        _ => Err(format!("error: {flag} requires {what} argument")),
     }
 }
 
-/// Parses `--reuse fresh|session` from a binary's arguments; `default` when
-/// the flag is absent. A malformed value aborts the binary (a typo silently
-/// measuring the wrong regime would poison the artifact).
-pub fn cli_reuse(args: &[String], default: SolverReuse) -> SolverReuse {
-    match args
-        .iter()
-        .position(|a| a == "--reuse")
-        .map(|i| args.get(i + 1).map(String::as_str))
-    {
-        None => default,
-        Some(Some("fresh")) => SolverReuse::Fresh,
-        Some(Some("session")) => SolverReuse::Session,
-        Some(other) => {
-            eprintln!(
-                "error: --reuse requires `fresh` or `session`, got {:?}",
-                other.unwrap_or("<missing>")
-            );
-            std::process::exit(2);
-        }
-    }
-}
-
-/// Parses `--divisor N` (the dynamic ordering's switch denominator) from a
-/// binary's arguments; the paper's 64 when the flag is absent. A malformed
-/// or missing value aborts the binary, as in [`cli_reuse`]: sweeping at the
-/// default instead would label the artifact with a divisor nobody asked for.
-pub fn cli_divisor(args: &[String]) -> u32 {
-    match args
-        .iter()
-        .position(|a| a == "--divisor")
-        .map(|i| args.get(i + 1).map(String::as_str))
-    {
-        None => 64,
-        Some(value) => value.and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-            eprintln!(
-                "error: --divisor requires a non-negative integer, got {:?}",
-                value.unwrap_or("<missing>")
-            );
-            std::process::exit(2);
-        }),
-    }
-}
-
-/// Exits with status 2 and a usage line when a binary that reads no
-/// arguments is given one: running anyway would print a table the
-/// arguments do not describe.
-pub fn cli_no_args(bin: &str) {
-    if std::env::args().nth(1).is_some() {
-        eprintln!("usage: {bin} (takes no arguments)");
-        std::process::exit(2);
+/// Where a binary writes its JSON artifact: nowhere under `--no-json`
+/// (whatever the order of the flags), else the `--json-out` path, else
+/// `BENCH_<name>.json` in the current directory.
+pub fn json_out(json_out: Option<PathBuf>, no_json: bool, name: &str) -> Option<PathBuf> {
+    match (json_out, no_json) {
+        (_, true) => None,
+        (path, false) => Some(path.unwrap_or_else(|| format!("BENCH_{name}.json").into())),
     }
 }
 

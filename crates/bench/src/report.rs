@@ -1,7 +1,7 @@
 //! Machine-readable benchmark artifacts (`BENCH_*.json`).
 //!
-//! Every experiment binary writes one JSON report per run via
-//! [`write_json`], so two runs can be diffed instead of compared by eye from
+//! Every experiment binary but `ablations` writes one JSON report per run
+//! via [`emit`], so two runs can be diffed instead of compared by eye from
 //! their stdout tables. Timed comparisons across commits belong to the
 //! benchmark under `benchmark/`; these artifacts record what one run did.
 //!
@@ -11,8 +11,7 @@
 //! (conflicts, decisions, propagations), plus free-form numeric extras.
 
 use std::fmt::Write as _;
-use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use crate::InstanceResult;
 
@@ -212,51 +211,25 @@ pub fn lint_json(entries: &[(String, rbmc_circuit::lint::LintReport)]) -> String
     out
 }
 
-/// Writes the report to `path`, creating parent directories as needed.
-pub fn write_json(path: &Path, report: &BenchReport) -> io::Result<()> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
-    std::fs::write(path, report.to_json())
-}
-
-/// Resolves where a binary should write its JSON artifact: `--json-out PATH`
-/// overrides, `--no-json` disables, otherwise `BENCH_<default_name>.json` in
-/// the current directory.
-///
-/// A `--json-out` with a missing value (end of args, or followed by another
-/// `--flag`) aborts the binary: silently writing to the default path would
-/// make a CI step looking for the requested artifact fail much later with no
-/// hint of the cause.
-pub fn json_out_path(args: &[String], default_name: &str) -> Option<PathBuf> {
-    let explicit = args
-        .iter()
-        .position(|a| a == "--json-out")
-        .map(|i| match args.get(i + 1) {
-            Some(path) if !path.starts_with("--") => PathBuf::from(path),
-            _ => {
-                eprintln!("error: --json-out requires a path argument");
-                std::process::exit(2);
-            }
-        });
-    if args.iter().any(|a| a == "--no-json") {
-        return None;
-    }
-    Some(explicit.unwrap_or_else(|| PathBuf::from(format!("BENCH_{default_name}.json"))))
-}
-
-/// Writes the report (if a path was selected) and prints where it went.
-/// Errors are reported to stderr but do not abort the experiment.
-pub fn emit(args: &[String], default_name: &str, report: &BenchReport) {
-    let Some(path) = json_out_path(args, default_name) else {
-        return;
+/// Writes an artifact the run was asked for (`path` is `None` when it was
+/// not), creating parent directories as needed, and says on stderr where it
+/// went or why it could not. Returns `false` only when a requested artifact
+/// could not be written: the binary then exits 2 after the rest of its run,
+/// so a CI step that reads the artifact fails where the cause is printed.
+pub fn emit(path: Option<&Path>, contents: impl FnOnce() -> String) -> bool {
+    let Some(path) = path else {
+        return true;
     };
-    match write_json(&path, report) {
-        Ok(()) => eprintln!("wrote {}", path.display()),
-        Err(err) => eprintln!("failed to write {}: {err}", path.display()),
+    let written = match path.parent() {
+        Some(parent) if !parent.as_os_str().is_empty() => std::fs::create_dir_all(parent),
+        _ => Ok(()),
     }
+    .and_then(|()| std::fs::write(path, contents()));
+    match &written {
+        Ok(()) => eprintln!("wrote {}", path.display()),
+        Err(err) => eprintln!("error: cannot write {}: {err}", path.display()),
+    }
+    written.is_ok()
 }
 
 #[cfg(test)]
@@ -309,23 +282,5 @@ mod tests {
         let opens = json.matches('{').count();
         let closes = json.matches('}').count();
         assert_eq!(opens, closes);
-    }
-
-    #[test]
-    fn json_out_path_flags() {
-        let args = |v: &[&str]| {
-            v.iter()
-                .map(std::string::ToString::to_string)
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(
-            json_out_path(&args(&[]), "table1"),
-            Some(PathBuf::from("BENCH_table1.json"))
-        );
-        assert_eq!(
-            json_out_path(&args(&["--json-out", "out/x.json"]), "table1"),
-            Some(PathBuf::from("out/x.json"))
-        );
-        assert_eq!(json_out_path(&args(&["--no-json"]), "table1"), None);
     }
 }

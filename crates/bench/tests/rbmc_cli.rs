@@ -2,8 +2,9 @@
 //! striping files across workers must not change a byte of the report, a
 //! flag the runner does not know, or one the chosen engine or strategy would
 //! ignore, must stop it before it sweeps anything, two files that differ
-//! only in their extension are reported apart, and the `--lint-json`
-//! artifact holds each file's own lint report.
+//! only in their extension are reported apart, the `--lint-json`
+//! artifact holds each file's own lint report, and an artifact that cannot
+//! be written fails the run after the sweep.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -266,4 +267,24 @@ fn lint_json_holds_each_files_own_lint_report() {
     assert!(expected[2].1.num_errors() > 0 && expected[3].1.num_errors() > 0);
     let written = std::fs::read_to_string(&artifact).expect("artifact written");
     assert_eq!(written, rbmc_bench::report::lint_json(&expected));
+}
+
+#[test]
+fn an_artifact_that_cannot_be_written_exits_2_after_the_sweep() {
+    let dir = smoke_corpus("artifact");
+    let file = Path::new(env!("CARGO_TARGET_TMPDIR")).join("rbmc_cli_artifact_file");
+    std::fs::write(&file, "").expect("write");
+    let artifact = file.join("x.json");
+    let artifact = artifact.to_str().expect("utf-8 path");
+    let dir = dir.to_str().expect("utf-8 path");
+    let json_out = Command::new(env!("CARGO_BIN_EXE_rbmc"))
+        .args([dir, "--smoke", "--quiet-witnesses", "--json-out", artifact])
+        .output()
+        .expect("rbmc runs");
+    let lint_json = rbmc(&[dir, "--smoke", "--quiet-witnesses", "--lint-json", artifact]);
+    for out in [json_out, lint_json] {
+        assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+        assert!(stdout(&out).contains("checked 16 files / 18 properties"));
+        assert!(stderr(&out).contains("cannot write"), "{}", stderr(&out));
+    }
 }

@@ -513,6 +513,14 @@ impl BmcEngine {
 
     /// Runs the loop of Fig. 5 over every property, collecting per-depth and
     /// per-property statistics.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run's variables do not fit the solver's range
+    /// ([`rbmc_cnf::Var::MAX_INDEX`]): the unrolling through
+    /// [`BmcOptions::max_depth`], plus in a session run its
+    /// `(max_depth + 1) · properties` activation literals. The message names
+    /// the bound.
     pub fn run_collecting(&mut self) -> BmcRun {
         let mut run = self.refine_order_bmc();
         // Peak varRank storage: the table never shrinks, so its post-run
@@ -545,7 +553,7 @@ impl BmcEngine {
         // never collide with the frame-stable model variables of any depth
         // the run will reach; each depth owns one consecutive block of
         // `num_props` of them.
-        let activation_base = unroller.num_vars_at(self.options.max_depth);
+        let activation_base = activation_base(&unroller, &self.options, num_props);
         let activation = |k: usize, p_idx: usize| {
             rbmc_cnf::Var::new(activation_base + k * num_props + p_idx).positive()
         };
@@ -780,6 +788,33 @@ impl BmcEngine {
         self.install_ranking(&mut solver, unroller, k);
         solver
     }
+}
+
+/// The first activation variable of a run over `num_props` properties: the
+/// size of the unrolling through [`BmcOptions::max_depth`]. Checked once per
+/// run, so that no bound can wrap activation literals onto model variables.
+///
+/// # Panics
+///
+/// Panics, naming the bound, if the unrolling — plus in a session run its
+/// `(max_depth + 1) · num_props` activation literals — does not fit
+/// [`rbmc_cnf::Var::MAX_INDEX`].
+fn activation_base(unroller: &Unroller<'_>, options: &BmcOptions, num_props: usize) -> usize {
+    let per_frame = unroller.num_vars_at(0);
+    let activations = match options.reuse {
+        SolverReuse::Session => num_props,
+        SolverReuse::Fresh => 0,
+    };
+    let frames = options.max_depth.checked_add(1);
+    let total = frames.and_then(|f| f.checked_mul(per_frame + activations));
+    assert!(
+        total.is_some_and(|total| total <= rbmc_cnf::Var::MAX_INDEX + 1),
+        "depth bound {} does not fit the solver's {} variables: each depth needs \
+         {per_frame} for the model and {activations} for activation literals",
+        options.max_depth,
+        rbmc_cnf::Var::MAX_INDEX + 1,
+    );
+    unroller.num_vars_at(options.max_depth)
 }
 
 /// The solver configuration [`BmcOptions`] dictate: `order_mode` and
@@ -1175,6 +1210,23 @@ mod tests {
             run.property("reach_2").unwrap().verdict,
             PropertyVerdict::Falsified { depth: 2, .. }
         ));
+    }
+
+    /// Unchecked, `usize::MAX` wraps the unrolling's size to 0 in release
+    /// builds: the activation literal of depth 1 would be the latch of frame
+    /// 0, which the reset pins to 0, and the toggle's depth-1 counterexample
+    /// would go missing.
+    #[test]
+    #[should_panic(expected = "depth bound 18446744073709551615 does not fit")]
+    fn a_depth_bound_beyond_the_variable_range_panics_naming_it() {
+        let mut n = Netlist::new();
+        let toggle = n.add_latch("toggle", LatchInit::Zero);
+        n.set_next(toggle, !toggle);
+        let options = BmcOptions {
+            max_depth: usize::MAX,
+            ..BmcOptions::default()
+        };
+        BmcEngine::new(Model::new("toggle", n, toggle), options).run_collecting();
     }
 
     #[test]

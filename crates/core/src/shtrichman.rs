@@ -7,7 +7,7 @@
 //! paper positions its refinement as sorting along the *register* axis
 //! instead. We implement the time-axis ordering as a ranking over the same
 //! frame-stable variables, so the two philosophies can be compared head to
-//! head (the `ablation_axis` bench).
+//! head (the register- vs time-axis section of the `ablations` bench).
 
 use crate::Unroller;
 
