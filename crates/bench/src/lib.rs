@@ -41,8 +41,6 @@ pub struct InstanceResult {
     pub conflicts: u64,
     /// Deepest completed depth.
     pub completed_depth: usize,
-    /// Whether the verdict matched the instance's ground truth.
-    pub verdict_ok: bool,
     /// The full run (per-depth statistics).
     pub run: BmcRun,
 }
@@ -72,9 +70,8 @@ pub fn run_instance(instance: &BenchInstance, options: BmcOptions) -> InstanceRe
     );
     let run = engine.run_collecting();
     let time = start.elapsed();
-    let verdict_ok = verdict_matches(instance, &run);
     assert!(
-        verdict_ok,
+        verdict_matches(instance, &run),
         "{} [{}]: verdict {} contradicts ground truth {:?}",
         instance.name,
         options.strategy.label(),
@@ -89,7 +86,6 @@ pub fn run_instance(instance: &BenchInstance, options: BmcOptions) -> InstanceRe
         implications: run.total_implications(),
         conflicts: run.total_conflicts(),
         completed_depth: run.max_completed_depth().unwrap_or(0),
-        verdict_ok,
         run,
     }
 }

@@ -312,12 +312,34 @@ impl Aig {
     /// XOR and MUX expand to their AND/OR decompositions). Outputs and latch
     /// connectivity are carried over.
     ///
+    /// The node list and the structural-hash table are sized once, for as
+    /// many ANDs as the lowering can create, and one fanin buffer serves
+    /// every gate.
+    ///
     /// # Panics
     ///
     /// Panics if the netlist fails validation.
     pub fn from_netlist(netlist: &Netlist) -> NetlistToAig {
         netlist.validate().expect("netlist must be well-formed");
         let mut aig = Aig::new();
+        // An n-ary And/Or lowers to at most n − 1 ANDs, an n-ary Xor to
+        // 3(n − 1) (three per `xor2`), a Mux to 3; folding and hashing only
+        // ever make fewer.
+        let (mut leaves, mut ands) = (0, 0);
+        for id in netlist.node_ids() {
+            match netlist.node(id) {
+                Node::Input | Node::Latch { .. } => leaves += 1,
+                Node::Gate { op, fanins } => {
+                    ands += match op {
+                        GateOp::And | GateOp::Or => fanins.len() - 1,
+                        GateOp::Xor => 3 * (fanins.len() - 1),
+                        GateOp::Mux => 3,
+                    }
+                }
+                Node::Const => {}
+            }
+        }
+        aig.reserve(leaves + ands, ands);
         let mut map: Vec<AigLit> = vec![AigLit::FALSE; netlist.num_nodes()];
         // Inputs and latches first (stable order).
         for id in netlist.node_ids() {
@@ -335,9 +357,11 @@ impl Aig {
                 lit
             }
         };
+        let mut lits: Vec<AigLit> = Vec::new();
         for id in netlist.topo_order() {
             if let Node::Gate { op, fanins } = netlist.node(id) {
-                let lits: Vec<AigLit> = fanins.iter().map(|&s| read(&map, s)).collect();
+                lits.clear();
+                lits.extend(fanins.iter().map(|&s| read(&map, s)));
                 let result = match op {
                     GateOp::And => balanced_tree(&mut aig, &lits, Aig::and2),
                     GateOp::Or => balanced_tree(&mut aig, &lits, Aig::or2),

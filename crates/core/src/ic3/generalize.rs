@@ -48,9 +48,10 @@ pub(crate) fn excludes_init(cube: &Cube, inits: &[LatchInit]) -> bool {
 ///   docs);
 /// - if the shrunken cube no longer excludes the initial states, one
 ///   initial-state-conflicting literal of the original cube is added back
-///   (one always exists: the original cube came from a reachability query
-///   whose frame excluded `I`, so it conflicts `I` on at least one
-///   `Zero`/`One` latch).
+///   (one always exists: every state of an obligation at level `j ≥ 1`
+///   reaches `bad` in `k − j` steps and no counterexample is shorter than
+///   `k`, so the cube excludes `I`, that is, it conflicts `I` on at least
+///   one `Zero`/`One` latch).
 ///
 /// The result is sorted by latch position (the cube invariant).
 pub(crate) fn generalize_from_core(

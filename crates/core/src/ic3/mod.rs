@@ -6,7 +6,10 @@
 //! overapproximation of the states reachable in that many steps, as sets of
 //! blocked cubes. Bad states found in the frontier are pushed back as
 //! *obligations* and refuted by **relative induction** queries
-//! `F_{j-1} ∧ ¬s ∧ T ∧ s'`; each UNSAT answer is generalized from the
+//! `F_{j-1} ∧ ¬s ∧ T ∧ s'`; each SAT answer's state (a bad state, or a
+//! predecessor of `s`) is first lifted by ternary simulation to the latches
+//! the answer needs (`lift.rs`), so an obligation covers a set of states,
+//! not one; each UNSAT answer is generalized from the
 //! query's failed-assumption core and blocked as a clause; when some frame
 //! equals its successor the clauses at and above it form an inductive
 //! invariant and the property is [`Proved`](PropertyVerdict::Proved) —
@@ -54,6 +57,7 @@
 mod frames;
 mod generalize;
 mod invariant;
+mod lift;
 
 pub use invariant::{check_invariant, InvariantClause, InvariantError};
 
@@ -77,6 +81,7 @@ use crate::{Model, ProofSummary, Trace, TraceLift, Unroller, VarRank, Verificati
 use frames::{Cube, Frames};
 use generalize::generalize_from_core;
 use invariant::invariant_clauses_from;
+use lift::Lifter;
 
 /// The IC3 engine: unbounded proofs with extracted inductive invariants,
 /// shortest counterexamples otherwise. Configured by the same
@@ -191,8 +196,9 @@ impl Ic3Engine {
         let mut reports: Vec<PropertyReport> = Vec::new();
         let mut per_depth: Vec<DepthStats> = Vec::new();
         let mut proof = ProofSummary::default();
+        let mut lifter = Lifter::new(working.netlist());
         for (name, bad) in props {
-            let mut runner = PropRunner::new(working, bad, &self.options, &mut proof);
+            let mut runner = PropRunner::new(working, bad, &self.options, &mut proof, &mut lifter);
             let (report, frontier_stats) = runner.run(name);
             aggregate.accumulate(runner.solver.stats());
             // Runners run one after another, and each holds all its frames'
@@ -308,6 +314,8 @@ struct PropRunner<'a> {
     bad: Signal,
     latches: Vec<NodeId>,
     inits: Vec<LatchInit>,
+    /// Next-state signal per latch position: a predecessor's lifting targets.
+    nexts: Vec<Signal>,
     /// node index → latch position (for mapping failed assumptions back).
     latch_pos: Vec<Option<usize>>,
     num_nodes: usize,
@@ -333,6 +341,8 @@ struct PropRunner<'a> {
     /// The run's proof summary, which books each UNSAT query the session
     /// solver's log certifies under [`ProofMode::Check`](crate::ProofMode).
     proof: &'a mut ProofSummary,
+    /// The run's lifting tables, which shrink every obligation cube.
+    lifter: &'a mut Lifter,
     /// Solver clauses added by set-up (transition relation and `I`); every
     /// later one is a lemma, a query's `¬s`, or a selector unit.
     #[cfg(feature = "debug-invariants")]
@@ -345,16 +355,19 @@ impl<'a> PropRunner<'a> {
         bad: Signal,
         options: &'a BmcOptions,
         proof: &'a mut ProofSummary,
+        lifter: &'a mut Lifter,
     ) -> PropRunner<'a> {
         let unroller = Unroller::new(model);
         let num_nodes = model.netlist().num_nodes();
         let latches = model.netlist().latches();
         let mut latch_pos = vec![None; num_nodes];
         let mut inits = Vec::with_capacity(latches.len());
+        let mut nexts = Vec::with_capacity(latches.len());
         for (pos, &id) in latches.iter().enumerate() {
             latch_pos[id.index()] = Some(pos);
-            if let Node::Latch { init, .. } = model.netlist().node(id) {
+            if let Node::Latch { init, next } = model.netlist().node(id) {
                 inits.push(init);
+                nexts.push(next.expect("a built problem connects every latch"));
             }
         }
         // Same solver configuration as BMC's strategy mapping, except the
@@ -374,6 +387,7 @@ impl<'a> PropRunner<'a> {
             bad,
             latches,
             inits,
+            nexts,
             latch_pos,
             num_nodes,
             ordered: options.strategy.needs_cores(),
@@ -389,6 +403,7 @@ impl<'a> PropRunner<'a> {
             assumption_conflicts: 0,
             frontier_core_positions: Vec::new(),
             proof,
+            lifter,
             #[cfg(feature = "debug-invariants")]
             setup_clauses: 0,
         };
@@ -512,6 +527,25 @@ impl<'a> PropRunner<'a> {
             .collect()
     }
 
+    /// The obligation cube of the solver's satisfying assignment:
+    /// [`cube_from_model`](Self::cube_from_model), lifted by ternary
+    /// simulation under the assignment's frame-0 inputs to the latches that
+    /// keep each target signal at its paired value.
+    fn lifted_cube(&mut self, targets: &[(Signal, bool)]) -> Cube {
+        let full = self.cube_from_model();
+        let frame0 = &self.solver.model().expect("model after SAT")[..self.num_nodes];
+        let netlist = self.model.netlist();
+        let cube = self
+            .lifter
+            .lift(netlist, &self.latches, frame0, full, targets);
+        // `debug-invariants` builds: the event-driven lift against a
+        // full ternary re-evaluation with the dropped latches at X.
+        #[cfg(feature = "debug-invariants")]
+        lift::check_lift(netlist, &self.latches, frame0, &cube, targets)
+            .expect("a lifted cube reaches its targets");
+        cube
+    }
+
     /// The latch positions cited by the last UNSAT core (failed primed
     /// assumption literals mapped back to unprimed latches). Empty when the
     /// refutation closed at decision level 0.
@@ -579,6 +613,14 @@ impl<'a> PropRunner<'a> {
                 // earlier frontiers passed).
                 return BlockResult::Cex;
             }
+            // Every state of `s` reaches `bad` in `k - j` steps, and no
+            // counterexample is shorter than `k`: so `s` excludes `I`, which
+            // generalization's init repair relies on.
+            #[cfg(feature = "debug-invariants")]
+            assert!(
+                generalize::excludes_init(&s, &self.inits),
+                "the level-{j} obligation {s:?} meets the initial states"
+            );
             if self.frames.is_blocked(&s, j) {
                 continue;
             }
@@ -606,7 +648,13 @@ impl<'a> PropRunner<'a> {
                     self.add_blocked(j, cube);
                 }
                 SolveResult::Sat => {
-                    let predecessor = self.cube_from_model();
+                    // Lifted to the states that step into `s` under the
+                    // answer's inputs.
+                    let targets: Vec<(Signal, bool)> = s
+                        .iter()
+                        .map(|&(pos, value)| (self.nexts[pos], value))
+                        .collect();
+                    let predecessor = self.lifted_cube(&targets);
                     self.seq += 1;
                     queue.push(Reverse((j - 1, self.seq, predecessor)));
                     self.seq += 1;
@@ -751,7 +799,7 @@ impl<'a> PropRunner<'a> {
                                 None => Some(PropOutcome::ResourceOut),
                             };
                         } else {
-                            let s = self.cube_from_model();
+                            let s = self.lifted_cube(&[(self.bad, true)]);
                             match self.block_state(s, k) {
                                 BlockResult::Blocked => continue,
                                 BlockResult::Cex => {

@@ -48,14 +48,14 @@ const BMC_SESSION: &CountTable = &[
 const IC3: &CountTable = &[
     ("s1_lock4", [103, 577, 3, 23]),
     ("s2_lock3_imp", [43, 229, 2, 12]),
-    ("s3_ring5", [649, 2798, 22, 97]),
-    ("s4_ring4_bug2", [336, 1234, 8, 50]),
+    ("s3_ring5", [535, 2561, 21, 87]),
+    ("s4_ring4_bug2", [151, 592, 4, 25]),
     ("s5_shift5", [119, 248, 0, 25]),
-    ("s6_twin4", [714, 2099, 28, 104]),
+    ("s6_twin4", [656, 1902, 28, 104]),
     ("s7_fifo4_over", [329, 1446, 24, 49]),
     ("s8_fifo4_guard", [186, 1051, 23, 32]),
-    ("s9_tmr2_f1", [279, 887, 8, 32]),
-    ("s10_pipe4", [131, 256, 0, 25]),
+    ("s9_tmr2_f1", [269, 887, 7, 32]),
+    ("s10_pipe4", [122, 236, 0, 24]),
 ];
 
 /// BMC, one session solver per instance, on the problem read back from the
