@@ -5,10 +5,12 @@
 //! identical nodes, which keeps unrolled BMC formulas small. The AIGER
 //! reader/writer ([`crate::aiger`]) works on this form.
 
-use std::collections::hash_map::Entry;
+use std::collections::hash_map::{Entry, RandomState};
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasher, Hasher};
 use std::ops::Not;
+use std::sync::OnceLock;
 
 use crate::{GateOp, LatchInit, Netlist, Node, Signal};
 
@@ -106,7 +108,8 @@ pub(crate) enum AigNodeKind {
 #[derive(Clone, Debug, Default)]
 pub struct Aig {
     nodes: Vec<AigNodeKind>,
-    strash: HashMap<(AigLit, AigLit), usize>,
+    /// AND node by its operand codes, the smaller one in the high half.
+    strash: HashMap<u64, usize, StrashHash>,
     inputs: Vec<usize>,
     latches: Vec<usize>,
     outputs: Vec<(String, AigLit)>,
@@ -165,12 +168,12 @@ impl Aig {
             return a;
         }
         // Normalize operand order for hashing; one hash per lookup.
-        let key = if a.code() <= b.code() { (a, b) } else { (b, a) };
-        let id = match self.strash.entry(key) {
+        let (a, b) = if a.0 <= b.0 { (a, b) } else { (b, a) };
+        let id = match self.strash.entry(u64::from(a.0) << 32 | u64::from(b.0)) {
             Entry::Occupied(known) => *known.get(),
             Entry::Vacant(slot) => {
                 let id = self.nodes.len();
-                self.nodes.push(AigNodeKind::And(key.0, key.1));
+                self.nodes.push(AigNodeKind::And(a, b));
                 *slot.insert(id)
             }
         };
@@ -298,6 +301,59 @@ impl Aig {
     }
 }
 
+/// The strash table's hashing: multiply-shift over the packed operand
+/// codes. A parsed file chooses every key, so the multiplier is drawn at
+/// random, once per process, from [`RandomState`]. The high half of the
+/// 128-bit product, which every key bit reaches, is folded onto the low
+/// half the table indexes by.
+#[derive(Clone, Copy, Debug)]
+struct StrashHash {
+    multiplier: u64,
+}
+
+impl Default for StrashHash {
+    fn default() -> StrashHash {
+        static MULTIPLIER: OnceLock<u64> = OnceLock::new();
+        StrashHash {
+            multiplier: *MULTIPLIER.get_or_init(|| RandomState::new().hash_one(0u64) | 1),
+        }
+    }
+}
+
+impl BuildHasher for StrashHash {
+    type Hasher = StrashHasher;
+
+    fn build_hasher(&self) -> StrashHasher {
+        StrashHasher {
+            multiplier: self.multiplier,
+            hash: 0,
+        }
+    }
+}
+
+/// The hasher of one strash key (a single `u64`).
+struct StrashHasher {
+    multiplier: u64,
+    hash: u64,
+}
+
+impl Hasher for StrashHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(self.hash << 8 | u64::from(byte));
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        let product = u128::from(key) * u128::from(self.multiplier);
+        self.hash = product as u64 ^ (product >> 64) as u64;
+    }
+
+    fn finish(&self) -> u64 {
+        self.hash
+    }
+}
+
 /// The result of lowering a [`Netlist`] to an [`Aig`].
 #[derive(Debug, Clone)]
 pub struct NetlistToAig {
@@ -314,13 +370,15 @@ impl Aig {
     ///
     /// The node list and the structural-hash table are sized once, for as
     /// many ANDs as the lowering can create, and one fanin buffer serves
-    /// every gate.
+    /// every gate. Validation and the gate order share one search.
     ///
     /// # Panics
     ///
     /// Panics if the netlist fails validation.
     pub fn from_netlist(netlist: &Netlist) -> NetlistToAig {
-        netlist.validate().expect("netlist must be well-formed");
+        let order = netlist
+            .validated_order()
+            .expect("netlist must be well-formed");
         let mut aig = Aig::new();
         // An n-ary And/Or lowers to at most n − 1 ANDs, an n-ary Xor to
         // 3(n − 1) (three per `xor2`), a Mux to 3; folding and hashing only
@@ -358,7 +416,7 @@ impl Aig {
             }
         };
         let mut lits: Vec<AigLit> = Vec::new();
-        for id in netlist.topo_order() {
+        for id in order {
             if let Node::Gate { op, fanins } = netlist.node(id) {
                 lits.clear();
                 lits.extend(fanins.iter().map(|&s| read(&map, s)));

@@ -12,7 +12,6 @@
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
-use std::io::Write as _;
 
 use crate::{Aig, AigLit, LatchInit};
 
@@ -289,30 +288,46 @@ fn writer_numbering(aig: &Aig) -> (Vec<usize>, Vec<usize>) {
     (var_of, and_nodes)
 }
 
-/// Both encodings, into one buffer. They differ only in the magic, in the
-/// ASCII encoding's input lines and latch literals, and in how AND gates
-/// are written.
+/// Both encodings, into one buffer sized once. They differ only in the
+/// magic, in the ASCII encoding's input lines and latch literals, and in how
+/// AND gates are written. Numbers are formatted by hand.
 fn write_aiger(aig: &Aig, binary: bool) -> Vec<u8> {
     let (var_of, and_nodes) = writer_numbering(aig);
     let lit_of = |lit: AigLit| -> usize { var_of[lit.node()] * 2 + lit.is_inverted() as usize };
     let (inputs, latches, ands) = (aig.inputs().len(), aig.latches().len(), and_nodes.len());
-
-    // Writing into a `Vec<u8>` cannot fail.
-    let mut out: Vec<u8> = Vec::new();
-    let magic = if binary { "aig" } else { "aag" };
     let m = inputs + latches + ands;
-    let _ = write!(
-        out,
-        "{magic} {m} {inputs} {latches} {} {ands}",
-        aig.outputs().len()
+    let properties = aig.outputs().len() + aig.bads().len();
+
+    // Every number but a symbol's index is at most `2m + 1` and takes at
+    // most `width` bytes with its separator; a binary AND takes two deltas
+    // of at most 5 bytes each, and a symbol line its name and 3 bytes more
+    // than its index.
+    let digits = |n: usize| n.checked_ilog10().unwrap_or(0) as usize + 1;
+    let width = digits(2 * m + 1) + 1;
+    let names: usize = (aig.outputs().iter().chain(aig.bads()))
+        .map(|(name, _)| name.len() + digits(properties) + 3)
+        .sum();
+    let and_bytes = if binary { 10 } else { 3 * width };
+    let input_lines = if binary { 0 } else { inputs };
+    let capacity =
+        4 + (6 + input_lines + 3 * latches + properties) * width + ands * and_bytes + names;
+    let mut out: Vec<u8> = Vec::with_capacity(capacity);
+    out.extend_from_slice(if binary { b"aig " } else { b"aag " });
+    let counts = [
+        m,
+        inputs,
+        latches,
+        aig.outputs().len(),
+        ands,
+        aig.bads().len(),
+    ];
+    push_line(
+        &mut out,
+        &counts[..if aig.bads().is_empty() { 5 } else { 6 }],
     );
-    if !aig.bads().is_empty() {
-        let _ = write!(out, " {}", aig.bads().len());
-    }
-    out.push(b'\n');
     if !binary {
         for &id in aig.inputs() {
-            let _ = writeln!(out, "{}", var_of[id] * 2);
+            push_line(&mut out, &[var_of[id] * 2]);
         }
     }
     for &id in aig.latches() {
@@ -323,17 +338,14 @@ fn write_aiger(aig: &Aig, binary: bool) -> Vec<u8> {
             LatchInit::One => 1,
             LatchInit::Free => own,
         };
-        if !binary {
-            let _ = write!(out, "{own} ");
-        }
-        let _ = write!(out, "{}", lit_of(next));
-        if reset != 0 {
-            let _ = write!(out, " {reset}");
-        }
-        out.push(b'\n');
+        let line = [own, lit_of(next), reset];
+        push_line(
+            &mut out,
+            &line[usize::from(binary)..if reset != 0 { 3 } else { 2 }],
+        );
     }
     for (_, lit) in aig.outputs().iter().chain(aig.bads()) {
-        let _ = writeln!(out, "{}", lit_of(*lit));
+        push_line(&mut out, &[lit_of(*lit)]);
     }
     for &node in &and_nodes {
         let (a, b) = aig.and_fanins(node).expect("node is an AND");
@@ -348,19 +360,49 @@ fn write_aiger(aig: &Aig, binary: bool) -> Vec<u8> {
             push_delta(&mut out, lhs - r0);
             push_delta(&mut out, r0 - r1);
         } else {
-            let _ = writeln!(out, "{lhs} {r0} {r1}");
+            push_line(&mut out, &[lhs, r0, r1]);
         }
     }
     // The symbol table names every output and bad-state property, default
     // `o<i>`/`b<i>` names included, so re-serialization is
     // position-independent and byte-stable.
-    for (i, (name, _)) in aig.outputs().iter().enumerate() {
-        let _ = writeln!(out, "o{i} {name}");
+    let symbols = (aig.outputs().iter().enumerate().map(|entry| (b'o', entry)))
+        .chain(aig.bads().iter().enumerate().map(|entry| (b'b', entry)));
+    for (kind, (i, (name, _))) in symbols {
+        out.push(kind);
+        push_num(&mut out, i);
+        out.push(b' ');
+        out.extend_from_slice(name.as_bytes());
+        out.push(b'\n');
     }
-    for (i, (name, _)) in aig.bads().iter().enumerate() {
-        let _ = writeln!(out, "b{i} {name}");
-    }
+    debug_assert!(out.len() <= capacity, "the buffer was sized once");
     out
+}
+
+/// Appends `nums` in decimal, separated by spaces, and a newline.
+fn push_line(out: &mut Vec<u8>, nums: &[usize]) {
+    for (i, &n) in nums.iter().enumerate() {
+        if i > 0 {
+            out.push(b' ');
+        }
+        push_num(out, n);
+    }
+    out.push(b'\n');
+}
+
+/// Appends `n` in decimal.
+fn push_num(out: &mut Vec<u8>, mut n: usize) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[at..]);
 }
 
 /// Writes an [`Aig`] as an ASCII AIGER (`aag`) string, including a symbol

@@ -320,15 +320,15 @@ impl Netlist {
             names: String::with_capacity(name_bytes),
             outputs: Vec::new(),
         };
-        netlist.push_named(Record::CONST, "false");
+        netlist.push_named(Record::CONST, |names| names.push_str("false"));
         netlist
     }
 
-    /// Appends a node with a name, formatted straight into the name buffer.
-    fn push_named(&mut self, kind: u32, name: impl fmt::Display) -> NodeId {
+    /// Appends a node whose name `name` writes onto the name buffer.
+    fn push_named(&mut self, kind: u32, name: impl FnOnce(&mut String)) -> NodeId {
         let id = NodeId::new(self.records.len());
         let start = self.names.len();
-        write!(self.names, "{name}").expect("writing to a String cannot fail");
+        name(&mut self.names);
         self.records
             .push(Record::new(kind, start, self.names.len() - start));
         id
@@ -336,26 +336,30 @@ impl Netlist {
 
     /// Adds a primary input and returns its signal.
     pub fn add_input(&mut self, name: &str) -> Signal {
-        self.push_named(Record::INPUT, name).signal()
+        self.push_named(Record::INPUT, |names| names.push_str(name))
+            .signal()
     }
 
     /// [`Netlist::add_input`] with a name formatted straight into the name
     /// buffer, so a generated name (`format_args!("i{n}")`) needs no
     /// `String` of its own.
     pub(crate) fn add_input_fmt(&mut self, name: fmt::Arguments<'_>) -> Signal {
-        self.push_named(Record::INPUT, name).signal()
+        self.push_named(Record::INPUT, |names| write_name(names, name))
+            .signal()
     }
 
     /// Adds a latch (register) with the given initial value; connect its
     /// next-state function later with [`Netlist::set_next`].
     pub fn add_latch(&mut self, name: &str, init: LatchInit) -> Signal {
-        self.push_named(Record::LATCH + init as u32, name).signal()
+        self.push_named(Record::LATCH + init as u32, |names| names.push_str(name))
+            .signal()
     }
 
     /// [`Netlist::add_latch`] with a name formatted as
     /// [`Netlist::add_input_fmt`] formats it.
     pub(crate) fn add_latch_fmt(&mut self, name: fmt::Arguments<'_>, init: LatchInit) -> Signal {
-        self.push_named(Record::LATCH + init as u32, name).signal()
+        self.push_named(Record::LATCH + init as u32, |names| write_name(names, name))
+            .signal()
     }
 
     /// Connects the next-state function of `latch`.
@@ -638,6 +642,19 @@ impl Netlist {
     ///
     /// Returns the first [`NetlistError`] found.
     pub fn validate(&self) -> Result<(), NetlistError> {
+        self.check_structure()?;
+        self.search(|_| {})
+            .map_err(NetlistError::CombinationalCycle)
+    }
+
+    /// [`Netlist::validate`] and [`Netlist::topo_order`] from one search.
+    pub(crate) fn validated_order(&self) -> Result<Vec<NodeId>, NetlistError> {
+        self.check_structure()?;
+        self.order().map_err(NetlistError::CombinationalCycle)
+    }
+
+    /// Every latch connected and every gate arity valid.
+    fn check_structure(&self) -> Result<(), NetlistError> {
         for id in self.node_ids() {
             match self.node(id) {
                 Node::Latch { next: None, .. } => {
@@ -653,44 +670,6 @@ impl Netlist {
                     }
                 }
                 _ => {}
-            }
-        }
-        // Cycle check over combinational edges (gate -> fanin).
-        const WHITE: u8 = 0;
-        const GRAY: u8 = 1;
-        const BLACK: u8 = 2;
-        let mut color = vec![WHITE; self.num_nodes()];
-        // Iterative DFS with an explicit stack of (node, fanin position),
-        // emptied by every search and reused by the next.
-        let mut stack: Vec<(NodeId, usize)> = Vec::new();
-        for start in self.node_ids() {
-            if color[start.index()] != WHITE {
-                continue;
-            }
-            stack.push((start, 0));
-            color[start.index()] = GRAY;
-            while let Some(&mut (id, ref mut pos)) = stack.last_mut() {
-                let fanins = self.gate_fanins(id);
-                if *pos < fanins.len() {
-                    let child = fanins[*pos].node();
-                    *pos += 1;
-                    match color[child.index()] {
-                        WHITE => {
-                            // Only gates propagate combinational paths.
-                            if self.records[child.index()].is_gate() {
-                                color[child.index()] = GRAY;
-                                stack.push((child, 0));
-                            } else {
-                                color[child.index()] = BLACK;
-                            }
-                        }
-                        GRAY => return Err(NetlistError::CombinationalCycle(child)),
-                        _ => {}
-                    }
-                } else {
-                    color[id.index()] = BLACK;
-                    stack.pop();
-                }
             }
         }
         Ok(())
@@ -711,7 +690,21 @@ impl Netlist {
     /// Panics if the netlist has combinational cycles (call
     /// [`Netlist::validate`] first).
     pub fn topo_order(&self) -> Vec<NodeId> {
+        self.order()
+            .unwrap_or_else(|node| panic!("combinational cycle through {node:?}"))
+    }
+
+    /// The topological order, or the gate a cycle runs through.
+    fn order(&self) -> Result<Vec<NodeId>, NodeId> {
         let mut order = Vec::with_capacity(self.num_nodes());
+        self.search(|id| order.push(id)).map(|()| order)
+    }
+
+    /// The depth-first search over combinational edges (gate → fanin)
+    /// behind [`Netlist::validate`] and [`Netlist::topo_order`]: `visit`
+    /// sees every node after its fanins. Stops at the first gate it finds
+    /// on a cycle.
+    fn search(&self, mut visit: impl FnMut(NodeId)) -> Result<(), NodeId> {
         // One DFS stack of (node, fanin position), emptied by every search
         // and reused by the next.
         let mut stack: Vec<(NodeId, usize)> = Vec::new();
@@ -727,26 +720,35 @@ impl Netlist {
                 if *pos < fanins.len() {
                     let child = fanins[*pos].node();
                     *pos += 1;
-                    if state[child.index()] == 0 {
-                        if self.records[child.index()].is_gate() {
+                    match state[child.index()] {
+                        // Only gates propagate combinational paths.
+                        0 if self.records[child.index()].is_gate() => {
                             state[child.index()] = 1;
                             stack.push((child, 0));
-                        } else {
-                            state[child.index()] = 2;
-                            order.push(child);
                         }
-                    } else {
-                        assert_ne!(state[child.index()], 1, "combinational cycle");
+                        0 => {
+                            state[child.index()] = 2;
+                            visit(child);
+                        }
+                        1 => return Err(child),
+                        _ => {}
                     }
                 } else {
                     state[id.index()] = 2;
-                    order.push(id);
+                    visit(id);
                     stack.pop();
                 }
             }
         }
-        order
+        Ok(())
     }
+}
+
+/// Formats a generated name onto the name buffer.
+fn write_name(names: &mut String, name: fmt::Arguments<'_>) {
+    names
+        .write_fmt(name)
+        .expect("writing to a String cannot fail");
 }
 
 #[cfg(test)]

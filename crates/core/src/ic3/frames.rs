@@ -10,7 +10,8 @@
 //! blocked *where*, which is what the convergence check, the push phase, and
 //! the invariant extraction read, together with the solver ID of each
 //! cube's clause, so the engine can remove every clause a newer one
-//! supersedes.
+//! supersedes. An index from latches to the cubes holding them gives each
+//! query the lemmas its decision domain must include.
 
 /// A conjunction of register literals: `(latch position, value)` pairs,
 /// sorted by position, at most one literal per latch.
@@ -34,20 +35,56 @@ pub(crate) fn cube_subsumes(a: &Cube, b: &Cube) -> bool {
     true
 }
 
-/// Blocked cubes per frame level, each next to the solver ID of its clause.
-/// `levels[j]` holds the cubes blocked at exactly level `j` (i.e. whose
-/// clause is part of `F_1..=F_j` but not `F_{j+1}`); level 0 is `I` and
+/// A blocked cube: its level and the solver ID of its clause.
+#[derive(Debug)]
+struct Lemma {
+    cube: Cube,
+    level: usize,
+    clause: usize,
+}
+
+/// Blocked cubes per frame level, each next to the solver ID of its clause,
+/// and indexed by the latches they hold. A cube blocked at exactly level `j`
+/// has its clause in `F_1..=F_j` but not `F_{j+1}`; level 0 is `I` and
 /// never stores cubes.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct Frames {
-    levels: Vec<Vec<(Cube, usize)>>,
+    /// Every stored lemma by slot; a dropped lemma's slot is `None` until
+    /// the next lemma takes it.
+    lemmas: Vec<Option<Lemma>>,
+    /// The free slots, taken before `lemmas` grows.
+    free: Vec<usize>,
+    /// `levels[j]`: the slots of the lemmas at exactly level `j`, in the
+    /// order the push phase visits them.
+    levels: Vec<Vec<usize>>,
+    /// `occurrences[pos]`: the slots of the lemmas whose cube holds latch
+    /// `pos`.
+    occurrences: Vec<Vec<usize>>,
+    /// [`Frames::connect`]'s marks: `latch_mark[pos] == epoch` and
+    /// `lemma_mark[slot] == epoch` for what the current search reached.
+    latch_mark: Vec<u32>,
+    lemma_mark: Vec<u32>,
+    epoch: u32,
 }
 
 impl Frames {
-    pub(crate) fn new() -> Frames {
+    /// Empty frames over `num_latches` latch positions.
+    pub(crate) fn new(num_latches: usize) -> Frames {
         Frames {
+            lemmas: Vec::new(),
+            free: Vec::new(),
             levels: vec![Vec::new()],
+            occurrences: vec![Vec::new(); num_latches],
+            latch_mark: vec![0; num_latches],
+            lemma_mark: Vec::new(),
+            epoch: 0,
         }
+    }
+
+    fn lemma(&self, slot: usize) -> &Lemma {
+        self.lemmas[slot]
+            .as_ref()
+            .expect("indexed slots hold lemmas")
     }
 
     /// Grows the level vector through `level`.
@@ -59,16 +96,15 @@ impl Frames {
 
     /// The cubes blocked at exactly `level`.
     pub(crate) fn cubes_at(&self, level: usize) -> impl ExactSizeIterator<Item = &Cube> {
-        self.levels[level].iter().map(|(cube, _)| cube)
+        self.levels[level]
+            .iter()
+            .map(|&slot| &self.lemma(slot).cube)
     }
 
     /// Whether `cube` (or a generalization of it) is already blocked at
     /// `level` — some stored cube at level `≥ level` subsumes it.
     pub(crate) fn is_blocked(&self, cube: &Cube, level: usize) -> bool {
-        self.levels[level..]
-            .iter()
-            .flatten()
-            .any(|(c, _)| cube_subsumes(c, cube))
+        self.cubes_from(level).any(|c| cube_subsumes(c, cube))
     }
 
     /// Records `cube`, whose clause has solver ID `clause`, as blocked at
@@ -80,17 +116,47 @@ impl Frames {
     pub(crate) fn add(&mut self, level: usize, cube: Cube, clause: usize) -> Vec<usize> {
         self.ensure_level(level);
         let mut dropped = Vec::new();
+        let lemmas = &self.lemmas;
         for stored in &mut self.levels[1..=level] {
-            stored.retain(|(c, id)| {
-                let subsumed = cube_subsumes(&cube, c);
+            stored.retain(|&slot| {
+                let subsumed = cube_subsumes(&cube, &lemmas[slot].as_ref().expect("stored").cube);
                 if subsumed {
-                    dropped.push(*id);
+                    dropped.push(slot);
                 }
                 !subsumed
             });
         }
-        self.levels[level].push((cube, clause));
+        let dropped = dropped.into_iter().map(|slot| self.release(slot)).collect();
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.lemmas.push(None);
+            self.lemma_mark.push(0);
+            self.lemmas.len() - 1
+        });
+        for &(pos, _) in &cube {
+            self.occurrences[pos].push(slot);
+        }
+        self.levels[level].push(slot);
+        self.lemmas[slot] = Some(Lemma {
+            cube,
+            level,
+            clause,
+        });
         dropped
+    }
+
+    /// Frees the slot of a lemma already taken off its level, unindexes it,
+    /// and returns its clause ID.
+    fn release(&mut self, slot: usize) -> usize {
+        let lemma = self.lemmas[slot]
+            .take()
+            .expect("released slots hold lemmas");
+        for &(pos, _) in &lemma.cube {
+            let list = &mut self.occurrences[pos];
+            let at = list.iter().position(|&s| s == slot).expect("indexed");
+            list.swap_remove(at);
+        }
+        self.free.push(slot);
+        lemma.clause
     }
 
     /// Moves `cube` from `level` to `level + 1`, where its clause has solver
@@ -104,28 +170,68 @@ impl Frames {
         cube: &Cube,
         clause: usize,
     ) -> Option<Vec<usize>> {
-        let stored = &mut self.levels[level];
-        let pos = stored.iter().position(|(c, _)| c == cube)?;
-        let (cube, copy) = stored.swap_remove(pos);
-        let mut superseded = vec![copy];
-        superseded.extend(self.add(level + 1, cube, clause));
+        let at = self.levels[level]
+            .iter()
+            .position(|&slot| self.lemma(slot).cube == *cube)?;
+        let slot = self.levels[level].swap_remove(at);
+        let mut superseded = vec![self.release(slot)];
+        superseded.extend(self.add(level + 1, cube.clone(), clause));
         Some(superseded)
     }
 
-    /// The union of cubes at every level `≥ level` — the clause set of
-    /// `F_level`, which the invariant extractor negates.
-    pub(crate) fn cubes_from(&self, level: usize) -> Vec<Cube> {
+    /// The cubes at every level `≥ level` — the clause set of `F_level`,
+    /// which the invariant extractor negates.
+    pub(crate) fn cubes_from(&self, level: usize) -> impl Iterator<Item = &Cube> {
         self.levels[level..]
             .iter()
             .flatten()
-            .map(|(cube, _)| cube.clone())
-            .collect()
+            .map(|&slot| &self.lemma(slot).cube)
+    }
+
+    /// Extends `latches` (positions) with the latches of every lemma at
+    /// level `≥ level` that shares a latch with them, directly or through
+    /// other such lemmas: the lemmas of `F_level` a query over `latches`
+    /// can see. Only the lemmas on the way are visited, through the
+    /// latch index.
+    pub(crate) fn connect(&mut self, latches: &mut Vec<usize>, level: usize) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.latch_mark.fill(0);
+            self.lemma_mark.fill(0);
+            self.epoch = 1;
+        }
+        let epoch = self.epoch;
+        for &pos in latches.iter() {
+            self.latch_mark[pos] = epoch;
+        }
+        let mut next = 0;
+        while let Some(&pos) = latches.get(next) {
+            next += 1;
+            for &slot in &self.occurrences[pos] {
+                let lemma = self.lemmas[slot]
+                    .as_ref()
+                    .expect("indexed slots hold lemmas");
+                if lemma.level < level || self.lemma_mark[slot] == epoch {
+                    continue;
+                }
+                self.lemma_mark[slot] = epoch;
+                for &(other, _) in &lemma.cube {
+                    if self.latch_mark[other] != epoch {
+                        self.latch_mark[other] = epoch;
+                        latches.push(other);
+                    }
+                }
+            }
+        }
     }
 
     /// The solver IDs of every stored cube's clause.
     #[cfg(any(test, feature = "debug-invariants"))]
     pub(crate) fn clause_ids(&self) -> impl Iterator<Item = usize> + '_ {
-        self.levels.iter().flatten().map(|&(_, id)| id)
+        self.levels
+            .iter()
+            .flatten()
+            .map(|&slot| self.lemma(slot).clause)
     }
 }
 
@@ -149,7 +255,7 @@ mod tests {
 
     #[test]
     fn add_drops_subsumed_cubes_at_lower_levels() {
-        let mut frames = Frames::new();
+        let mut frames = Frames::new(5);
         assert!(frames.add(2, vec![(0, true), (1, false)], 10).is_empty());
         assert!(frames
             .add(1, vec![(0, true), (1, false), (2, true)], 11)
@@ -168,7 +274,7 @@ mod tests {
 
     #[test]
     fn is_blocked_looks_at_this_level_and_above() {
-        let mut frames = Frames::new();
+        let mut frames = Frames::new(5);
         frames.add(2, vec![(1, true)], 0);
         let state: Cube = vec![(0, false), (1, true)];
         assert!(frames.is_blocked(&state, 1));
@@ -179,7 +285,7 @@ mod tests {
 
     #[test]
     fn push_up_moves_a_cube_one_level() {
-        let mut frames = Frames::new();
+        let mut frames = Frames::new(5);
         let cube: Cube = vec![(0, true)];
         frames.add(1, cube.clone(), 5);
         // A weaker cube at the target level, which the pushed one subsumes.
@@ -191,6 +297,37 @@ mod tests {
         assert_eq!(frames.clause_ids().collect::<Vec<_>>(), [7]);
         // Already moved: a second push finds nothing at the old level.
         assert_eq!(frames.push_up(1, &cube, 8), None);
-        assert_eq!(frames.cubes_from(2), vec![cube]);
+        assert_eq!(frames.cubes_from(2).collect::<Vec<_>>(), [&cube]);
+    }
+
+    #[test]
+    fn connect_follows_shared_latches_through_active_lemmas() {
+        let mut frames = Frames::new(6);
+        // Level 2: {0, 1} and {1, 2}; level 1: {2, 3}; level 3: {4}.
+        frames.add(2, vec![(0, true), (1, false)], 0);
+        frames.add(2, vec![(1, true), (2, true)], 1);
+        frames.add(1, vec![(2, false), (3, true)], 2);
+        frames.add(3, vec![(4, true)], 3);
+        let reach = |frames: &mut Frames, seeds: &[usize], level: usize| {
+            let mut latches = seeds.to_vec();
+            frames.connect(&mut latches, level);
+            latches.sort_unstable();
+            latches
+        };
+        // From latch 0 at level 2: {0, 1}, then through latch 1 to {1, 2};
+        // {2, 3} is below level 2.
+        assert_eq!(reach(&mut frames, &[0], 2), [0, 1, 2]);
+        assert_eq!(reach(&mut frames, &[0], 1), [0, 1, 2, 3]);
+        assert_eq!(reach(&mut frames, &[0], 3), [0]);
+        assert_eq!(reach(&mut frames, &[5], 1), [5]);
+        // A dropped lemma leaves the index: {1} subsumes both cubes that
+        // held latch 1.
+        assert_eq!(frames.add(2, vec![(1, true)], 4), [1]);
+        assert_eq!(frames.add(2, vec![(1, false)], 5), [0]);
+        assert_eq!(reach(&mut frames, &[0], 1), [0]);
+        assert_eq!(reach(&mut frames, &[3], 1), [2, 3]);
+        // A pushed lemma is indexed at its new level.
+        frames.push_up(1, &vec![(2, false), (3, true)], 6);
+        assert_eq!(reach(&mut frames, &[3], 2), [2, 3]);
     }
 }

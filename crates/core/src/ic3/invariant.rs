@@ -35,9 +35,11 @@ pub type InvariantClause = Vec<(usize, bool)>;
 
 /// Negates blocked cubes into invariant clauses: cube `⋀ (latch_i = b_i)`
 /// becomes clause `⋁ (latch_i = ¬b_i)`.
-pub(crate) fn invariant_clauses_from(cubes: &[Cube]) -> Vec<InvariantClause> {
+pub(crate) fn invariant_clauses_from<'c>(
+    cubes: impl IntoIterator<Item = &'c Cube>,
+) -> Vec<InvariantClause> {
     cubes
-        .iter()
+        .into_iter()
         .map(|cube| cube.iter().map(|&(pos, value)| (pos, !value)).collect())
         .collect()
 }

@@ -9,14 +9,15 @@
 //! latch of the cube it steps into. So every state of a lifted cube reaches
 //! what the full one reached, under the same inputs.
 //!
-//! A lift marks the targets' fan-in cone and starts from the answer's own
-//! values there, which are one two-valued evaluation of the cone (0 and 1;
-//! the third value, X, is "either"). It then tries the cube's latches in
-//! position order: a candidate is set to X and the X is pushed forward
-//! through the [fanout table](Lifter), each changed value logged. If a target
-//! turns X, the log is rolled back and the latch stays in the cube;
-//! otherwise it stays X and leaves the cube. A latch outside the cone leaves
-//! at no cost. Ternary simulation is monotone — an X fanin only ever turns a
+//! The query marks the targets' fan-in cone before it is asked, for its
+//! solver domain ([`Lifter::mark_cone`]). A lift of its SAT answer starts
+//! from the answer's own values in that cone, which are one two-valued
+//! evaluation of the cone (0 and 1; the third value, X, is "either"). It
+//! then tries the cube's latches in position order: a candidate is set to X
+//! and the X is pushed forward through the [fanout table](Lifter), each
+//! changed value logged. If a target turns X, the log is rolled back and the
+//! latch stays in the cube; otherwise it stays X and leaves the cube. A latch
+//! outside the cone leaves at no cost. Ternary simulation is monotone — an X fanin only ever turns a
 //! determined value into X — so each node changes at most once per
 //! candidate, and a worklist in any order reaches the same values as a
 //! topological re-evaluation.
@@ -105,8 +106,9 @@ fn eval_gate(op: GateOp, fanins: &[Signal], values: &[Ternary]) -> Ternary {
 
 /// The lifting tables of one working netlist, built once per IC3 run and
 /// lent to every property's runner: a flat (CSR) fanout table, one value per
-/// node, and the buffers a lift reuses. The netlist itself is passed to each
-/// call, so the tables borrow nothing.
+/// node, the marks of the current query's cone, and the buffers a lift
+/// reuses. The netlist itself is passed to each call, so the tables borrow
+/// nothing.
 #[derive(Debug)]
 pub(crate) struct Lifter {
     /// The gates reading node `n` are
@@ -115,14 +117,14 @@ pub(crate) struct Lifter {
     fanouts: Vec<NodeId>,
     /// Node values under the current lift; meaningful in its cone only.
     values: Vec<Ternary>,
-    /// `cone[n] == epoch`: node `n` is in the current lift's cone.
+    /// `cone[n] == epoch`: node `n` is in the current query's cone.
     cone: Vec<u32>,
     /// `target[n] == epoch`: node `n` is a current target's node.
     target: Vec<u32>,
-    /// One per lift, so the marks never need clearing.
+    /// One per marked cone, so the marks never need clearing.
     epoch: u32,
-    /// The cone search's stack of nodes whose fanins are still to visit.
-    stack: Vec<NodeId>,
+    /// The current cone's nodes, in the order the search reached them.
+    cone_nodes: Vec<NodeId>,
     /// Nodes the pending candidate turned X, with their previous values.
     undo: Vec<(NodeId, Ternary)>,
     /// Nodes turned X whose fanouts still need re-evaluating.
@@ -166,18 +168,58 @@ impl Lifter {
             cone: vec![0; num_nodes],
             target: vec![0; num_nodes],
             epoch: 0,
-            stack: Vec::new(),
+            cone_nodes: Vec::new(),
             undo: Vec::new(),
             worklist: Vec::new(),
         }
     }
 
+    /// Marks the targets and their fan-in cone, and returns the cone's
+    /// nodes: a query's domain, and what a lift of its answer reads.
+    pub(crate) fn mark_cone(
+        &mut self,
+        netlist: &Netlist,
+        targets: impl IntoIterator<Item = Signal>,
+    ) -> &[NodeId] {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.cone.fill(0);
+            self.target.fill(0);
+            self.epoch = 1;
+        }
+        self.cone_nodes.clear();
+        for signal in targets {
+            self.target[signal.node().index()] = self.epoch;
+            self.enter(signal.node());
+        }
+        let mut next = 0;
+        while let Some(&node) = self.cone_nodes.get(next) {
+            next += 1;
+            if let Node::Gate { fanins, .. } = netlist.node(node) {
+                for fanin in fanins {
+                    self.enter(fanin.node());
+                }
+            }
+        }
+        &self.cone_nodes
+    }
+
+    /// Adds `node` to the cone unless it is already there; the search then
+    /// visits its fanins.
+    fn enter(&mut self, node: NodeId) {
+        if self.cone[node.index()] != self.epoch {
+            self.cone[node.index()] = self.epoch;
+            self.cone_nodes.push(node);
+        }
+    }
+
     /// Lifts `cube`, the full register cube of a SAT answer whose frame-0
     /// node values are `frame0` (indexed by node; `latches[pos]` is the node
-    /// of cube position `pos`). Drops, in position order, every latch that
-    /// can turn X while each target signal keeps its value; `targets` pairs
-    /// each target with the value the answer gives it. The result keeps the
-    /// cube's order.
+    /// of cube position `pos`), over the cone [`Lifter::mark_cone`] marked
+    /// for `targets`. Drops, in position order, every latch that can turn X
+    /// while each target signal keeps its value; `targets` pairs each target
+    /// with the value the answer gives it. The result keeps the cube's
+    /// order.
     pub(crate) fn lift(
         &mut self,
         netlist: &Netlist,
@@ -191,28 +233,19 @@ impl Lifter {
         cube
     }
 
-    /// Starts a lift: marks the targets, and their fan-in cone by a
-    /// depth-first search from them, and gives every cone node its value in
-    /// the SAT answer. The step relation encodes every frame-0 gate in both
-    /// directions, so the answer's values are already one evaluation of the
-    /// cone from its leaves; debug builds check that gate by gate.
+    /// Starts a lift: gives every cone node its value in the SAT answer.
+    /// The step relation encodes every frame-0 gate in both directions, so
+    /// the answer's values are already one evaluation of the cone from its
+    /// leaves; debug builds check that gate by gate.
     fn evaluate(&mut self, netlist: &Netlist, frame0: &[bool], targets: &[(Signal, bool)]) {
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.cone.fill(0);
-            self.target.fill(0);
-            self.epoch = 1;
-        }
-        for &(signal, _) in targets {
-            self.target[signal.node().index()] = self.epoch;
-            self.enter(frame0, signal.node());
-        }
-        while let Some(node) = self.stack.pop() {
-            if let Node::Gate { fanins, .. } = netlist.node(node) {
-                for fanin in fanins {
-                    self.enter(frame0, fanin.node());
-                }
-            }
+        debug_assert!(
+            targets
+                .iter()
+                .all(|&(signal, _)| self.target[signal.node().index()] == self.epoch),
+            "the lift's targets are not the marked cone's"
+        );
+        for &node in &self.cone_nodes {
+            self.values[node.index()] = Ternary::of(frame0[node.index()]);
         }
         debug_assert!(
             netlist.node_ids().all(|id| match netlist.node(id) {
@@ -229,17 +262,6 @@ impl Lifter {
                 .all(|&(signal, value)| read(&self.values, signal) == Ternary::of(value)),
             "the SAT answer does not give the targets their values"
         );
-    }
-
-    /// Adds `node` to the cone, with its value in `frame0`, unless it is
-    /// already there; the search then visits its fanins.
-    fn enter(&mut self, frame0: &[bool], node: NodeId) {
-        let index = node.index();
-        if self.cone[index] != self.epoch {
-            self.cone[index] = self.epoch;
-            self.values[index] = Ternary::of(frame0[index]);
-            self.stack.push(node);
-        }
     }
 
     /// Sets `latch` to X and propagates it. Returns `true`, leaving the X
@@ -416,6 +438,19 @@ mod tests {
         (0..count).map(|i| word >> i & 1 == 1).collect()
     }
 
+    /// A query's two steps: mark the targets' cone, then lift over it.
+    fn lift_for(
+        lifter: &mut Lifter,
+        netlist: &Netlist,
+        latches: &[NodeId],
+        frame0: &[bool],
+        cube: Cube,
+        targets: &[(Signal, bool)],
+    ) -> Cube {
+        lifter.mark_cone(netlist, targets.iter().map(|&(signal, _)| signal));
+        lifter.lift(netlist, latches, frame0, cube, targets)
+    }
+
     fn next_of(netlist: &Netlist, latch: NodeId) -> Signal {
         match netlist.node(latch) {
             Node::Latch {
@@ -514,7 +549,7 @@ mod tests {
         let mut lifter = Lifter::new(&n);
         let lift = |lifter: &mut Lifter, target: Signal| {
             let targets = [(target, frame0[target.node().index()] ^ target.is_inverted())];
-            let cube = lifter.lift(&n, &latches, &frame0, full.clone(), &targets);
+            let cube = lift_for(lifter, &n, &latches, &frame0, full.clone(), &targets);
             assert_eq!(check_lift(&n, &latches, &frame0, &cube, &targets), Ok(()));
             cube
         };
@@ -575,7 +610,7 @@ mod tests {
                     })
                     .collect();
                 let full: Cube = state.iter().copied().enumerate().collect();
-                let cube = lifter.lift(&n, &latches, &frame0, full, &targets);
+                let cube = lift_for(&mut lifter, &n, &latches, &frame0, full, &targets);
                 let fresh = ternary_frame(&n, &latches, &frame0, &cube);
                 for id in n.node_ids() {
                     if lifter.cone[id.index()] == lifter.epoch {
@@ -626,7 +661,8 @@ mod tests {
                         .collect();
                     if bad.apply(frame0[bad.node().index()]) {
                         let targets = [(bad, true)];
-                        let cube = lifter.lift(&n, &latches, &frame0, full.clone(), &targets);
+                        let cube =
+                            lift_for(&mut lifter, &n, &latches, &frame0, full.clone(), &targets);
                         assert_eq!(check_lift(&n, &latches, &frame0, &cube, &targets), Ok(()));
                         for completion in completions(&cube) {
                             let values = eval_frame(&n, &completion, &inputs);
@@ -645,7 +681,8 @@ mod tests {
                             .iter()
                             .map(|&(pos, v)| (next_of(&n, latches[pos]), v))
                             .collect();
-                        let cube = lifter.lift(&n, &latches, &frame0, full.clone(), &targets);
+                        let cube =
+                            lift_for(&mut lifter, &n, &latches, &frame0, full.clone(), &targets);
                         assert_eq!(check_lift(&n, &latches, &frame0, &cube, &targets), Ok(()));
                         assert!(cube.windows(2).all(|w| w[0].0 < w[1].0), "sorted");
                         for completion in completions(&cube) {

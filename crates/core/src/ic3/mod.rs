@@ -341,8 +341,13 @@ struct PropRunner<'a> {
     /// The run's proof summary, which books each UNSAT query the session
     /// solver's log certifies under [`ProofMode::Check`](crate::ProofMode).
     proof: &'a mut ProofSummary,
-    /// The run's lifting tables, which shrink every obligation cube.
+    /// The run's lifting tables, which mark every query's cone and shrink
+    /// every obligation cube.
     lifter: &'a mut Lifter,
+    /// The current query's decision domain (solver variables).
+    domain: Vec<Var>,
+    /// The latch positions whose frame-0 variables are in the domain.
+    domain_latches: Vec<usize>,
     /// Solver clauses added by set-up (transition relation and `I`); every
     /// later one is a lemma, a query's `¬s`, or a selector unit.
     #[cfg(feature = "debug-invariants")]
@@ -360,6 +365,7 @@ impl<'a> PropRunner<'a> {
         let unroller = Unroller::new(model);
         let num_nodes = model.netlist().num_nodes();
         let latches = model.netlist().latches();
+        let num_latches = latches.len();
         let mut latch_pos = vec![None; num_nodes];
         let mut inits = Vec::with_capacity(latches.len());
         let mut nexts = Vec::with_capacity(latches.len());
@@ -394,7 +400,7 @@ impl<'a> PropRunner<'a> {
             next_var: 2 * num_nodes,
             act_init: Lit::new(Var::new(0), false), // placeholder
             level_acts: Vec::new(),
-            frames: Frames::new(),
+            frames: Frames::new(num_latches),
             ranks: Vec::new(),
             limits: depth_limits(options),
             options,
@@ -404,6 +410,8 @@ impl<'a> PropRunner<'a> {
             frontier_core_positions: Vec::new(),
             proof,
             lifter,
+            domain: Vec::new(),
+            domain_latches: Vec::new(),
             #[cfg(feature = "debug-invariants")]
             setup_clauses: 0,
         };
@@ -431,14 +439,27 @@ impl<'a> PropRunner<'a> {
         var.positive()
     }
 
+    /// The variable of the latch at `pos` at `frame`.
+    fn latch_var(&self, pos: usize, frame: usize) -> Var {
+        self.unroller.var_of(self.latches[pos], frame)
+    }
+
     /// The literal "latch at `pos` has value `value`" at `frame`.
     fn latch_lit(&self, pos: usize, value: bool, frame: usize) -> Lit {
-        let var = self.unroller.var_of(self.latches[pos], frame);
+        let var = self.latch_var(pos, frame);
         if value {
             var.positive()
         } else {
             var.negative()
         }
+    }
+
+    /// A query's targets for `cube`: the next-state signal of each of its
+    /// latches, paired with the latch's value in the cube.
+    fn next_targets(&self, cube: &Cube) -> Vec<(Signal, bool)> {
+        cube.iter()
+            .map(|&(pos, value)| (self.nexts[pos], value))
+            .collect()
     }
 
     fn act_of(&self, level: usize) -> Lit {
@@ -481,7 +502,7 @@ impl<'a> PropRunner<'a> {
             .iter()
             .map(|&(pos, value)| {
                 let score = if self.ordered {
-                    self.ranks[m].score(self.unroller.var_of(self.latches[pos], 0))
+                    self.ranks[m].score(self.latch_var(pos, 0))
                 } else {
                     0
                 };
@@ -503,6 +524,117 @@ impl<'a> PropRunner<'a> {
     fn install_ranking(&mut self, m: usize) {
         if self.ordered {
             self.solver.set_var_ranking(self.ranks[m].scores());
+        }
+    }
+
+    /// Gives the next query, one against `F_m`, its solver domain: the
+    /// frame-0 fan-in cone of the `targets` (marked in the lifter, which
+    /// lifts a SAT answer over the same cone), the frame-1 latches of
+    /// `cube`, the frame-0 latches of `¬cube` for a blocking query
+    /// (`negated`), and the latches of every lemma of `F_m` connected to
+    /// those through lemmas of `F_m`.
+    ///
+    /// Every other clause holds once a domain assignment is completed with
+    /// the inputs outside it at 0, the latches outside it at their reset
+    /// value (`Free` at 0), the gates and frame-1 latches at their
+    /// evaluation, and the activation literals not assumed at false: the
+    /// lemmas outside the closure see only reset values, and no lemma
+    /// excludes an initial state (generalization's init repair), so a SAT
+    /// answer restricted to the domain is a SAT answer. Its lift reads only
+    /// the cone.
+    fn set_domain(
+        &mut self,
+        m: usize,
+        targets: &[(Signal, bool)],
+        cube: &[(usize, bool)],
+        negated: bool,
+    ) {
+        let netlist = self.model.netlist();
+        let cone = self
+            .lifter
+            .mark_cone(netlist, targets.iter().map(|&(signal, _)| signal));
+        self.domain.clear();
+        self.domain_latches.clear();
+        for &node in cone {
+            self.domain.push(self.unroller.var_of(node, 0));
+            if let Some(pos) = self.latch_pos[node.index()] {
+                self.domain_latches.push(pos);
+            }
+        }
+        for &(pos, _) in cube {
+            self.domain.push(self.latch_var(pos, 1));
+            if negated {
+                self.domain.push(self.latch_var(pos, 0));
+                self.domain_latches.push(pos);
+            }
+        }
+        let seeded = self.domain_latches.len();
+        self.frames.connect(&mut self.domain_latches, m.max(1));
+        for &pos in &self.domain_latches[seeded..] {
+            self.domain.push(self.latch_var(pos, 0));
+        }
+        self.solver.set_domain(&self.domain);
+    }
+
+    /// `debug-invariants` check of a SAT answer to a query against `F_m`
+    /// under [`Self::set_domain`]: completes the answer's domain part
+    /// (inputs outside at 0, latches outside at their reset value, gates by
+    /// simulation) and checks that the completed frame agrees with the
+    /// answer on the domain, satisfies every lemma of `F_m`, the query's
+    /// `¬s` (`negated`) and, for `F_0`, `I`, and gives every target its
+    /// value.
+    #[cfg(feature = "debug-invariants")]
+    fn check_domain_answer(
+        &self,
+        m: usize,
+        targets: &[(Signal, bool)],
+        negated: Option<&Cube>,
+    ) -> Result<(), String> {
+        let netlist = self.model.netlist();
+        let answer = &self.solver.model().expect("model after SAT")[..self.num_nodes];
+        let mut inside = vec![false; self.num_nodes];
+        for var in self.domain.iter().filter(|v| v.index() < self.num_nodes) {
+            inside[var.index()] = true;
+        }
+        let state: Vec<bool> = (self.latches.iter().zip(&self.inits))
+            .map(|(&id, &init)| {
+                if inside[id.index()] {
+                    answer[id.index()]
+                } else {
+                    init == LatchInit::One
+                }
+            })
+            .collect();
+        let inputs: Vec<bool> = (netlist.inputs().iter())
+            .map(|&id| inside[id.index()] && answer[id.index()])
+            .collect();
+        let values = rbmc_circuit::sim::eval_frame(netlist, &state, &inputs);
+        if let Some(id) = (netlist.node_ids())
+            .find(|&id| inside[id.index()] && values[id.index()] != answer[id.index()])
+        {
+            return Err(format!(
+                "the completion disagrees with the answer at {id:?}"
+            ));
+        }
+        let within = |cube: &Cube| cube.iter().all(|&(pos, value)| state[pos] == value);
+        if let Some(lemma) = self.frames.cubes_from(m.max(1)).find(|c| within(c)) {
+            return Err(format!(
+                "the completed state lies in the lemma cube {lemma:?}"
+            ));
+        }
+        if negated.is_some_and(within) {
+            return Err("the completed state lies in the query's own cube".to_string());
+        }
+        let full: Cube = state.iter().copied().enumerate().collect();
+        if m == 0 && generalize::excludes_init(&full, &self.inits) {
+            return Err("the completed state of an F_0 query is not initial".to_string());
+        }
+        match targets
+            .iter()
+            .find(|&&(signal, value)| rbmc_circuit::sim::read_signal(&values, signal) != value)
+        {
+            Some(target) => Err(format!("the completion misses the target {target:?}")),
+            None => Ok(()),
         }
     }
 
@@ -571,7 +703,7 @@ impl<'a> PropRunner<'a> {
         if self.ordered && !positions.is_empty() {
             let vars: Vec<Var> = positions
                 .iter()
-                .map(|&pos| self.unroller.var_of(self.latches[pos], 0))
+                .map(|&pos| self.latch_var(pos, 0))
                 .collect();
             self.ranks[m].update(&vars, m + 1);
         }
@@ -626,12 +758,16 @@ impl<'a> PropRunner<'a> {
             }
             // F_{j-1} ∧ ¬s ∧ T ∧ s': ¬s under a one-shot selector, s'
             // assumed literal by literal (core-ordered), frame acts first.
+            // A SAT answer is lifted to the states that step into `s` under
+            // its inputs.
+            let targets = self.next_targets(&s);
             let selector = self.alloc_lit();
             let query = self.add_gated_negation(selector, &s);
             let mut assumptions = self.frame_assumptions(j - 1);
             assumptions.push(selector);
             assumptions.extend(self.primed_lits(&s, j - 1));
             self.install_ranking(j - 1);
+            self.set_domain(j - 1, &targets, &s, true);
             let result = self.solve(&assumptions);
             // Answered: the `¬selector` unit retires the selector for good
             // (it is never decided again) and satisfies `¬s` at the root,
@@ -648,12 +784,9 @@ impl<'a> PropRunner<'a> {
                     self.add_blocked(j, cube);
                 }
                 SolveResult::Sat => {
-                    // Lifted to the states that step into `s` under the
-                    // answer's inputs.
-                    let targets: Vec<(Signal, bool)> = s
-                        .iter()
-                        .map(|&(pos, value)| (self.nexts[pos], value))
-                        .collect();
+                    #[cfg(feature = "debug-invariants")]
+                    self.check_domain_answer(j - 1, &targets, Some(&s))
+                        .expect("a blocking query's domain answer completes");
                     let predecessor = self.lifted_cube(&targets);
                     self.seq += 1;
                     queue.push(Reverse((j - 1, self.seq, predecessor)));
@@ -680,6 +813,8 @@ impl<'a> PropRunner<'a> {
                 let mut assumptions = self.frame_assumptions(j);
                 assumptions.extend(self.primed_lits(&cube, j));
                 self.install_ranking(j);
+                let targets = self.next_targets(&cube);
+                self.set_domain(j, &targets, &cube, false);
                 match self.solve(&assumptions) {
                     SolveResult::Unsat => {
                         self.assumption_conflicts += 1;
@@ -694,7 +829,11 @@ impl<'a> PropRunner<'a> {
                             self.solver.remove_clause(id);
                         }
                     }
-                    SolveResult::Sat => {}
+                    SolveResult::Sat => {
+                        #[cfg(feature = "debug-invariants")]
+                        self.check_domain_answer(j, &targets, None)
+                            .expect("a push query's domain answer completes");
+                    }
                     SolveResult::Unknown => return false,
                 }
             }
@@ -785,12 +924,17 @@ impl<'a> PropRunner<'a> {
                 let mut assumptions = self.frame_assumptions(k);
                 assumptions.push(self.unroller.lit_of(self.bad, 0));
                 self.install_ranking(k);
+                let targets = [(self.bad, true)];
+                self.set_domain(k, &targets, &[], false);
                 match self.solve(&assumptions) {
                     SolveResult::Unsat => {
                         self.assumption_conflicts += 1;
                         break;
                     }
                     SolveResult::Sat => {
+                        #[cfg(feature = "debug-invariants")]
+                        self.check_domain_answer(k, &targets, None)
+                            .expect("a frontier query's domain answer completes");
                         if self.latches.is_empty() {
                             // Combinational counterexample: depth 0.
                             frontier_result = SolveResult::Sat;
@@ -799,7 +943,7 @@ impl<'a> PropRunner<'a> {
                                 None => Some(PropOutcome::ResourceOut),
                             };
                         } else {
-                            let s = self.lifted_cube(&[(self.bad, true)]);
+                            let s = self.lifted_cube(&targets);
                             match self.block_state(s, k) {
                                 BlockResult::Blocked => continue,
                                 BlockResult::Cex => {
@@ -841,7 +985,7 @@ impl<'a> PropRunner<'a> {
                     frontier_result = SolveResult::Unknown;
                     outcome = Some(PropOutcome::ResourceOut);
                 } else if let Some(fix) = (1..k).find(|&j| self.frames.cubes_at(j).len() == 0) {
-                    let invariant = invariant_clauses_from(&self.frames.cubes_from(fix + 1));
+                    let invariant = invariant_clauses_from(self.frames.cubes_from(fix + 1));
                     outcome = Some(PropOutcome::Proved {
                         depth: k,
                         invariant,

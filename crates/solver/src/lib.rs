@@ -21,6 +21,10 @@
 //!   (`bmc_score` primary, `cha_score` tiebreaker throughout) or a *dynamic*
 //!   mode (static until `#decisions > #original_literals / divisor`, then
 //!   fall back to pure VSIDS).
+//! - **Decision domains**: [`Solver::set_domain`] restricts one episode's
+//!   decisions and above-root propagation to a set of variables, and the
+//!   episode answers SAT once they are all assigned (IC3's per-query cone;
+//!   the BMC engine never sets one).
 //! - **Proof logging**: [`Solver::start_proof`] makes the solver keep a
 //!   clausal proof log, an [`rbmc_proof::ProofRecorder`], with LRAT hints
 //!   taken from the CDG. The recorder's independent checker certifies each

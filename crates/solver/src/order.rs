@@ -21,6 +21,11 @@
 //! changes every `cha_score`, rebuilds the heap whole. Keys form a strict
 //! total order (the literal code breaks ties), so the choice depends on the
 //! candidates and their keys alone, never on the heap's layout.
+//!
+//! One episode may decide within a *domain* instead (IC3's per-query cone,
+//! after *Deeply Optimizing the SAT Solver for the IC3 Algorithm*): a
+//! second heap over the domain's unassigned variables supplies the
+//! decisions, and the episode has a model once they are all assigned.
 
 use rbmc_cnf::{Lit, Var};
 
@@ -77,19 +82,165 @@ impl Key {
     }
 }
 
-/// Indexed binary max-heap over variables that persists across solve
-/// episodes.
+/// An indexed binary max-heap of variables, ordered by keys kept outside
+/// it (`key[v]` is variable `v`'s key).
+#[derive(Debug, Default)]
+struct VarHeap {
+    /// Heap of variable indices, ordered by key.
+    heap: Vec<u32>,
+    /// `pos[var]` = index in `heap`, or `NOT_IN_HEAP`.
+    pos: Vec<u32>,
+}
+
+const NOT_IN_HEAP: u32 = u32::MAX;
+
+impl VarHeap {
+    fn grow(&mut self, num_vars: usize) {
+        self.pos.resize(num_vars, NOT_IN_HEAP);
+    }
+
+    fn contains(&self, v: usize) -> bool {
+        self.pos[v] != NOT_IN_HEAP
+    }
+
+    fn insert(&mut self, v: usize, key: &[Key]) {
+        if !self.contains(v) {
+            self.pos[v] = self.heap.len() as u32;
+            self.heap.push(v as u32);
+            self.sift_up(self.heap.len() - 1, key);
+        }
+    }
+
+    /// Restores heap order around `v`'s entry, if it has one, after its key
+    /// changed from `old`.
+    fn update(&mut self, v: usize, old: &Key, key: &[Key]) {
+        let i = self.pos[v];
+        if i != NOT_IN_HEAP {
+            if key[v].beats(old) {
+                self.sift_up(i as usize, key);
+            } else {
+                self.sift_down(i as usize, key);
+            }
+        }
+    }
+
+    /// Removes and returns the greatest-key variable.
+    fn pop(&mut self, key: &[Key]) -> Option<usize> {
+        let top = *self.heap.first()?;
+        self.pos[top as usize] = NOT_IN_HEAP;
+        let last = self.heap.pop().expect("heap is nonempty");
+        if !self.heap.is_empty() {
+            self.heap[0] = last;
+            self.pos[last as usize] = 0;
+            self.sift_down(0, key);
+        }
+        Some(top as usize)
+    }
+
+    /// Empties the heap.
+    fn clear(&mut self) {
+        for &v in &self.heap {
+            self.pos[v as usize] = NOT_IN_HEAP;
+        }
+        self.heap.clear();
+    }
+
+    /// Refills the heap with exactly `vars`, in one heapify.
+    fn rebuild(&mut self, vars: impl Iterator<Item = usize>, key: &[Key]) {
+        self.clear();
+        for v in vars {
+            self.pos[v] = self.heap.len() as u32;
+            self.heap.push(v as u32);
+        }
+        for i in (0..self.heap.len() / 2).rev() {
+            self.sift_down(i, key);
+        }
+    }
+
+    fn sift_up(&mut self, mut i: usize, key: &[Key]) {
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            let (ci, cp) = (self.heap[i] as usize, self.heap[parent] as usize);
+            if key[ci].beats(&key[cp]) {
+                self.heap.swap(i, parent);
+                self.pos[ci] = parent as u32;
+                self.pos[cp] = i as u32;
+                i = parent;
+            } else {
+                break;
+            }
+        }
+    }
+
+    fn sift_down(&mut self, mut i: usize, key: &[Key]) {
+        loop {
+            let left = 2 * i + 1;
+            let right = 2 * i + 2;
+            let mut best = i;
+            if left < self.heap.len()
+                && key[self.heap[left] as usize].beats(&key[self.heap[best] as usize])
+            {
+                best = left;
+            }
+            if right < self.heap.len()
+                && key[self.heap[right] as usize].beats(&key[self.heap[best] as usize])
+            {
+                best = right;
+            }
+            if best == i {
+                break;
+            }
+            let (ci, cb) = (self.heap[i] as usize, self.heap[best] as usize);
+            self.heap.swap(i, best);
+            self.pos[ci] = best as u32;
+            self.pos[cb] = i as u32;
+            i = best;
+        }
+    }
+
+    /// Positions and heap order hold, and every position points back at
+    /// its variable.
+    #[cfg(any(test, feature = "debug-invariants"))]
+    fn audit(&self, key: &[Key]) -> Result<(), String> {
+        for (i, &v) in self.heap.iter().enumerate() {
+            let v = v as usize;
+            if self.pos[v] as usize != i {
+                return Err(format!(
+                    "heap slot {i} holds var {v}, whose pos is {}",
+                    self.pos[v]
+                ));
+            }
+            if i > 0 && key[v].beats(&key[self.heap[(i - 1) / 2] as usize]) {
+                return Err(format!("heap slot {i} (var {v}) beats its parent"));
+            }
+        }
+        for (v, &p) in self.pos.iter().enumerate() {
+            if p != NOT_IN_HEAP && self.heap.get(p as usize) != Some(&(v as u32)) {
+                return Err(format!("var {v} has a dangling heap position"));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The decision ordering: a max-heap over variables that persists across
+/// solve episodes, plus the decision domain of the current episode.
 ///
 /// Each variable's key is the greater of its two literal keys and is kept
 /// current in place: every score change refreshes exactly the keys it
 /// affects. Entries of assigned variables stay in the heap until they
 /// surface at the top; the count of unassigned active variables, not the
 /// heap's size, says whether a decision is left to make.
+///
+/// An episode may restrict its decisions to a *domain*
+/// ([`LitOrder::set_domain`]): a second heap, built over the domain's
+/// unassigned variables, then supplies every decision, and its own
+/// unassigned count says when the episode has a model. The main heap is
+/// kept current meanwhile, so the next episode without a domain decides
+/// exactly as if there had been none.
 pub(crate) struct LitOrder {
-    /// Heap of variable indices, ordered by `key`.
-    heap: Vec<u32>,
-    /// `pos[var]` = index in `heap`, or `NOT_IN_HEAP`.
-    pos: Vec<u32>,
+    /// Every unassigned active variable, ordered by `key`.
+    heap: VarHeap,
     /// Decision key per variable: the key of its better literal.
     key: Vec<Key>,
     /// Current `cha_score` per literal code.
@@ -108,18 +259,28 @@ pub(crate) struct LitOrder {
     /// them, so any model extends to them trivially.
     active: Vec<bool>,
     /// Number of active variables that are unassigned. At a decision point
-    /// a count of 0 means the assignment is a model.
+    /// without a domain, a count of 0 means the assignment is a model.
     unassigned: usize,
+    /// Whether the current episode has a domain.
+    domain_on: bool,
+    /// The domain's active variables; empty without a domain.
+    domain: Vec<u32>,
+    /// Whether the variable is in the domain (always active).
+    in_domain: Vec<bool>,
+    /// The domain's unassigned variables, ordered by `key`.
+    domain_heap: VarHeap,
+    /// Number of domain variables that are unassigned: the domain twin of
+    /// `unassigned`.
+    domain_unassigned: usize,
 }
-
-const NOT_IN_HEAP: u32 = u32::MAX;
 
 impl std::fmt::Debug for LitOrder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LitOrder")
-            .field("len", &self.heap.len())
+            .field("len", &self.heap.heap.len())
             .field("unassigned", &self.unassigned)
             .field("use_bmc", &self.use_bmc)
+            .field("domain", &self.domain.len())
             .finish()
     }
 }
@@ -128,8 +289,7 @@ impl LitOrder {
     /// Creates an ordering over `num_vars` variables with all-zero scores.
     pub(crate) fn new(num_vars: usize) -> LitOrder {
         let mut order = LitOrder {
-            heap: Vec::new(),
-            pos: Vec::new(),
+            heap: VarHeap::default(),
             key: Vec::new(),
             cha: Vec::new(),
             new_counts: Vec::new(),
@@ -138,6 +298,11 @@ impl LitOrder {
             use_bmc: false,
             active: Vec::new(),
             unassigned: 0,
+            domain_on: false,
+            domain: Vec::new(),
+            in_domain: Vec::new(),
+            domain_heap: VarHeap::default(),
+            domain_unassigned: 0,
         };
         order.grow(num_vars);
         order
@@ -149,11 +314,13 @@ impl LitOrder {
         if num_vars <= old {
             return;
         }
-        self.pos.resize(num_vars, NOT_IN_HEAP);
+        self.heap.grow(num_vars);
+        self.domain_heap.grow(num_vars);
         self.cha.resize(2 * num_vars, 0);
         self.new_counts.resize(2 * num_vars, 0);
         self.bmc.resize(num_vars, 0);
         self.active.resize(num_vars, false);
+        self.in_domain.resize(num_vars, false);
         // One reservation, as `resize` makes for the other tables: sessions
         // grow by whole frames, and push-by-push growth would reallocate.
         self.key.reserve(num_vars - old);
@@ -178,7 +345,7 @@ impl LitOrder {
         if !self.active[v] {
             self.active[v] = true;
             self.unassigned += 1;
-            self.insert(v);
+            self.heap.insert(v, &self.key);
         }
     }
 
@@ -245,24 +412,60 @@ impl LitOrder {
         }
     }
 
-    /// Recomputes every key and rebuilds the heap from the active variables
-    /// unassigned in `values` (indexed by variable). Needed only after
-    /// [`LitOrder::halve_scores`], which changes every `cha_score`.
+    /// Recomputes every key and rebuilds both heaps from the active (and
+    /// domain) variables unassigned in `values` (indexed by variable).
+    /// Needed only after [`LitOrder::halve_scores`], which changes every
+    /// `cha_score`.
     pub(crate) fn rebuild(&mut self, values: &[LBool]) {
         debug_assert_eq!(values.len(), self.key.len());
-        self.heap.clear();
-        for (v, value) in values.iter().enumerate() {
+        for v in 0..self.key.len() {
             self.key[v] = self.make_key(v);
-            if self.active[v] && value.is_undef() {
-                self.pos[v] = self.heap.len() as u32;
-                self.heap.push(v as u32);
-            } else {
-                self.pos[v] = NOT_IN_HEAP;
+        }
+        let candidates = (0..values.len()).filter(|&v| self.active[v] && values[v].is_undef());
+        self.heap.rebuild(candidates, &self.key);
+        let in_domain = self.domain.iter().map(|&v| v as usize);
+        self.domain_heap
+            .rebuild(in_domain.filter(|&v| values[v].is_undef()), &self.key);
+    }
+
+    /// Restricts decisions to `vars`: builds the domain heap over those of
+    /// them that are active and unassigned in `values`, and keeps it as
+    /// assignments come and go. Until [`LitOrder::clear_domain`],
+    /// [`LitOrder::pop_best`] decides only domain variables and reports a
+    /// model once they are all assigned.
+    pub(crate) fn set_domain(&mut self, vars: &[Var], values: &[LBool]) {
+        self.clear_domain();
+        self.domain_on = true;
+        for var in vars {
+            let v = var.index();
+            if self.active.get(v) == Some(&true) && !self.in_domain[v] {
+                self.in_domain[v] = true;
+                self.domain.push(v as u32);
+                if values[v].is_undef() {
+                    self.domain_unassigned += 1;
+                }
             }
         }
-        for i in (0..self.heap.len() / 2).rev() {
-            self.sift_down(i);
+        let in_domain = self.domain.iter().map(|&v| v as usize);
+        self.domain_heap
+            .rebuild(in_domain.filter(|&v| values[v].is_undef()), &self.key);
+    }
+
+    /// Ends the episode's domain, if it has one.
+    pub(crate) fn clear_domain(&mut self) {
+        for &v in &self.domain {
+            self.in_domain[v as usize] = false;
         }
+        self.domain.clear();
+        self.domain_heap.clear();
+        self.domain_unassigned = 0;
+        self.domain_on = false;
+    }
+
+    /// Whether the episode has a domain and `var` lies outside it.
+    #[inline]
+    pub(crate) fn outside_domain(&self, var: Var) -> bool {
+        self.domain_on && !self.in_domain[var.index()]
     }
 
     /// The primary key of variable `v`: its `bmc_score` while the ranking
@@ -292,141 +495,82 @@ impl LitOrder {
     }
 
     /// Recomputes variable `v`'s key and restores heap order around its
-    /// entry, if it has one.
+    /// entries.
     fn refresh(&mut self, v: usize) {
         let old = self.key[v];
-        let new = self.make_key(v);
-        self.key[v] = new;
-        let i = self.pos[v];
-        if i != NOT_IN_HEAP {
-            if new.beats(&old) {
-                self.sift_up(i as usize);
-            } else {
-                self.sift_down(i as usize);
+        self.key[v] = self.make_key(v);
+        self.heap.update(v, &old, &self.key);
+        if self.domain_on {
+            self.domain_heap.update(v, &old, &self.key);
+        }
+    }
+
+    /// Records that `var` was assigned. Its heap entries stay until they
+    /// surface at the top, where [`LitOrder::pop_best`] discards them.
+    #[inline]
+    pub(crate) fn note_assigned(&mut self, var: Var) {
+        let v = var.index();
+        if self.active[v] {
+            self.unassigned -= 1;
+            // Without a domain, the domain tables are not read.
+            if self.domain_on && self.in_domain[v] {
+                self.domain_unassigned -= 1;
             }
         }
     }
 
-    /// Records that `var` was assigned. Its heap entry stays until it
-    /// surfaces at the top, where [`LitOrder::pop_best`] discards it.
-    #[inline]
-    pub(crate) fn note_assigned(&mut self, var: Var) {
-        if self.active[var.index()] {
-            self.unassigned -= 1;
-        }
-    }
-
     /// Records that `var` was unassigned during backtracking, and puts it
-    /// back in the heap if its entry was popped meanwhile.
+    /// back in the heaps whose entry was popped meanwhile.
     pub(crate) fn reinsert_var(&mut self, var: Var) {
         let v = var.index();
         if self.active[v] {
             self.unassigned += 1;
-            self.insert(v);
-        }
-    }
-
-    fn insert(&mut self, v: usize) {
-        if self.pos[v] == NOT_IN_HEAP {
-            self.pos[v] = self.heap.len() as u32;
-            self.heap.push(v as u32);
-            self.sift_up(self.heap.len() - 1);
+            self.heap.insert(v, &self.key);
+            if self.domain_on && self.in_domain[v] {
+                self.domain_unassigned += 1;
+                self.domain_heap.insert(v, &self.key);
+            }
         }
     }
 
     /// Pops the greatest-key literal over the active variables unassigned
     /// in `values` (indexed by variable), or returns `None` when every
-    /// active variable is assigned.
+    /// active variable is assigned. With a domain set, both are over the
+    /// domain's variables only.
     ///
     /// Entries of assigned variables met on the way are discarded (they are
     /// reinserted by [`LitOrder::reinsert_var`] when unassigned).
     pub(crate) fn pop_best(&mut self, values: &[LBool]) -> Option<Lit> {
-        if self.unassigned == 0 {
+        let (heap, unassigned) = if self.domain_on {
+            (&mut self.domain_heap, self.domain_unassigned)
+        } else {
+            (&mut self.heap, self.unassigned)
+        };
+        if unassigned == 0 {
             return None;
         }
         loop {
-            let v = *self
-                .heap
-                .first()
-                .expect("every unassigned active variable is in the heap")
-                as usize;
-            self.remove_top();
+            let v = heap
+                .pop(&self.key)
+                .expect("every unassigned candidate is in the heap");
             if values[v].is_undef() {
                 return Some(Lit::from_code(self.key[v].code as usize));
             }
         }
     }
 
-    fn remove_top(&mut self) {
-        let top = self.heap[0];
-        self.pos[top as usize] = NOT_IN_HEAP;
-        let last = self.heap.pop().expect("heap is nonempty");
-        if !self.heap.is_empty() {
-            self.heap[0] = last;
-            self.pos[last as usize] = 0;
-            self.sift_down(0);
-        }
-    }
-
-    fn sift_up(&mut self, mut i: usize) {
-        while i > 0 {
-            let parent = (i - 1) / 2;
-            let (ci, cp) = (self.heap[i] as usize, self.heap[parent] as usize);
-            if self.key[ci].beats(&self.key[cp]) {
-                self.heap.swap(i, parent);
-                self.pos[ci] = parent as u32;
-                self.pos[cp] = i as u32;
-                i = parent;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn sift_down(&mut self, mut i: usize) {
-        loop {
-            let left = 2 * i + 1;
-            let right = 2 * i + 2;
-            let mut best = i;
-            if left < self.heap.len()
-                && self.key[self.heap[left] as usize].beats(&self.key[self.heap[best] as usize])
-            {
-                best = left;
-            }
-            if right < self.heap.len()
-                && self.key[self.heap[right] as usize].beats(&self.key[self.heap[best] as usize])
-            {
-                best = right;
-            }
-            if best == i {
-                break;
-            }
-            let (ci, cb) = (self.heap[i] as usize, self.heap[best] as usize);
-            self.heap.swap(i, best);
-            self.pos[ci] = best as u32;
-            self.pos[cb] = i as u32;
-            i = best;
-        }
-    }
-
-    /// Checks the heap against a recomputation from the scores and
+    /// Checks both heaps against a recomputation from the scores and
     /// `values` (indexed by variable): positions and heap order hold, every
     /// cached key is current, every unassigned active variable has an
-    /// entry, and the unassigned count matches a recount.
+    /// entry in the main heap and every unassigned domain variable one in
+    /// the domain heap, which holds nothing else, and both unassigned
+    /// counts match a recount.
     #[cfg(any(test, feature = "debug-invariants"))]
     pub(crate) fn audit(&self, values: &[LBool]) -> Result<(), String> {
-        for (i, &v) in self.heap.iter().enumerate() {
-            let v = v as usize;
-            if self.pos[v] as usize != i {
-                return Err(format!(
-                    "heap slot {i} holds var {v}, whose pos is {}",
-                    self.pos[v]
-                ));
-            }
-            if i > 0 && self.key[v].beats(&self.key[self.heap[(i - 1) / 2] as usize]) {
-                return Err(format!("heap slot {i} (var {v}) beats its parent"));
-            }
-        }
+        self.heap.audit(&self.key)?;
+        self.domain_heap
+            .audit(&self.key)
+            .map_err(|e| format!("domain {e}"))?;
         if values.len() != self.key.len() {
             return Err(format!(
                 "{} values for {} vars",
@@ -434,29 +578,53 @@ impl LitOrder {
                 self.key.len()
             ));
         }
-        let mut unassigned = 0;
+        let (mut unassigned, mut domain_unassigned, mut domain_size) = (0, 0, 0);
         for (v, value) in values.iter().enumerate() {
             if self.key[v] != self.make_key(v) {
                 return Err(format!("var {v} caches a stale key"));
             }
-            if self.pos[v] != NOT_IN_HEAP
-                && self.heap.get(self.pos[v] as usize) != Some(&(v as u32))
-            {
-                return Err(format!("var {v} has a dangling heap position"));
-            }
             if self.active[v] && value.is_undef() {
                 unassigned += 1;
-                if self.pos[v] == NOT_IN_HEAP {
+                if !self.heap.contains(v) {
                     return Err(format!(
                         "unassigned active var {v} is missing from the heap"
                     ));
                 }
+            }
+            if self.in_domain[v] {
+                domain_size += 1;
+                if !self.active[v] {
+                    return Err(format!("domain var {v} is not active"));
+                }
+                if value.is_undef() {
+                    domain_unassigned += 1;
+                    if !self.domain_heap.contains(v) {
+                        return Err(format!(
+                            "unassigned domain var {v} is missing from the domain heap"
+                        ));
+                    }
+                }
+            } else if self.domain_heap.contains(v) {
+                return Err(format!("var {v} is in the domain heap but not the domain"));
             }
         }
         if unassigned != self.unassigned {
             return Err(format!(
                 "unassigned count {} but {unassigned} unassigned active vars",
                 self.unassigned
+            ));
+        }
+        if domain_size != self.domain.len() || (!self.domain_on && domain_size != 0) {
+            return Err(format!(
+                "{domain_size} vars marked in a domain of {} (on: {})",
+                self.domain.len(),
+                self.domain_on
+            ));
+        }
+        if domain_unassigned != self.domain_unassigned {
+            return Err(format!(
+                "domain unassigned count {} but {domain_unassigned} unassigned domain vars",
+                self.domain_unassigned
             ));
         }
         Ok(())
@@ -623,8 +791,9 @@ mod tests {
 
     /// The persistent heap against a reference that rebuilds before every
     /// pop: random score updates, rankings, switches, halvings,
-    /// assignments and backtracks must never make the two choose
-    /// differently, and the heap must audit clean after every step.
+    /// assignments, backtracks and domains set and cleared must never make
+    /// the two choose differently, and the heap must audit clean after
+    /// every step.
     #[test]
     fn persistent_heap_matches_a_rebuilt_reference() {
         for seed in 0..64 {
@@ -637,7 +806,7 @@ mod tests {
             let random_lit =
                 |rng: &mut StdRng| Lit::new(Var::new(rng.gen_range(0..n)), rng.gen_bool(0.5));
             for _ in 0..300 {
-                match rng.gen_range(0..9u32) {
+                match rng.gen_range(0..11u32) {
                     0 => {
                         // Clauses are loaded at the root, as `add_clause`
                         // backtracks to level 0 first.
@@ -687,6 +856,19 @@ mod tests {
                             live.reinsert_var(var);
                             reference.reinsert_var(var);
                         }
+                    }
+                    6 => {
+                        // A domain over random variables, assigned or not,
+                        // active or not.
+                        let domain: Vec<Var> = (0..rng.gen_range(0..=n))
+                            .map(|_| Var::new(rng.gen_range(0..n)))
+                            .collect();
+                        live.set_domain(&domain, &values);
+                        reference.set_domain(&domain, &values);
+                    }
+                    7 => {
+                        live.clear_domain();
+                        reference.clear_domain();
                     }
                     _ => {
                         reference.rebuild(&values);

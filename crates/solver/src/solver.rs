@@ -635,9 +635,35 @@ impl Solver {
         self.solve_under_limited(&[], limits)
     }
 
+    /// Restricts the next solve episode's decisions to `vars` (IC3's
+    /// domain restriction, after *Deeply Optimizing the SAT Solver for the
+    /// IC3 Algorithm*). The episode then decides only domain variables and
+    /// answers [`SolveResult::Sat`] once they are all assigned. Above the
+    /// root it does not propagate onto a variable outside the domain either,
+    /// so the model assigns those only where the root level or an
+    /// assumption does ([`Solver::model`] reads the rest as false).
+    ///
+    /// A SAT answer is then a model of the domain's part of the formula
+    /// only. The caller must make every clause that reaches outside the
+    /// domain satisfiable by extending any assignment of the domain, for
+    /// example by taking the fan-in cone of every gate it includes. UNSAT
+    /// answers, failed assumptions, cores and proof lines keep their
+    /// meaning. The domain holds for the next `solve*` call only.
+    pub fn set_domain(&mut self, vars: &[Var]) {
+        self.order.set_domain(vars, &self.values);
+    }
+
     /// Solves under assumption literals **and** resource limits (see
     /// [`Solver::solve_under`] and [`Solver::solve_limited`]).
     pub fn solve_under_limited(&mut self, assumptions: &[Lit], limits: &Limits) -> SolveResult {
+        let result = self.search(assumptions, limits);
+        // Every return of the episode ends its domain.
+        self.order.clear_domain();
+        result
+    }
+
+    /// One solve episode.
+    fn search(&mut self, assumptions: &[Lit], limits: &Limits) -> SolveResult {
         self.stats.solve_calls += 1;
         if !self.ok {
             // The clause database is unsatisfiable outright; the permanent
@@ -736,7 +762,8 @@ impl Solver {
                             self.trail_lim.push(self.trail.len());
                             self.enqueue(lit, None);
                         }
-                        // Every active variable is assigned: a model.
+                        // Every active (domain) variable is assigned: a
+                        // model.
                         None => {
                             self.finish_sat();
                             return SolveResult::Sat;
@@ -984,6 +1011,15 @@ impl Solver {
         }
     }
 
+    /// Whether BCP leaves `var` unassigned: above the root, in an episode
+    /// with a domain, outside it. The clause that would imply it stays
+    /// watched on its false literal, so only an assumption can assign the
+    /// variable later, and assigning it revisits the clause.
+    #[inline]
+    fn outside_domain(&self, var: Var) -> bool {
+        self.order.outside_domain(var) && !self.trail_lim.is_empty()
+    }
+
     /// Watched-literal BCP. Returns the conflicting clause, if any.
     fn propagate(&mut self) -> Option<ClauseRef> {
         while self.qhead < self.trail.len() {
@@ -997,6 +1033,7 @@ impl Solver {
             for w in &bins {
                 match self.lit_value(w.implied) {
                     LBool::True => {}
+                    LBool::Undef if self.outside_domain(w.implied.var()) => {}
                     LBool::Undef => self.enqueue(w.implied, Some(w.clause)),
                     LBool::False => {
                         conflict = Some(w.clause);
@@ -1051,7 +1088,9 @@ impl Solver {
                     self.qhead = self.trail.len();
                     break;
                 }
-                self.enqueue(first, Some(cref));
+                if !self.outside_domain(first.var()) {
+                    self.enqueue(first, Some(cref));
+                }
                 i += 1;
             }
             self.watches[false_lit.code()].longs = ws;
@@ -2003,6 +2042,151 @@ mod tests {
         assert_eq!(s.solve(), SolveResult::Sat);
         assert_eq!(s.prune_cdg(), 0);
         assert_eq!(s.stats().cdg_pruned_nodes, 0);
+    }
+
+    /// A domain of variables 1..=3 (DIMACS) next to an outside clause over
+    /// 4 and 5, and two gates outside over domain fanins: `6 = 1 ∧ 2` and
+    /// `7 = 1 ∨ 3`.
+    fn domain_formula() -> rbmc_cnf::CnfFormula {
+        let text = "p cnf 7 9\n1 2 0\n-2 3 0\n4 5 0\n\
+                    -6 1 0\n-6 2 0\n6 -1 -2 0\n7 -1 0\n7 -3 0\n-7 1 3 0\n";
+        parse_dimacs(text).unwrap()
+    }
+
+    fn domain(vars: &[i64]) -> Vec<Var> {
+        vars.iter().map(|&v| lit(v).var()).collect()
+    }
+
+    #[test]
+    fn domain_episode_decides_only_inside_its_domain() {
+        let mut s = Solver::from_formula(&domain_formula());
+        s.set_domain(&domain(&[1, 2, 3]));
+        assert_eq!(s.solve(), SolveResult::Sat);
+        assert!(s.stats().decisions <= 3);
+        // Nothing outside the domain was decided or implied, so the
+        // outside clause `4 ∨ 5` stays unsatisfied in the model.
+        for v in 3..7 {
+            assert!(s.values[v].is_undef(), "var {v} was assigned");
+        }
+        let model = s.model().unwrap().to_vec();
+        assert!(!model[3] && !model[4]);
+        // The domain's own clauses hold.
+        assert!(model[0] || model[1]);
+        assert!(!model[1] || model[2]);
+        // The domain lasts one episode, and an UNSAT answer under a domain
+        // keeps its failed assumptions.
+        s.set_domain(&domain(&[1, 2, 3]));
+        assert_eq!(s.solve_under(&[lit(-1), lit(-3)]), SolveResult::Unsat);
+        assert!(!s.failed_assumptions().is_empty());
+        assert_eq!(s.solve(), SolveResult::Sat);
+        assert!(s.model().unwrap()[3] || s.model().unwrap()[4]);
+    }
+
+    #[test]
+    fn episode_after_domain_episodes_decides_every_active_variable() {
+        let f = domain_formula();
+        let mut s = Solver::from_formula(&f);
+        for vars in [&[1, 2, 3][..], &[2, 3], &[1]] {
+            s.set_domain(&domain(vars));
+            assert_eq!(s.solve_under(&[lit(-1)]), SolveResult::Sat);
+            s.order.audit(&s.values).unwrap();
+        }
+        assert_eq!(s.solve(), SolveResult::Sat);
+        assert!(s.values.iter().all(|v| !v.is_undef()));
+        assert_eq!(f.evaluate(s.model().unwrap()), Some(true));
+        s.order.audit(&s.values).unwrap();
+    }
+
+    /// Domain episodes on random sessions whose outside clauses every
+    /// domain assignment extends to (AND gates over earlier literals, and
+    /// clauses over the domain gated by an outside activation literal)
+    /// answer as the reference does, interleaved with episodes without a
+    /// domain.
+    #[test]
+    fn domain_answers_match_the_reference() {
+        use crate::reference_dpll;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use rbmc_cnf::CnfFormula;
+
+        const DOMAIN: usize = 6;
+        const GATES: usize = 5;
+        for seed in 0..24 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut f = CnfFormula::with_vars(DOMAIN + GATES + 1);
+            let act = Var::new(DOMAIN + GATES).positive();
+            let domain_lit =
+                |rng: &mut StdRng| Lit::new(Var::new(rng.gen_range(0..DOMAIN)), rng.gen_bool(0.5));
+            for _ in 0..rng.gen_range(2..10) {
+                let clause: Vec<Lit> = (0..3).map(|_| domain_lit(&mut rng)).collect();
+                if rng.gen_bool(0.5) {
+                    f.add_clause(clause);
+                } else {
+                    f.add_clause([&[!act][..], &clause].concat());
+                }
+            }
+            for g in 0..GATES {
+                let out = Var::new(DOMAIN + g).positive();
+                let fanin = |rng: &mut StdRng| {
+                    let v = rng.gen_range(0..DOMAIN + g);
+                    Lit::new(Var::new(v), rng.gen_bool(0.5))
+                };
+                let (a, b) = (fanin(&mut rng), fanin(&mut rng));
+                f.add_clause([!out, a]);
+                f.add_clause([!out, b]);
+                f.add_clause([out, !a, !b]);
+            }
+            let mut s = Solver::from_formula(&f);
+            let domain: Vec<Var> = (0..DOMAIN).map(Var::new).collect();
+            for episode in 0..6 {
+                let mut assumptions: Vec<Lit> = (0..rng.gen_range(0..3))
+                    .map(|_| domain_lit(&mut rng))
+                    .collect();
+                if rng.gen_bool(0.5) {
+                    assumptions.insert(0, act);
+                }
+                let with_domain = episode % 3 != 2;
+                if with_domain {
+                    s.set_domain(&domain);
+                }
+                let mut reference = f.clone();
+                for &a in &assumptions {
+                    reference.add_clause([a]);
+                }
+                let want = reference_dpll(&reference).is_some();
+                let got = s.solve_under(&assumptions);
+                assert_eq!(
+                    got == SolveResult::Sat,
+                    want,
+                    "seed {seed}, episode {episode}"
+                );
+                if got == SolveResult::Sat {
+                    let model = s.model().unwrap();
+                    assert!(assumptions
+                        .iter()
+                        .all(|a| model[a.var().index()] == a.is_positive()));
+                    let inside = |c: &[Lit]| {
+                        c.iter().all(|l| {
+                            l.var().index() < DOMAIN
+                                || (l.var() == act.var() && assumptions.contains(&act))
+                        })
+                    };
+                    for clause in &f {
+                        if with_domain && !inside(clause.lits()) {
+                            continue;
+                        }
+                        assert!(
+                            clause
+                                .lits()
+                                .iter()
+                                .any(|l| model[l.var().index()] == l.is_positive()),
+                            "seed {seed}, episode {episode}: {clause:?}"
+                        );
+                    }
+                }
+                s.order.audit(&s.values).unwrap();
+            }
+        }
     }
 
     #[test]

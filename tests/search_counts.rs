@@ -46,16 +46,16 @@ const BMC_SESSION: &CountTable = &[
 
 /// IC3 to the instance's frame bound.
 const IC3: &CountTable = &[
-    ("s1_lock4", [103, 577, 3, 23]),
-    ("s2_lock3_imp", [43, 229, 2, 12]),
-    ("s3_ring5", [535, 2561, 21, 87]),
-    ("s4_ring4_bug2", [151, 592, 4, 25]),
-    ("s5_shift5", [119, 248, 0, 25]),
-    ("s6_twin4", [656, 1902, 28, 104]),
-    ("s7_fifo4_over", [329, 1446, 24, 49]),
-    ("s8_fifo4_guard", [186, 1051, 23, 32]),
-    ("s9_tmr2_f1", [269, 887, 7, 32]),
-    ("s10_pipe4", [122, 236, 0, 24]),
+    ("s1_lock4", [92, 416, 3, 23]),
+    ("s2_lock3_imp", [31, 132, 2, 12]),
+    ("s3_ring5", [469, 1315, 21, 87]),
+    ("s4_ring4_bug2", [106, 269, 4, 25]),
+    ("s5_shift5", [99, 101, 0, 25]),
+    ("s6_twin4", [540, 670, 28, 104]),
+    ("s7_fifo4_over", [311, 1033, 24, 49]),
+    ("s8_fifo4_guard", [178, 722, 23, 32]),
+    ("s9_tmr2_f1", [162, 432, 9, 34]),
+    ("s10_pipe4", [79, 83, 0, 24]),
 ];
 
 /// BMC, one session solver per instance, on the problem read back from the
