@@ -648,7 +648,9 @@ impl Solver {
     /// domain satisfiable by extending any assignment of the domain, for
     /// example by taking the fan-in cone of every gate it includes. UNSAT
     /// answers, failed assumptions, cores and proof lines keep their
-    /// meaning. The domain holds for the next `solve*` call only.
+    /// meaning. The domain holds for the next `solve*` call only. Call it
+    /// after that episode's clauses are added: a variable no clause
+    /// mentions yet is left out of the domain.
     pub fn set_domain(&mut self, vars: &[Var]) {
         self.order.set_domain(vars, &self.values);
     }
