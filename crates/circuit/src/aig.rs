@@ -364,9 +364,9 @@ pub struct NetlistToAig {
 }
 
 impl Aig {
-    /// Lowers a netlist to AIG form (n-ary gates become balanced AND trees;
-    /// XOR and MUX expand to their AND/OR decompositions). Outputs and latch
-    /// connectivity are carried over.
+    /// Lowers a netlist to AIG form (an `And` becomes a balanced tree of
+    /// binary ANDs; an `Xor` or a `Mux` expands to three ANDs). Outputs and
+    /// latch connectivity are carried over.
     ///
     /// The node list and the structural-hash table are sized once, for as
     /// many ANDs as the lowering can create, and one fanin buffer serves
@@ -380,18 +380,16 @@ impl Aig {
             .validated_order()
             .expect("netlist must be well-formed");
         let mut aig = Aig::new();
-        // An n-ary And/Or lowers to at most n − 1 ANDs, an n-ary Xor to
-        // 3(n − 1) (three per `xor2`), a Mux to 3; folding and hashing only
-        // ever make fewer.
+        // An n-ary And lowers to at most n − 1 ANDs, an Xor or a Mux to 3;
+        // folding and hashing only ever make fewer.
         let (mut leaves, mut ands) = (0, 0);
         for id in netlist.node_ids() {
             match netlist.node(id) {
                 Node::Input | Node::Latch { .. } => leaves += 1,
                 Node::Gate { op, fanins } => {
                     ands += match op {
-                        GateOp::And | GateOp::Or => fanins.len() - 1,
-                        GateOp::Xor => 3 * (fanins.len() - 1),
-                        GateOp::Mux => 3,
+                        GateOp::And => fanins.len() - 1,
+                        GateOp::Xor | GateOp::Mux => 3,
                     }
                 }
                 Node::Const => {}
@@ -421,9 +419,8 @@ impl Aig {
                 lits.clear();
                 lits.extend(fanins.iter().map(|&s| read(&map, s)));
                 let result = match op {
-                    GateOp::And => balanced_tree(&mut aig, &lits, Aig::and2),
-                    GateOp::Or => balanced_tree(&mut aig, &lits, Aig::or2),
-                    GateOp::Xor => balanced_tree(&mut aig, &lits, Aig::xor2),
+                    GateOp::And => and_tree(&mut aig, &lits),
+                    GateOp::Xor => aig.xor2(lits[0], lits[1]),
                     GateOp::Mux => aig.mux(lits[0], lits[1], lits[2]),
                 };
                 map[id.index()] = result;
@@ -545,21 +542,16 @@ impl Aig {
     }
 }
 
-/// Reduces a literal list with `op` as a balanced tree (keeps depth
-/// logarithmic).
-fn balanced_tree(
-    aig: &mut Aig,
-    lits: &[AigLit],
-    op: fn(&mut Aig, AigLit, AigLit) -> AigLit,
-) -> AigLit {
-    match lits.len() {
-        0 => AigLit::TRUE, // AND identity; callers with empty OR/XOR are folded earlier
-        1 => lits[0],
-        n => {
-            let (l, r) = lits.split_at(n / 2);
-            let left = balanced_tree(aig, l, op);
-            let right = balanced_tree(aig, r, op);
-            op(aig, left, right)
+/// Conjoins a non-empty literal list as a balanced tree of `and2`s (keeps
+/// depth logarithmic).
+fn and_tree(aig: &mut Aig, lits: &[AigLit]) -> AigLit {
+    match lits {
+        [lit] => *lit,
+        _ => {
+            let (l, r) = lits.split_at(lits.len() / 2);
+            let left = and_tree(aig, l);
+            let right = and_tree(aig, r);
+            aig.and2(left, right)
         }
     }
 }

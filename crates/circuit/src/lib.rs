@@ -6,10 +6,11 @@
 //! such models and every operation the pipeline needs:
 //!
 //! - [`Netlist`]: a multi-operator sequential netlist (inputs, latches with
-//!   initial values, n-ary AND/OR/XOR, MUX) with signal-level negation,
+//!   initial values, n-ary AND, binary XOR, MUX) with signal-level negation,
 //!   light constant folding, and well-formedness validation.
 //! - [`sim`]: a cycle-accurate two-valued simulator, used as the test oracle
-//!   and to replay BMC counterexample traces.
+//!   and to replay BMC counterexample traces, and the three-valued gate
+//!   rule that lint and IC3's cube lifting share.
 //! - [`coi`]: cone-of-influence analysis.
 //! - [`preprocess`]: the engine-path structural pass — constant sweeping,
 //!   structural hashing, and COI restriction to a fixpoint, with maps for

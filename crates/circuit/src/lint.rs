@@ -37,7 +37,8 @@ use std::collections::HashMap;
 use std::fmt;
 
 use crate::coi::cone_of_influence;
-use crate::{aiger, Aig, GateOp, Netlist, Node, NodeId, Signal};
+use crate::sim::ternary_gate;
+use crate::{aiger, Aig, Netlist, Node, NodeId, Signal};
 
 /// How serious a diagnostic is.
 ///
@@ -288,14 +289,11 @@ fn reaches_latch(
 
 /// Evaluates every node in three-valued logic at the reset state: latches
 /// take their reset values ([`crate::LatchInit::Free`] is unknown), inputs
-/// are unknown, and gates propagate constants where the operator allows
-/// (`x ∧ 0 = 0` even when `x` is unknown).
+/// are unknown, and gates propagate constants by [`ternary_gate`] where the
+/// operator allows (`x ∧ 0 = 0` even when `x` is unknown).
 fn ternary_reset_values(netlist: &Netlist) -> Vec<Option<bool>> {
     use crate::LatchInit;
     let mut vals: Vec<Option<bool>> = vec![None; netlist.num_nodes()];
-    let read = |vals: &[Option<bool>], s: Signal| -> Option<bool> {
-        vals[s.node().index()].map(|b| b ^ s.is_inverted())
-    };
     for id in netlist.topo_order() {
         vals[id.index()] = match netlist.node(id) {
             Node::Const => Some(false),
@@ -305,44 +303,7 @@ fn ternary_reset_values(netlist: &Netlist) -> Vec<Option<bool>> {
                 LatchInit::One => Some(true),
                 LatchInit::Free => None,
             },
-            Node::Gate { op, fanins } => {
-                let mut all = fanins.iter().map(|&s| read(&vals, s));
-                match op {
-                    GateOp::And => {
-                        if all.clone().any(|v| v == Some(false)) {
-                            Some(false)
-                        } else if all.all(|v| v == Some(true)) {
-                            Some(true)
-                        } else {
-                            None
-                        }
-                    }
-                    GateOp::Or => {
-                        if all.clone().any(|v| v == Some(true)) {
-                            Some(true)
-                        } else if all.all(|v| v == Some(false)) {
-                            Some(false)
-                        } else {
-                            None
-                        }
-                    }
-                    GateOp::Xor => all.try_fold(false, |acc, v| v.map(|b| acc ^ b)),
-                    GateOp::Mux => {
-                        let [sel, then, other] = [0, 1, 2].map(|i| read(&vals, fanins[i]));
-                        match sel {
-                            Some(true) => then,
-                            Some(false) => other,
-                            None => {
-                                if then.is_some() && then == other {
-                                    then
-                                } else {
-                                    None
-                                }
-                            }
-                        }
-                    }
-                }
-            }
+            Node::Gate { op, fanins } => ternary_gate(op, fanins, &vals),
         };
     }
     vals

@@ -133,15 +133,14 @@ pub enum LatchInit {
 
 /// Operator of a logic gate.
 ///
-/// `And`, `Or`, and `Xor` are n-ary (at least one fanin); `Mux` has exactly
-/// three fanins `[sel, then, else]`.
+/// `And` has at least two fanins, `Xor` exactly two, and `Mux` exactly three
+/// `[sel, then, else]`; [`Netlist::validate`] rejects every other arity.
+/// Disjunction is an inverted `And`, and wider parity a chain of `Xor`s.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum GateOp {
     /// Conjunction of all fanins.
     And,
-    /// Disjunction of all fanins.
-    Or,
-    /// Parity (odd number of true fanins).
+    /// `fanin0 ≠ fanin1`.
     Xor,
     /// `if fanin0 then fanin1 else fanin2`.
     Mux,
@@ -261,7 +260,7 @@ const _: () = assert!(std::mem::size_of::<Record>() == 12);
 /// Latch initial values by their offset from [`Record::LATCH`].
 const LATCH_INITS: [LatchInit; 3] = [LatchInit::Zero, LatchInit::One, LatchInit::Free];
 /// Gate operators by their offset from [`Record::GATE`].
-const GATE_OPS: [GateOp; 4] = [GateOp::And, GateOp::Or, GateOp::Xor, GateOp::Mux];
+const GATE_OPS: [GateOp; 3] = [GateOp::And, GateOp::Xor, GateOp::Mux];
 
 /// A sequential gate-level netlist.
 ///
@@ -662,7 +661,8 @@ impl Netlist {
                 }
                 Node::Gate { op, fanins } => {
                     let ok = match op {
-                        GateOp::And | GateOp::Or | GateOp::Xor => !fanins.is_empty(),
+                        GateOp::And => fanins.len() >= 2,
+                        GateOp::Xor => fanins.len() == 2,
                         GateOp::Mux => fanins.len() == 3,
                     };
                     if !ok {
@@ -847,6 +847,26 @@ mod tests {
         assert_eq!(n.or_many(&[]), Signal::FALSE);
         assert_eq!(n.or_many(&[a, Signal::FALSE]), a);
         assert_eq!(n.or_many(&[a, Signal::TRUE]), Signal::TRUE);
+    }
+
+    #[test]
+    fn gates_of_an_invalid_arity_are_rejected() {
+        // No constructor builds these shapes; `validate` names each gate.
+        let shapes = [
+            (GateOp::And, 1),
+            (GateOp::Xor, 1),
+            (GateOp::Xor, 3),
+            (GateOp::Mux, 2),
+        ];
+        for (op, arity) in shapes {
+            let mut n = Netlist::new();
+            let fanins: Vec<Signal> = (0..arity).map(|i| n.add_input(&format!("i{i}"))).collect();
+            let gate = n.gate(op, &fanins).node();
+            let error = n.validate().expect_err("an invalid arity");
+            assert_eq!(error, NetlistError::BadArity(gate), "{op:?} of {arity}");
+            let message = error.to_string();
+            assert!(message.contains(&format!("gate {gate:?} ")), "{message}");
+        }
     }
 
     #[test]

@@ -111,7 +111,7 @@ fn stuck_value(id: NodeId, node: Node<'_>) -> Option<bool> {
 
 fn canonical_key(op: GateOp, fanins: &[Signal]) -> (GateOp, Vec<usize>) {
     let mut codes: Vec<usize> = fanins.iter().map(|s| s.code()).collect();
-    // AND/OR/XOR are commutative; MUX operands are positional.
+    // AND and XOR are commutative; MUX operands are positional.
     if op != GateOp::Mux {
         codes.sort_unstable();
     }
@@ -208,8 +208,7 @@ fn rebuild_round(current: &Netlist, seeds: &[Signal]) -> Round {
                 None => {
                     let sig = match op {
                         GateOp::And => reduced.and_many(&new_fanins),
-                        GateOp::Or => reduced.or_many(&new_fanins),
-                        GateOp::Xor => reduced.xor_many(&new_fanins),
+                        GateOp::Xor => reduced.xor2(new_fanins[0], new_fanins[1]),
                         GateOp::Mux => reduced.mux(new_fanins[0], new_fanins[1], new_fanins[2]),
                     };
                     hash.insert(key, sig);

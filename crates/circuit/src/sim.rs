@@ -1,8 +1,10 @@
-//! Cycle-accurate two-valued simulation.
+//! Cycle-accurate two-valued simulation, and the three-valued gate rule.
 //!
 //! The simulator is the ground-truth oracle of the workspace: BMC
 //! counterexamples are replayed on it, and the explicit-state reachability
-//! oracle in `rbmc-core` steps it exhaustively.
+//! oracle in `rbmc-core` steps it exhaustively. [`ternary_gate`] is the
+//! same gate semantics with an unknown value X, tested against the
+//! simulator on every completion of its X inputs.
 
 use crate::{GateOp, LatchInit, Netlist, Node, NodeId, Signal};
 
@@ -55,8 +57,7 @@ impl<'a> Plan<'a> {
                 let read = |s: Signal| s.apply(values[s.node().index()]);
                 values[id.index()] = match op {
                     GateOp::And => fanins.iter().all(|&s| read(s)),
-                    GateOp::Or => fanins.iter().any(|&s| read(s)),
-                    GateOp::Xor => fanins.iter().filter(|&&s| read(s)).count() % 2 == 1,
+                    GateOp::Xor => read(fanins[0]) != read(fanins[1]),
                     GateOp::Mux => {
                         if read(fanins[0]) {
                             read(fanins[1])
@@ -92,6 +93,54 @@ pub fn eval_frame(netlist: &Netlist, latch_values: &[bool], input_values: &[bool
 /// Reads a signal out of a node-value vector produced by [`eval_frame`].
 pub fn read_signal(values: &[bool], signal: Signal) -> bool {
     signal.apply(values[signal.node().index()])
+}
+
+/// The three-valued value of a gate from its fanins' node values, indexed
+/// by [`NodeId::index`](crate::NodeId::index), with `None` for X (either
+/// value):
+///
+/// - `And` is 0 if any fanin is 0, else X if any fanin is X, else 1;
+/// - `Xor` is X as soon as a fanin is X;
+/// - `Mux` under an X select is its branches' common value, or X.
+///
+/// Each rule is exact: the result is determined iff every completion of the
+/// X fanins gives the same two-valued result, and then it is that result.
+/// Lint's reset-state propagation and IC3's cube lifting both evaluate gates
+/// with it.
+///
+/// # Panics
+///
+/// Panics if `fanins` has fewer entries than [`Netlist::validate`] requires
+/// of `op`, or if `values` does not cover a fanin's node.
+#[inline]
+pub fn ternary_gate(op: GateOp, fanins: &[Signal], values: &[Option<bool>]) -> Option<bool> {
+    let read = |s: Signal| values[s.node().index()].map(|v| s.apply(v));
+    match op {
+        GateOp::And => {
+            let mut result = Some(true);
+            for &fanin in fanins {
+                match read(fanin) {
+                    Some(false) => return Some(false),
+                    Some(true) => {}
+                    None => result = None,
+                }
+            }
+            result
+        }
+        GateOp::Xor => Some(read(fanins[0])? != read(fanins[1])?),
+        GateOp::Mux => match read(fanins[0]) {
+            Some(true) => read(fanins[1]),
+            Some(false) => read(fanins[2]),
+            None => {
+                let then = read(fanins[1]);
+                if then == read(fanins[2]) {
+                    then
+                } else {
+                    None
+                }
+            }
+        },
+    }
 }
 
 /// A stepping simulator holding the current register state.
@@ -255,6 +304,64 @@ mod tests {
             assert_eq!(read_signal(&values, or3), x || y || z);
             assert_eq!(read_signal(&values, xor3), x ^ y ^ z);
             assert_eq!(read_signal(&values, mx), if x { y } else { z });
+        }
+    }
+
+    #[test]
+    fn gate_rules_are_exact_at_every_arity() {
+        // Each operator at each arity a netlist holds, under every inversion
+        // of its fanins and every 0/1/X value of their nodes: the ternary
+        // rule is determined iff the simulator gives every completion of the
+        // X inputs one value, and then it is that value.
+        let cases = [
+            (GateOp::And, 2),
+            (GateOp::And, 3),
+            (GateOp::And, 4),
+            (GateOp::Xor, 2),
+            (GateOp::Mux, 3),
+        ];
+        for (op, arity) in cases {
+            for inversions in 0..1usize << arity {
+                let mut n = Netlist::new();
+                let fanins: Vec<Signal> = (0..arity)
+                    .map(|i| {
+                        let input = n.add_input(&format!("i{i}"));
+                        if inversions >> i & 1 == 1 {
+                            !input
+                        } else {
+                            input
+                        }
+                    })
+                    .collect();
+                let gate = match op {
+                    GateOp::And => n.and_many(&fanins),
+                    GateOp::Xor => n.xor2(fanins[0], fanins[1]),
+                    GateOp::Mux => n.mux(fanins[0], fanins[1], fanins[2]),
+                };
+                let fanins = &fanins[..];
+                assert_eq!(n.node(gate.node()), Node::Gate { op, fanins });
+                let sim = Simulator::new(&n);
+                for code in 0..3usize.pow(arity as u32) {
+                    // Node values: the constant, then each input's 0, 1 or X.
+                    let values: Vec<Option<bool>> = [Some(false)]
+                        .into_iter()
+                        .chain((0..arity).map(|i| {
+                            [Some(false), Some(true), None][code / 3usize.pow(i as u32) % 3]
+                        }))
+                        .collect();
+                    let mut completions = (0..1usize << arity)
+                        .map(|word| (0..arity).map(|i| word >> i & 1 == 1).collect::<Vec<_>>())
+                        .filter(|full| full.iter().zip(&values[1..]).all(|(&b, &v)| v != Some(!b)))
+                        .map(|full| read_signal(&sim.frame_values(&full), gate));
+                    let first = completions.next().expect("one completion at least");
+                    let exact = completions.all(|value| value == first).then_some(first);
+                    assert_eq!(
+                        ternary_gate(op, fanins, &values),
+                        exact,
+                        "{op:?} over {fanins:?} at {values:?}"
+                    );
+                }
+            }
         }
     }
 

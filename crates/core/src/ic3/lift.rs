@@ -12,96 +12,25 @@
 //! The query marks the targets' fan-in cone before it is asked, for its
 //! solver domain ([`Lifter::mark_cone`]). A lift of its SAT answer starts
 //! from the answer's own values in that cone, which are one two-valued
-//! evaluation of the cone (0 and 1; the third value, X, is "either"). It
-//! then tries the cube's latches in position order: a candidate is set to X
-//! and the X is pushed forward through the [fanout table](Lifter), each
-//! changed value logged. If a target turns X, the log is rolled back and the
-//! latch stays in the cube; otherwise it stays X and leaves the cube. A latch
-//! outside the cone leaves at no cost. Ternary simulation is monotone — an X fanin only ever turns a
-//! determined value into X — so each node changes at most once per
-//! candidate, and a worklist in any order reaches the same values as a
-//! topological re-evaluation.
+//! evaluation of the cone. It then tries the cube's latches in position
+//! order: a candidate is set to X ("either", `None`) and the X is pushed
+//! forward through the [fanout table](Lifter), each changed value logged,
+//! with the gate rule [`ternary_gate`] that lint shares. If a target turns
+//! X, the log is rolled back and the latch stays in the cube; otherwise it
+//! stays X and leaves the cube. A latch outside the cone leaves at no cost.
+//! Ternary simulation is monotone — an X fanin only ever turns a determined
+//! value into X — so each node changes at most once per candidate, and a
+//! worklist in any order reaches the same values as a topological
+//! re-evaluation.
 
-use rbmc_circuit::{GateOp, Netlist, Node, NodeId, Signal};
+use rbmc_circuit::sim::ternary_gate;
+use rbmc_circuit::{Netlist, Node, NodeId, Signal};
 
 use super::frames::Cube;
 
-/// A three-valued signal value: 0, 1, or X (either).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Ternary {
-    Zero,
-    One,
-    X,
-}
-
-impl Ternary {
-    fn of(value: bool) -> Ternary {
-        if value {
-            Ternary::One
-        } else {
-            Ternary::Zero
-        }
-    }
-
-    /// The value of `signal` given its node's value.
-    fn through(self, signal: Signal) -> Ternary {
-        match (self, signal.is_inverted()) {
-            (Ternary::Zero, true) => Ternary::One,
-            (Ternary::One, true) => Ternary::Zero,
-            (value, _) => value,
-        }
-    }
-}
-
-/// `values[s.node()]`, through the signal's inversion.
-fn read(values: &[Ternary], signal: Signal) -> Ternary {
-    values[signal.node().index()].through(signal)
-}
-
-/// The ternary value of a gate from its fanins' values:
-///
-/// - `And`/`Or` take their controlling value (0 resp. 1) if any fanin has
-///   it, else X if any fanin is X;
-/// - `Xor` is X as soon as any fanin is X;
-/// - `Mux` under an X select is its branches' common value, or X.
-///
-/// Each rule is exact: the result is determined iff every completion of the
-/// X fanins gives the same two-valued result.
-fn eval_gate(op: GateOp, fanins: &[Signal], values: &[Ternary]) -> Ternary {
-    let settle = |controlling: Ternary, otherwise: Ternary| {
-        let mut result = otherwise;
-        for &fanin in fanins {
-            match read(values, fanin) {
-                value if value == controlling => return controlling,
-                Ternary::X => result = Ternary::X,
-                _ => {}
-            }
-        }
-        result
-    };
-    match op {
-        GateOp::And => settle(Ternary::Zero, Ternary::One),
-        GateOp::Or => settle(Ternary::One, Ternary::Zero),
-        GateOp::Xor => fanins
-            .iter()
-            .try_fold(false, |parity, &fanin| match read(values, fanin) {
-                Ternary::X => None,
-                value => Some(parity ^ (value == Ternary::One)),
-            })
-            .map_or(Ternary::X, Ternary::of),
-        GateOp::Mux => match read(values, fanins[0]) {
-            Ternary::One => read(values, fanins[1]),
-            Ternary::Zero => read(values, fanins[2]),
-            Ternary::X => {
-                let (then, other) = (read(values, fanins[1]), read(values, fanins[2]));
-                if then == other {
-                    then
-                } else {
-                    Ternary::X
-                }
-            }
-        },
-    }
+/// `values[s.node()]` through the signal's inversion, `None` for X.
+fn read(values: &[Option<bool>], signal: Signal) -> Option<bool> {
+    values[signal.node().index()].map(|value| signal.apply(value))
 }
 
 /// The lifting tables of one working netlist, built once per IC3 run and
@@ -115,8 +44,9 @@ pub(crate) struct Lifter {
     /// `fanouts[fanout_start[n]..fanout_start[n + 1]]`.
     fanout_start: Vec<u32>,
     fanouts: Vec<NodeId>,
-    /// Node values under the current lift; meaningful in its cone only.
-    values: Vec<Ternary>,
+    /// Node values under the current lift, `None` for X; meaningful in its
+    /// cone only.
+    values: Vec<Option<bool>>,
     /// `cone[n] == epoch`: node `n` is in the current query's cone.
     cone: Vec<u32>,
     /// `target[n] == epoch`: node `n` is a current target's node.
@@ -126,7 +56,7 @@ pub(crate) struct Lifter {
     /// The current cone's nodes, in the order the search reached them.
     cone_nodes: Vec<NodeId>,
     /// Nodes the pending candidate turned X, with their previous values.
-    undo: Vec<(NodeId, Ternary)>,
+    undo: Vec<(NodeId, Option<bool>)>,
     /// Nodes turned X whose fanouts still need re-evaluating.
     worklist: Vec<NodeId>,
 }
@@ -164,7 +94,7 @@ impl Lifter {
         Lifter {
             fanout_start,
             fanouts,
-            values: vec![Ternary::X; num_nodes],
+            values: vec![None; num_nodes],
             cone: vec![0; num_nodes],
             target: vec![0; num_nodes],
             epoch: 0,
@@ -245,12 +175,12 @@ impl Lifter {
             "the lift's targets are not the marked cone's"
         );
         for &node in &self.cone_nodes {
-            self.values[node.index()] = Ternary::of(frame0[node.index()]);
+            self.values[node.index()] = Some(frame0[node.index()]);
         }
         debug_assert!(
             netlist.node_ids().all(|id| match netlist.node(id) {
                 Node::Gate { op, fanins } if self.cone[id.index()] == self.epoch => {
-                    eval_gate(op, fanins, &self.values) == self.values[id.index()]
+                    ternary_gate(op, fanins, &self.values) == self.values[id.index()]
                 }
                 _ => true,
             }),
@@ -259,7 +189,7 @@ impl Lifter {
         debug_assert!(
             targets
                 .iter()
-                .all(|&(signal, value)| read(&self.values, signal) == Ternary::of(value)),
+                .all(|&(signal, value)| read(&self.values, signal) == Some(value)),
             "the SAT answer does not give the targets their values"
         );
     }
@@ -287,7 +217,7 @@ impl Lifter {
     /// Logs and sets `node` to X; `false` if it drives a target.
     fn turn_x(&mut self, node: NodeId) -> bool {
         self.undo.push((node, self.values[node.index()]));
-        self.values[node.index()] = Ternary::X;
+        self.values[node.index()] = None;
         self.worklist.push(node);
         self.target[node.index()] != self.epoch
     }
@@ -301,13 +231,13 @@ impl Lifter {
             for i in range {
                 let gate = self.fanouts[i];
                 let index = gate.index();
-                if self.cone[index] != self.epoch || self.values[index] == Ternary::X {
+                if self.cone[index] != self.epoch || self.values[index].is_none() {
                     continue;
                 }
                 let Node::Gate { op, fanins } = netlist.node(gate) else {
                     unreachable!("fanouts are gates")
                 };
-                if eval_gate(op, fanins, &self.values) == Ternary::X && !self.turn_x(gate) {
+                if ternary_gate(op, fanins, &self.values).is_none() && !self.turn_x(gate) {
                     return false;
                 }
             }
@@ -332,7 +262,7 @@ pub(crate) fn check_lift(
     let values = ternary_frame(netlist, latches, frame0, cube);
     match targets
         .iter()
-        .find(|&&(signal, value)| read(&values, signal) != Ternary::of(value))
+        .find(|&&(signal, value)| read(&values, signal) != Some(value))
     {
         Some(&(signal, value)) => Err(format!(
             "lifted cube {cube:?} leaves target {signal:?} at {:?}, want {value}",
@@ -342,25 +272,26 @@ pub(crate) fn check_lift(
     }
 }
 
-/// Every node's ternary value with the latches of `cube` at their values,
-/// the other latches at X, and the inputs at `frame0`'s values.
+/// Every node's ternary value (`None` for X) with the latches of `cube` at
+/// their values, the other latches at X, and the inputs at `frame0`'s
+/// values.
 #[cfg(any(test, feature = "debug-invariants"))]
 fn ternary_frame(
     netlist: &Netlist,
     latches: &[NodeId],
     frame0: &[bool],
     cube: &Cube,
-) -> Vec<Ternary> {
-    let mut values = vec![Ternary::X; netlist.num_nodes()];
+) -> Vec<Option<bool>> {
+    let mut values = vec![None; netlist.num_nodes()];
     for &(pos, value) in cube {
-        values[latches[pos].index()] = Ternary::of(value);
+        values[latches[pos].index()] = Some(value);
     }
     for id in netlist.topo_order() {
         values[id.index()] = match netlist.node(id) {
-            Node::Const => Ternary::Zero,
-            Node::Input => Ternary::of(frame0[id.index()]),
+            Node::Const => Some(false),
+            Node::Input => Some(frame0[id.index()]),
             Node::Latch { .. } => values[id.index()],
-            Node::Gate { op, fanins } => eval_gate(op, fanins, &values),
+            Node::Gate { op, fanins } => ternary_gate(op, fanins, &values),
         };
     }
     values
@@ -461,70 +392,6 @@ mod tests {
     }
 
     #[test]
-    fn gate_rules_are_exact_at_every_arity() {
-        // For each operator and arity, each ternary value and inversion of
-        // the fanins: the gate is determined iff every completion of its X
-        // fanins gives one two-valued result, and then it is that result.
-        let two_valued = |op: GateOp, inputs: &[bool]| match op {
-            GateOp::And => inputs.iter().all(|&b| b),
-            GateOp::Or => inputs.iter().any(|&b| b),
-            GateOp::Xor => inputs.iter().filter(|&&b| b).count() % 2 == 1,
-            GateOp::Mux => {
-                if inputs[0] {
-                    inputs[1]
-                } else {
-                    inputs[2]
-                }
-            }
-        };
-        let cases = [GateOp::And, GateOp::Or, GateOp::Xor]
-            .into_iter()
-            .flat_map(|op| (1..=4).map(move |arity| (op, arity)))
-            .chain([(GateOp::Mux, 3)]);
-        for (op, arity) in cases {
-            for inversions in 0..1usize << arity {
-                let fanins: Vec<Signal> = (0..arity)
-                    .map(|i| Signal::new(NodeId::new(i + 1), inversions >> i & 1 == 1))
-                    .collect();
-                for code in 0..3usize.pow(arity as u32) {
-                    let mut values = vec![Ternary::Zero];
-                    values.extend((0..arity).map(|i| {
-                        [Ternary::Zero, Ternary::One, Ternary::X][code / 3usize.pow(i as u32) % 3]
-                    }));
-                    let xs: Vec<usize> = (0..arity)
-                        .filter(|&i| values[i + 1] == Ternary::X)
-                        .collect();
-                    let mut results = (0..1usize << xs.len()).map(|fill| {
-                        let inputs: Vec<bool> = fanins
-                            .iter()
-                            .enumerate()
-                            .map(|(i, &s)| {
-                                let node = match xs.iter().position(|&x| x == i) {
-                                    Some(k) => fill >> k & 1 == 1,
-                                    None => values[i + 1] == Ternary::One,
-                                };
-                                s.apply(node)
-                            })
-                            .collect();
-                        two_valued(op, &inputs)
-                    });
-                    let first = results.next().expect("one completion at least");
-                    let exact = if results.all(|r| r == first) {
-                        Ternary::of(first)
-                    } else {
-                        Ternary::X
-                    };
-                    assert_eq!(
-                        eval_gate(op, &fanins, &values),
-                        exact,
-                        "{op:?} over {fanins:?} at {values:?}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn lifting_keeps_what_a_mux_and_an_xor_need() {
         // mux(s, p, q), a ⊕ b and their disjunction, in the state s = 0,
         // p = q = 1, a = 1, b = 0, where all three are 1.
@@ -581,7 +448,7 @@ mod tests {
                 for id in n.node_ids() {
                     assert_eq!(
                         values[id.index()],
-                        Ternary::of(frame0[id.index()]),
+                        Some(frame0[id.index()]),
                         "seed {seed}, {id:?}"
                     );
                 }

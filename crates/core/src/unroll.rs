@@ -256,33 +256,13 @@ impl<'a> Unroller<'a> {
                 long.push(out);
                 formula.add_clause(long);
             }
-            GateOp::Or => {
-                let mut long = Vec::with_capacity(ins.len() + 1);
-                for &lit in &ins {
-                    formula.add_clause([out, !lit]);
-                    long.push(lit);
-                }
-                long.push(!out);
-                formula.add_clause(long);
-            }
             GateOp::Xor => {
-                assert!(
-                    ins.len() <= 12,
-                    "XOR arity {} too wide for direct CNF enumeration",
-                    ins.len()
-                );
-                // Forbid every assignment where out ≠ parity(inputs).
-                for bits in 0u32..1 << ins.len() {
-                    let parity = bits.count_ones() % 2 == 1;
-                    // Block (inputs = bits, out = !parity).
-                    let mut clause = Vec::with_capacity(ins.len() + 1);
-                    for (i, &lit) in ins.iter().enumerate() {
-                        // Literal that is false under this input combination.
-                        clause.push(if bits >> i & 1 == 1 { !lit } else { lit });
-                    }
-                    clause.push(if parity { out } else { !out });
-                    formula.add_clause(clause);
-                }
+                // Forbid each input pair with out ≠ a ⊕ b.
+                let (a, b) = (ins[0], ins[1]);
+                formula.add_clause([a, b, !out]);
+                formula.add_clause([!a, b, out]);
+                formula.add_clause([a, !b, out]);
+                formula.add_clause([!a, !b, !out]);
             }
             GateOp::Mux => {
                 let (s, a, b) = (ins[0], ins[1], ins[2]);
@@ -500,6 +480,41 @@ mod tests {
                 })
                 .collect();
         }
+    }
+
+    #[test]
+    fn gate_clauses_are_pinned_in_order() {
+        // One frame of an And of three, an Xor and a Mux, with inverted
+        // fanins: every clause and every literal in emission order.
+        let mut n = Netlist::new();
+        let [a, b, c] = ["a", "b", "c"].map(|name| n.add_input(name));
+        let and = n.and_many(&[a, !b, c]);
+        let xor = n.xor2(a, !c);
+        let mux = n.mux(and, xor, !b);
+        let model = Model::new("gates", n, mux);
+        let unroller = Unroller::new(&model);
+        let [a, b, c, and, xor, mux] = [a, b, c, and, xor, mux].map(|s| unroller.lit_of(s, 0));
+        let expected = [
+            vec![unroller.var_of(NodeId::CONST, 0).negative()],
+            vec![!and, a],
+            vec![!and, !b],
+            vec![!and, c],
+            vec![!a, b, !c, and],
+            vec![a, !c, !xor],
+            vec![!a, !c, xor],
+            vec![a, c, xor],
+            vec![!a, c, !xor],
+            vec![!and, !xor, mux],
+            vec![!and, xor, !mux],
+            vec![and, b, mux],
+            vec![and, !b, !mux],
+            vec![!xor, b, mux],
+            vec![xor, !b, !mux],
+        ];
+        unroller.with_frame_delta(0, |clauses| {
+            let emitted: Vec<Vec<Lit>> = clauses.iter().map(|c| c.lits().to_vec()).collect();
+            assert_eq!(emitted, expected);
+        });
     }
 
     #[test]
