@@ -460,12 +460,7 @@ fn witness_text(
 /// engine solved) and checks that the property's bad literal holds at the
 /// final frame — the second half of the witness soundness gate.
 fn replay_on_aig(aig: &Aig, prop_index: usize, trace: &Trace) -> Result<(), String> {
-    let props = if aig.bads().is_empty() {
-        aig.outputs()
-    } else {
-        aig.bads()
-    };
-    let (_, bad_lit) = &props[prop_index];
+    let (_, bad_lit) = &aig.properties()[prop_index];
     if trace.initial_state().len() != aig.latches().len() {
         return Err("trace initial state does not match the AIG's latch count".into());
     }
@@ -945,7 +940,10 @@ fn check_file(
             ),
             (
                 "retirement_depth".into(),
-                prop_report.retirement_depth.map_or(-1.0, |d| d as f64),
+                match &prop_report.verdict {
+                    PropertyVerdict::Falsified { depth, .. } => *depth as f64,
+                    _ => -1.0,
+                },
             ),
             ("solve_calls".into(), run.solver_stats.solve_calls as f64),
             (

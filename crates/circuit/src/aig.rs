@@ -275,6 +275,16 @@ impl Aig {
         &self.bads
     }
 
+    /// The properties a checker reads: the bad-state lines, or the outputs
+    /// when there are none (the pre-AIGER-1.9 convention).
+    pub fn properties(&self) -> &[(String, AigLit)] {
+        if self.bads.is_empty() {
+            &self.outputs
+        } else {
+            &self.bads
+        }
+    }
+
     /// Evaluates one frame: node values from latch and input values (both in
     /// creation order).
     ///

@@ -463,18 +463,11 @@ pub fn lint_properties(netlist: &Netlist, props: &[(String, Signal)]) -> LintRep
     report
 }
 
-/// Lints an [`Aig`] (checks `L001`–`L007`). The property set mirrors the BMC
-/// front door: the bad-state literals when any `B` line exists, otherwise
-/// the outputs.
+/// Lints an [`Aig`] (checks `L001`–`L007`) over [`Aig::properties`], the
+/// property set the BMC front door reads.
 pub fn lint_aig(aig: &Aig) -> LintReport {
     let raised = aig.to_netlist();
-    let selected = if aig.bads().is_empty() {
-        aig.outputs()
-    } else {
-        aig.bads()
-    };
-    let props: Vec<(String, Signal)> = selected
-        .iter()
+    let props: Vec<(String, Signal)> = (aig.properties().iter())
         .map(|(name, lit)| (name.clone(), raised.signal_of(*lit)))
         .collect();
     lint_properties(&raised.netlist, &props)

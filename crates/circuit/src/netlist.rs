@@ -447,11 +447,6 @@ impl Netlist {
         self.gate(GateOp::Mux, &[sel, a, b])
     }
 
-    /// `a → b` (implication).
-    pub fn implies(&mut self, a: Signal, b: Signal) -> Signal {
-        !self.and2(a, !b)
-    }
-
     /// N-ary AND (`AND()` of an empty list is true).
     pub fn and_many(&mut self, signals: &[Signal]) -> Signal {
         let mut fanins: Vec<Signal> = Vec::with_capacity(signals.len());

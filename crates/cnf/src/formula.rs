@@ -139,7 +139,7 @@ impl CnfFormula {
     /// Returns a range view over the clauses at `range` (insertion order).
     ///
     /// This lends contiguous clause runs without copying — the zero-copy
-    /// path incremental consumers (the unroller's frame cache) are built on.
+    /// path incremental consumers (the unroller's frame deltas) are built on.
     ///
     /// # Panics
     ///

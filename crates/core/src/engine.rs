@@ -38,6 +38,7 @@ use std::fmt;
 use std::time::{Duration, Instant};
 
 use rbmc_circuit::Signal;
+use rbmc_cnf::CnfFormula;
 use rbmc_solver::{Limits, OrderMode, SolveResult, Solver, SolverOptions, SolverStats};
 
 use crate::preprocess::EngineModel;
@@ -146,7 +147,7 @@ pub struct BmcOptions {
     /// constant sweeping, structural hashing, and restriction to the union
     /// of the properties' cones of influence
     /// ([`preprocess_problem`](crate::preprocess_problem)). Verdicts,
-    /// retirement depths, and (lifted) traces are identical to the raw
+    /// falsification depths, and (lifted) traces are identical to the raw
     /// engine's; every removed node shrinks every frame of the unrolling.
     /// Turn off for differential testing against the raw encoding.
     pub preprocess: bool,
@@ -298,9 +299,6 @@ pub struct PropertyReport {
     pub conflicts: u64,
     /// Propagations over this property's episodes.
     pub propagations: u64,
-    /// Depth at which the property retired with a counterexample (`None`
-    /// while open).
-    pub retirement_depth: Option<usize>,
     /// This property's per-depth verdict sequence (index = depth). The
     /// differential gates compare these against fresh single-property runs.
     pub depth_results: Vec<SolveResult>,
@@ -406,10 +404,6 @@ impl PropState {
             (None, Some(depth)) => PropertyVerdict::OpenAt { depth },
             (None, None) => PropertyVerdict::Unknown,
         };
-        let retirement_depth = match &verdict {
-            PropertyVerdict::Falsified { depth, .. } => Some(*depth),
-            _ => None,
-        };
         PropertyReport {
             name: self.name,
             verdict,
@@ -418,7 +412,6 @@ impl PropState {
             decisions: self.decisions,
             conflicts: self.conflicts,
             propagations: self.propagations,
-            retirement_depth,
             depth_results: self.depth_results,
         }
     }
@@ -567,6 +560,9 @@ impl BmcEngine {
             ),
             SolverReuse::Fresh => None,
         };
+        // Frames `0..=k` of a fresh run, which every fresh solver of depth
+        // `k` loads.
+        let mut prefix = CnfFormula::new();
         let mut proof = ProofSummary::default();
         let mut per_depth: Vec<DepthStats> = Vec::new();
         let mut aggregate = SolverStats::new();
@@ -574,16 +570,16 @@ impl BmcEngine {
         'depths: for k in 0..=self.options.max_depth {
             let depth_start = Instant::now();
             let limits = depth_limits(&self.options);
-            // gen_cnf_formula(M, P, k): the session solver reads the one new
-            // frame once, so it is encoded without caching; fresh solvers
-            // replay the cached prefix per episode. sat_check(F, varRank) is
-            // one solve episode per open property.
-            if let Some(solver) = session.as_mut() {
-                unroller.with_frame_delta(k, |clauses| {
+            // gen_cnf_formula(M, P, k): frame k is encoded once and appended,
+            // to the session solver or to the fresh runs' prefix.
+            // sat_check(F, varRank) is one solve episode per open property.
+            match session.as_mut() {
+                Some(solver) => unroller.with_frame_delta(k, |clauses| {
                     for clause in clauses {
                         solver.add_clause(clause.lits());
                     }
-                });
+                }),
+                None => unroller.emit_frame(k, &mut prefix),
             }
             let mut depth = DepthStats {
                 depth: k,
@@ -628,7 +624,7 @@ impl BmcEngine {
                         (&mut *solver, result, base)
                     }
                     None => {
-                        let solver = fresh.insert(self.fresh_solver(&unroller, k, bad));
+                        let solver = fresh.insert(self.fresh_solver(&unroller, &prefix, k, bad));
                         let result = solver.solve_limited(&limits);
                         (&mut *solver, result, SolverStats::new())
                     }
@@ -768,22 +764,26 @@ impl BmcEngine {
     }
 
     /// Builds the paper's per-depth solver (the [`SolverReuse::Fresh`]
-    /// differential path): loads `F_k` from the unroller's cached clause
-    /// prefix plus the depth-`k` bad-state unit of one property — no
+    /// differential path): loads `F_k` from `prefix`, the run's frames
+    /// `0..=k`, plus the depth-`k` bad-state unit of one property — no
     /// activation literals, no assumptions — then installs the strategy's
     /// ranking. Its proof log is started before any clause when
     /// [`BmcOptions::proof`] is on.
-    fn fresh_solver(&self, unroller: &Unroller<'_>, k: usize, bad: Signal) -> Solver {
+    fn fresh_solver(
+        &self,
+        unroller: &Unroller<'_>,
+        prefix: &CnfFormula,
+        k: usize,
+        bad: Signal,
+    ) -> Solver {
         let mut solver = self
             .options
             .proof
             .solver(strategy_solver_options(&self.options));
         solver.reserve_vars(unroller.num_vars_at(k));
-        unroller.with_prefix(k, |clauses| {
-            for clause in clauses {
-                solver.add_clause(clause.lits());
-            }
-        });
+        for clause in prefix {
+            solver.add_clause(clause.lits());
+        }
         solver.add_clause(&[unroller.lit_of(bad, k)]);
         self.install_ranking(&mut solver, unroller, k);
         solver
@@ -1097,7 +1097,6 @@ mod tests {
         assert_eq!(run.properties.len(), 1);
         assert_eq!(run.properties[0].episodes, 12);
         assert_eq!(run.properties[0].assumption_conflicts, 11);
-        assert_eq!(run.properties[0].retirement_depth, Some(11));
         // Fresh mode never reports incremental counters.
         let mut engine = BmcEngine::new(
             counter_model(4, 11),

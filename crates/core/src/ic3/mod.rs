@@ -49,10 +49,13 @@
 //! Falsifications are reported at the exact depth BMC would find: the
 //! frontier only advances past `K` once `F_K ∧ bad` is UNSAT (no
 //! counterexample of length `≤ K`), and an obligation chain reaching `I`
-//! at frontier `K` witnesses a counterexample of exactly `K` transitions —
-//! which a fresh BMC-style solve at depth `K` then reconstructs as a
-//! validated [`Trace`]. This is what makes the engine differentially
-//! testable against the BMC oracle.
+//! at frontier `K` witnesses a counterexample of exactly `K` transitions.
+//! The chain itself is the [`Trace`], as in PDR (Eén, Mishchenko and
+//! Brayton, FMCAD 2011): each obligation records the frame-0 inputs of the
+//! SAT answer it was lifted under and the obligation it steps into, so the
+//! level-0 obligation's cube (every other latch at its reset value)
+//! followed by those inputs in chain order replays into `bad`. This is
+//! what makes the engine differentially testable against the BMC oracle.
 
 mod frames;
 mod generalize;
@@ -66,10 +69,11 @@ use std::collections::BinaryHeap;
 use std::fmt;
 use std::time::Instant;
 
+use rbmc_circuit::coi::init_value;
 use rbmc_circuit::preprocess::PreprocessReport;
 use rbmc_circuit::{LatchInit, Node, NodeId, Signal};
 use rbmc_cnf::{CnfFormula, Lit, Var};
-use rbmc_solver::{Limits, SolveResult, Solver, SolverOptions, SolverStats};
+use rbmc_solver::{Limits, SolveResult, Solver, SolverStats};
 
 use crate::engine::{
     depth_limits, strategy_solver_options, BmcOptions, BmcRun, DepthStats, PropertyReport,
@@ -248,22 +252,6 @@ fn merge_depth_stats(all: &mut Vec<DepthStats>, prop: Vec<DepthStats>) {
     }
 }
 
-/// How one property's IC3 run ended (pre-report form).
-enum PropOutcome {
-    Falsified {
-        depth: usize,
-        trace: Trace,
-    },
-    Proved {
-        depth: usize,
-        invariant: Vec<InvariantClause>,
-    },
-    Open {
-        completed: usize,
-    },
-    ResourceOut,
-}
-
 /// Loads the 1-step transition relation into `solver`: frame 0 is the
 /// combinational logic with latches and inputs free (no `I`), frame 1 only
 /// the latch transition clauses (queries never read frame-1 gates — primed
@@ -298,11 +286,30 @@ fn load_step_relation(unroller: &Unroller<'_>, solver: &mut Solver) {
 enum BlockResult {
     /// Every obligation was discharged; re-ask the frontier bad query.
     Blocked,
-    /// An obligation chain reached the initial states: counterexample of
-    /// exactly the frontier's length.
-    Cex,
+    /// An obligation chain reached the initial states: the counterexample
+    /// it spells, of exactly the frontier's length.
+    Cex(Trace),
     /// A query budget or deadline truncated the campaign.
     ResourceOut,
+}
+
+/// How one query ended.
+enum Answer {
+    /// UNSAT, with the latch positions its core cites.
+    Unsat(Vec<usize>),
+    /// SAT: the solver's model is a domain answer.
+    Sat,
+    /// A budget or deadline truncated the query.
+    Unknown,
+}
+
+/// One obligation's step of a counterexample: the frame-0 inputs of the
+/// SAT answer it was lifted under, and the obligation its states step into
+/// under them (`None` for the frontier's bad cube, whose states reach
+/// `bad`).
+struct Link {
+    inputs: Vec<bool>,
+    next: Option<usize>,
 }
 
 /// One property's IC3 instance: session solver, frames, per-level rank
@@ -313,6 +320,7 @@ struct PropRunner<'a> {
     solver: Solver,
     bad: Signal,
     latches: Vec<NodeId>,
+    inputs: Vec<NodeId>,
     inits: Vec<LatchInit>,
     /// Next-state signal per latch position: a predecessor's lifting targets.
     nexts: Vec<Signal>,
@@ -381,7 +389,7 @@ impl<'a> PropRunner<'a> {
         // assumptions, which the session machinery tracks for free. Proof
         // logging re-enables it — the LRAT hints are CDG antecedents — and
         // so does `force_record_cdg`, for the recording-overhead A/B.
-        let mut solver_opts: SolverOptions = strategy_solver_options(options);
+        let mut solver_opts = strategy_solver_options(options);
         solver_opts.record_cdg = options.force_record_cdg || options.proof.is_on();
         let mut solver = options.proof.solver(solver_opts);
         load_step_relation(&unroller, &mut solver);
@@ -392,6 +400,7 @@ impl<'a> PropRunner<'a> {
             solver,
             bad,
             latches,
+            inputs: model.netlist().inputs(),
             inits,
             nexts,
             latch_pos,
@@ -497,7 +506,7 @@ impl<'a> PropRunner<'a> {
     /// under the refined strategies — by descending core-membership score
     /// of the *unprimed* latch variable in frame `m`'s rank table, ties by
     /// latch position. Unordered strategies keep latch order.
-    fn primed_lits(&self, cube: &Cube, m: usize) -> Vec<Lit> {
+    fn primed_lits(&self, cube: &[(usize, bool)], m: usize) -> Vec<Lit> {
         let mut entries: Vec<(u64, usize, bool)> = cube
             .iter()
             .map(|&(pos, value)| {
@@ -588,7 +597,7 @@ impl<'a> PropRunner<'a> {
         &self,
         m: usize,
         targets: &[(Signal, bool)],
-        negated: Option<&Cube>,
+        negated: Option<&[(usize, bool)]>,
     ) -> Result<(), String> {
         let netlist = self.model.netlist();
         let answer = &self.solver.model().expect("model after SAT")[..self.num_nodes];
@@ -616,7 +625,7 @@ impl<'a> PropRunner<'a> {
                 "the completion disagrees with the answer at {id:?}"
             ));
         }
-        let within = |cube: &Cube| cube.iter().all(|&(pos, value)| state[pos] == value);
+        let within = |cube: &[(usize, bool)]| cube.iter().all(|&(pos, value)| state[pos] == value);
         if let Some(lemma) = self.frames.cubes_from(m.max(1)).find(|c| within(c)) {
             return Err(format!(
                 "the completed state lies in the lemma cube {lemma:?}"
@@ -638,34 +647,63 @@ impl<'a> PropRunner<'a> {
         }
     }
 
-    fn solve(&mut self, assumptions: &[Lit]) -> SolveResult {
+    /// Asks whether `F_m ∧ T ∧ gate ∧ cube'` is satisfiable — every IC3
+    /// query in one form: the frontier's (`gate` is `bad`, no cube), a
+    /// blocking query's (`gate` selects the clause `¬cube`, so `negated`)
+    /// and a push query's (no gate). The assumptions are `F_m`'s activation
+    /// literals, then `gate`, then the primed cube in core order; the solver
+    /// decides under frame `m`'s ranking inside [`Self::set_domain`]'s
+    /// domain for `targets`. Every UNSAT answer the algorithm acts on is
+    /// certified under proof checking and its core recorded for frame `m`.
+    fn query(
+        &mut self,
+        m: usize,
+        gate: Option<Lit>,
+        cube: &[(usize, bool)],
+        negated: bool,
+        targets: &[(Signal, bool)],
+    ) -> Answer {
+        let mut assumptions = self.frame_assumptions(m);
+        assumptions.extend(gate);
+        assumptions.extend(self.primed_lits(cube, m));
+        self.install_ranking(m);
+        self.set_domain(m, targets, cube, negated);
         self.episodes += 1;
-        let result = self.solver.solve_under_limited(assumptions, &self.limits);
-        // Every IC3 query funnels through here, so every UNSAT verdict the
-        // algorithm acts on (blocked cube, converged frontier) is certified.
-        if result == SolveResult::Unsat && self.options.proof.checks() {
-            self.proof.check_episode(&mut self.solver);
+        match self.solver.solve_under_limited(&assumptions, &self.limits) {
+            SolveResult::Unsat => {
+                if self.options.proof.checks() {
+                    self.proof.check_episode(&mut self.solver);
+                }
+                self.assumption_conflicts += 1;
+                let core = self.core_positions();
+                self.record_core(m, &core);
+                Answer::Unsat(core)
+            }
+            SolveResult::Sat => {
+                #[cfg(feature = "debug-invariants")]
+                self.check_domain_answer(m, targets, negated.then_some(cube))
+                    .expect("a query's domain answer completes");
+                Answer::Sat
+            }
+            SolveResult::Unknown => Answer::Unknown,
         }
-        result
     }
 
-    /// The full register cube of the solver's satisfying assignment.
-    fn cube_from_model(&self) -> Cube {
-        let assignment = self.solver.model().expect("model after SAT");
-        self.latches
-            .iter()
-            .enumerate()
-            .map(|(pos, &id)| (pos, assignment[self.unroller.var_of(id, 0).index()]))
-            .collect()
-    }
-
-    /// The obligation cube of the solver's satisfying assignment:
-    /// [`cube_from_model`](Self::cube_from_model), lifted by ternary
-    /// simulation under the assignment's frame-0 inputs to the latches that
-    /// keep each target signal at its paired value.
-    fn lifted_cube(&mut self, targets: &[(Signal, bool)]) -> Cube {
-        let full = self.cube_from_model();
+    /// The obligation of the solver's SAT answer: its register cube lifted
+    /// by ternary simulation, under the answer's frame-0 inputs, to the
+    /// latches that keep each target signal at its paired value, and the
+    /// index of the link `chain` gains for it — those inputs, and `next`,
+    /// the obligation its states step into.
+    fn obligation(
+        &mut self,
+        targets: &[(Signal, bool)],
+        next: Option<usize>,
+        chain: &mut Vec<Link>,
+    ) -> (Cube, usize) {
         let frame0 = &self.solver.model().expect("model after SAT")[..self.num_nodes];
+        let full: Cube = (self.latches.iter().enumerate())
+            .map(|(pos, &id)| (pos, frame0[id.index()]))
+            .collect();
         let netlist = self.model.netlist();
         let cube = self
             .lifter
@@ -675,7 +713,37 @@ impl<'a> PropRunner<'a> {
         #[cfg(feature = "debug-invariants")]
         lift::check_lift(netlist, &self.latches, frame0, &cube, targets)
             .expect("a lifted cube reaches its targets");
-        cube
+        // An input outside the query's domain reads 0, and none of those
+        // is in the targets' cone.
+        let inputs = self.inputs.iter().map(|&id| frame0[id.index()]).collect();
+        chain.push(Link { inputs, next });
+        (cube, chain.len() - 1)
+    }
+
+    /// The counterexample the chain spells from `link`, a level-0
+    /// obligation with `cube`: the cube's latches at their values and
+    /// every other latch at its reset value (`Free` as 0), then each link's
+    /// inputs in chain order. The answer's own values outside the cube are
+    /// no witness: outside a query's domain they read 0.
+    fn chain_trace(&self, cube: &Cube, link: usize, chain: &mut [Link]) -> Trace {
+        let mut state: Vec<bool> = self.inits.iter().map(|&init| init_value(init)).collect();
+        for &(pos, value) in cube {
+            state[pos] = value;
+        }
+        let mut inputs = Vec::new();
+        let mut at = Some(link);
+        while let Some(i) = at {
+            inputs.push(std::mem::take(&mut chain[i].inputs));
+            at = chain[i].next;
+        }
+        let trace = Trace::from_parts(state, inputs);
+        #[cfg(any(debug_assertions, feature = "debug-invariants"))]
+        assert_eq!(
+            trace.validate_against(self.model.netlist(), self.bad),
+            Ok(()),
+            "an obligation chain spells an invalid counterexample"
+        );
+        trace
     }
 
     /// The latch positions cited by the last UNSAT core (failed primed
@@ -731,19 +799,23 @@ impl<'a> PropRunner<'a> {
         }
     }
 
-    /// Discharges the obligation queue seeded with the frontier bad cube
-    /// `s0`: relative-induction queries, core generalization, predecessor
-    /// extraction — the heart of IC3.
-    fn block_state(&mut self, s0: Cube, k: usize) -> BlockResult {
-        let mut queue: BinaryHeap<Reverse<(usize, u64, Cube)>> = BinaryHeap::new();
+    /// Discharges the obligation queue seeded with the bad cube of the
+    /// frontier query's SAT answer (its `targets`): relative-induction
+    /// queries, core generalization, predecessor extraction — the heart of
+    /// IC3. Each queued obligation carries its link in the campaign's
+    /// chain.
+    fn block_state(&mut self, k: usize, targets: &[(Signal, bool)]) -> BlockResult {
+        let mut chain = Vec::new();
+        let (s0, link0) = self.obligation(targets, None, &mut chain);
+        let mut queue: BinaryHeap<Reverse<(usize, u64, Cube, usize)>> = BinaryHeap::new();
         self.seq += 1;
-        queue.push(Reverse((k, self.seq, s0)));
-        while let Some(Reverse((j, _, s))) = queue.pop() {
+        queue.push(Reverse((k, self.seq, s0, link0)));
+        while let Some(Reverse((j, _, s, link))) = queue.pop() {
             if j == 0 {
                 // The chain reached an initial state: counterexample of
                 // exactly k transitions (shorter ones were excluded when
                 // earlier frontiers passed).
-                return BlockResult::Cex;
+                return BlockResult::Cex(self.chain_trace(&s, link, &mut chain));
             }
             // Every state of `s` reaches `bad` in `k - j` steps, and no
             // counterexample is shorter than `k`: so `s` excludes `I`, which
@@ -763,37 +835,26 @@ impl<'a> PropRunner<'a> {
             let targets = self.next_targets(&s);
             let selector = self.alloc_lit();
             let query = self.add_gated_negation(selector, &s);
-            let mut assumptions = self.frame_assumptions(j - 1);
-            assumptions.push(selector);
-            assumptions.extend(self.primed_lits(&s, j - 1));
-            self.install_ranking(j - 1);
-            self.set_domain(j - 1, &targets, &s, true);
-            let result = self.solve(&assumptions);
+            let answer = self.query(j - 1, Some(selector), &s, true, &targets);
             // Answered: the `¬selector` unit retires the selector for good
             // (it is never decided again) and satisfies `¬s` at the root,
-            // so BCP need not visit that clause any more. The answer's core
-            // and model stay readable.
+            // so BCP need not visit that clause any more. The answer's
+            // model stays readable.
             self.solver.add_clause(&[!selector]);
             self.solver.remove_clause(query);
-            match result {
-                SolveResult::Unsat => {
-                    self.assumption_conflicts += 1;
-                    let core = self.core_positions();
-                    self.record_core(j - 1, &core);
+            match answer {
+                Answer::Unsat(core) => {
                     let cube = generalize_from_core(&s, &core, &self.inits);
                     self.add_blocked(j, cube);
                 }
-                SolveResult::Sat => {
-                    #[cfg(feature = "debug-invariants")]
-                    self.check_domain_answer(j - 1, &targets, Some(&s))
-                        .expect("a blocking query's domain answer completes");
-                    let predecessor = self.lifted_cube(&targets);
+                Answer::Sat => {
+                    let (predecessor, step) = self.obligation(&targets, Some(link), &mut chain);
                     self.seq += 1;
-                    queue.push(Reverse((j - 1, self.seq, predecessor)));
+                    queue.push(Reverse((j - 1, self.seq, predecessor, step)));
                     self.seq += 1;
-                    queue.push(Reverse((j, self.seq, s)));
+                    queue.push(Reverse((j, self.seq, s, link)));
                 }
-                SolveResult::Unknown => return BlockResult::ResourceOut,
+                Answer::Unknown => return BlockResult::ResourceOut,
             }
         }
         BlockResult::Blocked
@@ -810,16 +871,9 @@ impl<'a> PropRunner<'a> {
                 if !self.frames.cubes_at(j).any(|c| *c == cube) {
                     continue; // subsumed away earlier in this phase
                 }
-                let mut assumptions = self.frame_assumptions(j);
-                assumptions.extend(self.primed_lits(&cube, j));
-                self.install_ranking(j);
                 let targets = self.next_targets(&cube);
-                self.set_domain(j, &targets, &cube, false);
-                match self.solve(&assumptions) {
-                    SolveResult::Unsat => {
-                        self.assumption_conflicts += 1;
-                        let core = self.core_positions();
-                        self.record_core(j, &core);
+                match self.query(j, None, &cube, false, &targets) {
+                    Answer::Unsat(_) => {
                         let clause = self.add_gated_negation(self.act_of(j + 1), &cube);
                         let superseded = self
                             .frames
@@ -829,12 +883,8 @@ impl<'a> PropRunner<'a> {
                             self.solver.remove_clause(id);
                         }
                     }
-                    SolveResult::Sat => {
-                        #[cfg(feature = "debug-invariants")]
-                        self.check_domain_answer(j, &targets, None)
-                            .expect("a push query's domain answer completes");
-                    }
-                    SolveResult::Unknown => return false,
+                    Answer::Sat => {}
+                    Answer::Unknown => return false,
                 }
             }
         }
@@ -868,129 +918,58 @@ impl<'a> PropRunner<'a> {
         Ok(())
     }
 
-    /// Reconstructs the depth-`k` counterexample as a validated trace via a
-    /// fresh BMC-style solve (shares nothing with the IC3 session; no core
-    /// is read, so no CDG is recorded). `None` only when a budget or
-    /// deadline truncated the reconstruction.
-    fn extract_trace(&self, k: usize) -> Option<Trace> {
-        let unroller = Unroller::new(self.model);
-        let mut solver = Solver::with_options(SolverOptions {
-            record_cdg: false,
-            ..SolverOptions::default()
-        });
-        solver.reserve_vars(unroller.num_vars_at(k));
-        unroller.with_prefix(k, |clauses| {
-            for clause in clauses {
-                solver.add_clause(clause.lits());
-            }
-        });
-        solver.add_clause(&[unroller.lit_of(self.bad, k)]);
-        match solver.solve_limited(&self.limits) {
-            SolveResult::Sat => {
-                let assignment = solver.model().expect("model after SAT");
-                let trace = Trace::from_assignment(&unroller, assignment, k);
-                debug_assert!(
-                    trace
-                        .validate_against(self.model.netlist(), self.bad)
-                        .is_ok(),
-                    "IC3 counterexample reconstruction produced an invalid trace"
-                );
-                Some(trace)
-            }
-            SolveResult::Unknown => None,
-            SolveResult::Unsat => unreachable!(
-                "IC3 derived a depth-{k} counterexample that BMC refutes — soundness bug"
-            ),
-        }
-    }
-
     /// The main IC3 loop for one property. Returns the per-property report
     /// and per-frontier statistics (BMC `DepthStats` shape).
     fn run(&mut self, name: String) -> (PropertyReport, Vec<DepthStats>) {
         let mut depth_results: Vec<SolveResult> = Vec::new();
         let mut per_frontier: Vec<DepthStats> = Vec::new();
         let mut completed: Option<usize> = None;
-        let mut outcome: Option<PropOutcome> = None;
+        let mut verdict: Option<PropertyVerdict> = None;
 
-        'frontiers: for k in 0..=self.options.max_depth {
+        for k in 0..=self.options.max_depth {
             self.ensure_frontier(k);
             self.frontier_core_positions.clear();
             let frontier_start = Instant::now();
             let base = self.solver.stats().clone();
-            let mut frontier_result = SolveResult::Unsat;
-            loop {
-                // SAT?[F_k ∧ bad]: a frontier state reaching bad under some
-                // input — inputs are free in the frame-0 logic.
-                let mut assumptions = self.frame_assumptions(k);
-                assumptions.push(self.unroller.lit_of(self.bad, 0));
-                self.install_ranking(k);
-                let targets = [(self.bad, true)];
-                self.set_domain(k, &targets, &[], false);
-                match self.solve(&assumptions) {
-                    SolveResult::Unsat => {
-                        self.assumption_conflicts += 1;
-                        break;
-                    }
-                    SolveResult::Sat => {
-                        #[cfg(feature = "debug-invariants")]
-                        self.check_domain_answer(k, &targets, None)
-                            .expect("a frontier query's domain answer completes");
-                        if self.latches.is_empty() {
-                            // Combinational counterexample: depth 0.
-                            frontier_result = SolveResult::Sat;
-                            outcome = match self.extract_trace(0) {
-                                Some(trace) => Some(PropOutcome::Falsified { depth: 0, trace }),
-                                None => Some(PropOutcome::ResourceOut),
-                            };
-                        } else {
-                            let s = self.lifted_cube(&targets);
-                            match self.block_state(s, k) {
-                                BlockResult::Blocked => continue,
-                                BlockResult::Cex => {
-                                    frontier_result = SolveResult::Sat;
-                                    outcome = match self.extract_trace(k) {
-                                        Some(trace) => {
-                                            Some(PropOutcome::Falsified { depth: k, trace })
-                                        }
-                                        None => Some(PropOutcome::ResourceOut),
-                                    };
-                                }
-                                BlockResult::ResourceOut => {
-                                    frontier_result = SolveResult::Unknown;
-                                    outcome = Some(PropOutcome::ResourceOut);
-                                }
-                            }
+            // SAT?[F_k ∧ bad]: a frontier state reaching bad under some
+            // input — inputs are free in the frame-0 logic. Asked again
+            // after every campaign that blocks its answer.
+            let targets = [(self.bad, true)];
+            let bad = self.unroller.lit_of(self.bad, 0);
+            let mut frontier_result = loop {
+                match self.query(k, Some(bad), &[], false, &targets) {
+                    Answer::Unsat(_) => break SolveResult::Unsat,
+                    Answer::Sat => match self.block_state(k, &targets) {
+                        BlockResult::Blocked => {}
+                        BlockResult::Cex(trace) => {
+                            verdict = Some(PropertyVerdict::Falsified { depth: k, trace });
+                            break SolveResult::Sat;
                         }
-                    }
-                    SolveResult::Unknown => {
-                        frontier_result = SolveResult::Unknown;
-                        outcome = Some(PropOutcome::ResourceOut);
-                    }
+                        BlockResult::ResourceOut => break SolveResult::Unknown,
+                    },
+                    Answer::Unknown => break SolveResult::Unknown,
                 }
-                break;
-            }
+            };
 
-            // Frontier k decided (or truncated): propagate and check for a
-            // fixpoint only on the passing path.
+            // Frontier k passed: propagate and check for a fixpoint.
             if frontier_result == SolveResult::Unsat {
                 completed = Some(k);
-                if self.latches.is_empty() {
+                let invariant = if self.latches.is_empty() {
                     // No registers and bad unsatisfiable: proved outright
                     // with the trivial invariant.
-                    outcome = Some(PropOutcome::Proved {
-                        depth: k,
-                        invariant: Vec::new(),
-                    });
+                    Some(Vec::new())
                 } else if !self.push_phase(k) {
                     frontier_result = SolveResult::Unknown;
-                    outcome = Some(PropOutcome::ResourceOut);
-                } else if let Some(fix) = (1..k).find(|&j| self.frames.cubes_at(j).len() == 0) {
-                    let invariant = invariant_clauses_from(self.frames.cubes_from(fix + 1));
-                    outcome = Some(PropOutcome::Proved {
-                        depth: k,
-                        invariant,
-                    });
-                }
+                    None
+                } else {
+                    (1..k)
+                        .find(|&j| self.frames.cubes_at(j).len() == 0)
+                        .map(|fix| invariant_clauses_from(self.frames.cubes_from(fix + 1)))
+                };
+                verdict = invariant.map(|clauses| PropertyVerdict::Proved {
+                    depth: k,
+                    invariant_clauses: Some(clauses),
+                });
             }
 
             // Per-frontier statistics, in the shape BMC reports per depth.
@@ -1025,33 +1004,18 @@ impl<'a> PropRunner<'a> {
                 self.audit_clauses()
                     .expect("IC3 clause removal at frontier boundary");
             }
-            if outcome.is_some() {
-                break 'frontiers;
+            if verdict.is_some() || frontier_result == SolveResult::Unknown {
+                break;
             }
         }
 
-        let outcome = outcome.unwrap_or(PropOutcome::Open {
-            completed: completed.unwrap_or(0),
+        // Open at the last frontier that passed: the bound, or the one
+        // before a truncated query.
+        let verdict = verdict.unwrap_or(match completed {
+            Some(depth) => PropertyVerdict::OpenAt { depth },
+            None => PropertyVerdict::Unknown,
         });
-
         let stats = self.solver.stats();
-        let (verdict, retirement_depth) = match outcome {
-            PropOutcome::Falsified { depth, trace } => {
-                (PropertyVerdict::Falsified { depth, trace }, Some(depth))
-            }
-            PropOutcome::Proved { depth, invariant } => (
-                PropertyVerdict::Proved {
-                    depth,
-                    invariant_clauses: Some(invariant),
-                },
-                None,
-            ),
-            PropOutcome::Open { completed } => (PropertyVerdict::OpenAt { depth: completed }, None),
-            PropOutcome::ResourceOut => match completed {
-                Some(depth) => (PropertyVerdict::OpenAt { depth }, None),
-                None => (PropertyVerdict::Unknown, None),
-            },
-        };
         let report = PropertyReport {
             name,
             verdict,
@@ -1060,7 +1024,6 @@ impl<'a> PropRunner<'a> {
             decisions: stats.decisions,
             conflicts: stats.conflicts,
             propagations: stats.propagations,
-            retirement_depth,
             depth_results,
         };
         (report, per_frontier)
@@ -1140,6 +1103,69 @@ mod tests {
                 other => panic!("{strategy:?}: expected cex, got {other}"),
             }
         }
+    }
+
+    #[test]
+    fn chain_traces_set_latches_outside_every_query_to_reset() {
+        // A 2-bit counter that counts while the input `en` is 1 reaches 3 at
+        // depth 3, under `en` = 1, 1, 1. The `One`-reset latch `on` feeds no
+        // query, and the solver's answers read 0 outside a query's domain:
+        // only its reset value makes the trace initial.
+        let mut n = Netlist::new();
+        let en = n.add_input("en");
+        let bits: Vec<Signal> = (0..2)
+            .map(|i| n.add_latch(&format!("b{i}"), LatchInit::Zero))
+            .collect();
+        let inc = n.bus_increment(&bits);
+        for (&b, &up) in bits.iter().zip(&inc) {
+            let next = n.mux(en, up, b);
+            n.set_next(b, next);
+        }
+        let on = n.add_latch("on", LatchInit::One);
+        n.set_next(on, on);
+        let bad = n.bus_eq_const(&bits, 3);
+        let model = Model::new("enabled_counter", n, bad);
+        for strategy in strategies() {
+            let options = BmcOptions {
+                max_depth: 10,
+                strategy,
+                preprocess: false,
+                ..BmcOptions::default()
+            };
+            let run = Ic3Engine::new(model.clone(), options).run_collecting();
+            let PropertyVerdict::Falsified { depth: 3, trace } = &run.properties[0].verdict else {
+                panic!("{strategy:?}: expected a depth-3 cex");
+            };
+            assert_eq!(trace.initial_state(), [false, false, true], "{strategy:?}");
+            assert_eq!(
+                trace.validate_against(model.netlist(), bad),
+                Ok(()),
+                "{strategy:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn latch_free_models_falsify_at_the_bmc_depth() {
+        let mut n = Netlist::new();
+        let i = n.add_input("i");
+        let model = Model::new("input", n, i);
+        let options = BmcOptions {
+            max_depth: 5,
+            preprocess: false,
+            ..BmcOptions::default()
+        };
+        let bmc = crate::BmcEngine::new(model.clone(), options).run_collecting();
+        assert!(matches!(
+            bmc.properties[0].verdict,
+            PropertyVerdict::Falsified { depth: 0, .. }
+        ));
+        let run = Ic3Engine::new(model.clone(), options).run_collecting();
+        let PropertyVerdict::Falsified { depth: 0, trace } = &run.properties[0].verdict else {
+            panic!("expected a depth-0 cex");
+        };
+        assert_eq!(trace.inputs(), [vec![true]]);
+        assert_eq!(trace.validate(&model), Ok(()));
     }
 
     #[test]

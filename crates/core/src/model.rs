@@ -2,7 +2,7 @@
 
 use rbmc_circuit::{Netlist, Signal};
 
-use crate::{FromAigerError, ProblemBuilder, Property, VerificationProblem};
+use crate::{ProblemBuilder, Property, VerificationProblem};
 
 /// A single-property view of a [`VerificationProblem`]: a sequential netlist
 /// and a *bad-state* predicate (`bad = ¬P` for the invariant `G P`).
@@ -50,21 +50,6 @@ impl Model {
                 .property("bad", bad)
                 .build(),
         }
-    }
-
-    /// Parses an AIGER file (either encoding, auto-detected) and takes its
-    /// **first** bad-state line — or, for files without a `B` section, its
-    /// first output — as the property. Multi-property files lose their other
-    /// properties in this view; use [`VerificationProblem::from_aiger`] to
-    /// keep them all.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FromAigerError`] if parsing fails or the file declares no
-    /// property at all.
-    pub fn from_aiger(name: &str, bytes: &[u8]) -> Result<Model, FromAigerError> {
-        let problem = VerificationProblem::from_aiger(name, bytes)?;
-        Ok(Model::from_problem(problem))
     }
 
     /// Wraps an existing problem in the single-property view. The wrapped
@@ -119,8 +104,7 @@ impl Model {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rbmc_circuit::aiger::write_aag;
-    use rbmc_circuit::{Aig, LatchInit};
+    use rbmc_circuit::LatchInit;
 
     #[test]
     #[should_panic(expected = "well-formed")]
@@ -128,18 +112,5 @@ mod tests {
         let mut n = Netlist::new();
         let _ = n.add_latch("l", LatchInit::Zero); // never connected
         let _ = Model::new("m", n, rbmc_circuit::Signal::FALSE);
-    }
-
-    #[test]
-    fn from_aiger_takes_first_property() {
-        let mut aig = Aig::new();
-        let l = aig.add_latch(LatchInit::Zero);
-        aig.set_next(l, !l);
-        aig.add_bad("first", l);
-        aig.add_bad("second", !l);
-        let m = Model::from_aiger("toggle", write_aag(&aig).as_bytes()).unwrap();
-        assert_eq!(m.primary().name(), "first");
-        // The full problem is still reachable behind the view.
-        assert_eq!(m.problem().num_properties(), 2);
     }
 }

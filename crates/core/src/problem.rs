@@ -188,15 +188,9 @@ impl ProblemBuilder {
     /// its outputs (the pre-AIGER-1.9 property convention).
     pub fn from_aig(name: &str, aig: &Aig) -> ProblemBuilder {
         let raised = aig.to_netlist();
-        let mut properties = Vec::new();
-        let source: &[(String, rbmc_circuit::AigLit)] = if aig.bads().is_empty() {
-            aig.outputs()
-        } else {
-            aig.bads()
-        };
-        for (prop_name, lit) in source {
-            properties.push(Property::new(prop_name, raised.signal_of(*lit)));
-        }
+        let properties = (aig.properties().iter())
+            .map(|(prop_name, lit)| Property::new(prop_name, raised.signal_of(*lit)))
+            .collect();
         ProblemBuilder {
             name: name.to_string(),
             netlist: raised.netlist,

@@ -123,11 +123,6 @@ impl VarRank {
     pub fn num_entries(&self) -> usize {
         self.scores.len()
     }
-
-    /// The weighting scheme in use.
-    pub fn weighting(&self) -> Weighting {
-        self.weighting
-    }
 }
 
 #[cfg(test)]

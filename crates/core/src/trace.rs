@@ -70,8 +70,9 @@ impl fmt::Display for TraceError {
 impl Error for TraceError {}
 
 impl Trace {
-    /// Builds a trace from raw parts (mainly for tests; BMC produces traces
-    /// via [`Trace::from_assignment`]).
+    /// Builds a trace from raw parts: an initial state and one input vector
+    /// per frame (IC3 reads them off its obligation chain; BMC extracts
+    /// traces with [`Trace::from_assignment`]).
     pub fn from_parts(initial_state: Vec<bool>, inputs: Vec<Vec<bool>>) -> Trace {
         Trace {
             initial_state,

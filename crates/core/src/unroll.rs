@@ -1,5 +1,5 @@
 //! Tseitin unrolling of the model into the CNF instances of Eq. 1, with
-//! frame-stable variable numbering and an incremental clause-prefix cache.
+//! frame-stable variable numbering.
 //!
 //! Every netlist node gets one CNF variable per time frame, at the fixed
 //! index `frame · num_nodes + node`. The variable standing for a given
@@ -10,32 +10,20 @@
 //! The same invariant makes the instances *append-only*: the clauses of
 //! frame `f` depend only on `f`, so `F_k` is the clauses of `F_{k-1}` minus
 //! its final bad-state unit, plus one new frame, plus a new bad-state unit.
-//! Consumers read frames two ways: [`Unroller::with_prefix`] lends all of
-//! frames `0..=k` (a fresh solver loading one whole instance) from a clause
-//! prefix the unroller caches, so each frame is encoded once and the total
-//! encoding work of a fresh-per-depth run is linear in the depth bound; and
-//! [`Unroller::with_frame_delta`] lends frame `k` alone (a persistent
-//! session solver appending just the new frame — see its docs for why the
-//! deltas concatenate exactly to the prefix), encoded without caching,
-//! because the session solver reads each frame once and keeps it.
+//! A run over increasing depths therefore encodes each frame once:
+//! [`Unroller::with_frame_delta`] lends frame `k` alone, which a persistent
+//! session solver appends per depth (see its docs for why the deltas
+//! concatenate exactly to the prefix), and a fresh-per-depth run appends
+//! frame `k` to the prefix formula it owns. [`Unroller::with_prefix`]
+//! encodes frames `0..=k` at once, for a caller that loads one whole
+//! instance.
 
-use std::cell::RefCell;
 use std::fmt;
 
 use rbmc_circuit::{GateOp, LatchInit, Node, NodeId, Signal};
 use rbmc_cnf::{Clauses, CnfFormula, Lit, Var};
 
 use crate::Model;
-
-/// The cached clause prefix: every frame encoded so far, in emission order,
-/// without any bad-state unit clause.
-#[derive(Clone, Default)]
-struct PrefixCache {
-    formula: CnfFormula,
-    /// Clause count after each encoded frame: `frame_end[f]` is the number
-    /// of clauses encoding frames `0..=f`.
-    frame_end: Vec<usize>,
-}
 
 /// The Eq. 1 encoder (`gen_cnf_formula` in the paper's Fig. 5).
 ///
@@ -60,7 +48,6 @@ struct PrefixCache {
 pub struct Unroller<'a> {
     model: &'a Model,
     num_nodes: usize,
-    prefix: RefCell<PrefixCache>,
 }
 
 impl fmt::Debug for Unroller<'_> {
@@ -68,32 +55,16 @@ impl fmt::Debug for Unroller<'_> {
         f.debug_struct("Unroller")
             .field("model", &self.model.name())
             .field("num_nodes", &self.num_nodes)
-            .field("cached_frames", &self.prefix.borrow().frame_end.len())
             .finish()
     }
 }
 
 impl<'a> Unroller<'a> {
-    /// Creates an unroller for the model (with an empty prefix cache).
+    /// Creates an unroller for the model.
     pub fn new(model: &'a Model) -> Unroller<'a> {
         Unroller {
             model,
             num_nodes: model.netlist().num_nodes(),
-            prefix: RefCell::new(PrefixCache::default()),
-        }
-    }
-
-    /// Extends the cached clause prefix through frame `k`. Each frame is
-    /// encoded exactly once per unroller, which is sound because frame
-    /// numbering is stable: the clauses of frame `f` are the same in every
-    /// instance `F_k` with `k ≥ f`.
-    fn ensure_frames(&self, k: usize) {
-        let mut cache = self.prefix.borrow_mut();
-        while cache.frame_end.len() <= k {
-            let frame = cache.frame_end.len();
-            self.emit_frame(frame, &mut cache.formula);
-            let end = cache.formula.num_clauses();
-            cache.frame_end.push(end);
         }
     }
 
@@ -129,38 +100,31 @@ impl<'a> Unroller<'a> {
     ///
     /// All instances share their clause prefix (except the final unit clause
     /// asserting the bad state), and their variables coincide on common
-    /// frames.
-    ///
-    /// This materializes a fresh owned `CnfFormula`, which costs one
-    /// allocation per clause — as much as encoding it — so it deliberately
-    /// bypasses the prefix cache. Callers that build one instance per depth
-    /// (fresh-per-depth BMC) should consume [`Unroller::with_prefix`] instead: that
-    /// path encodes every frame exactly once per unroller and lends out the
-    /// cached clauses without copying.
+    /// frames. The model's primary property is the bad state.
     pub fn formula(&self, k: usize) -> CnfFormula {
-        let mut formula = CnfFormula::with_vars(self.num_vars_at(k));
-        for frame in 0..=k {
-            self.emit_frame(frame, &mut formula);
-        }
+        let mut formula = self.frames(k);
         // ¬P(V^k): the bad signal holds at the last frame.
         formula.add_clause([self.lit_of(self.model.bad(), k)]);
         formula
     }
 
-    /// Runs `consume` on the cached clauses of frames `0..=k` — everything
-    /// in `F_k` except the final unit clause [`Unroller::bad_lit`] asserts.
-    /// This is the zero-copy path fresh-per-depth consumers (the
-    /// [`SolverReuse::Fresh`](crate::SolverReuse) differential path, tests,
-    /// benches) load whole instances from.
-    ///
-    /// `consume` must not call back into [`Unroller::with_prefix`] on the
-    /// same unroller: the cache is borrowed for the duration of the call.
-    /// The pure index arithmetic (`var_of`, `lit_of`, `num_vars_at`, …) is
-    /// fine.
+    /// Runs `consume` on the clauses of frames `0..=k` — everything in
+    /// `F_k` except the final unit clause asserting a property's bad state
+    /// (`lit_of(bad, k)`; the frames are shared by every property of a
+    /// [`VerificationProblem`](crate::VerificationProblem)). The frames are
+    /// encoded on each call; a run over increasing depths appends
+    /// [`Unroller::with_frame_delta`]'s one frame per depth instead.
     pub fn with_prefix<R>(&self, k: usize, consume: impl FnOnce(Clauses<'_>) -> R) -> R {
-        self.ensure_frames(k);
-        let cache = self.prefix.borrow();
-        consume(cache.formula.clauses_in(0..cache.frame_end[k]))
+        consume(self.frames(k).clauses())
+    }
+
+    /// Frames `0..=k`, encoded into a new formula.
+    fn frames(&self, k: usize) -> CnfFormula {
+        let mut formula = CnfFormula::with_vars(self.num_vars_at(k));
+        for frame in 0..=k {
+            self.emit_frame(frame, &mut formula);
+        }
+        formula
     }
 
     /// Runs `consume` on the clauses of frame `k` **alone** — the
@@ -168,8 +132,8 @@ impl<'a> Unroller<'a> {
     /// units). This is what the incremental solving session appends per
     /// depth: the persistent solver already holds frames `0..k`, so each
     /// depth costs one frame of encoding and loading instead of `k + 1`.
-    /// The frame is encoded into a scratch formula, not the prefix cache:
-    /// the session solver reads it once and keeps it.
+    /// The frame is encoded into a scratch formula: the session solver
+    /// reads it once and keeps it.
     ///
     /// Appending deltas is sound **because frame numbering is stable**: the
     /// variable of `(node, frame)` is `frame · num_nodes + node`,
@@ -187,20 +151,10 @@ impl<'a> Unroller<'a> {
         consume(formula.clauses_in(0..formula.num_clauses()))
     }
 
-    /// The unit literal `¬P(V^k)` that turns the frame prefix into `F_k`,
-    /// for the model's **primary** property. The frame prefix itself is
-    /// property-independent — all properties of a
-    /// [`VerificationProblem`](crate::VerificationProblem) share it — so the
-    /// multi-property engine derives each property's literal with
-    /// [`Unroller::lit_of`] on the property's own bad signal instead.
-    pub fn bad_lit(&self, k: usize) -> Lit {
-        self.lit_of(self.model.bad(), k)
-    }
-
-    /// Emits the constraints of one time frame: constant pinning, gate
-    /// relations, the initial-state predicate (frame 0), and the transition
-    /// linking to the previous frame (frames ≥ 1).
-    fn emit_frame(&self, frame: usize, formula: &mut CnfFormula) {
+    /// Appends the constraints of one time frame to `formula`: constant
+    /// pinning, gate relations, the initial-state predicate (frame 0), and
+    /// the transition linking to the previous frame (frames ≥ 1).
+    pub(crate) fn emit_frame(&self, frame: usize, formula: &mut CnfFormula) {
         let netlist = self.model.netlist();
         // The constant node is false in every frame.
         formula.add_clause([self.var_of(NodeId::CONST, frame).negative()]);
@@ -360,34 +314,6 @@ mod tests {
     }
 
     #[test]
-    fn incremental_prefix_identical_to_fresh_encode() {
-        // The instance assembled from one long-lived unroller's prefix cache
-        // (the path BmcEngine drives) must be clause-for-clause identical to
-        // a fresh encode at every depth — ascending, then descending, so
-        // cache hits and partial reads are both covered.
-        let model = counter_model(4, 9);
-        let shared = Unroller::new(&model);
-        let rebuild = |k: usize| {
-            shared.with_prefix(k, |clauses| {
-                let mut f = CnfFormula::with_vars(shared.num_vars_at(k));
-                for clause in clauses {
-                    f.add_clause(clause);
-                }
-                f.add_clause([shared.bad_lit(k)]);
-                f
-            })
-        };
-        for k in 0..12 {
-            let fresh = Unroller::new(&model).formula(k);
-            assert_eq!(rebuild(k), fresh, "ascending depth {k}");
-        }
-        for k in (0..12).rev() {
-            let fresh = Unroller::new(&model).formula(k);
-            assert_eq!(rebuild(k), fresh, "descending depth {k}");
-        }
-    }
-
-    #[test]
     fn with_prefix_matches_formula_minus_bad_unit() {
         let model = counter_model(3, 5);
         let unroller = Unroller::new(&model);
@@ -401,7 +327,7 @@ mod tests {
             });
             assert_eq!(
                 f.clause(f.num_clauses() - 1).lits(),
-                &[unroller.bad_lit(k)],
+                &[unroller.lit_of(model.bad(), k)],
                 "final unit at depth {k}"
             );
         }
@@ -411,8 +337,7 @@ mod tests {
     fn frame_deltas_concatenate_to_the_prefix() {
         // prefix(k) = delta(0) ++ … ++ delta(k): the property that makes the
         // incremental session's per-depth appends sound (frame-stable
-        // numbering; see `with_frame_delta`). Out-of-order depths exercise
-        // partial cache reads.
+        // numbering; see `with_frame_delta`).
         let model = counter_model(4, 9);
         let unroller = Unroller::new(&model);
         for k in [3usize, 1, 5] {

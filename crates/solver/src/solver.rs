@@ -330,11 +330,6 @@ impl Solver {
         self.num_original_lits
     }
 
-    /// The options this solver was built with.
-    pub fn options(&self) -> &SolverOptions {
-        &self.opts
-    }
-
     /// Adds an original clause and returns its ID: its 0-based position in
     /// the order of `add_clause` calls. Cores ([`Solver::core_clauses`]) are
     /// reported in these IDs, and [`Solver::remove_clause`] takes one.

@@ -114,11 +114,14 @@ fn session_stats_cover_both_properties() {
     let r7 = run.property("reach7").unwrap();
     // reach6 retires at depth 3: episodes for depths 0..=3 only.
     assert_eq!(r6.episodes, 4);
-    assert_eq!(r6.retirement_depth, Some(3));
+    assert!(matches!(
+        r6.verdict,
+        PropertyVerdict::Falsified { depth: 3, .. }
+    ));
     assert_eq!(r6.assumption_conflicts, 3);
     // reach7 sweeps the whole bound: depths 0..=9, all UNSAT.
     assert_eq!(r7.episodes, 10);
-    assert_eq!(r7.retirement_depth, None);
+    assert!(matches!(r7.verdict, PropertyVerdict::OpenAt { depth: 9 }));
     assert_eq!(r7.assumption_conflicts, 10);
     // The shared session solver saw every episode.
     assert_eq!(run.solver_stats.solve_calls, r6.episodes + r7.episodes);

@@ -85,13 +85,19 @@ fn run(
 }
 
 /// The cross-run comparison currency: per-property per-depth verdict
-/// sequences plus retirement depths.
+/// sequences plus falsification depths.
 type Signature = Vec<(Vec<SolveResult>, Option<usize>)>;
 
 fn signature(run: &BmcRun) -> Signature {
     run.properties
         .iter()
-        .map(|p| (p.depth_results.clone(), p.retirement_depth))
+        .map(|p| {
+            let falsified = match p.verdict {
+                PropertyVerdict::Falsified { depth, .. } => Some(depth),
+                _ => None,
+            };
+            (p.depth_results.clone(), falsified)
+        })
         .collect()
 }
 

@@ -92,13 +92,19 @@ fn run_certified(
     run
 }
 
-/// Per-property per-depth verdict sequences plus retirement depths.
+/// Per-property per-depth verdict sequences plus falsification depths.
 type Signature = Vec<(Vec<SolveResult>, Option<usize>)>;
 
 fn signature(run: &BmcRun) -> Signature {
     run.properties
         .iter()
-        .map(|p| (p.depth_results.clone(), p.retirement_depth))
+        .map(|p| {
+            let falsified = match p.verdict {
+                PropertyVerdict::Falsified { depth, .. } => Some(depth),
+                _ => None,
+            };
+            (p.depth_results.clone(), falsified)
+        })
         .collect()
 }
 
