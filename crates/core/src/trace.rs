@@ -4,6 +4,7 @@ use std::error::Error;
 use std::fmt;
 
 use rbmc_circuit::sim::{read_signal, Simulator};
+use rbmc_circuit::NodeId;
 
 use crate::{Model, Unroller};
 
@@ -80,13 +81,24 @@ impl Trace {
         }
     }
 
-    /// Extracts the trace from a satisfying assignment of `F_k`.
+    /// Extracts the trace from a satisfying assignment of `F_k`: the
+    /// frame-0 latch values (in [`Netlist::latches`] order) and each frame's
+    /// input values (in [`Netlist::inputs`] order). The netlist's id lists
+    /// are read once per trace, not once per frame.
+    ///
+    /// [`Netlist::latches`]: rbmc_circuit::Netlist::latches
+    /// [`Netlist::inputs`]: rbmc_circuit::Netlist::inputs
     pub fn from_assignment(unroller: &Unroller<'_>, assignment: &[bool], depth: usize) -> Trace {
+        let netlist = unroller.model().netlist();
+        let read = |ids: &[NodeId], frame: usize| -> Vec<bool> {
+            ids.iter()
+                .map(|&id| assignment[unroller.var_of(id, frame).index()])
+                .collect()
+        };
+        let inputs = netlist.inputs();
         Trace {
-            initial_state: unroller.initial_state_from(assignment),
-            inputs: (0..=depth)
-                .map(|f| unroller.inputs_at_from(assignment, f))
-                .collect(),
+            initial_state: read(&netlist.latches(), 0),
+            inputs: (0..=depth).map(|frame| read(&inputs, frame)).collect(),
         }
     }
 

@@ -239,28 +239,6 @@ impl<'a> Unroller<'a> {
             self.emit_gate(id, op, fanins, frame, formula);
         }
     }
-
-    /// Reads the initial register state out of a satisfying assignment of
-    /// some `F_k` (in [`Netlist::latches`](rbmc_circuit::Netlist::latches) order).
-    pub fn initial_state_from(&self, assignment: &[bool]) -> Vec<bool> {
-        self.model
-            .netlist()
-            .latches()
-            .iter()
-            .map(|&id| assignment[self.var_of(id, 0).index()])
-            .collect()
-    }
-
-    /// Reads the input vector of `frame` out of a satisfying assignment (in
-    /// [`Netlist::inputs`](rbmc_circuit::Netlist::inputs) order).
-    pub fn inputs_at_from(&self, assignment: &[bool], frame: usize) -> Vec<bool> {
-        self.model
-            .netlist()
-            .inputs()
-            .iter()
-            .map(|&id| assignment[self.var_of(id, frame).index()])
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -381,10 +359,10 @@ mod tests {
         let mut solver = Solver::from_formula(&f);
         assert_eq!(solver.solve(), SolveResult::Sat);
         let assignment = solver.model().unwrap();
-        let mut state = unroller.initial_state_from(assignment);
-        for frame in 0..=6 {
-            let inputs = unroller.inputs_at_from(assignment, frame);
-            let values = rbmc_circuit::sim::eval_frame(model.netlist(), &state, &inputs);
+        let trace = crate::Trace::from_assignment(&unroller, assignment, 6);
+        let mut state = trace.initial_state().to_vec();
+        for (frame, inputs) in trace.inputs().iter().enumerate() {
+            let values = rbmc_circuit::sim::eval_frame(model.netlist(), &state, inputs);
             for id in model.netlist().node_ids() {
                 assert_eq!(
                     values[id.index()],

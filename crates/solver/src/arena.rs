@@ -5,7 +5,10 @@
 //! of the header). BCP therefore touches one cache line per clause instead
 //! of chasing `Vec<ClauseData>` → per-clause `Vec<Lit>` pointers, and
 //! database reduction *compacts* the learned region (relocating the
-//! survivors) instead of leaving tombstones the hot path must skip.
+//! survivors) instead of leaving tombstones the hot path must skip. BCP and
+//! conflict analysis read a body as one slice of literal codes
+//! ([`ClauseArena::lits`], [`ClauseArena::lits_mut`]): one bounds check per
+//! clause, not one per literal.
 //!
 //! Record layout (all `u32` words):
 //!
@@ -130,11 +133,20 @@ impl ClauseArena {
         Lit::from_code(self.data[(c.0 + HEADER_WORDS) as usize + i] as usize)
     }
 
-    /// Swaps two literals of the clause (BCP watch maintenance).
+    /// The clause body: its literal codes ([`Lit::code`]) in slot order.
     #[inline]
-    pub(crate) fn swap_lits(&mut self, c: ClauseRef, i: usize, j: usize) {
+    pub(crate) fn lits(&self, c: ClauseRef) -> &[u32] {
         let base = (c.0 + HEADER_WORDS) as usize;
-        self.data.swap(base + i, base + j);
+        &self.data[base..base + self.len(c)]
+    }
+
+    /// The clause body, mutably (BCP keeps the watched literals in slots 0
+    /// and 1 by swapping them there).
+    #[inline]
+    pub(crate) fn lits_mut(&mut self, c: ClauseRef) -> &mut [u32] {
+        let base = (c.0 + HEADER_WORDS) as usize;
+        let len = self.len(c);
+        &mut self.data[base..base + len]
     }
 
     /// Current activity counter of the clause.
@@ -256,9 +268,11 @@ mod tests {
     fn swap_and_activity() {
         let mut arena = ClauseArena::new();
         let c = arena.alloc(&lits(&[1, 2, 3]), true, 0);
-        arena.swap_lits(c, 0, 2);
+        arena.lits_mut(c).swap(0, 2);
         assert_eq!(arena.lit(c, 0), Lit::from_dimacs(3));
         assert_eq!(arena.lit(c, 2), Lit::from_dimacs(1));
+        let codes: Vec<u32> = lits(&[3, 2, 1]).iter().map(|l| l.code() as u32).collect();
+        assert_eq!(arena.lits(c), &codes[..]);
         arena.bump_activity(c);
         arena.bump_activity(c);
         assert_eq!(arena.activity(c), 2);

@@ -2,7 +2,8 @@
 //!
 //! [`Solver::audit`] cross-checks the redundant data structures of the
 //! solver against each other: the watch lists against the clause arena, the
-//! trail against values/levels/reasons, the arena record chain against its
+//! trail against the literal-value table, levels and reasons, the arena
+//! record chain against its
 //! own headers, the CDG against the live-clause roots that
 //! [`Solver::prune_cdg`] keeps, the decision heap against its scores and
 //! the assignment, and a started proof log's live lines against the clause
@@ -15,7 +16,7 @@
 //! private fields directly, so it can never drift into testing a sanitized
 //! accessor view instead of the real state.
 
-use rbmc_cnf::Lit;
+use rbmc_cnf::{Lit, Var};
 
 use crate::cdg::ClauseId;
 use crate::lbool::LBool;
@@ -68,7 +69,7 @@ impl Solver {
         self.audit_trail(&headers)?;
         self.audit_cdg()?;
         self.order
-            .audit(&self.values)
+            .audit(&self.lit_values)
             .map_err(|e| format!("order: {e}"))?;
         if let Some(proof) = &self.proof {
             self.audit_proof(&proof.live_derived_sorted(), proof.num_axioms())?;
@@ -279,7 +280,10 @@ impl Solver {
         Ok(())
     }
 
-    /// Trail coherence: assignments, levels, reasons, and the trail agree.
+    /// Trail coherence: the literal-value table, levels, reasons, and the
+    /// trail agree. Both table entries of an assigned variable agree with
+    /// its trail literal (that literal `True`, its negation `False`), and
+    /// both entries of an unassigned variable are `Undef`.
     /// Reasons of variables assigned **above** level 0 must be live clauses
     /// asserting exactly that variable; level-0 reasons are exempt from the
     /// liveness check — a learned clause that implied a root fact is itself
@@ -288,7 +292,7 @@ impl Solver {
     /// CDG unit-fact node instead).
     fn audit_trail(&self, headers: &Headers) -> Result<(), String> {
         let n = self.num_vars();
-        if self.values.len() != n
+        if self.lit_values.len() != 2 * n
             || self.levels.len() != n
             || self.reasons.len() != n
             || self.unit_node.len() != n
@@ -322,9 +326,6 @@ impl Solver {
                 fail!("trail: variable {v} assigned twice");
             }
             pos[v] = Some(i);
-            if self.lit_value(lit) != LBool::True {
-                fail!("trail: literal {lit:?} on the trail is not true");
-            }
             if self.levels[v] as usize != level {
                 fail!(
                     "trail: var {v} at trail position {i} has level {}, segments say {level}",
@@ -332,14 +333,25 @@ impl Solver {
                 );
             }
         }
-        let assigned = self.values.iter().filter(|v| !v.is_undef()).count();
-        if assigned != self.trail.len() {
-            fail!(
-                "trail: {assigned} assigned variables but {} trail entries",
-                self.trail.len()
-            );
-        }
         for (v, p) in pos.iter().enumerate() {
+            let var = Var::new(v);
+            let want = match p {
+                Some(i) => {
+                    let lit = self.trail[*i];
+                    (
+                        LBool::from(lit.is_positive()),
+                        LBool::from(lit.is_negative()),
+                    )
+                }
+                None => (LBool::Undef, LBool::Undef),
+            };
+            let got = (
+                self.lit_values[var.positive().code()],
+                self.lit_values[var.negative().code()],
+            );
+            if got != want {
+                fail!("trail: literal values of var {v} read {got:?}, the trail says {want:?}");
+            }
             if p.is_none() && self.reasons[v].is_some() {
                 fail!("trail: unassigned var {v} keeps a stale reason");
             }
@@ -475,6 +487,7 @@ mod tests {
     use rbmc_cnf::{CnfFormula, Lit, Var};
 
     use super::super::{SolveResult, Solver, SolverOptions};
+    use crate::LBool;
 
     fn lit(v: usize, neg: bool) -> Lit {
         Lit::new(Var::new(v), neg)
@@ -511,13 +524,31 @@ mod tests {
     }
 
     #[test]
-    fn audit_flags_corrupted_assignment() {
+    fn audit_flags_corrupted_literal_value() {
         let mut s = Solver::from_formula(&sat_formula());
+        // A fourth variable no clause mentions stays unassigned.
+        s.reserve_vars(4);
         assert_eq!(s.solve(), SolveResult::Sat);
-        let v = s.trail[0].var().index();
-        s.values[v] = s.values[v].xor(true);
-        let err = s.audit().expect_err("flipped assignment must fail");
-        assert!(err.contains("trail"), "unexpected report: {err}");
+        s.audit().expect("clean before tampering");
+        // Each entry of an assigned variable, and of an unassigned one.
+        let assigned = s.trail[0];
+        for code in [
+            assigned.code(),
+            (!assigned).code(),
+            lit(3, false).code(),
+            lit(3, true).code(),
+        ] {
+            let kept = s.lit_values[code];
+            s.lit_values[code] = if kept == LBool::True {
+                LBool::False
+            } else {
+                LBool::True
+            };
+            let err = s.audit().expect_err("flipped table entry must fail");
+            assert!(err.contains("literal values"), "unexpected report: {err}");
+            s.lit_values[code] = kept;
+            s.audit().expect("clean once restored");
+        }
     }
 
     #[test]

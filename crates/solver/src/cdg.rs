@@ -16,6 +16,13 @@
 //! between solve calls) with [`Cdg::record_learned`] without the two ID
 //! spaces colliding — the fixed `num_original` split of the per-instance
 //! design cannot express late originals.
+//!
+//! The graph is held once. Pruning ([`Cdg::prune_reachable`]) compacts the
+//! flat antecedent store in place, in one forward pass, and core extraction
+//! marks its visited nodes in a reused epoch-stamped table, so neither
+//! copies the graph nor allocates a node-sized scratch table per call.
+
+use crate::marks::Marks;
 
 /// Pseudo-ID of a CDG node (original clauses and conflict clauses share one
 /// allocation sequence).
@@ -35,6 +42,7 @@ const LEARNED: u32 = u32::MAX;
 /// allocation-free append, which matters because the solver records a node
 /// for every level-0 implication and every learned clause.
 #[derive(Debug, Default)]
+#[cfg_attr(test, derive(Clone))]
 pub(crate) struct Cdg {
     /// Concatenated antecedent lists, in node order (leaves contribute an
     /// empty list).
@@ -50,6 +58,10 @@ pub(crate) struct Cdg {
     /// Antecedents of the final (empty-clause) conflict, once UNSAT is
     /// established outright (not merely under assumptions).
     final_antecedents: Option<Vec<ClauseId>>,
+    /// Scratch of the backward traversals: the nodes visited so far.
+    marks: Marks,
+    /// Scratch of the backward traversals: the nodes still to visit.
+    stack: Vec<ClauseId>,
 }
 
 impl Cdg {
@@ -121,33 +133,56 @@ impl Cdg {
     /// answer under assumptions has no final empty clause, so the engine
     /// extracts the core from the antecedents of the failing-assumption
     /// analysis instead of a recorded final conflict.
-    pub(crate) fn core_from(&self, roots: &[ClauseId]) -> Vec<usize> {
-        let mut core = Vec::new();
-        let mut seen = vec![false; self.ant_ends.len()];
-        let mut stack: Vec<ClauseId> = roots.to_vec();
-        while let Some(id) = stack.pop() {
-            let idx = id as usize;
-            if seen[idx] {
-                continue;
-            }
-            seen[idx] = true;
-            if self.leaf[idx] == LEARNED {
-                stack.extend_from_slice(self.antecedents_of(idx));
-            } else {
-                core.push(self.leaf[idx] as usize);
-            }
-        }
-        core.sort_unstable();
-        core.dedup();
-        core
+    pub(crate) fn core_from(&mut self, roots: &[ClauseId]) -> Vec<usize> {
+        self.core_of(roots, false)
     }
 
     /// Extracts the core of the recorded final conflict, or `None` if no
     /// final conflict was recorded (the instance was not proved outright
     /// unsatisfiable, or CDG recording was disabled).
-    pub(crate) fn extract_core(&self) -> Option<Vec<usize>> {
-        let final_ants = self.final_antecedents.as_ref()?;
-        Some(self.core_from(final_ants))
+    pub(crate) fn extract_core(&mut self) -> Option<Vec<usize>> {
+        self.final_antecedents
+            .is_some()
+            .then(|| self.core_of(&[], true))
+    }
+
+    /// The sorted input positions of the leaves reachable from `roots` (and
+    /// from the final conflict, if `with_final`).
+    fn core_of(&mut self, roots: &[ClauseId], with_final: bool) -> Vec<usize> {
+        let mut core = Vec::new();
+        self.mark_reachable(roots, with_final, |pos| core.push(pos as usize));
+        core.sort_unstable();
+        core.dedup();
+        core
+    }
+
+    /// Marks, in a new epoch of `marks`, every node reachable from `roots`
+    /// (and from the final conflict, if `with_final`), calling `on_leaf`
+    /// with the input position of each reachable leaf.
+    fn mark_reachable(
+        &mut self,
+        roots: &[ClauseId],
+        with_final: bool,
+        mut on_leaf: impl FnMut(u32),
+    ) {
+        let mut stack = std::mem::take(&mut self.stack);
+        stack.clear();
+        stack.extend_from_slice(roots);
+        if with_final {
+            stack.extend(self.final_antecedents.iter().flatten());
+        }
+        self.marks.clear(self.ant_ends.len());
+        while let Some(id) = stack.pop() {
+            let idx = id as usize;
+            if !self.marks.insert(idx) {
+                continue;
+            }
+            match self.leaf[idx] {
+                LEARNED => stack.extend_from_slice(self.antecedents_of(idx)),
+                input_pos => on_leaf(input_pos),
+            }
+        }
+        self.stack = stack;
     }
 
     /// Discards every node unreachable from `roots` (and from the recorded
@@ -165,53 +200,37 @@ impl Cdg {
     ///
     /// Node order (and hence the relative order of surviving IDs) is
     /// preserved, so interleaved original/learned recording keeps working
-    /// after a prune.
+    /// after a prune. The compaction runs in place, in one forward pass:
+    /// a node's antecedents were recorded before it, so they are renumbered
+    /// by the time it is read, and every write lands at or below the
+    /// position it reads from (as in `ClauseArena::compact_learned`). The
+    /// stores keep their buffers; no second copy of the graph is made.
     pub(crate) fn prune_reachable(&mut self, roots: &[ClauseId]) -> Vec<ClauseId> {
+        self.mark_reachable(roots, true, |_| {});
         let num_nodes = self.ant_ends.len();
-        let mut keep = vec![false; num_nodes];
-        let mut stack: Vec<ClauseId> = roots.to_vec();
-        if let Some(final_ants) = &self.final_antecedents {
-            stack.extend_from_slice(final_ants);
-        }
-        while let Some(id) = stack.pop() {
-            let idx = id as usize;
-            if keep[idx] {
-                continue;
-            }
-            keep[idx] = true;
-            if self.leaf[idx] == LEARNED {
-                stack.extend_from_slice(self.antecedents_of(idx));
-            }
-        }
-
-        // Compact in place: surviving nodes keep their relative order.
         let mut remap = vec![ClauseId::MAX; num_nodes];
-        let mut new_data: Vec<ClauseId> = Vec::new();
-        let mut new_ends: Vec<u32> = Vec::new();
-        let mut new_leaf: Vec<u32> = Vec::new();
+        let (mut kept, mut words, mut start) = (0usize, 0usize, 0usize);
         let mut num_learned = 0u64;
         for old in 0..num_nodes {
-            if !keep[old] {
-                continue;
+            let end = self.ant_ends[old] as usize;
+            if self.marks.contains(old) {
+                for read in start..end {
+                    let ant = remap[self.ant_data[read] as usize];
+                    debug_assert_ne!(ant, ClauseId::MAX, "kept node cites kept node");
+                    self.ant_data[words] = ant;
+                    words += 1;
+                }
+                remap[old] = kept as ClauseId;
+                self.ant_ends[kept] = words as u32;
+                self.leaf[kept] = self.leaf[old];
+                num_learned += u64::from(self.leaf[old] == LEARNED);
+                kept += 1;
             }
-            remap[old] = new_ends.len() as ClauseId;
-            for &ant in self.antecedents_of(old) {
-                debug_assert_ne!(
-                    remap[ant as usize],
-                    ClauseId::MAX,
-                    "kept node cites kept node"
-                );
-                new_data.push(remap[ant as usize]);
-            }
-            new_ends.push(new_data.len() as u32);
-            new_leaf.push(self.leaf[old]);
-            if self.leaf[old] == LEARNED {
-                num_learned += 1;
-            }
+            start = end;
         }
-        self.ant_data = new_data;
-        self.ant_ends = new_ends;
-        self.leaf = new_leaf;
+        self.ant_data.truncate(words);
+        self.ant_ends.truncate(kept);
+        self.leaf.truncate(kept);
         self.num_learned = num_learned;
         if let Some(final_ants) = self.final_antecedents.as_mut() {
             for ant in final_ants.iter_mut() {
@@ -291,6 +310,9 @@ impl Cdg {
 
 #[cfg(test)]
 mod tests {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
     use super::*;
 
     /// Registers `n` original clauses with input positions `0..n`.
@@ -391,5 +413,116 @@ mod tests {
         let remap = cdg.prune_reachable(&ids);
         assert_ne!(remap[a as usize], ClauseId::MAX);
         assert_eq!(cdg.extract_core(), Some(vec![0, 2]));
+    }
+
+    /// The copying prune `prune_reachable` replaced, kept as the reference
+    /// of the in-place one: it builds the compacted graph as a second copy.
+    fn prune_by_copy(cdg: &Cdg, roots: &[ClauseId]) -> (Cdg, Vec<ClauseId>) {
+        let num_nodes = cdg.ant_ends.len();
+        let mut keep = vec![false; num_nodes];
+        let mut stack: Vec<ClauseId> = roots.to_vec();
+        if let Some(final_ants) = &cdg.final_antecedents {
+            stack.extend_from_slice(final_ants);
+        }
+        while let Some(id) = stack.pop() {
+            let idx = id as usize;
+            if !keep[idx] {
+                keep[idx] = true;
+                if cdg.leaf[idx] == LEARNED {
+                    stack.extend_from_slice(cdg.antecedents_of(idx));
+                }
+            }
+        }
+        let mut remap = vec![ClauseId::MAX; num_nodes];
+        let mut pruned = Cdg::new();
+        for old in (0..num_nodes).filter(|&old| keep[old]) {
+            remap[old] = pruned.ant_ends.len() as ClauseId;
+            for &ant in cdg.antecedents_of(old) {
+                pruned.ant_data.push(remap[ant as usize]);
+            }
+            pruned.ant_ends.push(pruned.ant_data.len() as u32);
+            pruned.leaf.push(cdg.leaf[old]);
+            pruned.num_learned += u64::from(cdg.leaf[old] == LEARNED);
+        }
+        pruned.final_antecedents = cdg
+            .final_antecedents
+            .as_ref()
+            .map(|ants| ants.iter().map(|&ant| remap[ant as usize]).collect());
+        (pruned, remap)
+    }
+
+    /// Records `count` random nodes: leaves with fresh input positions and
+    /// learned nodes citing one to four earlier nodes.
+    fn record_random(cdg: &mut Cdg, rng: &mut StdRng, count: usize, next_pos: &mut u32) {
+        for _ in 0..count {
+            let total = cdg.num_total_nodes();
+            if total == 0 || rng.gen_bool(0.3) {
+                cdg.record_original(*next_pos);
+                *next_pos += 1;
+            } else {
+                let ants: Vec<ClauseId> = (0..rng.gen_range(1..5usize))
+                    .map(|_| rng.gen_range(0..total) as ClauseId)
+                    .collect();
+                cdg.record_learned(&ants);
+            }
+        }
+    }
+
+    #[test]
+    fn in_place_prune_matches_the_copying_prune() {
+        let seeds = if cfg!(miri) { 4 } else { 200 };
+        for seed in 0..seeds {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut next_pos = 0;
+            let mut cdg = Cdg::new();
+            let count = rng.gen_range(1..60usize);
+            record_random(&mut cdg, &mut rng, count, &mut next_pos);
+            let total = cdg.num_total_nodes();
+            if rng.gen_bool(0.5) {
+                let ants = (0..rng.gen_range(1..4usize))
+                    .map(|_| rng.gen_range(0..total) as ClauseId)
+                    .collect();
+                cdg.record_final(ants);
+            }
+            let roots: Vec<ClauseId> = (0..total as ClauseId)
+                .filter(|_| rng.gen_bool(0.2))
+                .collect();
+            // A core extraction first, so the prune starts from a used
+            // scratch table.
+            cdg.core_from(&roots);
+            let (mut reference, want_remap) = prune_by_copy(&cdg, &roots);
+            let mut before = cdg.clone();
+            let buffer = (cdg.ant_data.as_ptr(), cdg.ant_data.capacity());
+
+            let remap = cdg.prune_reachable(&roots);
+            assert_eq!(remap, want_remap, "seed {seed}");
+            assert_eq!(cdg.ant_data, reference.ant_data, "seed {seed}");
+            assert_eq!(cdg.ant_ends, reference.ant_ends, "seed {seed}");
+            assert_eq!(cdg.leaf, reference.leaf, "seed {seed}");
+            assert_eq!(cdg.num_learned, reference.num_learned, "seed {seed}");
+            assert_eq!(cdg.final_antecedents, reference.final_antecedents);
+            assert_eq!(
+                (cdg.ant_data.as_ptr(), cdg.ant_data.capacity()),
+                buffer,
+                "seed {seed}: the antecedent store was reallocated"
+            );
+            for (old, &new) in remap.iter().enumerate() {
+                if new != ClauseId::MAX {
+                    let want = before.core_from(&[old as ClauseId]);
+                    assert_eq!(cdg.core_from(&[new]), want, "seed {seed}, node {old}");
+                    assert_eq!(reference.core_from(&[new]), want, "seed {seed}");
+                }
+            }
+            assert_eq!(cdg.extract_core(), before.extract_core(), "seed {seed}");
+
+            // Recording continues on the compacted graph as on the copy.
+            let mut reference_pos = next_pos;
+            let mut replay = rng.clone();
+            record_random(&mut cdg, &mut rng, 20, &mut next_pos);
+            record_random(&mut reference, &mut replay, 20, &mut reference_pos);
+            for id in 0..cdg.num_total_nodes() as ClauseId {
+                assert_eq!(cdg.core_from(&[id]), reference.core_from(&[id]));
+            }
+        }
     }
 }

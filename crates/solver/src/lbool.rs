@@ -43,17 +43,6 @@ impl LBool {
             LBool::Undef => None,
         }
     }
-
-    /// Applies a phase: returns `self` when `negate` is false, `!self`
-    /// otherwise. Used to evaluate a literal from its variable's value.
-    #[inline]
-    pub fn xor(self, negate: bool) -> LBool {
-        if negate {
-            !self
-        } else {
-            self
-        }
-    }
 }
 
 impl From<bool> for LBool {
@@ -107,13 +96,6 @@ mod tests {
         assert_eq!(!LBool::True, LBool::False);
         assert_eq!(!LBool::False, LBool::True);
         assert_eq!(!LBool::Undef, LBool::Undef);
-    }
-
-    #[test]
-    fn xor_phase() {
-        assert_eq!(LBool::True.xor(false), LBool::True);
-        assert_eq!(LBool::True.xor(true), LBool::False);
-        assert_eq!(LBool::Undef.xor(true), LBool::Undef);
     }
 
     #[test]

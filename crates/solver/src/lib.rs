@@ -54,6 +54,7 @@ mod arena;
 mod cdg;
 mod lbool;
 mod limits;
+mod marks;
 mod order;
 mod reference;
 mod solver;

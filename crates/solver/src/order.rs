@@ -26,6 +26,10 @@
 //! after *Deeply Optimizing the SAT Solver for the IC3 Algorithm*): a
 //! second heap over the domain's unassigned variables supplies the
 //! decisions, and the episode has a model once they are all assigned.
+//!
+//! The ordering reads the assignment from the solver's value table, which
+//! is indexed by literal code: a variable `v` is unassigned when its
+//! positive literal, code `2v`, reads `Undef`.
 
 use rbmc_cnf::{Lit, Var};
 
@@ -80,6 +84,13 @@ impl Key {
                 std::cmp::Reverse(other.code),
             )
     }
+}
+
+/// Whether variable `v` is unassigned in `values`, a value table indexed by
+/// literal code (see the module docs).
+#[inline]
+fn is_unassigned(values: &[LBool], v: usize) -> bool {
+    values[2 * v].is_undef()
 }
 
 /// An indexed binary max-heap of variables, ordered by keys kept outside
@@ -413,19 +424,19 @@ impl LitOrder {
     }
 
     /// Recomputes every key and rebuilds both heaps from the active (and
-    /// domain) variables unassigned in `values` (indexed by variable).
-    /// Needed only after [`LitOrder::halve_scores`], which changes every
-    /// `cha_score`.
+    /// domain) variables unassigned in `values`. Needed only after
+    /// [`LitOrder::halve_scores`], which changes every `cha_score`.
     pub(crate) fn rebuild(&mut self, values: &[LBool]) {
-        debug_assert_eq!(values.len(), self.key.len());
+        debug_assert_eq!(values.len(), 2 * self.key.len());
         for v in 0..self.key.len() {
             self.key[v] = self.make_key(v);
         }
-        let candidates = (0..values.len()).filter(|&v| self.active[v] && values[v].is_undef());
+        let candidates =
+            (0..self.key.len()).filter(|&v| self.active[v] && is_unassigned(values, v));
         self.heap.rebuild(candidates, &self.key);
         let in_domain = self.domain.iter().map(|&v| v as usize);
         self.domain_heap
-            .rebuild(in_domain.filter(|&v| values[v].is_undef()), &self.key);
+            .rebuild(in_domain.filter(|&v| is_unassigned(values, v)), &self.key);
     }
 
     /// Restricts decisions to `vars`: builds the domain heap over those of
@@ -441,14 +452,14 @@ impl LitOrder {
             if self.active.get(v) == Some(&true) && !self.in_domain[v] {
                 self.in_domain[v] = true;
                 self.domain.push(v as u32);
-                if values[v].is_undef() {
+                if is_unassigned(values, v) {
                     self.domain_unassigned += 1;
                 }
             }
         }
         let in_domain = self.domain.iter().map(|&v| v as usize);
         self.domain_heap
-            .rebuild(in_domain.filter(|&v| values[v].is_undef()), &self.key);
+            .rebuild(in_domain.filter(|&v| is_unassigned(values, v)), &self.key);
     }
 
     /// Ends the episode's domain, if it has one.
@@ -534,7 +545,7 @@ impl LitOrder {
     }
 
     /// Pops the greatest-key literal over the active variables unassigned
-    /// in `values` (indexed by variable), or returns `None` when every
+    /// in `values`, or returns `None` when every
     /// active variable is assigned. With a domain set, both are over the
     /// domain's variables only.
     ///
@@ -553,14 +564,14 @@ impl LitOrder {
             let v = heap
                 .pop(&self.key)
                 .expect("every unassigned candidate is in the heap");
-            if values[v].is_undef() {
+            if is_unassigned(values, v) {
                 return Some(Lit::from_code(self.key[v].code as usize));
             }
         }
     }
 
     /// Checks both heaps against a recomputation from the scores and
-    /// `values` (indexed by variable): positions and heap order hold, every
+    /// `values`: positions and heap order hold, every
     /// cached key is current, every unassigned active variable has an
     /// entry in the main heap and every unassigned domain variable one in
     /// the domain heap, which holds nothing else, and both unassigned
@@ -571,19 +582,20 @@ impl LitOrder {
         self.domain_heap
             .audit(&self.key)
             .map_err(|e| format!("domain {e}"))?;
-        if values.len() != self.key.len() {
+        if values.len() != 2 * self.key.len() {
             return Err(format!(
-                "{} values for {} vars",
+                "{} literal values for {} vars",
                 values.len(),
                 self.key.len()
             ));
         }
         let (mut unassigned, mut domain_unassigned, mut domain_size) = (0, 0, 0);
-        for (v, value) in values.iter().enumerate() {
+        for v in 0..self.key.len() {
             if self.key[v] != self.make_key(v) {
                 return Err(format!("var {v} caches a stale key"));
             }
-            if self.active[v] && value.is_undef() {
+            let free = is_unassigned(values, v);
+            if self.active[v] && free {
                 unassigned += 1;
                 if !self.heap.contains(v) {
                     return Err(format!(
@@ -596,7 +608,7 @@ impl LitOrder {
                 if !self.active[v] {
                     return Err(format!("domain var {v} is not active"));
                 }
-                if value.is_undef() {
+                if free {
                     domain_unassigned += 1;
                     if !self.domain_heap.contains(v) {
                         return Err(format!(
@@ -648,22 +660,34 @@ mod tests {
         Lit::from_dimacs(n)
     }
 
-    /// All `n` variables unassigned.
+    /// All `n` variables unassigned, in a table indexed by literal code.
     fn free(n: usize) -> Vec<LBool> {
-        vec![LBool::Undef; n]
+        vec![LBool::Undef; 2 * n]
+    }
+
+    /// Makes `lit` true in `values`, as the solver's `enqueue` does.
+    fn set_true(values: &mut [LBool], lit: Lit) {
+        values[lit.code()] = LBool::True;
+        values[(!lit).code()] = LBool::False;
+    }
+
+    /// Makes `var` unassigned in `values`.
+    fn set_free(values: &mut [LBool], var: Var) {
+        values[var.positive().code()] = LBool::Undef;
+        values[var.negative().code()] = LBool::Undef;
     }
 
     /// Pops the next decision and assigns it, as the solver does.
     fn decide(ord: &mut LitOrder, values: &mut [LBool]) -> Option<Lit> {
         let lit = ord.pop_best(values)?;
-        values[lit.var().index()] = LBool::from(lit.is_positive());
+        set_true(values, lit);
         ord.note_assigned(lit.var());
         Some(lit)
     }
 
     /// Unassigns `var`, as backtracking does.
     fn unassign(ord: &mut LitOrder, values: &mut [LBool], var: Var) {
-        values[var.index()] = LBool::Undef;
+        set_free(values, var);
         ord.reinsert_var(var);
     }
 
@@ -728,7 +752,7 @@ mod tests {
         let mut v = free(2);
         // Variable 0 is assigned (say, by propagation): its entry is
         // discarded on the way to variable 1.
-        v[0] = LBool::True;
+        set_true(&mut v, lit(1));
         ord.note_assigned(Var::new(0));
         assert_eq!(decide(&mut ord, &mut v), Some(lit(2)));
         assert_eq!(decide(&mut ord, &mut v), None);
@@ -811,7 +835,7 @@ mod tests {
                         // Clauses are loaded at the root, as `add_clause`
                         // backtracks to level 0 first.
                         for var in trail.drain(..).rev() {
-                            values[var.index()] = LBool::Undef;
+                            set_free(&mut values, var);
                             live.reinsert_var(var);
                             reference.reinsert_var(var);
                         }
@@ -842,8 +866,8 @@ mod tests {
                     4 => {
                         // An implied or assumed assignment, active or not.
                         let var = Var::new(rng.gen_range(0..n));
-                        if values[var.index()].is_undef() {
-                            values[var.index()] = LBool::from(rng.gen_bool(0.5));
+                        if is_unassigned(&values, var.index()) {
+                            set_true(&mut values, var.lit(rng.gen_bool(0.5)));
                             live.note_assigned(var);
                             reference.note_assigned(var);
                             trail.push(var);
@@ -852,7 +876,7 @@ mod tests {
                     5 => {
                         let keep = rng.gen_range(0..=trail.len());
                         for var in trail.drain(keep..).rev() {
-                            values[var.index()] = LBool::Undef;
+                            set_free(&mut values, var);
                             live.reinsert_var(var);
                             reference.reinsert_var(var);
                         }
@@ -875,7 +899,7 @@ mod tests {
                         let want = reference.pop_best(&values);
                         assert_eq!(live.pop_best(&values), want, "seed {seed}");
                         if let Some(l) = want {
-                            values[l.var().index()] = LBool::from(l.is_positive());
+                            set_true(&mut values, l);
                             live.note_assigned(l.var());
                             reference.note_assigned(l.var());
                             trail.push(l.var());

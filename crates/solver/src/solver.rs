@@ -1,14 +1,24 @@
 //! The CDCL solver: DLL search with watched-literal BCP, first-UIP learning,
 //! restarts, clause-database reduction, and CDG-based core extraction.
+//!
+//! The hot loops read a literal's value with one load from a table indexed
+//! by literal code (`lit_values`, both literals of every variable) and a
+//! clause body as one arena slice. No episode allocates scratch space per
+//! conflict, per added clause or per core: the learned clause, the clause
+//! `add_clause` sorts and deduplicates, the proof hints and the
+//! core-variable marks all live in buffers the solver owns and reuses.
+//! (What outlives the call is still allocated: a core, a model, and the
+//! proof log's own copy of each line.)
 
 use std::fmt;
 use std::time::Instant;
 
-use rbmc_cnf::{Clause, CnfFormula, Lit, Var};
+use rbmc_cnf::{CnfFormula, Lit, Var};
 use rbmc_proof::ProofRecorder;
 
 use crate::arena::{ClauseArena, ClauseRef};
 use crate::cdg::{Cdg, ClauseId};
+use crate::marks::Marks;
 use crate::order::LitOrder;
 use crate::{LBool, Limits, OrderMode, SolverStats};
 
@@ -147,7 +157,10 @@ pub struct Solver {
     /// clauses keep counting.
     num_original_lits: u64,
     watches: Vec<WatchLists>,
-    values: Vec<LBool>,
+    /// The value of each literal, indexed by literal code: an assigned
+    /// variable's true literal reads `True` and its other literal `False`,
+    /// and both literals of an unassigned variable read `Undef`.
+    lit_values: Vec<LBool>,
     levels: Vec<u32>,
     reasons: Vec<Option<ClauseRef>>,
     /// CDG node standing for the level-0 unit fact of a variable.
@@ -194,6 +207,12 @@ pub struct Solver {
     reduce_threshold: u64,
     /// Scratch for conflict analysis.
     seen: Vec<bool>,
+    /// Scratch clause: the learned clause under construction, the clause
+    /// `add_clause` normalizes, or a failed-assumption episode's final
+    /// clause.
+    clause_buf: Vec<Lit>,
+    /// Scratch of [`Solver::core_vars`]: the variables collected so far.
+    var_marks: Marks,
     /// Scratch antecedent list of level-0 unit-fact CDG nodes (reused so a
     /// level-0 implication records its node allocation-free).
     unit_ants: Vec<ClauseId>,
@@ -210,6 +229,8 @@ pub struct Solver {
     /// Scratch of [`proof_hints`], indexed by CDG node id: the nodes already
     /// cited by the hint list being built. All false between calls.
     cited: Vec<bool>,
+    /// Scratch of [`proof_hints`]: the hint list being built.
+    hints: Vec<u64>,
 }
 
 impl fmt::Debug for Solver {
@@ -245,7 +266,7 @@ impl Solver {
             first_learned: 0,
             num_original_lits: 0,
             watches: Vec::new(),
-            values: Vec::new(),
+            lit_values: Vec::new(),
             levels: Vec::new(),
             reasons: Vec::new(),
             unit_node: Vec::new(),
@@ -274,12 +295,15 @@ impl Solver {
             live_learned: 0,
             reduce_threshold: opts.reduce_base,
             seen: Vec::new(),
+            clause_buf: Vec::new(),
+            var_marks: Marks::default(),
             unit_ants: Vec::new(),
             conflict_ants: Vec::new(),
             proof: None,
             next_proof_id: 0,
             proof_of_cdg: Vec::new(),
             cited: Vec::new(),
+            hints: Vec::new(),
         }
     }
 
@@ -300,10 +324,10 @@ impl Solver {
 
     /// Ensures the solver knows about variables `0..num_vars`.
     pub fn reserve_vars(&mut self, num_vars: usize) {
-        if num_vars <= self.values.len() {
+        if num_vars <= self.num_vars() {
             return;
         }
-        self.values.resize(num_vars, LBool::Undef);
+        self.lit_values.resize(2 * num_vars, LBool::Undef);
         self.levels.resize(num_vars, 0);
         self.reasons.resize(num_vars, None);
         self.unit_node.resize(num_vars, None);
@@ -314,7 +338,7 @@ impl Solver {
 
     /// Number of variables known to the solver.
     pub fn num_vars(&self) -> usize {
-        self.values.len()
+        self.levels.len()
     }
 
     /// Number of original (input) clauses.
@@ -356,11 +380,18 @@ impl Solver {
             self.order.add_initial_count(lit, 1);
         }
 
-        let clause = Clause::new(lits.to_vec());
-        let (mut stored, tautology) = match clause.normalized() {
-            None => (Vec::new(), true),
-            Some(n) => (n.into_lits(), false),
-        };
+        // Sorted and deduplicated in the reused scratch clause; a clause with
+        // both phases of a variable (adjacent once sorted) is a tautology,
+        // stored body-less.
+        let mut stored = std::mem::take(&mut self.clause_buf);
+        stored.clear();
+        stored.extend_from_slice(lits);
+        stored.sort_unstable();
+        stored.dedup();
+        let tautology = stored.windows(2).any(|w| w[0] == !w[1]);
+        if tautology {
+            stored.clear();
+        }
         let input_pos = self.original_refs.len() as u32;
         let cdg_id = if self.opts.record_cdg {
             self.cdg.record_original(input_pos)
@@ -432,6 +463,7 @@ impl Solver {
                 _ => {}
             }
         }
+        self.clause_buf = stored;
         self.num_original = self.original_refs.len();
         self.note_arena_peak();
         input_pos as usize
@@ -581,9 +613,15 @@ impl Solver {
     /// [`Solver::analyze_final`].
     fn emit_proof_final_failed(&mut self) {
         if let Some(proof) = self.proof.as_mut() {
-            let clause: Vec<Lit> = self.failed.iter().map(|&a| !a).collect();
-            let hints = proof_hints(&self.proof_of_cdg, &mut self.cited, &self.conflict_ants);
-            proof.finalize(&clause, &hints);
+            self.clause_buf.clear();
+            self.clause_buf.extend(self.failed.iter().map(|&a| !a));
+            proof_hints(
+                &self.proof_of_cdg,
+                &mut self.cited,
+                &self.conflict_ants,
+                &mut self.hints,
+            );
+            proof.finalize(&self.clause_buf, &self.hints);
         }
     }
 
@@ -647,7 +685,7 @@ impl Solver {
     /// after that episode's clauses are added: a variable no clause
     /// mentions yet is left out of the domain.
     pub fn set_domain(&mut self, vars: &[Var]) {
-        self.order.set_domain(vars, &self.values);
+        self.order.set_domain(vars, &self.lit_values);
     }
 
     /// Solves under assumption literals **and** resource limits (see
@@ -753,7 +791,7 @@ impl Solver {
                         }
                     }
                 } else {
-                    match self.order.pop_best(&self.values) {
+                    match self.order.pop_best(&self.lit_values) {
                         Some(lit) => {
                             self.stats.decisions += 1;
                             self.trail_lim.push(self.trail.len());
@@ -799,22 +837,22 @@ impl Solver {
 
     /// The variables appearing in the unsatisfiable core (§3.2 feeds these
     /// into `update_ranking`). Sorted, no duplicates.
-    pub fn core_vars(&self) -> Option<Vec<Var>> {
+    ///
+    /// Takes `&mut self` only to reuse the solver's variable marks.
+    pub fn core_vars(&mut self) -> Option<Vec<Var>> {
         let core = self.core.as_ref()?;
-        let mut seen = vec![false; self.num_vars()];
+        self.var_marks.clear(self.levels.len());
+        let mut vars = Vec::new();
         for &ci in core {
-            let cref = self.original_refs[ci];
-            for i in 0..self.clauses.len(cref) {
-                seen[self.clauses.lit(cref, i).var().index()] = true;
+            for &code in self.clauses.lits(self.original_refs[ci]) {
+                let var = Lit::from_code(code as usize).var();
+                if self.var_marks.insert(var.index()) {
+                    vars.push(var);
+                }
             }
         }
-        Some(
-            seen.iter()
-                .enumerate()
-                .filter(|&(_, &s)| s)
-                .map(|(i, _)| Var::new(i))
-                .collect(),
-        )
+        vars.sort_unstable();
+        Some(vars)
     }
 
     /// Search statistics so far.
@@ -888,16 +926,16 @@ impl Solver {
             }
         }
         if self.proof.is_some() {
-            // Compact the node → proof-line map by the same remap. Proof
-            // line ids are never renumbered — only the CDG-side index moves.
-            let mut compacted = vec![0u64; self.cdg.num_total_nodes()];
-            for (old, &pid) in self.proof_of_cdg.iter().enumerate() {
-                let new = remap[old];
+            // Compact the node → proof-line map in place by the same remap,
+            // which never moves an entry up. Proof line ids are never
+            // renumbered — only the CDG-side index moves.
+            let map = &mut self.proof_of_cdg;
+            for (old, &new) in remap.iter().enumerate().take(map.len()) {
                 if new != ClauseId::MAX {
-                    compacted[new as usize] = pid;
+                    map[new as usize] = map[old];
                 }
             }
-            self.proof_of_cdg = compacted;
+            map.truncate(self.cdg.num_total_nodes());
         }
         self.stats.cdg_pruned_nodes += pruned;
         self.stats.cdg_nodes = self.cdg.num_nodes();
@@ -938,7 +976,7 @@ impl Solver {
 
     #[inline]
     fn lit_value(&self, lit: Lit) -> LBool {
-        self.values[lit.var().index()].xor(lit.is_negative())
+        self.lit_values[lit.code()]
     }
 
     /// Registers the watches of a `len`-literal clause whose current watch
@@ -973,8 +1011,9 @@ impl Solver {
     /// so later proofs can cite the fact (see module docs of `cdg`).
     fn enqueue(&mut self, lit: Lit, reason: Option<ClauseRef>) {
         let v = lit.var().index();
-        debug_assert!(self.values[v].is_undef());
-        self.values[v] = LBool::from(lit.is_positive());
+        debug_assert!(self.lit_values[lit.code()].is_undef());
+        self.lit_values[lit.code()] = LBool::True;
+        self.lit_values[(!lit).code()] = LBool::False;
         self.levels[v] = self.decision_level();
         self.reasons[v] = reason;
         self.trail.push(lit);
@@ -986,10 +1025,10 @@ impl Solver {
             let reason = reason.expect("level-0 assignments are always implied");
             self.unit_ants.clear();
             self.unit_ants.push(self.clauses.cdg_id(reason));
-            for i in 0..self.clauses.len(reason) {
-                let other = self.clauses.lit(reason, i);
-                if other.var() != lit.var() {
-                    let node = self.unit_node[other.var().index()]
+            for &code in self.clauses.lits(reason) {
+                let other = Lit::from_code(code as usize).var().index();
+                if other != v {
+                    let node = self.unit_node[other]
                         .expect("supporting level-0 fact was recorded earlier");
                     self.unit_ants.push(node);
                 }
@@ -997,13 +1036,18 @@ impl Solver {
             let node = self.cdg.record_learned(&self.unit_ants);
             self.unit_node[v] = Some(node);
             if self.proof.is_some() {
-                let hints = proof_hints(&self.proof_of_cdg, &mut self.cited, &self.unit_ants);
+                proof_hints(
+                    &self.proof_of_cdg,
+                    &mut self.cited,
+                    &self.unit_ants,
+                    &mut self.hints,
+                );
                 let pid = self.fresh_proof_id();
                 self.map_proof(node, pid);
                 self.proof
                     .as_mut()
                     .expect("checked above")
-                    .derived(pid, &[lit], &hints);
+                    .derived(pid, &[lit], &self.hints);
             }
         }
     }
@@ -1028,7 +1072,7 @@ impl Solver {
             // Binary tier: unit/conflict decided from the watcher alone.
             let bins = std::mem::take(&mut self.watches[false_lit.code()].bins);
             for w in &bins {
-                match self.lit_value(w.implied) {
+                match self.lit_values[w.implied.code()] {
                     LBool::True => {}
                     LBool::Undef if self.outside_domain(w.implied.var()) => {}
                     LBool::Undef => self.enqueue(w.implied, Some(w.clause)),
@@ -1046,32 +1090,34 @@ impl Solver {
 
             // Long tier: blocker watches over the arena.
             let mut ws = std::mem::take(&mut self.watches[false_lit.code()].longs);
+            let false_code = false_lit.code() as u32;
             let mut i = 0;
             'watches: while i < ws.len() {
                 let w = ws[i];
                 // A true blocker satisfies the clause.
-                if self.lit_value(w.blocker) == LBool::True {
+                if self.lit_values[w.blocker.code()] == LBool::True {
                     i += 1;
                     continue;
                 }
                 let cref = w.clause;
+                let body = self.clauses.lits_mut(cref);
                 // Put the false literal in slot 1.
-                if self.clauses.lit(cref, 0) == false_lit {
-                    self.clauses.swap_lits(cref, 0, 1);
+                if body[0] == false_code {
+                    body.swap(0, 1);
                 }
-                debug_assert_eq!(self.clauses.lit(cref, 1), false_lit);
-                let first = self.clauses.lit(cref, 0);
-                if first != w.blocker && self.lit_value(first) == LBool::True {
+                debug_assert_eq!(body[1], false_code);
+                let first = Lit::from_code(body[0] as usize);
+                if first != w.blocker && self.lit_values[first.code()] == LBool::True {
                     ws[i].blocker = first;
                     i += 1;
                     continue;
                 }
                 // Look for a replacement watch.
-                for k in 2..self.clauses.len(cref) {
-                    let candidate = self.clauses.lit(cref, k);
-                    if self.lit_value(candidate) != LBool::False {
-                        self.clauses.swap_lits(cref, 1, k);
-                        self.watches[candidate.code()].longs.push(LongWatch {
+                for k in 2..body.len() {
+                    let candidate = body[k] as usize;
+                    if self.lit_values[candidate] != LBool::False {
+                        body.swap(1, k);
+                        self.watches[candidate].longs.push(LongWatch {
                             clause: cref,
                             blocker: first,
                         });
@@ -1080,7 +1126,7 @@ impl Solver {
                     }
                 }
                 // No replacement: unit or conflict on `first`.
-                if self.lit_value(first) == LBool::False {
+                if self.lit_values[first.code()] == LBool::False {
                     conflict = Some(cref);
                     self.qhead = self.trail.len();
                     break;
@@ -1102,7 +1148,10 @@ impl Solver {
     fn handle_conflict(&mut self, conflict: ClauseRef) {
         let current_level = self.decision_level();
         self.conflict_ants.clear();
-        let mut learnt: Vec<Lit> = vec![Lit::from_code(0)]; // slot 0 = asserting literal
+        // The learned clause is built in `clause_buf`; slot 0 is the
+        // asserting literal.
+        self.clause_buf.clear();
+        self.clause_buf.push(Lit::from_code(0));
         let mut path_count = 0usize;
         let mut index = self.trail.len();
         let mut confl = conflict;
@@ -1115,8 +1164,8 @@ impl Solver {
             self.clauses.bump_activity(confl);
             // The clause body is present: reasons of assigned literals and the
             // conflicting clause are never deleted (locked or just used).
-            for j in 0..self.clauses.len(confl) {
-                let q = self.clauses.lit(confl, j);
+            for &code in self.clauses.lits(confl) {
+                let q = Lit::from_code(code as usize);
                 if Some(q) == resolve_lit {
                     continue;
                 }
@@ -1138,7 +1187,7 @@ impl Solver {
                 if self.levels[v] == current_level {
                     path_count += 1;
                 } else {
-                    learnt.push(q);
+                    self.clause_buf.push(q);
                 }
             }
             // Next seen literal on the trail (at the current level).
@@ -1152,37 +1201,40 @@ impl Solver {
             self.seen[l.var().index()] = false;
             path_count -= 1;
             if path_count == 0 {
-                learnt[0] = !l;
+                self.clause_buf[0] = !l;
                 break;
             }
             confl = self.reasons[l.var().index()]
                 .expect("implied literal at the conflict level has a reason");
             resolve_lit = Some(l);
         }
+        let learnt = &mut self.clause_buf;
         for lit in &learnt[1..] {
             self.seen[lit.var().index()] = false;
         }
 
         // Backjump level: highest level among the non-asserting literals.
+        let level_of = |lit: Lit| self.levels[lit.var().index()];
         let backtrack_level = if learnt.len() == 1 {
             0
         } else {
             let mut max_i = 1;
             for i in 2..learnt.len() {
-                if self.levels[learnt[i].var().index()] > self.levels[learnt[max_i].var().index()] {
+                if level_of(learnt[i]) > level_of(learnt[max_i]) {
                     max_i = i;
                 }
             }
             learnt.swap(1, max_i);
-            self.levels[learnt[1].var().index()]
+            level_of(learnt[1])
         };
+        let len = learnt.len();
         self.backtrack(backtrack_level);
 
         // Store the learned clause, watch it, propagate its asserting literal.
         self.stats.learned += 1;
-        self.stats.learned_literals += learnt.len() as u64;
+        self.stats.learned_literals += len as u64;
         self.live_learned += 1;
-        self.order.on_learned_clause(&learnt);
+        self.order.on_learned_clause(&self.clause_buf);
         let cdg_id = if self.opts.record_cdg {
             let id = self.cdg.record_learned(&self.conflict_ants);
             self.stats.cdg_nodes = self.cdg.num_nodes();
@@ -1193,21 +1245,27 @@ impl Solver {
             ClauseId::MAX
         };
         if self.proof.is_some() {
-            let hints = proof_hints(&self.proof_of_cdg, &mut self.cited, &self.conflict_ants);
+            proof_hints(
+                &self.proof_of_cdg,
+                &mut self.cited,
+                &self.conflict_ants,
+                &mut self.hints,
+            );
             let pid = self.fresh_proof_id();
             self.map_proof(cdg_id, pid);
             self.proof
                 .as_mut()
                 .expect("checked above")
-                .derived(pid, &learnt, &hints);
+                .derived(pid, &self.clause_buf, &self.hints);
         }
-        let cref = self.clauses.alloc(&learnt, true, cdg_id);
+        let cref = self.clauses.alloc(&self.clause_buf, true, cdg_id);
         self.note_arena_peak();
         self.clauses.set_activity(cref, 1);
-        if learnt.len() >= 2 {
-            self.watch_clause(cref, learnt.len(), learnt[0], learnt[1]);
+        let asserting = self.clause_buf[0];
+        if len >= 2 {
+            let other = self.clause_buf[1];
+            self.watch_clause(cref, len, asserting, other);
         }
-        let asserting = learnt[0];
         self.enqueue(asserting, Some(cref));
     }
 
@@ -1218,10 +1276,11 @@ impl Solver {
         }
         let new_len = self.trail_lim[level as usize];
         for i in (new_len..self.trail.len()).rev() {
-            let v = self.trail[i].var();
-            self.values[v.index()] = LBool::Undef;
-            self.reasons[v.index()] = None;
-            self.order.reinsert_var(v);
+            let lit = self.trail[i];
+            self.lit_values[lit.code()] = LBool::Undef;
+            self.lit_values[(!lit).code()] = LBool::Undef;
+            self.reasons[lit.var().index()] = None;
+            self.order.reinsert_var(lit.var());
         }
         self.trail.truncate(new_len);
         self.trail_lim.truncate(level as usize);
@@ -1234,7 +1293,7 @@ impl Solver {
         if self.stats.conflicts - self.conflicts_at_last_halve >= self.opts.halve_interval {
             self.conflicts_at_last_halve = self.stats.conflicts;
             self.order.halve_scores();
-            self.order.rebuild(&self.values);
+            self.order.rebuild(&self.lit_values);
             self.stats.score_halvings += 1;
         }
         if self.opts.luby_unit > 0 {
@@ -1258,8 +1317,8 @@ impl Solver {
     /// activation literal with a `¬a_k` unit, every clause that learned
     /// `…∨ ¬a_k` from the depth-`k` conflicts matches this test.
     fn root_satisfied(&self, cref: ClauseRef) -> bool {
-        (0..self.clauses.len(cref)).any(|i| {
-            let lit = self.clauses.lit(cref, i);
+        self.clauses.lits(cref).iter().any(|&code| {
+            let lit = Lit::from_code(code as usize);
             self.lit_value(lit) == LBool::True && self.levels[lit.var().index()] == 0
         })
     }
@@ -1466,11 +1525,12 @@ impl Solver {
     fn finish_sat(&mut self) {
         // Variables no clause mentions (an incremental session reserves the
         // whole future variable range up front) are never decided; they
-        // default to false in the model.
+        // default to false in the model. A variable's value is that of its
+        // positive literal, the first of its pair.
         let model = self
-            .values
-            .iter()
-            .map(|v| v.to_bool().unwrap_or(false))
+            .lit_values
+            .chunks_exact(2)
+            .map(|pair| pair[0] == LBool::True)
             .collect();
         self.model = Some(model);
         self.result = Some(SolveResult::Sat);
@@ -1520,9 +1580,8 @@ impl Solver {
                     if self.opts.record_cdg {
                         self.conflict_ants.push(self.clauses.cdg_id(reason));
                     }
-                    for j in 0..self.clauses.len(reason) {
-                        let q = self.clauses.lit(reason, j);
-                        let qv = q.var().index();
+                    for &code in self.clauses.lits(reason) {
+                        let qv = Lit::from_code(code as usize).var().index();
                         if qv == v {
                             continue;
                         }
@@ -1553,9 +1612,8 @@ impl Solver {
     fn record_conflict_clause_final(&mut self, conflict: ClauseRef) {
         if self.opts.record_cdg {
             let mut ants = vec![self.clauses.cdg_id(conflict)];
-            for i in 0..self.clauses.len(conflict) {
-                let lit = self.clauses.lit(conflict, i);
-                if let Some(node) = self.unit_node[lit.var().index()] {
+            for &code in self.clauses.lits(conflict) {
+                if let Some(node) = self.unit_node[Lit::from_code(code as usize).var().index()] {
                     ants.push(node);
                 }
             }
@@ -1568,8 +1626,13 @@ impl Solver {
     fn finish_unsat(&mut self, final_antecedents: Vec<ClauseId>) {
         self.ok = false;
         if let Some(proof) = self.proof.as_mut() {
-            let hints = proof_hints(&self.proof_of_cdg, &mut self.cited, &final_antecedents);
-            proof.finalize(&[], &hints);
+            proof_hints(
+                &self.proof_of_cdg,
+                &mut self.cited,
+                &final_antecedents,
+                &mut self.hints,
+            );
+            proof.finalize(&[], &self.hints);
         }
         // A mid-episode (or mid-session `add_clause`) refutation invalidates
         // any previously published episode results.
@@ -1586,17 +1649,22 @@ impl Solver {
     }
 }
 
-/// Maps a CDG antecedent list to proof-line hints in propagation order:
-/// conflict analysis walks the trail backward, so the list is reversed, and
-/// duplicate citations (a root fact dropped from several clauses) keep only
-/// their earliest position. Nodes and proof lines correspond one to one, so
-/// `cited` (all false on entry and on return) deduplicates per node in
-/// linear time.
-fn proof_hints(proof_of_cdg: &[u64], cited: &mut Vec<bool>, ants: &[ClauseId]) -> Vec<u64> {
+/// Maps a CDG antecedent list to proof-line hints in propagation order,
+/// into `hints`: conflict analysis walks the trail backward, so the list is
+/// reversed, and duplicate citations (a root fact dropped from several
+/// clauses) keep only their earliest position. Nodes and proof lines
+/// correspond one to one, so `cited` (all false on entry and on return)
+/// deduplicates per node in linear time.
+fn proof_hints(
+    proof_of_cdg: &[u64],
+    cited: &mut Vec<bool>,
+    ants: &[ClauseId],
+    hints: &mut Vec<u64>,
+) {
     if cited.len() < proof_of_cdg.len() {
         cited.resize(proof_of_cdg.len(), false);
     }
-    let mut hints: Vec<u64> = Vec::with_capacity(ants.len());
+    hints.clear();
     for &ant in ants.iter().rev() {
         let node = ant as usize;
         if !cited[node] {
@@ -1607,7 +1675,6 @@ fn proof_hints(proof_of_cdg: &[u64], cited: &mut Vec<bool>, ants: &[ClauseId]) -
     for &ant in ants {
         cited[ant as usize] = false;
     }
-    hints
 }
 
 /// The Luby restart sequence: 1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8, …
@@ -1667,7 +1734,7 @@ mod tests {
 
     #[test]
     fn contradictory_units_are_unsat_with_exact_core() {
-        let (r, s) = solve_text("p cnf 2 3\n1 0\n-1 0\n2 0\n");
+        let (r, mut s) = solve_text("p cnf 2 3\n1 0\n-1 0\n2 0\n");
         assert_eq!(r, SolveResult::Unsat);
         // Clause 2 (x2) is irrelevant: the core is exactly the two units.
         assert_eq!(s.core_clauses().unwrap(), &[0, 1]);
@@ -2063,7 +2130,10 @@ mod tests {
         // Nothing outside the domain was decided or implied, so the
         // outside clause `4 ∨ 5` stays unsatisfied in the model.
         for v in 3..7 {
-            assert!(s.values[v].is_undef(), "var {v} was assigned");
+            assert!(
+                s.lit_value(Var::new(v).positive()).is_undef(),
+                "var {v} was assigned"
+            );
         }
         let model = s.model().unwrap().to_vec();
         assert!(!model[3] && !model[4]);
@@ -2086,12 +2156,12 @@ mod tests {
         for vars in [&[1, 2, 3][..], &[2, 3], &[1]] {
             s.set_domain(&domain(vars));
             assert_eq!(s.solve_under(&[lit(-1)]), SolveResult::Sat);
-            s.order.audit(&s.values).unwrap();
+            s.order.audit(&s.lit_values).unwrap();
         }
         assert_eq!(s.solve(), SolveResult::Sat);
-        assert!(s.values.iter().all(|v| !v.is_undef()));
+        assert!(s.lit_values.iter().all(|v| !v.is_undef()));
         assert_eq!(f.evaluate(s.model().unwrap()), Some(true));
-        s.order.audit(&s.values).unwrap();
+        s.order.audit(&s.lit_values).unwrap();
     }
 
     /// Domain episodes on random sessions whose outside clauses every
@@ -2181,7 +2251,7 @@ mod tests {
                         );
                     }
                 }
-                s.order.audit(&s.values).unwrap();
+                s.order.audit(&s.lit_values).unwrap();
             }
         }
     }

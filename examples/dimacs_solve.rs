@@ -61,13 +61,13 @@ fn main() {
         }
         SolveResult::Unsat => {
             println!("UNSAT");
+            let core_vars = solver.core_vars().expect("core vars");
             let core = solver.core_clauses().expect("core after UNSAT");
             println!(
                 "unsatisfiable core: {} of {} original clauses",
                 core.len(),
                 formula.num_clauses()
             );
-            let core_vars = solver.core_vars().expect("core vars");
             println!("variables in the core: {}", core_vars.len());
             // Double-check the core is itself UNSAT.
             let sub = formula.subformula(core);

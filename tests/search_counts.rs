@@ -15,17 +15,23 @@
 //! (`RefinedStatic`, which never falls back) in its fresh-per-depth regime,
 //! under each of the three core weightings of §3.2.
 //!
+//! None of those runs reaches the solver's periodic work: a Luby restart
+//! (128 conflicts), a score halving (256), a database reduction (2,000
+//! learned clauses) or a CDG prune. A fifth table runs two FIFOs of
+//! `suite_table1()` deep enough to reach all four, pinning how many times
+//! each ran, and pins the same runs' proof logs under `ProofMode::Check`.
+//!
 //! A change that is meant to leave the search alone must pass unchanged.
 //! A change that alters the search replaces the tables below with the ones
 //! the failure message prints, so the new counts show up in review.
 
 use refined_bmc::bmc::{
-    BmcEngine, BmcOptions, BmcRun, Ic3Engine, OrderingStrategy, ProblemBuilder, SolverReuse,
-    Weighting,
+    BmcEngine, BmcOptions, BmcRun, Ic3Engine, OrderingStrategy, ProblemBuilder, ProofMode,
+    SolverReuse, Weighting,
 };
 use refined_bmc::circuit::aiger::{parse_aiger, write_aag, write_aig};
 use refined_bmc::gens::corpus::problem_to_aig;
-use refined_bmc::gens::small_suite;
+use refined_bmc::gens::{small_suite, suite_table1};
 
 /// `(instance, [decisions, propagations, conflicts, solve_calls])`.
 type CountTable = [(&'static str, [u64; 4])];
@@ -119,6 +125,25 @@ const STATIC_FRESH_BY_WEIGHTING: &CountTable = &[
     ("s10_pipe4/last", [5, 100, 3, 5]),
 ];
 
+/// BMC, one session solver per instance, to depth 22: `[decisions,
+/// propagations, conflicts, solve_calls, restarts, score_halvings,
+/// compactions, cdg_pruned_nodes]`.
+const PERIODIC_BMC_SESSION: &[(&str, [u64; 8])] = &[
+    ("12_fifo8_guard", [3909, 180683, 2181, 23, 11, 8, 1, 184]),
+    ("13_fifo16_guard", [4330, 220887, 2261, 23, 11, 8, 1, 163]),
+];
+
+/// The same runs under `ProofMode::Check`: `[proof steps logged, episodes
+/// certified]`.
+const PERIODIC_PROOF_CHECK: &[(&str, [u64; 2])] = &[
+    ("12_fifo8_guard", [7101, 23]),
+    ("13_fifo16_guard", [7963, 23]),
+];
+
+/// The `suite_table1()` instances of the periodic table, and its depth.
+const PERIODIC_INSTANCES: [&str; 2] = ["12_fifo8_guard", "13_fifo16_guard"];
+const PERIODIC_DEPTH: usize = 22;
+
 fn options(max_depth: usize) -> BmcOptions {
     BmcOptions {
         max_depth,
@@ -135,7 +160,11 @@ fn counts(run: &BmcRun) -> [u64; 4] {
 
 /// Compares the measured rows with `expected`; on a mismatch the panic
 /// message carries the whole measured table in source form.
-fn assert_pinned(table: &str, expected: &CountTable, measured: &[(String, [u64; 4])]) {
+fn assert_pinned<const N: usize>(
+    table: &str,
+    expected: &[(&str, [u64; N])],
+    measured: &[(String, [u64; N])],
+) {
     let matches = expected.len() == measured.len()
         && expected
             .iter()
@@ -144,10 +173,7 @@ fn assert_pinned(table: &str, expected: &CountTable, measured: &[(String, [u64; 
     if !matches {
         let mut listing = String::new();
         for (name, c) in measured {
-            listing.push_str(&format!(
-                "    (\"{name}\", [{}, {}, {}, {}]),\n",
-                c[0], c[1], c[2], c[3]
-            ));
+            listing.push_str(&format!("    (\"{name}\", {c:?}),\n"));
         }
         panic!("{table}: search counts changed; measured table:\n{listing}");
     }
@@ -222,4 +248,58 @@ fn static_fresh_counts_are_pinned_per_weighting() {
         STATIC_FRESH_BY_WEIGHTING,
         &measured,
     );
+}
+
+#[test]
+fn periodic_paths_counts_are_pinned() {
+    let mut searches: Vec<(String, [u64; 8])> = Vec::new();
+    let mut proofs: Vec<(String, [u64; 2])> = Vec::new();
+    for instance in suite_table1() {
+        let name = instance.name.as_str();
+        if !PERIODIC_INSTANCES.contains(&name) {
+            continue;
+        }
+        let mut search = None;
+        for proof in [ProofMode::Off, ProofMode::Check] {
+            let options = BmcOptions {
+                proof,
+                ..options(PERIODIC_DEPTH)
+            };
+            let run = BmcEngine::new(instance.model.clone(), options).run_collecting();
+            let s = &run.solver_stats;
+            let row = [
+                s.decisions,
+                s.propagations,
+                s.conflicts,
+                s.solve_calls,
+                s.restarts,
+                s.score_halvings,
+                s.compactions,
+                s.cdg_pruned_nodes,
+            ];
+            // Restarts, halvings, compactions and prunes must all have run,
+            // or the table no longer covers the periodic paths.
+            assert!(
+                row[4..].iter().all(|&n| n > 0),
+                "{name}: a periodic path never ran: {row:?}"
+            );
+            match run.proof {
+                None => search = Some(row),
+                Some(summary) => {
+                    assert_eq!(Some(row), search, "{name}: checking changed the search");
+                    assert_eq!(summary.rejections, 0, "{name}: a certificate was rejected");
+                    proofs.push((
+                        name.to_string(),
+                        [summary.steps_logged, summary.episodes_certified],
+                    ));
+                }
+            }
+        }
+        searches.push((
+            name.to_string(),
+            search.expect("the unchecked run came first"),
+        ));
+    }
+    assert_pinned("PERIODIC_BMC_SESSION", PERIODIC_BMC_SESSION, &searches);
+    assert_pinned("PERIODIC_PROOF_CHECK", PERIODIC_PROOF_CHECK, &proofs);
 }
